@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import InvalidSceneError, OffsetDomainError, SiteScene
+from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _nearest
 from .field import eval_field
 
 __all__ = [
@@ -344,8 +344,7 @@ def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> fl
             x = -p * (0.5 * (r - np_) / np_)
         else:
             x = np.array([-0.5 * r, 0.0])
-        d_other = np.linalg.norm(scene.sites - x, axis=1).min()
-        if d_other >= cand * (1.0 - 1e-12):
+        if _nearest(scene, x[None]).d_sites.min() >= cand * (1.0 - 1e-12):
             best = max(best, cand)
     return best
 

@@ -3,7 +3,10 @@
 Usage: axiform <command> --config cfg.json [--seed N] [--out DIR]
 
 Exit codes: 0 when every enforced assertion passes, 2 when an enforced
-assertion fails, 3 on bad input (missing file, malformed config, bad scene).
+assertion fails, 3 on bad input (missing file, malformed config, bad scene,
+invalid parameter).  A KeyError or TypeError counts as bad input only while
+the config loads; raised by an experiment, it is a program error and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -39,17 +42,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _load_config(args) -> ex.ExperimentConfig:
+    """The config file with the command-line overrides applied.  A KeyError
+    or TypeError here means a missing or mistyped config entry."""
     try:
         config = ex.load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed
         if args.out is not None:
             config.out_dir = args.out
-        report = _COMMANDS[args.command](config)
+    except (KeyError, TypeError) as err:
+        raise InvalidSceneError("malformed config: %s" % err) from err
+    return config
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        report = _COMMANDS[args.command](_load_config(args))
     except (InvalidSceneError, FileNotFoundError, json.JSONDecodeError,
-            KeyError, TypeError, ValueError) as err:
+            ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 3
     summary = {

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -431,35 +432,45 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
     return report
 
 
+class _SweepDirection(NamedTuple):
+    grid: str        # config grid that is swept
+    fixed: str       # config grid whose first value is held
+    need: str        # what a sweep in this direction needs
+    point: Callable  # (grid value, fixed value) -> (lambda, alpha)
+    mu_at: int       # grid index whose (lambda, alpha) sets the mu window
+    window: Callable  # lower grid value -> reach-summary window (None: alpha)
+    lip: Callable    # (r_max, lower grid value, alpha, mu_tilde) -> constant
+
+
+_SWEEPS = {
+    "lambda": _SweepDirection(
+        "lambda_grid", "alpha_grid", ">= 2 lambdas and an alpha",
+        lambda v, fixed: (v, fixed), -1, lambda lo: None,
+        lambda r_max, lo, alpha, mt: r_max ** 2 / (alpha * lo * mt ** 2)),
+    "alpha": _SweepDirection(
+        "alpha_grid", "lambda_grid", ">= 2 alphas and a lambda",
+        lambda v, fixed: (fixed, v), 0, lambda lo: lo,
+        lambda r_max, lo, alpha, mt: r_max / (lo * mt ** 2)),
+}
+
+
 def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     scene = config.scene
     res = config.resolution
     report = StabilityReport(kind="sweep-" + which, seed=config.seed,
                              resolution=res)
-    if which == "lambda":
-        if len(config.lambda_grid) < 2 or not config.alpha_grid:
-            raise InvalidSceneError("lambda sweep needs >= 2 lambdas and an alpha")
-        grid = [float(v) for v in config.lambda_grid]
-        alpha_fixed = float(config.alpha_grid[0])
-    else:
-        if len(config.alpha_grid) < 2 or not config.lambda_grid:
-            raise InvalidSceneError("alpha sweep needs >= 2 alphas and a lambda")
-        grid = [float(v) for v in config.alpha_grid]
-        lam_fixed = float(config.lambda_grid[0])
+    way = _SWEEPS[which]
+    grid = [float(v) for v in getattr(config, way.grid)]
+    fixed = getattr(config, way.fixed)
+    if len(grid) < 2 or not fixed:
+        raise InvalidSceneError("%s sweep needs %s" % (which, way.need))
+    points = [way.point(v, float(fixed[0])) for v in grid]
 
     skeleton = build_skeleton(scene)
     profile, r_max = _profile_for(scene, config)
-    axes = []
-    for v in grid:
-        if which == "lambda":
-            axes.append(filter_axis(skeleton, v, alpha_fixed))
-        else:
-            axes.append(filter_axis(skeleton, lam_fixed, v))
-
-    if which == "lambda":
-        mu, mu_flags = _resolve_mu(config, profile, alpha_fixed, grid[-1])
-    else:
-        mu, mu_flags = _resolve_mu(config, profile, grid[0], lam_fixed)
+    axes = [filter_axis(skeleton, lam, alpha) for lam, alpha in points]
+    lam_mu, alpha_mu = points[way.mu_at]
+    mu, mu_flags = _resolve_mu(config, profile, alpha_mu, lam_mu)
     report.flags.extend(mu_flags)
     report.constants["mu"] = mu
     report.constants["r_max"] = r_max
@@ -468,21 +479,14 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
         lo, hi = grid[i], grid[i + 1]
         delta = hi - lo
         axis_lo, axis_hi = axes[i], axes[i + 1]
-        if which == "lambda":
-            alpha = alpha_fixed
-            summary = reach_summary(profile, mu, alpha, hi)
-            lam_min = lo
-            lip = (r_max ** 2 / (alpha * lam_min * summary.mu_tilde ** 2)
-                   if math.isfinite(summary.mu_tilde) else float("nan"))
-        else:
-            alpha = hi
-            summary = reach_summary(profile, mu, hi, lam_fixed, window_alpha=lo)
-            lip = (r_max / (lo * summary.mu_tilde ** 2)
-                   if math.isfinite(summary.mu_tilde) else float("nan"))
-
+        lam, alpha = points[i + 1]
+        summary = reach_summary(profile, mu, alpha, lam,
+                                window_alpha=way.window(lo))
+        lip = (way.lip(r_max, lo, alpha, summary.mu_tilde)
+               if math.isfinite(summary.mu_tilde) else float("nan"))
         hyp_ok = (math.isfinite(summary.mu_tilde)
                   and math.isfinite(summary.r_mu_alpha)
-                  and summary.r_mu_alpha > alpha + (hi if which == "lambda" else lam_fixed))
+                  and summary.r_mu_alpha > alpha + lam)
         d_h = hausdorff_distance(axis_lo, axis_hi, res)
         back = directed_hausdorff(axis_hi, axis_lo, res)
         bound = lip * delta + res
@@ -542,53 +546,65 @@ def run_sweep_alpha(config: ExperimentConfig) -> StabilityReport:
     return _sweep(config, "alpha")
 
 
-def run_perturb(config: ExperimentConfig) -> StabilityReport:
-    """Hausdorff stability under site jitter: d_H(axes) <= C sqrt(eps)."""
+def _jitter_base(config: ExperimentConfig, report: StabilityReport) -> tuple:
+    """Set-up shared by the jitter experiments.
+
+    Returns (lam, alpha, base axis, profile, mu, summary), where the summary
+    is merged with the one of the most perturbed scene (which is jittered
+    exactly as the last epsilon's scene) so the hypotheses cover both.
+    """
     if not config.epsilons or not config.lambda_grid or not config.alpha_grid:
-        raise InvalidSceneError("perturb experiment needs epsilons, lambda, alpha")
-    scene = config.scene
-    res = config.resolution
+        raise InvalidSceneError("%s experiment needs epsilons, lambda, alpha"
+                                % report.kind)
     lam = float(config.lambda_grid[0])
     alpha = float(config.alpha_grid[0])
-    report = StabilityReport(kind="perturb", seed=config.seed, resolution=res)
-    if max(config.epsilons) < 100.0 * min(config.epsilons):
-        report.flags.append("epsilon-span-below-two-decades")
-
     cache = {}
-    skeleton = build_skeleton(scene)
-    base_axis = filter_axis(skeleton, lam, alpha)
-    profile, r_max = _profile_for(scene, config, cache)
+    base_axis = filter_axis(build_skeleton(config.scene), lam, alpha)
+    profile, _ = _profile_for(config.scene, config, cache)
     mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
     report.flags.extend(mu_flags)
     summary = reach_summary(profile, mu, alpha, lam)
-
-    # hypothesis data from the most perturbed scene as well
-    eps_top = float(max(config.epsilons))
     rng_top = np.random.default_rng([config.seed, len(config.epsilons) - 1])
     try:
-        scene_top = _jitter(scene, eps_top, rng_top)
+        scene_top = _jitter(config.scene, float(max(config.epsilons)), rng_top)
         profile_top, _ = _profile_for(scene_top, config, cache)
-        summary_top = reach_summary(profile_top, mu, alpha, lam)
-        summary_used = _merge_summaries(summary, summary_top)
+        summary = _merge_summaries(
+            summary, reach_summary(profile_top, mu, alpha, lam))
     except InvalidSceneError:
-        summary_used = summary
         report.flags.append("top-epsilon-scene-invalid")
+    return lam, alpha, base_axis, profile, mu, summary
+
+
+def _jittered_scenes(config: ExperimentConfig, report: StabilityReport):
+    """Yield (k, epsilon, jittered scene) per epsilon.  An epsilon whose
+    jitter gives an invalid scene gets a flagged row and a skipped
+    ``<kind>-k`` assertion instead."""
+    for k, eps in enumerate(config.epsilons):
+        eps = float(eps)
+        try:
+            rng = np.random.default_rng([config.seed, k])
+            scene_p = _jitter(config.scene, eps, rng)
+        except InvalidSceneError:
+            report.rows.append({"epsilon": eps, "flags": ["invalid-perturbed-scene"]})
+            report.add_assertion("%s-%d" % (report.kind, k), True, False)
+            continue
+        yield k, eps, scene_p
+
+
+def run_perturb(config: ExperimentConfig) -> StabilityReport:
+    """Hausdorff stability under site jitter: d_H(axes) <= C sqrt(eps)."""
+    scene = config.scene
+    res = config.resolution
+    report = StabilityReport(kind="perturb", seed=config.seed, resolution=res)
+    if config.epsilons and max(config.epsilons) < 100.0 * min(config.epsilons):
+        report.flags.append("epsilon-span-below-two-decades")
+    lam, alpha, base_axis, _, mu, summary_used = _jitter_base(config, report)
     report.constants["mu"] = mu
     report.constants["mu_tilde"] = summary_used.mu_tilde
     report.constants["r_max"] = summary_used.r_max
 
-    eps_list, dh_list = [], []
-    all_hyp = True
-    for k, eps in enumerate(config.epsilons):
-        eps = float(eps)
-        rng = np.random.default_rng([config.seed, k])
-        try:
-            scene_p = _jitter(scene, eps, rng)
-        except InvalidSceneError:
-            report.rows.append({"epsilon": eps, "flags": ["invalid-perturbed-scene"]})
-            report.add_assertion("perturb-%d" % k, True, False)
-            all_hyp = False
-            continue
+    eps_list, dh_list, hyps = [], [], []
+    for k, eps, scene_p in _jittered_scenes(config, report):
         shift = float(np.linalg.norm(scene_p.sites - scene.sites, axis=1).max())
         axis_p = filter_axis(build_skeleton(scene_p), lam, alpha)
         d_h = hausdorff_distance(base_axis, axis_p, res)
@@ -607,10 +623,11 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
         report.add_assertion("perturb-%d" % k,
                              (d_h <= cons.hausdorff_bound) if hyp_ok else True,
                              hyp_ok)
-        all_hyp = all_hyp and hyp_ok
+        hyps.append(hyp_ok)
         eps_list.append(eps)
         dh_list.append(d_h)
 
+    all_hyp = len(hyps) == len(config.epsilons) and all(hyps)
     slope, rms, n = _slope_fit(eps_list, dh_list)
     report.slope = slope
     report.slope_residual = rms
@@ -626,33 +643,11 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
 def run_gh(config: ExperimentConfig) -> StabilityReport:
     """Gromov-Hausdorff stability under site jitter: distortion of the
     radius-C*sqrt(eps) relation against the three-term bound."""
-    if not config.epsilons or not config.lambda_grid or not config.alpha_grid:
-        raise InvalidSceneError("gh experiment needs epsilons, lambda, alpha")
     scene = config.scene
     res = config.resolution
-    lam = float(config.lambda_grid[0])
-    alpha = float(config.alpha_grid[0])
     report = StabilityReport(kind="gh", seed=config.seed, resolution=res)
-
-    cache = {}
-    skeleton = build_skeleton(scene)
-    base_axis = filter_axis(skeleton, lam, alpha)
-    profile, r_max = _profile_for(scene, config, cache)
-    mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
-    report.flags.extend(mu_flags)
-    summary = reach_summary(profile, mu, alpha, lam)
+    lam, alpha, base_axis, profile, mu, summary_used = _jitter_base(config, report)
     summary_half = reach_summary(profile, mu, alpha, lam, window_alpha=alpha / 2.0)
-
-    eps_top = float(max(config.epsilons))
-    rng_top = np.random.default_rng([config.seed, len(config.epsilons) - 1])
-    try:
-        scene_top = _jitter(scene, eps_top, rng_top)
-        profile_top, _ = _profile_for(scene_top, config, cache)
-        summary_used = _merge_summaries(
-            summary, reach_summary(profile_top, mu, alpha, lam))
-    except InvalidSceneError:
-        summary_used = summary
-        report.flags.append("top-epsilon-scene-invalid")
 
     base_connected = _connected(base_axis)
     gdiam_base = _axis_gdiam(base_axis, res) if base_connected else float("inf")
@@ -660,15 +655,7 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
     report.constants["mu_tilde"] = summary_used.mu_tilde
     report.constants["gdiam_base"] = gdiam_base
 
-    for k, eps in enumerate(config.epsilons):
-        eps = float(eps)
-        rng = np.random.default_rng([config.seed, k])
-        try:
-            scene_p = _jitter(scene, eps, rng)
-        except InvalidSceneError:
-            report.rows.append({"epsilon": eps, "flags": ["invalid-perturbed-scene"]})
-            report.add_assertion("gh-%d" % k, True, False)
-            continue
+    for k, eps, scene_p in _jittered_scenes(config, report):
         axis_p = filter_axis(build_skeleton(scene_p), lam, alpha)
         connected = base_connected and _connected(axis_p)
         if not connected:

@@ -22,15 +22,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .scene import (
-    DomainError,
     InvalidSceneError,
     OffsetDomainError,
     SiteScene,
+    _nearest,
     nearest_site_info,
-    smallest_enclosing_ball,
+    witness_ball,
 )
 
 __all__ = [
@@ -58,6 +57,16 @@ class FieldSample:
     witness_ids: tuple
 
 
+def _offset_rescale(R, F, alpha):
+    """F_alpha = (R - alpha)/R * F, defined only outside the alpha-offset."""
+    alpha = float(alpha)
+    if alpha < 0.0:
+        raise InvalidSceneError("alpha must be nonnegative")
+    if np.any(R <= alpha):
+        raise OffsetDomainError("point lies within offset distance alpha of the scene")
+    return (R - alpha) / R * F
+
+
 def eval_field(scene: SiteScene, x, alpha: float | None = None,
                witness_band: float | None = None) -> FieldSample:
     """Evaluate the distance field at one point.
@@ -67,39 +76,16 @@ def eval_field(scene: SiteScene, x, alpha: float | None = None,
     their step scale so that sheet contact is observable.
     """
     x = np.asarray(x, float)
-    dmin, labels, points = nearest_site_info(scene, x, band=witness_band)
-    if len(points) == 1:
-        center = points[0]
-        f_val = 0.0
-    else:
-        ball = smallest_enclosing_ball(np.stack(points))
-        center = ball.center
-        f_val = ball.radius
-    grad = (x - center) / dmin
-    f_alpha = None
-    if alpha is not None:
-        alpha = float(alpha)
-        if alpha < 0.0:
-            raise InvalidSceneError("alpha must be nonnegative")
-        if dmin <= alpha:
-            raise OffsetDomainError("point lies within offset distance alpha of the scene")
-        f_alpha = (dmin - alpha) / dmin * f_val
-    return FieldSample(point=x, R=dmin, theta=points, F=f_val, grad=grad,
-                       F_alpha=f_alpha, witness_ids=tuple(labels))
-
-
-def _distance_columns(scene: SiteScene, X: np.ndarray):
-    """Distances of a batch to every site plus the wall column."""
-    d_sites = cdist(X, scene.sites)
-    nx = np.linalg.norm(X, axis=1)
-    d_wall = scene.bounding_radius - nx
-    return d_sites, d_wall, nx
+    dmin, labels, points, _ = nearest_site_info(scene, x, band=witness_band)
+    center, f_val = witness_ball(points)
+    f_alpha = None if alpha is None else _offset_rescale(dmin, f_val, alpha)
+    return FieldSample(point=x, R=dmin, theta=points, F=f_val,
+                       grad=(x - center) / dmin, F_alpha=f_alpha,
+                       witness_ids=tuple(labels))
 
 
 def r_batch(scene: SiteScene, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, float))
-    d_sites, d_wall, _ = _distance_columns(scene, X)
-    return np.minimum(d_sites.min(axis=1), d_wall)
+    return _nearest(scene, np.atleast_2d(np.asarray(X, float))).R
 
 
 def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
@@ -107,42 +93,21 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
     """Vectorized field evaluation; returns dict of arrays.
 
     Rows with a single witness (the generic case) are handled in bulk; only
-    tie rows fall back to the per-point path.
+    tie rows take the smallest enclosing ball of their witnesses.
     """
     X = np.atleast_2d(np.asarray(X, float))
-    n, dim = X.shape
-    d_sites, d_wall, nx = _distance_columns(scene, X)
-    if np.any(nx >= scene.bounding_radius):
-        raise DomainError("batch contains points outside the open bounding ball")
-    j = np.argmin(d_sites, axis=1)
-    ds = d_sites[np.arange(n), j]
-    rmin = np.minimum(ds, d_wall)
-    if np.any(rmin <= 0.0):
-        raise DomainError("batch contains a point on the scene set")
-    if witness_band is None:
-        cut = rmin * (1.0 + scene.tie_tolerance)
-    else:
-        cut = rmin + float(witness_band)
-    counts = (d_sites <= cut[:, None]).sum(axis=1) + (d_wall <= cut)
-
-    R = rmin
-    F = np.zeros(n)
-    grad = np.empty((n, dim))
-    site_rows = ds <= d_wall
-    grad[site_rows] = (X[site_rows] - scene.sites[j[site_rows]]) / ds[site_rows, None]
-    wall_rows = ~site_rows
-    if np.any(wall_rows):
-        grad[wall_rows] = -X[wall_rows] / nx[wall_rows, None]
+    near = _nearest(scene, X)
+    near.check()
+    sites, wall = near.cut(witness_band)
+    counts = sites.sum(axis=1) + wall
+    centers = near.nearest_points()
+    F = np.zeros(len(X))
     for i in np.nonzero(counts > 1)[0]:
-        sample = eval_field(scene, X[i], witness_band=witness_band)
-        F[i] = sample.F
-        grad[i] = sample.grad
-    out = {"R": R, "F": F, "grad": grad, "witness_count": counts}
+        centers[i], F[i] = witness_ball(near.points(i, near.labels(i, sites, wall)))
+    out = {"R": near.R, "F": F, "grad": (X - centers) / near.R[:, None],
+           "witness_count": counts}
     if alpha is not None:
-        alpha = float(alpha)
-        if np.any(R <= alpha):
-            raise OffsetDomainError("batch contains points within offset distance alpha")
-        out["F_alpha"] = (R - alpha) / R * F
+        out["F_alpha"] = _offset_rescale(near.R, F, alpha)
     return out
 
 
@@ -186,23 +151,6 @@ def _sprinkle(scene: SiteScene, t: float, n: int, rng: np.random.Generator) -> n
     return out[inside]
 
 
-def _ascent_directions(scene: SiteScene, X: np.ndarray):
-    """R values and single-witness unit ascent directions for a batch."""
-    n = len(X)
-    d_sites, d_wall, nx = _distance_columns(scene, X)
-    j = np.argmin(d_sites, axis=1)
-    ds = d_sites[np.arange(n), j]
-    r_val = np.minimum(ds, d_wall)
-    u = np.empty_like(X)
-    site_rows = ds <= d_wall
-    u[site_rows] = (X[site_rows] - scene.sites[j[site_rows]]) / np.maximum(ds[site_rows, None], 1e-300)
-    wall_rows = ~site_rows
-    if np.any(wall_rows):
-        safe = np.maximum(nx[wall_rows, None], 1e-300)
-        u[wall_rows] = -X[wall_rows] / safe
-    return r_val, u
-
-
 def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
                     max_iters: int = 200):
     """March seeds along +-ascent until the R = t level is bracketed, then bisect.
@@ -212,7 +160,6 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
     """
     r_bound = scene.bounding_radius
     pts = X.copy()
-    r_cur, _ = _ascent_directions(scene, pts)
     lo = np.empty_like(pts)
     hi = np.empty_like(pts)
     have_bracket = np.zeros(len(pts), bool)
@@ -222,14 +169,16 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
         if idx.size == 0:
             break
         cur = pts[idx]
-        r_here, u = _ascent_directions(scene, cur)
+        near = _nearest(scene, cur)
+        r_here = near.R
+        u = (cur - near.nearest_points()) / r_here[:, None]
         gap = t - r_here
         step = np.clip(0.9 * np.abs(gap), band / 4.0, 0.05 * r_bound)
         # never step through the wall
-        wall_room = r_bound - np.linalg.norm(cur, axis=1)
-        step = np.minimum(step, 0.5 * wall_room)
+        step = np.minimum(step, 0.5 * near.d_wall)
+        del near  # frees its distance matrix before the trial query
         trial = cur + np.sign(gap)[:, None] * step[:, None] * u
-        r_new, _ = _ascent_directions(scene, trial)
+        r_new = _nearest(scene, trial).R
         crossed = (r_here - t) * (r_new - t) <= 0.0
         sel = idx[crossed]
         lo[sel] = cur[crossed]
@@ -254,30 +203,25 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
     stalled = active & ~have_bracket
     if np.any(stalled):
         rest = pts[stalled]
-        near = np.abs(r_batch(scene, rest) - t) <= band
-        if np.any(near):
-            accepted.append(rest[near])
+        in_band = np.abs(r_batch(scene, rest) - t) <= band
+        if np.any(in_band):
+            accepted.append(rest[in_band])
     if not accepted:
         return np.empty((0, X.shape[1]))
     out = np.vstack(accepted)
-    inside = np.linalg.norm(out, axis=1) < r_bound * (1.0 - 1e-15)
-    out = out[inside]
-    keep = np.abs(r_batch(scene, out) - t) <= band
+    near = _nearest(scene, out)
+    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t) <= band)
     return out[keep]
 
 
 def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.ndarray:
     """|grad| with the witness band widened to ``band`` (absolute)."""
-    n = len(X)
-    d_sites, d_wall, _ = _distance_columns(scene, X)
-    rmin = np.minimum(d_sites.min(axis=1), d_wall)
-    cut = rmin + band
-    counts = (d_sites <= cut[:, None]).sum(axis=1) + (d_wall <= cut)
-    out = np.ones(n)
-    for i in np.nonzero(counts > 1)[0]:
-        _, _, wit = nearest_site_info(scene, X[i], band=band)
-        f_val = smallest_enclosing_ball(np.stack(wit)).radius
-        ratio = f_val / rmin[i]
+    near = _nearest(scene, X)
+    sites, wall = near.cut(band)
+    out = np.ones(len(X))
+    for i in np.nonzero(sites.sum(axis=1) + wall > 1)[0]:
+        _, f_val = witness_ball(near.points(i, near.labels(i, sites, wall)))
+        ratio = f_val / near.R[i]
         out[i] = math.sqrt(max(0.0, 1.0 - ratio * ratio))
     return out
 

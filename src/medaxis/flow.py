@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import DomainError, SiteScene, smallest_enclosing_ball, wall_witness
-from .field import eval_field
+from .scene import DomainError, SiteScene, nearest_site_info, witness_ball
 
 __all__ = [
     "StopCondition",
@@ -100,64 +99,31 @@ class Trajectory:
 
 def _probe(scene: SiteScene, x: np.ndarray, band: float,
            prev_wide: frozenset = frozenset()):
-    """One distance pass: exact witness data plus band-widened sheet data.
+    """One kernel query: exact witness data plus band-widened sheet data.
 
-    Membership in the wide set has hysteresis: new witnesses join within
-    one band of the minimum, known ones are kept up to two bands, so a
-    witness hovering at the cut does not flicker in and out between nodes.
-    Returns (dmin, exact ids, steering direction, wide F, wide witness
-    count, wide id set, wide witness points).
+    The wide set is the band cut with the previous node's wide set as its
+    hysteresis keep-set, so a witness hovering at the cut does not flicker
+    in and out between nodes.  Returns (dmin, exact ids, steering
+    direction, wide F, wide witness count, wide id set, wide witness
+    points).
     """
-    diffs = scene.sites - x
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    nx = float(np.linalg.norm(x))
-    d_wall = scene.bounding_radius - nx
-    d_site = float(dists.min())
-    if d_site == 0.0:
-        raise DomainError("point coincides with a site")
-    if d_wall <= 0.0:
-        raise DomainError("point is outside the bounding ball")
-    dmin = min(d_site, d_wall)
-
-    cut_exact = dmin * (1.0 + scene.tie_tolerance)
-    sel = np.nonzero(dists <= cut_exact)[0]
-    ids = set(int(k) for k in sel)
-    if d_wall <= cut_exact:
-        ids.add(-1)
-
-    cut_wide = dmin + band
-    cut_keep = dmin + 2.0 * band
-    keep = np.zeros(len(dists), dtype=bool)
-    for k in prev_wide:
-        if k >= 0:
-            keep[k] = True
-    sel_w = np.nonzero((dists <= cut_wide) | (keep & (dists <= cut_keep)))[0]
-    pts_w = [scene.sites[k] for k in sel_w]
-    wide = set(int(k) for k in sel_w)
-    if d_wall <= (cut_keep if -1 in prev_wide else cut_wide):
-        pts_w.append(wall_witness(scene, x))
-        wide.add(-1)
+    dmin, labels, pts_w, ids = nearest_site_info(scene, x, band, keep=prev_wide)
     # Steering by the band-widened ball center instead of the razor-thin
     # exact tie set lets a trajectory slide along a bisector smoothly
     # rather than chattering across it with rejected micro-steps; the
     # step-acceptance rule still enforces hard radius monotonicity.
-    if len(pts_w) == 1:
-        f_wide = 0.0
-        grad = (x - pts_w[0]) / dmin
-    else:
-        ball = smallest_enclosing_ball(np.array(pts_w))
-        f_wide = ball.radius
-        grad = (x - ball.center) / dmin
-        if len(pts_w) == 2:
-            # Pure slide direction: remove the component along the witness
-            # pair, which only measures the (band-sized) offset from the
-            # bisector and would otherwise feed back into outward drift.
-            n = pts_w[1] - pts_w[0]
-            nn = float(np.linalg.norm(n))
-            if nn > 0.0:
-                n = n / nn
-                grad = grad - float(grad @ n) * n
-    return dmin, frozenset(ids), grad, f_wide, len(pts_w), frozenset(wide), pts_w
+    center, f_wide = witness_ball(pts_w)
+    grad = (x - center) / dmin
+    if len(pts_w) == 2:
+        # Pure slide direction: remove the component along the witness
+        # pair, which only measures the (band-sized) offset from the
+        # bisector and would otherwise feed back into outward drift.
+        n = pts_w[1] - pts_w[0]
+        nn = float(np.linalg.norm(n))
+        if nn > 0.0:
+            n = n / nn
+            grad = grad - float(grad @ n) * n
+    return dmin, ids, grad, f_wide, len(pts_w), frozenset(labels), pts_w
 
 
 def _snap_to_tie(y: np.ndarray, pts_w, cap: float) -> np.ndarray:
@@ -213,11 +179,9 @@ def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
     reason = None
     stall_floor = _STALL_FRACTION * scene.bounding_radius
 
-    wide_prev: frozenset = frozenset()
+    node = _probe(scene, x, flow_band)
     while True:
-        dmin, ids, grad, f_wide, n_wide, wide_now, _ = \
-            _probe(scene, x, flow_band, wide_prev)
-        wide_prev = wide_now
+        dmin, ids, grad, f_wide, n_wide, wide, _ = node
         gn_wide = math.sqrt(max(0.0, 1.0 - (f_wide / dmin) ** 2))
         if alpha is not None and dmin > alpha:
             fa_wide = (dmin - alpha) / dmin * f_wide
@@ -259,21 +223,21 @@ def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
         while dt >= stall_floor:
             y = x + dt * grad
             try:
-                dmin_y, ids_y, _, f_wide_y, n_wide_y, _, pts_y = \
-                    _probe(scene, y, flow_band, wide_now)
-                if n_wide_y == 2:
+                trial = _probe(scene, y, flow_band, wide)
+                pts_y = trial[-1]
+                if len(pts_y) == 2:
                     # The in-band offset can slightly exceed the step size
                     # when band and step are comparable, so the cap allows
                     # for both scales.
                     y2 = _snap_to_tie(y, pts_y, cap=dt + 2.0 * flow_band)
                     if y2 is not y:
                         y = y2
-                        dmin_y, ids_y, _, f_wide_y, n_wide_y, _, pts_y = \
-                            _probe(scene, y, flow_band, wide_now)
+                        trial = _probe(scene, y, flow_band, wide)
             except DomainError:
                 dt *= 0.5
                 rejected += 1
                 continue
+            dmin_y, ids_y, _, f_wide_y, _, _, _ = trial
             if dmin_y < dmin:
                 dt *= 0.5
                 rejected += 1
@@ -290,6 +254,9 @@ def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
         arc += dt * gnorm
         t = horizon if dt == remaining else t + dt
         x = y
+        # The accepted trial's probe is the new node's: same point, band
+        # and keep-set.
+        node = trial
 
     return Trajectory(scene=scene, alpha=alpha,
                       times=np.array(rows_t), arc=np.array(rows_s),

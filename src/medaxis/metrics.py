@@ -32,7 +32,6 @@ __all__ = [
     "directed_hausdorff",
     "GeodesicGraph",
     "build_geodesic_graph",
-    "component_subgraph",
     "geodesic",
     "geodesic_diameter",
     "Correspondence",
@@ -187,16 +186,6 @@ def build_geodesic_graph(axis: FilteredAxis, resolution: float) -> GeodesicGraph
     # axis vertices not on any segment are genuine isolated components
     return GeodesicGraph(points=pts, matrix=mat, component_ids=comp,
                          resolution=res, flags=tuple(flags))
-
-
-def component_subgraph(graph: GeodesicGraph, component: int) -> GeodesicGraph:
-    mask = graph.component_ids == component
-    idx = np.nonzero(mask)[0]
-    sub = graph.matrix[idx][:, idx]
-    return GeodesicGraph(points=graph.points[idx], matrix=sub,
-                         component_ids=np.zeros(len(idx), int),
-                         resolution=graph.resolution,
-                         flags=graph.flags + ("component-restricted",))
 
 
 def _snap(graph: GeodesicGraph, p) -> int:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "Ball",
@@ -22,8 +24,8 @@ __all__ = [
     "DomainError",
     "OffsetDomainError",
     "smallest_enclosing_ball",
-    "nearest_sites",
     "nearest_site_info",
+    "witness_ball",
     "wall_witness",
     "random_scene",
     "scene_to_json",
@@ -186,40 +188,116 @@ def wall_witness(scene: SiteScene, x: np.ndarray) -> np.ndarray:
     return x * (scene.bounding_radius / nx)
 
 
-def nearest_site_info(scene: SiteScene, x, band: float | None = None):
-    """Distance to the scene plus witness labels and points.
+class _Nearest(NamedTuple):
+    """Distances from n query rows to a scene, as computed by ``_nearest``."""
 
-    Labels are site indices, with -1 for the wall.  ``band`` is an absolute
-    widening of the witness band (length units); None means the scene's
-    relative tie band.
+    scene: SiteScene
+    X: np.ndarray        # (n, d) query rows
+    norm: np.ndarray     # (n,) |x|
+    d_sites: np.ndarray  # (n, m) site distances
+    d_wall: np.ndarray   # (n,) wall distances r - |x|
+    R: np.ndarray        # (n,) distance to the scene set
+
+    def check(self) -> None:
+        """Raise DomainError unless every row lies in the open domain."""
+        if self.R.size and self.R.min() <= 0.0:
+            if self.d_wall.min() <= 0.0:
+                raise DomainError("query point is outside the open bounding ball")
+            raise DomainError("query point coincides with a site")
+
+    def cut(self, band: float | None = None, keep=()):
+        """Site mask (n, m) and wall mask (n,) of the witnesses within a cut.
+
+        The cut is the scene's relative tie band when ``band`` is None and
+        the absolute band R + ``band`` otherwise.  Labels in ``keep`` (known
+        witnesses) stay in up to R + 2 ``band``; this hysteresis stops a
+        witness hovering at the cut from flickering in and out.
+        """
+        if band is None:
+            cut = self.R * (1.0 + self.scene.tie_tolerance)
+        else:
+            cut = self.R + float(band)
+        sites = self.d_sites <= cut[:, None]
+        wall = self.d_wall <= cut
+        if keep:
+            far = self.R + 2.0 * band
+            for k in keep:
+                if k < 0:
+                    wall |= self.d_wall <= far
+                else:
+                    sites[:, k] |= self.d_sites[:, k] <= far
+        return sites, wall
+
+    def labels(self, i: int, sites: np.ndarray, wall: np.ndarray) -> list:
+        """Row ``i``'s witness labels in a cut returned by ``cut``: site
+        indices in ascending order, then -1 for the wall."""
+        labels = sites[i].nonzero()[0].tolist()
+        if wall[i]:
+            labels.append(-1)
+        return labels
+
+    def points(self, i: int, labels: list) -> list:
+        """The witness points of row ``i`` for a list of labels."""
+        return [self.scene.sites[k] if k >= 0 else wall_witness(self.scene, self.X[i])
+                for k in labels]
+
+    def nearest_points(self) -> np.ndarray:
+        """Each row's nearest witness: a site, which wins a distance tie
+        with the wall, or else the row's wall projection."""
+        j = self.d_sites.argmin(axis=1)
+        pts = self.scene.sites[j]
+        on_wall = self.d_wall < self.d_sites[np.arange(len(j)), j]
+        scale = self.scene.bounding_radius / self.norm[on_wall]
+        pts[on_wall] = self.X[on_wall] * scale[:, None]
+        return pts
+
+
+def _nearest(scene: SiteScene, X: np.ndarray) -> _Nearest:
+    """The distance kernel: distances from the rows of a 2-d array to the
+    scene set.
+
+    Every site and wall distance of a query point is computed here, so one
+    point gets the same R and witnesses whichever path asks for it.  Site
+    distances are ``cdist``'s; |x| is sqrt(x . x) as a per-row matrix
+    product, which equals ``np.linalg.norm`` of the single row bit for bit.
+    Rows are not checked against the domain; see ``_Nearest.check``.
+    """
+    d_sites = cdist(X, scene.sites)
+    norm = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    d_wall = scene.bounding_radius - norm
+    R = d_sites.min(axis=1)
+    return _Nearest(scene, X, norm, d_sites, d_wall, np.minimum(R, d_wall, out=R))
+
+
+def nearest_site_info(scene: SiteScene, x, band: float | None = None,
+                      keep=frozenset()):
+    """One-row view of the distance kernel.
+
+    Returns the distance R to the scene, the labels (site indices, then -1
+    for the wall) and points of the witnesses within the cut, and the label
+    set within the relative tie band (the exact witness set).  ``band`` is
+    an absolute widening of the cut (length units); None means the tie
+    band.  ``keep`` holds known witness labels, kept up to two bands out.
     """
     x = np.asarray(x, float)
     if x.shape != (scene.dim,):
         raise DomainError("query point has wrong dimension")
-    nx = float(np.linalg.norm(x))
-    if nx >= scene.bounding_radius:
-        raise DomainError("query point is outside the open bounding ball")
-    d_sites = np.linalg.norm(scene.sites - x, axis=1)
-    d_wall = scene.bounding_radius - nx
-    dmin = min(float(d_sites.min()), d_wall)
-    if dmin <= 0.0:
-        raise DomainError("query point coincides with a site")
-    if band is None:
-        cut = (1.0 + scene.tie_tolerance) * dmin
-    else:
-        cut = dmin + float(band)
-    labels = [int(i) for i in np.nonzero(d_sites <= cut)[0]]
-    points = [scene.sites[i] for i in labels]
-    if d_wall <= cut:
-        labels.append(-1)
-        points.append(wall_witness(scene, x))
-    return dmin, labels, points
+    near = _nearest(scene, x[None])
+    R = float(near.R[0])
+    if not R > 0.0:
+        near.check()
+    labels = near.labels(0, *near.cut(band, keep))
+    ties = frozenset(labels if band is None else near.labels(0, *near.cut()))
+    return R, labels, near.points(0, labels), ties
 
 
-def nearest_sites(scene: SiteScene, x):
-    """Distance d(x, K) and the witness points within the tie band."""
-    dmin, _, points = nearest_site_info(scene, x)
-    return dmin, points
+def witness_ball(points):
+    """Center and radius F of the smallest ball enclosing a witness list;
+    a single witness is its own center, with F = 0."""
+    if len(points) == 1:
+        return points[0], 0.0
+    ball = smallest_enclosing_ball(np.stack(points))
+    return ball.center, ball.radius
 
 
 # --- JSON round trip (17 significant digits: exact float round trip) ---

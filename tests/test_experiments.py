@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 import medaxis as mx
+from medaxis import cli
 from medaxis.cli import main as cli_main
 from medaxis.experiments import (ExperimentConfig, config_from_dict,
                                  run_axis, run_critfn, run_flow,
@@ -174,6 +176,39 @@ class TestCli:
             "scene": {"sites": [], "bounding_radius": 10.0},
             "lambda_grid": [0.75]})
         assert cli_main(["axis", "--config", cfg]) == 3
+
+    def test_config_without_scene_exits_three(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, {"lambda_grid": [0.75],
+                                        "alpha_grid": [0.5]})
+        assert cli_main(["axis", "--config", cfg]) == 3
+
+    def test_program_error_in_experiment_propagates(self, tmp_path,
+                                                    monkeypatch):
+        def broken(config):
+            raise TypeError("internal bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "axis", broken)
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
+                      "bounding_radius": 10.0},
+            "lambda_grid": [0.75], "alpha_grid": [0.5]})
+        with pytest.raises(TypeError, match="internal bug"):
+            cli_main(["axis", "--config", cfg])
+
+    @pytest.mark.parametrize("command", ["axis", "sweep-lambda"])
+    def test_reports_match_tracked_demo_output(self, tmp_path, command):
+        demo = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "demos", "out", "cli")
+        for name in ("config.json", "scene.json"):
+            shutil.copy(os.path.join(demo, name), tmp_path / name)
+        out = tmp_path / command
+        assert cli_main([command, "--config", str(tmp_path / "config.json"),
+                         "--out", str(out)]) == 0
+        tracked = sorted(os.listdir(os.path.join(demo, command)))
+        assert sorted(os.listdir(out)) == tracked
+        for name in tracked:
+            with open(os.path.join(demo, command, name), "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import medaxis as mx
+from medaxis.flow import _probe
 
 
 def two_site_scene():
@@ -89,12 +90,51 @@ class TestBatchEvaluation:
             pts.append(x)
         X = np.array(pts)
         out = mx.eval_field_batch(scene, X)
+        r = mx.r_batch(scene, X)
         for k, x in enumerate(X):
             s = mx.eval_field(scene, x)
-            assert abs(out["R"][k] - s.R) < 1e-12
-            assert abs(out["F"][k] - s.F) < 1e-12
-            assert np.allclose(out["grad"][k], s.grad, atol=1e-12)
+            assert out["R"][k] == s.R == r[k]
+            assert out["F"][k] == s.F
+            assert np.array_equal(out["grad"][k], s.grad)
             assert out["witness_count"][k] == len(s.witness_ids)
+
+    def test_matches_pointwise_exactly_on_ties(self):
+        # 3x3 lattice: its four square centers are four-way cocircular ties
+        lattice = np.array([[i, j] for i in (-1.0, 0.0, 1.0)
+                            for j in (-1.0, 0.0, 1.0)])
+        scene = mx.SiteScene(sites=lattice, bounding_radius=5.0)
+        rng = np.random.default_rng(17)
+        pts = [[sx * 0.5, sy * 0.5] for sx in (-1, 1) for sy in (-1, 1)]
+        # site/site bisectors
+        for i, j in [(0, 1), (4, 5), (4, 8), (2, 6)]:
+            p, q = lattice[i], lattice[j]
+            perp = np.array([p[1] - q[1], q[0] - p[0]])
+            for t in rng.uniform(-0.4, 0.4, 3):
+                pts.append(0.5 * (p + q) + t * perp)
+        # site/wall balance points on the ray through a site
+        for p in lattice[[1, 3, 5, 7, 8]]:
+            pts.append(p / np.linalg.norm(p) * 0.5 * (5.0 + np.linalg.norm(p)))
+        # random points nearest to the wall
+        for _ in range(30):
+            u = rng.standard_normal(2)
+            pts.append(u / np.linalg.norm(u) * rng.uniform(3.2, 4.99))
+        X = np.array(pts)
+        wall_rows = 0
+        for band in (None, 0.05):
+            out = mx.eval_field_batch(scene, X, witness_band=band)
+            for k, x in enumerate(X):
+                s = mx.eval_field(scene, x, witness_band=band)
+                assert out["R"][k] == s.R
+                assert out["F"][k] == s.F
+                assert np.array_equal(out["grad"][k], s.grad)
+                assert out["witness_count"][k] == len(s.witness_ids)
+                wall_rows += s.witness_ids == (-1,)
+        assert wall_rows >= 30
+        ties = [mx.eval_field(scene, x).witness_ids for x in X[:4]]
+        assert all(len(ids) == 4 for ids in ties)
+        for x in X:
+            exact_ids = _probe(scene, x, 0.05)[1]
+            assert exact_ids == frozenset(mx.eval_field(scene, x).witness_ids)
 
     def test_r_batch_matches(self):
         scene = mx.random_scene(7, bounding_radius=5.0, seed=3)
