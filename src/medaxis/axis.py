@@ -16,6 +16,11 @@ R* <= h, and nothing when lambda >= h.  The bounding wall is a clipping
 locus, not a site: each edge is cut where site distance equals wall
 distance (one quadratic in s per edge), and the portions beyond the cut
 are excluded.
+
+The pairs are the Delaunay edges of the sites, each bounded by the third
+sites of its (at most two) triangles; collinear sites pair up in order
+along their line.  One rule holds for every site count, so a single site
+has an empty skeleton: its site/wall bisector is not an edge.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _nearest
 from .field import eval_field
@@ -41,7 +47,9 @@ __all__ = [
     "axis_to_json",
 ]
 
-_SINGLE_SITE_SEGMENTS = 720
+# Qhull codes for an input it finds flat: "initial simplex is flat" and
+# "initial hull is narrow".
+_QHULL_FLAT = ("QH6154", "QH7089")
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,6 @@ class VoronoiSkeleton:
     vertices: np.ndarray
     vertex_data: list
     edges: list
-    kind: str
     flags: tuple = ()
 
 
@@ -129,35 +136,62 @@ def _wall_interval(scene: SiteScene, m: np.ndarray, u: np.ndarray, h: float):
     return span
 
 
-def _candidate_pairs(scene: SiteScene):
-    """Site pairs that can carry a nonempty bisector interval.
+def _line_edges(sites: np.ndarray):
+    """Consecutive pairs of flat (collinear) sites in order along their line.
 
-    Two sites share a bisector piece only if their cells touch in the
-    diagram of the sites alone (the wall clips intervals, it never creates
-    new adjacencies), so triangulation neighbors are the exact candidate
-    set.  Small or degenerate (e.g. collinear) inputs fall back to all
-    pairs, where the interval test itself does the pruning.
+    Their bisectors are parallel, so no site bounds another pair's
+    interval; only the wall clips them.
     """
-    n = len(scene.sites)
-    if n > 4:
-        try:
-            from scipy.spatial import Delaunay
-
-            tri = Delaunay(scene.sites)
-            pairs = set()
-            for simplex in tri.simplices:
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        u, v = int(simplex[a]), int(simplex[b])
-                        pairs.add((u, v) if u < v else (v, u))
-            return sorted(pairs)
-        except Exception:
-            pass
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rel = sites - sites[0]
+    far = rel[int(np.argmax(np.einsum("ij,ij->i", rel, rel)))]
+    order = np.argsort(rel @ far, kind="stable").tolist()
+    return sorted((min(i, j), max(i, j), ()) for i, j in zip(order, order[1:]))
 
 
-def _pair_edge(scene: SiteScene, i: int, j: int):
-    """Clipped bisector interval for the site pair (i, j), or None."""
+def _spans_all(tri: Delaunay, n: int) -> bool:
+    """Whether the triangles use every site and nothing else (Qhull can drop
+    nearly collinear sites, or leak its point at infinity into a triangle)."""
+    return np.array_equal(np.unique(tri.simplices), np.arange(n))
+
+
+def _delaunay_edges(scene: SiteScene):
+    """Delaunay edges (i, j), i < j, each with the third sites of its (at
+    most two) triangles.
+
+    The wall clips bisector intervals but never creates adjacencies, so the
+    edges of the site triangulation are the exact candidate set, and the
+    interval of edge (i, j) ends at the circumcenters of its triangles,
+    which only those third sites determine.  Flat inputs (rank < 2, or ones
+    Qhull reports flat) take the sorted-line path; sites that Qhull drops
+    as coplanar are kept by a joggled retriangulation.
+    """
+    sites = scene.sites
+    if np.linalg.matrix_rank(sites - sites[0]) < 2:
+        return _line_edges(sites)
+    try:
+        tri = Delaunay(sites)
+    except QhullError as err:
+        if not any(code in str(err) for code in _QHULL_FLAT):
+            raise
+        return _line_edges(sites)
+    if not _spans_all(tri, len(sites)):
+        tri = Delaunay(sites, qhull_options="QJ")
+        if not _spans_all(tri, len(sites)):
+            raise RuntimeError("Qhull left sites out of the joggled triangulation")
+    opposite = {}
+    for simplex in tri.simplices.tolist():
+        for k in range(3):
+            i, j = sorted((simplex[k - 2], simplex[k - 1]))
+            opposite.setdefault((i, j), []).append(simplex[k])
+    return [(i, j, tuple(sorted(opp))) for (i, j), opp in sorted(opposite.items())]
+
+
+def _pair_edge(scene: SiteScene, i: int, j: int, opposite):
+    """Clipped bisector interval for the site pair (i, j), or None.
+
+    Each site k in ``opposite`` cuts the bisector where it becomes as close
+    as p and q: a s <= b with a = 2 (k - p).u, b = |k|^2 - |p|^2 - 2 (k - p).m.
+    """
     p = scene.sites[i]
     q = scene.sites[j]
     dvec = q - p
@@ -168,28 +202,17 @@ def _pair_edge(scene: SiteScene, i: int, j: int):
 
     lo, lo_src = -math.inf, None
     hi, hi_src = math.inf, None
-    others = np.ones(len(scene.sites), dtype=bool)
-    others[i] = others[j] = False
-    if others.any():
-        rel = scene.sites - p
-        a = 2.0 * (rel @ u)
-        b = np.einsum("ij,ij->i", scene.sites, scene.sites) - float(p @ p) \
-            - 2.0 * (rel @ m)
-        degenerate = np.abs(a) < 1e-14 * scene.bounding_radius
-        if bool(np.any(others & degenerate & (b < 0.0))):
-            return None
-        upper = others & ~degenerate & (a > 0.0)
-        lower = others & ~degenerate & (a < 0.0)
-        if upper.any():
-            bounds = np.where(upper, b / np.where(upper, a, 1.0), math.inf)
-            k_hi = int(np.argmin(bounds))
-            if bounds[k_hi] < hi:
-                hi, hi_src = float(bounds[k_hi]), k_hi
-        if lower.any():
-            bounds = np.where(lower, b / np.where(lower, a, 1.0), -math.inf)
-            k_lo = int(np.argmax(bounds))
-            if bounds[k_lo] > lo:
-                lo, lo_src = float(bounds[k_lo]), k_lo
+    for k in opposite:
+        rel = scene.sites[k] - p
+        a = 2.0 * float(rel @ u)
+        b = float(scene.sites[k] @ scene.sites[k]) - float(p @ p) - 2.0 * float(rel @ m)
+        if abs(a) < 1e-14 * scene.bounding_radius:
+            if b < 0.0:
+                return None
+        elif a > 0.0 and b / a < hi:
+            hi, hi_src = b / a, k
+        elif a < 0.0 and b / a > lo:
+            lo, lo_src = b / a, k
     if lo >= hi:
         return None
 
@@ -197,8 +220,9 @@ def _pair_edge(scene: SiteScene, i: int, j: int):
     if wall is None:
         return None
     w_lo, w_hi = wall
-    s0, src0 = (lo, ("site", lo_src)) if lo >= w_lo else (w_lo, ("wall", None))
-    s1, src1 = (hi, ("site", hi_src)) if hi <= w_hi else (w_hi, ("wall", None))
+    # an end's source is its bounding site, or None where the wall clips
+    s0, src0 = (lo, lo_src) if lo >= w_lo else (w_lo, None)
+    s1, src1 = (hi, hi_src) if hi <= w_hi else (w_hi, None)
     if s1 - s0 <= 1e-12 * scene.bounding_radius:
         return None
     return (m, u, h, s0, s1, src0, src1)
@@ -237,73 +261,39 @@ def _merge_endpoints(points, tol):
     return reps, ids
 
 
-def _single_site_skeleton(scene: SiteScene) -> VoronoiSkeleton:
-    # Site/wall bisector: ellipse with foci at the origin and the site,
-    # distance sum equal to the bounding radius (a circle for a central site).
-    a = scene.sites[0]
-    r = scene.bounding_radius
-    na = float(np.linalg.norm(a))
-    e1 = a / na if na > 0.0 else np.array([1.0, 0.0])
-    e2 = _perp(e1)
-    center = 0.5 * a
-    ax_major = 0.5 * r
-    ax_minor = math.sqrt(max(ax_major * ax_major - 0.25 * na * na, 0.0))
-    theta = 2.0 * math.pi * np.arange(_SINGLE_SITE_SEGMENTS) / _SINGLE_SITE_SEGMENTS
-    pts = center + np.outer(ax_major * np.cos(theta), e1) + np.outer(ax_minor * np.sin(theta), e2)
-
-    data = []
-    for pt in pts:
-        sample = eval_field(scene, pt)
-        data.append(VertexData(point=pt, witness_sites=(0,), has_wall=True,
-                               R=sample.R, F=sample.F))
-    edges = []
-    n = len(pts)
-    for k in range(n):
-        edges.append(SkeletonEdge(v0=k, v1=(k + 1) % n, pair=(0, -1), h=float("nan"),
-                                  mid=pts[k], u=pts[(k + 1) % n] - pts[k],
-                                  s0=0.0, s1=1.0, wall0=False, wall1=False))
-    return VoronoiSkeleton(scene=scene, vertices=pts, vertex_data=data,
-                           edges=edges, kind="single-site")
-
-
 def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
     """Medial skeleton of the scene: Voronoi edges between sites, wall-clipped.
 
-    Portions of the medial structure where a site ties with the wall are
-    excluded (wall as clipping locus); a single-site scene degenerates to the
-    discretized site/wall bisector curve.
+    Every edge is a site/site bisector interval; the wall only clips it
+    (wall as clipping locus), for every site count.  Site/wall ties carry
+    no edge, so a single-site scene has an empty skeleton, flagged
+    ``empty-skeleton``.
     """
     if scene.dim != 2:
         raise InvalidSceneError("skeleton construction is planar (d = 2)")
-    if len(scene.sites) == 1:
-        return _single_site_skeleton(scene)
-
     raw = []
-    for i, j in _candidate_pairs(scene):
-        got = _pair_edge(scene, i, j)
+    for i, j, opposite in _delaunay_edges(scene):
+        got = _pair_edge(scene, i, j, opposite)
         if got is not None:
             raw.append((i, j) + got)
 
     endpoints = []
-    meta = []
     for (i, j, m, u, h, s0, s1, src0, src1) in raw:
         endpoints.append(m + s0 * u)
         endpoints.append(m + s1 * u)
-        meta.append((i, j, m, u, h, s0, s1, src0, src1))
     tol = 1e-9 * scene.bounding_radius
     reps, ids = _merge_endpoints(endpoints, tol)
 
     witness_sets = [set() for _ in reps]
     wall_flags = [False] * len(reps)
-    for e_idx, (i, j, m, u, h, s0, s1, src0, src1) in enumerate(meta):
-        for slot, src in ((2 * e_idx, src0), (2 * e_idx + 1, src1)):
-            vid = ids[slot]
-            witness_sets[vid].update((i, j))
-            kind, extra = src
-            if kind == "site":
-                witness_sets[vid].add(extra)
-            else:
-                wall_flags[vid] = True
+    edges = []
+    for e_idx, (i, j, m, u, h, s0, s1, src0, src1) in enumerate(raw):
+        v0, v1 = ids[2 * e_idx], ids[2 * e_idx + 1]
+        for vid, src in ((v0, src0), (v1, src1)):
+            witness_sets[vid].update((i, j) if src is None else (i, j, src))
+            wall_flags[vid] = wall_flags[vid] or src is None
+        edges.append(SkeletonEdge(v0=v0, v1=v1, pair=(i, j), h=h, mid=m, u=u, s0=s0, s1=s1,
+                                  wall0=src0 is None, wall1=src1 is None))
 
     vertices = np.array(reps) if reps else np.empty((0, 2))
     data = []
@@ -313,14 +303,9 @@ def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
                                witness_sites=tuple(sorted(witness_sets[vid])),
                                has_wall=wall_flags[vid],
                                R=sample.R, F=sample.F))
-    edges = []
-    for e_idx, (i, j, m, u, h, s0, s1, src0, src1) in enumerate(meta):
-        edges.append(SkeletonEdge(v0=ids[2 * e_idx], v1=ids[2 * e_idx + 1],
-                                  pair=(i, j), h=h, mid=m, u=u, s0=s0, s1=s1,
-                                  wall0=(src0[0] == "wall"), wall1=(src1[0] == "wall")))
     flags = () if raw else ("empty-skeleton",)
     return VoronoiSkeleton(scene=scene, vertices=vertices, vertex_data=data,
-                           edges=edges, kind="voronoi", flags=flags)
+                           edges=edges, flags=flags)
 
 
 def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> float:
@@ -383,16 +368,14 @@ class FilteredAxis:
 class _AxisAccumulator:
     def __init__(self):
         self.points = []
-        self.data = {}
         self.segments = []
         self.seg_data = []
         self.key_of = {}
 
-    def vertex(self, key, point, rfa):
+    def vertex(self, key, point):
         if key not in self.key_of:
             self.key_of[key] = len(self.points)
             self.points.append(np.asarray(point, float))
-            self.data[self.key_of[key]] = rfa
         return self.key_of[key]
 
     def segment(self, ia, ib, data_a, data_b):
@@ -447,19 +430,19 @@ def _union_components(n: int, pairs) -> np.ndarray:
     return out
 
 
-def _filter_voronoi(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> FilteredAxis:
+def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> FilteredAxis:
+    """Retain the part of the skeleton where F_alpha >= lambda (closed form)."""
+    if lam <= 0.0:
+        raise InvalidSceneError("lambda must be positive")
+    if alpha < 0.0:
+        raise InvalidSceneError("alpha must be nonnegative")
     scene = skeleton.scene
     acc = _AxisAccumulator()
     flags = list(skeleton.flags)
     tol_len = 1e-12 * scene.bounding_radius
 
-    vertex_surv = {}
-    for vid, vd in enumerate(skeleton.vertex_data):
-        if vd.R <= alpha:
-            continue
-        f_alpha = (vd.R - alpha) / vd.R * vd.F
-        if f_alpha >= lam:
-            vertex_surv[vid] = (vd.R, vd.F, f_alpha)
+    vertex_surv = [vid for vid, vd in enumerate(skeleton.vertex_data)
+                   if vd.R > alpha and (vd.R - alpha) / vd.R * vd.F >= lam]
 
     wall_limited = False
     for e_idx, edge in enumerate(skeleton.edges):
@@ -470,24 +453,22 @@ def _filter_voronoi(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filt
             if (a == edge.s0 and edge.wall0) or (b == edge.s1 and edge.wall1):
                 wall_limited = True
             if a == edge.s0:
-                ia = acc.vertex(("v", edge.v0), skeleton.vertices[edge.v0],
-                                vertex_surv.get(edge.v0))
+                ia = acc.vertex(("v", edge.v0), skeleton.vertices[edge.v0])
             else:
-                ia = acc.vertex(("c", e_idx, round(a, 12)), edge.mid + a * edge.u, None)
+                ia = acc.vertex(("c", e_idx, round(a, 12)), edge.mid + a * edge.u)
             if b == edge.s1:
-                ib = acc.vertex(("v", edge.v1), skeleton.vertices[edge.v1],
-                                vertex_surv.get(edge.v1))
+                ib = acc.vertex(("v", edge.v1), skeleton.vertices[edge.v1])
             else:
-                ib = acc.vertex(("c", e_idx, round(b, 12)), edge.mid + b * edge.u, None)
+                ib = acc.vertex(("c", e_idx, round(b, 12)), edge.mid + b * edge.u)
             acc.segment(ia, ib, _edge_values(edge.h, alpha, a), _edge_values(edge.h, alpha, b))
 
     used = {i for seg in acc.segments for i in seg}
     isolated = []
-    for vid, rfa in vertex_surv.items():
+    for vid in vertex_surv:
         key = ("v", vid)
         if key in acc.key_of and acc.key_of[key] in used:
             continue
-        idx = acc.vertex(key, skeleton.vertices[vid], rfa)
+        idx = acc.vertex(key, skeleton.vertices[vid])
         isolated.append(idx)
 
     n = len(acc.points)
@@ -503,71 +484,6 @@ def _filter_voronoi(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filt
                         segments=segments, segment_data=seg_data,
                         isolated=np.array(sorted(isolated), int),
                         component_ids=comp, flags=tuple(flags))
-
-
-def _filter_single(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> FilteredAxis:
-    n = len(skeleton.vertices)
-    f_alpha = np.full(n, -np.inf)
-    r_vals = np.empty(n)
-    f_vals = np.empty(n)
-    for k, vd in enumerate(skeleton.vertex_data):
-        r_vals[k] = vd.R
-        f_vals[k] = vd.F
-        if vd.R > alpha:
-            f_alpha[k] = (vd.R - alpha) / vd.R * vd.F
-
-    acc = _AxisAccumulator()
-    for k in range(n):
-        k2 = (k + 1) % n
-        fa, fb = f_alpha[k], f_alpha[k2]
-        pa, pb = skeleton.vertices[k], skeleton.vertices[k2]
-        da = (r_vals[k], f_vals[k], fa)
-        db = (r_vals[k2], f_vals[k2], fb)
-        if fa >= lam and fb >= lam:
-            ia = acc.vertex(("v", k), pa, da)
-            ib = acc.vertex(("v", k2), pb, db)
-            acc.segment(ia, ib, da, db)
-        elif fa >= lam or fb >= lam:
-            # linear crossing on the chord; an approximation consistent with
-            # the polyline discretization of this skeleton
-            t = (lam - fa) / (fb - fa)
-            pc = pa + t * (pb - pa)
-            dc = (r_vals[k] + t * (r_vals[k2] - r_vals[k]),
-                  f_vals[k] + t * (f_vals[k2] - f_vals[k]), lam)
-            if fa >= lam:
-                ia = acc.vertex(("v", k), pa, da)
-                ic = acc.vertex(("x", k), pc, dc)
-                acc.segment(ia, ic, da, dc)
-            else:
-                ic = acc.vertex(("x", k), pc, dc)
-                ib = acc.vertex(("v", k2), pb, db)
-                acc.segment(ic, ib, dc, db)
-
-    used = {i for seg in acc.segments for i in seg}
-    isolated = []
-    nv = len(acc.points)
-    vertices = np.array(acc.points) if nv else np.empty((0, 2))
-    segments = np.array(acc.segments, int) if acc.segments else np.empty((0, 2), int)
-    seg_data = np.array(acc.seg_data) if acc.seg_data else np.empty((0, 2, 3))
-    comp = _union_components(nv, acc.segments)
-    flags = list(skeleton.flags) + ["single-site-polyline"]
-    if nv == 0:
-        flags.append("empty-axis")
-    return FilteredAxis(lam=float(lam), alpha=float(alpha), vertices=vertices,
-                        segments=segments, segment_data=seg_data,
-                        isolated=np.array(isolated, int), component_ids=comp,
-                        flags=tuple(flags))
-
-
-def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> FilteredAxis:
-    """Retain the part of the skeleton where F_alpha >= lambda (closed form)."""
-    if lam <= 0.0:
-        raise InvalidSceneError("lambda must be positive")
-    if alpha < 0.0:
-        raise InvalidSceneError("alpha must be nonnegative")
-    if skeleton.kind == "single-site":
-        return _filter_single(skeleton, lam, alpha)
-    return _filter_voronoi(skeleton, lam, alpha)
 
 
 def axis_membership(scene: SiteScene, x, lam: float, alpha: float) -> bool:

@@ -63,12 +63,8 @@ def scene_svg(scene: SiteScene, axis: FilteredAxis | None = None,
     cv.circle(np.zeros(2), scale * scene.bounding_radius, "#888888")
 
     if skeleton is not None:
-        if skeleton.kind == "single-site":
-            pts = np.vstack([skeleton.vertices, skeleton.vertices[:1]])
-            cv.polyline(pts, "#bbbbbb", "1")
-        else:
-            for e in skeleton.edges:
-                cv.line(e.mid + e.s0 * e.u, e.mid + e.s1 * e.u, "#bbbbbb", "1")
+        for e in skeleton.edges:
+            cv.line(e.mid + e.s0 * e.u, e.mid + e.s1 * e.u, "#bbbbbb", "1")
     if axis is not None:
         for a, b in axis.segments:
             cv.line(axis.vertices[a], axis.vertices[b], "#2266cc", "2.5")

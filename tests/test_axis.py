@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import medaxis as mx
 import medaxis.axis as axis_mod
@@ -13,6 +15,99 @@ import medaxis.axis as axis_mod
 def two_site_scene():
     return mx.SiteScene(sites=np.array([[-1.0, 0.0], [1.0, 0.0]]),
                         bounding_radius=10.0)
+
+
+def polygon(k, radius=3.0, center=False):
+    ang = 2.0 * np.pi * np.arange(k) / k + 0.1
+    pts = radius * np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.vstack([pts, [[0.0, 0.0]]]) if center else pts
+
+
+def lattice(k, spacing=1.5):
+    g = np.array([[i, j] for i in range(k) for j in range(k)], float)
+    return spacing * (g - 0.5 * (k - 1))
+
+
+def nearly_collinear_row(seed, half=3.0, slope=0.5):
+    """Six sites on y = slope x, lifted off the line by 1e-13 N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-half, half, 6)
+    sites = np.column_stack([x, slope * x + 1e-13 * rng.standard_normal(6)])
+    return mx.SiteScene(sites=sites, bounding_radius=10.0)
+
+
+def all_pairs_skeleton(scene):
+    """Reference construction: every site pair, bounded by every other site."""
+    n = len(scene.sites)
+    every = [(i, j, tuple(k for k in range(n) if k not in (i, j)))
+             for i in range(n) for j in range(i + 1, n)]
+    original = axis_mod._delaunay_edges
+    axis_mod._delaunay_edges = lambda s: every
+    try:
+        return mx.build_skeleton(scene)
+    finally:
+        axis_mod._delaunay_edges = original
+
+
+def assert_same_skeleton(got, ref):
+    assert [e.pair for e in got.edges] == [e.pair for e in ref.edges]
+    assert got.vertices.shape == ref.vertices.shape
+    if len(ref.vertices) == 0:
+        return
+    gap = cdist(got.vertices, ref.vertices)
+    match = gap.argmin(axis=1)
+    assert sorted(match) == list(range(len(ref.vertices)))
+    assert gap[np.arange(len(match)), match].max() < 1e-9
+    for vd, k in zip(got.vertex_data, match):
+        assert vd.witness_sites == ref.vertex_data[k].witness_sites
+        assert vd.has_wall == ref.vertex_data[k].has_wall
+
+
+def adversarial_scene(kind, size, seed):
+    """Degenerate and large planar scenes in a radius-10 ball."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        sites = lattice(2 + size % 4, spacing=1.0 + 0.25 * (seed % 5))
+    elif kind in ("polygon", "polygon-center"):
+        sites = polygon(3 + size % 10, radius=rng.uniform(1.0, 7.0),
+                        center=kind == "polygon-center")
+    elif kind == "row":
+        k = 2 + size % 7
+        direction = rng.normal(size=2)
+        t = np.linspace(-4.0, 4.0, k)[:, None] * direction / np.linalg.norm(direction)
+        sites = t + rng.uniform(-1.0, 1.0, size=2) + 1e-13 * rng.standard_normal((k, 2))
+    elif kind == "near-wall":
+        k = 1 + size % 8
+        ang = 2.0 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, size=k)) / k
+        radii = 10.0 - rng.uniform(1e-4, 0.01, size=k)
+        sites = radii[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+        if seed % 2:
+            sites = np.vstack([sites, rng.uniform(-1.0, 1.0, size=(1, 2))])
+    else:
+        return mx.random_scene(size, bounding_radius=10.0, seed=seed)
+    return mx.SiteScene(sites=sites, bounding_radius=10.0)
+
+
+_NEAR_WALL = 9.991 * np.column_stack([np.cos([0.3, 1.5, 2.9, 4.4]),
+                                      np.sin([0.3, 1.5, 2.9, 4.4])])
+_ORACLE_SCENES = {
+    "random-24": lambda: mx.random_scene(24, bounding_radius=8.0, seed=7,
+                                         min_separation=0.5).sites,
+    "lattice-3": lambda: lattice(3),
+    "lattice-4": lambda: lattice(4),
+    "hexagon": lambda: polygon(6),
+    "hexagon-center": lambda: polygon(6, center=True),
+    "octagon": lambda: polygon(8),
+    "octagon-center": lambda: polygon(8, center=True),
+    "row-4": lambda: np.array([[-3.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [3.0, 1.0]]),
+    "diagonal-3": lambda: np.array([[-2.0, -2.0], [0.5, 0.5], [2.0, 2.0]]),
+    "two-sites": lambda: np.array([[-1.0, 0.3], [2.0, -0.5]]),
+    "three-sites": lambda: np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    "near-wall": lambda: np.vstack([_NEAR_WALL, [[0.5, -0.2]]]),
+    # 1.01 x the scene's minimum separation, 10 * tie_tolerance * radius
+    "min-separation": lambda: np.array([[0.0, 0.0], [1.01e-7, 0.0],
+                                        [2.0, 1.0], [-1.0, 2.5], [0.5, -3.0]]),
+}
 
 
 class TestSkeleton:
@@ -55,30 +150,30 @@ class TestSkeleton:
         for vd in diag:
             assert abs(vd.R - expect_r) < 1e-9
 
-    def test_single_site_wall_bisector_defect(self):
+    def test_single_site_skeleton_is_empty(self):
         scene = mx.SiteScene(sites=np.array([[1.0, 0.0]]), bounding_radius=10.0)
         sk = mx.build_skeleton(scene)
-        assert sk.kind == "single-site"
-        d_site = np.linalg.norm(sk.vertices - np.array([1.0, 0.0]), axis=1)
-        d_wall = 10.0 - np.linalg.norm(sk.vertices, axis=1)
-        assert np.abs(d_site - d_wall).max() < 1e-12
+        assert sk.edges == [] and sk.vertices.shape == (0, 2)
+        assert sk.flags == ("empty-skeleton",)
+        ax = mx.filter_axis(sk, 0.75, 0.5)
+        assert ax.is_empty and "empty-axis" in ax.flags
+        assert mx.scene_svg(scene, axis=ax, skeleton=sk).startswith("<svg")
 
-    def test_neighbor_pruning_matches_all_pairs(self):
-        scene = mx.random_scene(24, bounding_radius=8.0, seed=7, min_separation=0.5)
-        pruned = mx.build_skeleton(scene)
-        n = len(scene.sites)
-        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        original = axis_mod._candidate_pairs
-        axis_mod._candidate_pairs = lambda s: all_pairs
-        try:
-            brute = mx.build_skeleton(scene)
-        finally:
-            axis_mod._candidate_pairs = original
-        assert len(pruned.edges) == len(brute.edges)
-        assert pruned.vertices.shape == brute.vertices.shape
-        a = pruned.vertices[np.lexsort(pruned.vertices.T)]
-        b = brute.vertices[np.lexsort(brute.vertices.T)]
-        assert np.allclose(a, b, atol=1e-9)
+    @pytest.mark.parametrize("name", sorted(_ORACLE_SCENES))
+    def test_neighbor_pruning_matches_all_pairs(self, name):
+        scene = mx.SiteScene(sites=_ORACLE_SCENES[name](), bounding_radius=10.0)
+        assert_same_skeleton(mx.build_skeleton(scene), all_pairs_skeleton(scene))
+
+    @pytest.mark.parametrize("seed, half, slope", [
+        (372, 3.0, 0.5), (16, 3.0, 0.5), (29, 3.0, 0.5), (39, 3.0, 0.5),
+        (36, 4.0, -1.0), (89, 4.0, -1.0)])
+    def test_sites_dropped_by_qhull_are_kept(self, seed, half, slope):
+        # Qhull leaves sites of these rows out of its triangulation (the
+        # last two also get its point at infinity in a triangle)
+        scene = nearly_collinear_row(seed, half, slope)
+        sk = mx.build_skeleton(scene)
+        assert [e.pair for e in sk.edges] == [(k, k + 1) for k in range(5)]
+        assert_same_skeleton(sk, all_pairs_skeleton(scene))
 
     def test_rejects_three_dimensional_scene(self):
         scene = mx.SiteScene(sites=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
@@ -201,6 +296,18 @@ class TestMembership:
                 if mx.axis_membership(scene, x, lam, alpha) != inside:
                     disagreements += 1
         assert disagreements == 0
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["lattice", "polygon", "polygon-center", "row",
+                                 "near-wall", "random"]),
+           size=st.integers(1, 60), seed=st.integers(0, 2 ** 16),
+           lam=st.floats(0.05, 1.0), alpha=st.floats(0.0, 0.5))
+    def test_kept_midpoints_are_members(self, kind, size, seed, lam, alpha):
+        scene = adversarial_scene(kind, size, seed)
+        ax = mx.filter_axis(mx.build_skeleton(scene), lam, alpha)
+        for a, b in ax.segments:
+            mid = 0.5 * (ax.vertices[a] + ax.vertices[b])
+            assert mx.axis_membership(scene, mid, lam, alpha)
 
     def test_ambient_points_never_members(self):
         scene = mx.random_scene(12, bounding_radius=8.0, seed=17, min_separation=0.8)
