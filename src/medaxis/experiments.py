@@ -22,6 +22,7 @@ import numpy as np
 from .scene import InvalidSceneError, SiteScene, load_scene, scene_from_json, scene_to_json
 from .field import (
     CriticalProfile,
+    _check_sampling,
     estimate_critical_function,
     profile_to_csv,
     reach_summary,
@@ -81,8 +82,7 @@ class ExperimentConfig:
             vals = getattr(self, name)
             if len(vals) != len(set(vals)) or list(vals) != sorted(vals):
                 raise InvalidSceneError("%s must be strictly increasing" % name)
-        if self.band_width is not None and not self.band_width > 0.0:
-            raise InvalidSceneError("band_width must be positive")
+        _check_sampling(self.samples_per_level, self.band_width)
         if self.resolution is None:
             self.resolution = self.scene.bounding_radius / 1000.0
 

@@ -12,13 +12,18 @@ The identity |grad|^2 = 1 - (F/R)^2 holds whenever the witnesses are exactly
 equidistant, which is the case up to the tie band.  The critical function
 chi(t) = inf {|grad(x)| : R(x) = t} is estimated by sprinkling points,
 marching them onto the level set along the local ascent direction, and
-taking an ordered minimum of the band-widened gradient norm.
+taking an ordered minimum of the band-widened gradient norm.  The seeds of
+consecutive levels march as one batch, each row towards its own level;
+every step is row-wise, so the batching changes the cost, never the result.
+Batches are capped in rows x sites so that a large scene keeps the memory
+of one level.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +118,13 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
 
 # --- critical function -------------------------------------------------
 
+# Rows x sites of one march batch (8 MiB per float64 distance matrix).
+# Levels of a small scene march together, so numpy's fixed cost per call is
+# paid once for all of them; a large scene marches one level at a time and
+# keeps one level's memory.
+_BATCH_DISTANCES = 1 << 20
+
+
 @dataclass(frozen=True)
 class CriticalProfile:
     t_grid: np.ndarray
@@ -151,67 +163,72 @@ def _sprinkle(scene: SiteScene, t: float, n: int, rng: np.random.Generator) -> n
     return out[inside]
 
 
-def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
+def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
                     max_iters: int = 200):
-    """March seeds along +-ascent until the R = t level is bracketed, then bisect.
+    """March each row along +-ascent until its level ``t[i]`` is bracketed,
+    then bisect.
 
-    Returns points with |R - t| <= band (bracketed points are bisected down to
-    rounding; stalled points are kept only if they already sit in the band).
+    Every step is row-wise, so a row's result does not depend on which rows
+    share its batch.  Each iteration makes one kernel query: the trial
+    query's R, wall distance and nearest witness of the rows that stay
+    active are their current values in the next iteration, and only one
+    distance matrix is alive at a time.  Returns the indices of the kept rows
+    and their points, which satisfy |R - t| <= band: bracketed rows, bisected
+    down to rounding, in row order, then stalled rows that already sit in
+    the band, in row order.
     """
     r_bound = scene.bounding_radius
-    pts = X.copy()
-    lo = np.empty_like(pts)
-    hi = np.empty_like(pts)
-    have_bracket = np.zeros(len(pts), bool)
-    active = np.ones(len(pts), bool)
+    lo = np.empty_like(X)   # the bracket end with R <= t
+    hi = np.empty_like(X)
+    bracketed = np.zeros(len(X), bool)
+    idx = np.arange(len(X))
+    cur = X
+    near = _nearest(scene, cur)
+    r_here, d_wall, foot = near.R, near.d_wall, near.nearest_points()
+    del near
     for _ in range(max_iters):
-        idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        cur = pts[idx]
-        near = _nearest(scene, cur)
-        r_here = near.R
-        u = (cur - near.nearest_points()) / r_here[:, None]
-        gap = t - r_here
+        level = t[idx]
+        u = (cur - foot) / r_here[:, None]
+        gap = level - r_here
         step = np.clip(0.9 * np.abs(gap), band / 4.0, 0.05 * r_bound)
         # never step through the wall
-        step = np.minimum(step, 0.5 * near.d_wall)
-        del near  # frees its distance matrix before the trial query
+        step = np.minimum(step, 0.5 * d_wall)
         trial = cur + np.sign(gap)[:, None] * step[:, None] * u
-        r_new = _nearest(scene, trial).R
-        crossed = (r_here - t) * (r_new - t) <= 0.0
+        near = _nearest(scene, trial)
+        crossed = (r_here - level) * (near.R - level) <= 0.0
         sel = idx[crossed]
-        lo[sel] = cur[crossed]
-        hi[sel] = trial[crossed]
-        have_bracket[sel] = True
-        active[sel] = False
-        keep = idx[~crossed]
-        pts[keep] = trial[~crossed]
-    accepted = []
-    if np.any(have_bracket):
-        a = lo[have_bracket]
-        b = hi[have_bracket]
-        fa = r_batch(scene, a) - t
-        swap = fa > 0.0
-        a[swap], b[swap] = b[swap].copy(), a[swap].copy()
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            neg = (r_batch(scene, mid) - t) < 0.0
-            a[neg] = mid[neg]
-            b[~neg] = mid[~neg]
-        accepted.append(0.5 * (a + b))
-    stalled = active & ~have_bracket
-    if np.any(stalled):
-        rest = pts[stalled]
-        in_band = np.abs(r_batch(scene, rest) - t) <= band
-        if np.any(in_band):
-            accepted.append(rest[in_band])
-    if not accepted:
-        return np.empty((0, X.shape[1]))
-    out = np.vstack(accepted)
+        above = (r_here[crossed] - level[crossed] > 0.0)[:, None]
+        lo[sel] = np.where(above, trial[crossed], cur[crossed])
+        hi[sel] = np.where(above, cur[crossed], trial[crossed])
+        bracketed[sel] = True
+        stay = ~crossed
+        idx, cur = idx[stay], trial[stay]
+        r_here, d_wall = near.R[stay], near.d_wall[stay]
+        foot = near.nearest_points()[stay]
+        del near
+    rows = np.nonzero(bracketed)[0]
+    a, b = lo[rows], hi[rows]
+    # A row whose (a, b) an iteration leaves bitwise unchanged would repeat
+    # that iteration forever, so it leaves the bisection early.
+    live = np.arange(len(rows))
+    for _ in range(60):
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        neg = (_nearest(scene, mid).R - t[rows[live]]) < 0.0
+        old = np.where(neg[:, None], a[live], b[live])
+        moved = (old.view(np.int64) != mid.view(np.int64)).any(axis=1)
+        a[live[neg]] = mid[neg]
+        b[live[~neg]] = mid[~neg]
+        live = live[moved]
+    in_band = np.abs(r_here - t[idx]) <= band
+    rows = np.concatenate([rows, idx[in_band]])
+    out = np.vstack([0.5 * (a + b), cur[in_band]])
     near = _nearest(scene, out)
-    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t) <= band)
-    return out[keep]
+    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t[rows]) <= band)
+    return rows[keep], out[keep]
 
 
 def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.ndarray:
@@ -226,6 +243,16 @@ def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.nda
     return out
 
 
+def _check_sampling(samples_per_level, band_width) -> None:
+    """Reject sampler settings that would silently yield no samples."""
+    if (isinstance(samples_per_level, bool)
+            or not isinstance(samples_per_level, numbers.Integral)
+            or samples_per_level < 1):
+        raise InvalidSceneError("samples_per_level must be an integer >= 1")
+    if band_width is not None and not (math.isfinite(band_width) and band_width > 0.0):
+        raise InvalidSceneError("band_width must be finite and positive")
+
+
 def estimate_critical_function(scene: SiteScene, t_grid,
                                samples_per_level: int = 4000,
                                band_width: float | None = None,
@@ -233,9 +260,15 @@ def estimate_critical_function(scene: SiteScene, t_grid,
                                r_max: float | None = None) -> CriticalProfile:
     """Sampled upper estimate of the critical function on a level grid.
 
-    Per level: sprinkle seeds, march them onto the level set, and take the
-    minimum band-widened gradient norm.  Levels that collect no sample in
-    the band report chi = 1 and are flagged.  Deterministic given the seed.
+    Every level's seeds are sprinkled up front, in level order.  Consecutive
+    levels then march onto their level sets as one batch while the batch's
+    rows x sites stay within ``_BATCH_DISTANCES``: small scenes share each
+    numpy call across levels, and a large scene marches one level at a time
+    so its memory stays that of one level.  Per level, chi is the minimum
+    band-widened gradient norm of its marched points.  Levels that collect no
+    sample in the band report chi = 1 and are flagged.  The march is
+    row-wise, so the batching does not change the result, which is
+    deterministic given the seed.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
@@ -244,26 +277,34 @@ def estimate_critical_function(scene: SiteScene, t_grid,
         raise InvalidSceneError("levels must be positive")
     if r_max is not None and np.any(t_grid >= r_max):
         raise InvalidSceneError("levels must stay below the maximal distance value")
+    _check_sampling(samples_per_level, band_width)
     if band_width is None:
         band_width = scene.bounding_radius / 2000.0
     rng = np.random.default_rng(seed)
+    seeds = [_sprinkle(scene, float(t), samples_per_level, rng) for t in t_grid]
+    sizes = np.array([len(x) for x in seeds])
     chi = np.ones(len(t_grid))
     counts = np.zeros(len(t_grid), int)
-    flags = []
     seen_r = 0.0
-    for k, t in enumerate(t_grid):
-        seeds = _sprinkle(scene, float(t), samples_per_level, rng)
-        if len(seeds) == 0:
-            flags.append(f"empty-band:{t:.6g}")
-            continue
-        seen_r = max(seen_r, float(r_batch(scene, seeds).max()))
-        on_level = _march_to_level(scene, seeds, float(t), band_width)
-        counts[k] = len(on_level)
-        if len(on_level) == 0:
-            flags.append(f"empty-band:{t:.6g}")
-            continue
+    start = 0
+    while start < len(t_grid):
+        stop = start + 1
+        while (stop < len(t_grid)
+               and sizes[start:stop + 1].sum() * len(scene.sites) <= _BATCH_DISTANCES):
+            stop += 1
+        X = np.vstack(seeds[start:stop])
+        level = np.repeat(np.arange(start, stop), sizes[start:stop])
+        if r_max is None and len(X):
+            seen_r = max(seen_r, float(r_batch(scene, X).max()))
+        rows, on_level = _march_to_level(scene, X, t_grid[level], band_width)
         norms = _band_gradient_norms(scene, on_level, band_width)
-        chi[k] = float(norms.min())
+        for k in range(start, stop):
+            mine = level[rows] == k
+            counts[k] = np.count_nonzero(mine)
+            if counts[k]:
+                chi[k] = float(norms[mine].min())
+        start = stop
+    flags = [f"empty-band:{t:.6g}" for t, c in zip(t_grid, counts) if c == 0]
     if r_max is None:
         r_max_val = max(seen_r, float(t_grid[-1]))
         flags.append("r-max-sampled")

@@ -64,6 +64,14 @@ class TestConfig:
         with pytest.raises(mx.InvalidSceneError):
             ExperimentConfig(scene=two_site_scene(), band_width=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"band_width": float("inf")}, {"samples_per_level": 0},
+        {"samples_per_level": -5}, {"samples_per_level": 2.5}],
+        ids=lambda kw: "%s=%s" % next(iter(kw.items())))
+    def test_bad_sampling_rejected(self, kwargs):
+        with pytest.raises(mx.InvalidSceneError):
+            ExperimentConfig(scene=two_site_scene(), **kwargs)
+
     def test_default_resolution(self):
         cfg = ExperimentConfig(scene=two_site_scene())
         assert cfg.resolution == pytest.approx(10.0 / 1000.0)
@@ -176,6 +184,14 @@ class TestCli:
             "scene": {"sites": [], "bounding_radius": 10.0},
             "lambda_grid": [0.75]})
         assert cli_main(["axis", "--config", cfg]) == 3
+
+    def test_bad_samples_per_level_exits_three(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
+                      "bounding_radius": 10.0},
+            "t_grid": [0.5, 1.5], "samples_per_level": -5})
+        assert cli_main(["critfn", "--config", cfg]) == 3
+        assert "samples_per_level" in capsys.readouterr().err
 
     def test_config_without_scene_exits_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"lambda_grid": [0.75],

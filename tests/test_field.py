@@ -1,11 +1,13 @@
 """Distance field evaluation and the sampled critical function."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import medaxis as mx
+from medaxis import field
 from medaxis.flow import _probe
 
 
@@ -187,6 +189,84 @@ class TestCriticalFunction:
         back = mx.profile_from_csv(text)
         assert np.array_equal(prof.t_grid, back.t_grid)
         assert np.array_equal(prof.chi, back.chi)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"band_width": -0.01}, {"band_width": 0.0}, {"band_width": float("nan")},
+        {"band_width": float("inf")}, {"samples_per_level": -5},
+        {"samples_per_level": 0}, {"samples_per_level": 2.5},
+        {"samples_per_level": True}],
+        ids=lambda kw: "%s=%s" % next(iter(kw.items())))
+    def test_bad_sampling_rejected(self, kwargs):
+        with pytest.raises(mx.InvalidSceneError):
+            mx.estimate_critical_function(two_site_scene(), np.array([0.5, 1.5]),
+                                          **kwargs)
+
+    def test_3d_profile_is_pinned(self):
+        scene = mx.random_scene(8, 5.0, seed=4, dim=3)
+        prof = mx.estimate_critical_function(scene, np.array([0.5, 1.2, 2.0, 2.9]),
+                                             samples_per_level=250, seed=5)
+        digest = hashlib.sha256(prof.chi.tobytes()
+                                + prof.sample_count.tobytes()).hexdigest()
+        assert digest == ("b8791964ddf188269149928862ca8d57"
+                          "c57dc26664d5de167ae32a42834bfafc")
+        assert prof.sample_count.tolist() == [250, 250, 246, 161]
+        assert prof.flags == ("r-max-sampled",)
+        assert prof.r_max == 2.9
+
+
+def _planar_with_r_max():
+    scene = mx.random_scene(12, 5.0, seed=3)
+    r_max = mx.scene_r_max(scene)
+    return scene, np.linspace(0.2, 0.95 * r_max, 7), r_max
+
+
+class TestBatchedMarch:
+    """Levels march in batches; the schedule must not change any result."""
+
+    @pytest.mark.parametrize("case", ["planar-r-max", "empty-band", "3d"])
+    @pytest.mark.parametrize("cap", [1, 2500, 1 << 40])
+    def test_batch_schedule_does_not_change_results(self, case, cap,
+                                                     monkeypatch):
+        if case == "planar-r-max":
+            scene, t_grid, r_max = _planar_with_r_max()
+        elif case == "empty-band":
+            scene, t_grid, r_max = (mx.random_scene(5, 5.0, seed=1),
+                                    np.array([0.1, 1.0, 4.9]), None)
+        else:
+            scene, t_grid, r_max = (mx.random_scene(6, 5.0, seed=2, dim=3),
+                                    np.linspace(0.3, 3.0, 4), None)
+
+        def run():
+            return mx.estimate_critical_function(scene, t_grid, samples_per_level=100,
+                                                 seed=6, r_max=r_max)
+
+        ref = run()
+        monkeypatch.setattr(field, "_BATCH_DISTANCES", cap)
+        got = run()
+        assert got.chi.tobytes() == ref.chi.tobytes()
+        assert got.sample_count.tolist() == ref.sample_count.tolist()
+        assert got.flags == ref.flags
+        assert got.r_max == ref.r_max
+        if case == "empty-band":
+            assert ref.flags == ("empty-band:4.9", "r-max-sampled")
+
+    def test_rows_march_independently(self):
+        scene, _, _ = _planar_with_r_max()
+        rng = np.random.default_rng(2)
+        band = scene.bounding_radius / 2000.0
+        sets = [(field._sprinkle(scene, t, 80, rng), t) for t in (0.4, 1.1)]
+        X = np.vstack([x for x, _ in sets])
+        levels = np.concatenate([np.full(len(x), t) for x, t in sets])
+        rows, pts = field._march_to_level(scene, X, levels, band)
+        offset = 0
+        for x, t in sets:
+            alone_rows, alone_pts = field._march_to_level(scene, x, np.full(len(x), t),
+                                                          band)
+            mine = (rows >= offset) & (rows < offset + len(x))
+            assert np.array_equal(rows[mine] - offset, alone_rows)
+            assert pts[mine].tobytes() == alone_pts.tobytes()
+            assert len(alone_rows) > 0
+            offset += len(x)
 
 
 def synthetic_profile():
