@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _nearest
-from .field import eval_field
+from .field import _BATCH_DISTANCES, eval_field, eval_field_batch
 
 __all__ = [
     "SkeletonEdge",
@@ -297,12 +297,15 @@ def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
 
     vertices = np.array(reps) if reps else np.empty((0, 2))
     data = []
-    for vid, pt in enumerate(reps):
-        sample = eval_field(scene, np.asarray(pt))
-        data.append(VertexData(point=np.asarray(pt),
-                               witness_sites=tuple(sorted(witness_sets[vid])),
-                               has_wall=wall_flags[vid],
-                               R=sample.R, F=sample.F))
+    # Chunks of 1/32 of a march batch: whole batches raised the peak memory
+    # of a 2000-site axis run by 7 MiB (freed blocks stay in the heap).
+    chunk = max(1, (_BATCH_DISTANCES // 32) // len(scene.sites))
+    for k in range(0, len(reps), chunk):
+        got = eval_field_batch(scene, vertices[k:k + chunk])
+        for vid, r_val, f_val in zip(range(k, len(reps)), got["R"].tolist(), got["F"].tolist()):
+            data.append(VertexData(point=np.asarray(reps[vid]),
+                                   witness_sites=tuple(sorted(witness_sets[vid])),
+                                   has_wall=wall_flags[vid], R=r_val, F=f_val))
     flags = () if raw else ("empty-skeleton",)
     return VoronoiSkeleton(scene=scene, vertices=vertices, vertex_data=data,
                            edges=edges, flags=flags)

@@ -33,8 +33,8 @@ from .scene import (
     OffsetDomainError,
     SiteScene,
     _nearest,
+    _seb_stack,
     nearest_site_info,
-    witness_ball,
 )
 
 __all__ = [
@@ -82,10 +82,11 @@ def eval_field(scene: SiteScene, x, alpha: float | None = None,
     """
     x = np.asarray(x, float)
     dmin, labels, points, _ = nearest_site_info(scene, x, band=witness_band)
-    center, f_val = witness_ball(points)
+    centers, F = _seb_stack(np.array([points]))
+    f_val = float(F[0])
     f_alpha = None if alpha is None else _offset_rescale(dmin, f_val, alpha)
     return FieldSample(point=x, R=dmin, theta=points, F=f_val,
-                       grad=(x - center) / dmin, F_alpha=f_alpha,
+                       grad=(x - centers[0]) / dmin, F_alpha=f_alpha,
                        witness_ids=tuple(labels))
 
 
@@ -97,20 +98,16 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
                      witness_band: float | None = None):
     """Vectorized field evaluation; returns dict of arrays.
 
-    Rows with a single witness (the generic case) are handled in bulk; only
-    tie rows take the smallest enclosing ball of their witnesses.
+    Row for row equal to ``eval_field``: the witness balls of rows with the
+    same witness count are computed as one stack.
     """
     X = np.atleast_2d(np.asarray(X, float))
     near = _nearest(scene, X)
     near.check()
     sites, wall = near.cut(witness_band)
-    counts = sites.sum(axis=1) + wall
-    centers = near.nearest_points()
-    F = np.zeros(len(X))
-    for i in np.nonzero(counts > 1)[0]:
-        centers[i], F[i] = witness_ball(near.points(i, near.labels(i, sites, wall)))
+    centers, F = near.balls(sites, wall)
     out = {"R": near.R, "F": F, "grad": (X - centers) / near.R[:, None],
-           "witness_count": counts}
+           "witness_count": sites.sum(axis=1) + wall}
     if alpha is not None:
         out["F_alpha"] = _offset_rescale(near.R, F, alpha)
     return out
@@ -234,13 +231,8 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
 def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.ndarray:
     """|grad| with the witness band widened to ``band`` (absolute)."""
     near = _nearest(scene, X)
-    sites, wall = near.cut(band)
-    out = np.ones(len(X))
-    for i in np.nonzero(sites.sum(axis=1) + wall > 1)[0]:
-        _, f_val = witness_ball(near.points(i, near.labels(i, sites, wall)))
-        ratio = f_val / near.R[i]
-        out[i] = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-    return out
+    ratio = near.balls(*near.cut(band))[1] / near.R
+    return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
 
 def _check_sampling(samples_per_level, band_width) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import DomainError, SiteScene, nearest_site_info, witness_ball
+from .scene import DomainError, SiteScene, _seb_stack, nearest_site_info
 
 __all__ = [
     "StopCondition",
@@ -112,8 +112,9 @@ def _probe(scene: SiteScene, x: np.ndarray, band: float,
     # exact tie set lets a trajectory slide along a bisector smoothly
     # rather than chattering across it with rejected micro-steps; the
     # step-acceptance rule still enforces hard radius monotonicity.
-    center, f_wide = witness_ball(pts_w)
-    grad = (x - center) / dmin
+    centers, F = _seb_stack(np.array([pts_w]))
+    f_wide = float(F[0])
+    grad = (x - centers[0]) / dmin
     if len(pts_w) == 2:
         # Pure slide direction: remove the component along the witness
         # pair, which only measures the (band-sized) offset from the
@@ -219,7 +220,6 @@ def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
             reason = "time-exhausted"
             break
         dt = min(max_step, remaining)
-        accepted = False
         while dt >= stall_floor:
             y = x + dt * grad
             try:
@@ -234,21 +234,15 @@ def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
                         y = y2
                         trial = _probe(scene, y, flow_band, wide)
             except DomainError:
-                dt *= 0.5
-                rejected += 1
-                continue
-            dmin_y, ids_y, _, f_wide_y, _, _, _ = trial
-            if dmin_y < dmin:
-                dt *= 0.5
-                rejected += 1
-                continue
-            if ids_y != ids and f_wide_y < f_wide - _F_BACKSLIDE_TOL:
-                dt *= 0.5
-                rejected += 1
-                continue
-            accepted = True
-            break
-        if not accepted:
+                trial = None
+            if trial is not None:
+                dmin_y, ids_y, _, f_wide_y, _, _, _ = trial
+                if not (dmin_y < dmin or (ids_y != ids
+                                          and f_wide_y < f_wide - _F_BACKSLIDE_TOL)):
+                    break
+            dt *= 0.5
+            rejected += 1
+        else:
             reason = "stalled"
             break
         arc += dt * gnorm
@@ -300,19 +294,14 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float,
         tol = 1e-6 * traj.scene.bounding_radius ** 2
     flags = []
     r0 = float(traj.R[0])
-    if r0 <= alpha:
-        return RadiusCertificate(alpha=alpha, lam=lam, s0=float("nan"),
-                                 node_arc=traj.arc.copy(),
-                                 residuals=np.full(len(traj.R), float("nan")),
-                                 first_inside=None, valid=False,
-                                 flags=("start-inside-offset",))
     gap0 = r0 - alpha
-    if gap0 < lam:
+    if r0 <= alpha or gap0 < lam:
         return RadiusCertificate(alpha=alpha, lam=lam, s0=float("nan"),
                                  node_arc=traj.arc.copy(),
                                  residuals=np.full(len(traj.R), float("nan")),
                                  first_inside=None, valid=False,
-                                 flags=("start-below-certificate-radius",))
+                                 flags=("start-inside-offset" if r0 <= alpha
+                                        else "start-below-certificate-radius",))
     s0 = math.sqrt(gap0 * gap0 - lam * lam)
 
     with np.errstate(invalid="ignore"):
@@ -387,19 +376,13 @@ def push_path(scene: SiteScene, base_path, T: float, alpha: float,
     l_base = _polyline_length(base)
     verts = _resample(base, subdiv)
 
-    flags = set()
-    images = []
-    for v in verts:
-        traj = integrate_flow(scene, v, alpha=alpha, horizon=T,
-                              stop=time_exhausted(), max_step=max_step)
-        if traj.stop_reason != "time-exhausted":
-            flags.add("flow-" + traj.stop_reason)
-        images.append(traj.end)
-    piece_up = integrate_flow(scene, verts[0], alpha=alpha, horizon=T,
-                              stop=time_exhausted(), max_step=max_step).points
-    piece_top = np.array(images)
-    piece_down = integrate_flow(scene, verts[-1], alpha=alpha, horizon=T,
-                                stop=time_exhausted(), max_step=max_step).points[::-1]
+    trajs = [integrate_flow(scene, v, alpha=alpha, horizon=T,
+                            stop=time_exhausted(), max_step=max_step) for v in verts]
+    flags = {"flow-" + tr.stop_reason for tr in trajs
+             if tr.stop_reason != "time-exhausted"}
+    piece_up = trajs[0].points
+    piece_top = np.array([tr.end for tr in trajs])
+    piece_down = trajs[-1].points[::-1]
     l_pushed = (_polyline_length(piece_up) + _polyline_length(piece_top)
                 + _polyline_length(piece_down))
     bound = 2.0 * T + l_base * math.exp(T / alpha)

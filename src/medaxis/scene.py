@@ -25,7 +25,6 @@ __all__ = [
     "OffsetDomainError",
     "smallest_enclosing_ball",
     "nearest_site_info",
-    "witness_ball",
     "wall_witness",
     "random_scene",
     "scene_to_json",
@@ -55,10 +54,6 @@ class OffsetDomainError(DomainError):
 class Ball:
     center: np.ndarray
     radius: float
-
-    def contains(self, point, slack: float = 0.0) -> bool:
-        gap = float(np.linalg.norm(np.asarray(point, float) - self.center))
-        return gap <= self.radius * (1.0 + _CONTAINS_EPS) + slack
 
 
 @dataclass(frozen=True)
@@ -101,18 +96,15 @@ class SiteScene:
         return int(self.sites.shape[1])
 
 
-def _ball_from_support(support: list[np.ndarray]) -> Ball | None:
-    """Smallest ball with every support point on its boundary.
+def _ball_from_support(support: list[np.ndarray]) -> Ball:
+    """Smallest ball with every support point (at least one) on its boundary.
 
     The center lies in the affine hull of the support; solve the Gram system
     2 G a = diag(G) for the affine coefficients.  Degenerate supports fall
     back to least squares.
     """
-    k = len(support)
-    if k == 0:
-        return None
     p0 = support[0]
-    if k == 1:
+    if len(support) == 1:
         return Ball(p0.copy(), 0.0)
     m = np.stack([p - p0 for p in support[1:]])
     gram = m @ m.T
@@ -127,30 +119,57 @@ def _ball_from_support(support: list[np.ndarray]) -> Ball | None:
 
 
 def _seb_grow(points: np.ndarray, support: list[np.ndarray], dim: int) -> Ball:
-    ball = _ball_from_support(support)
+    # The empty support's ball, of radius -1, contains no point.
+    ball = _ball_from_support(support) if support else Ball(np.zeros(dim), -1.0)
     if len(support) == dim + 1:
-        return ball if ball is not None else Ball(np.zeros(dim), 0.0)
-    for i in range(len(points)):
-        p = points[i]
-        if ball is None or not ball.contains(p):
+        return ball
+    for i, p in enumerate(points):
+        if np.linalg.norm(p - ball.center) > ball.radius * (1.0 + _CONTAINS_EPS):
             ball = _seb_grow(points[:i], support + [p], dim)
-    return ball if ball is not None else Ball(points[0].copy(), 0.0)
-
-
-def _seb_three_2d(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Ball:
-    # Try each pair's diameter ball first; an obtuse triangle is covered by
-    # its longest side's ball, otherwise the circumcircle is minimal.
-    best = None
-    for p, q, r in ((a, b, c), (a, c, b), (b, c, a)):
-        center = 0.5 * (p + q)
-        radius = 0.5 * float(np.linalg.norm(p - q))
-        ball = Ball(center, radius)
-        if ball.contains(r) and (best is None or ball.radius < best.radius):
-            best = ball
-    if best is not None:
-        return best
-    ball = _ball_from_support([a, b, c])
     return ball
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, sqrt(x . x) as a matrix product
+    per row, which equals ``np.linalg.norm`` of the single row bit for bit."""
+    return np.sqrt(D[..., None, :] @ D[..., :, None])[..., 0, 0]
+
+
+def _seb_stack(P: np.ndarray):
+    """Centers (n, d) and radii (n,) of the smallest balls enclosing a stack
+    of k-point sets, shaped (n, k, d): the one smallest-enclosing-ball routine.
+
+    One and two points in any dimension, and three in the plane, take closed
+    forms row-wise over the stack, and other sets Welzl's move-to-front
+    recursion (1991), with the radius tightened to the largest gap.  A row's
+    result does not depend on the stack it is in.
+    """
+    n, k, dim = P.shape
+    if k == 1:
+        return P[:, 0].copy(), np.zeros(n)
+    if k == 2:
+        return 0.5 * (P[:, 0] + P[:, 1]), 0.5 * _row_norms(P[:, 0] - P[:, 1])
+    if k > 3 or dim != 2:
+        centers = np.array([_seb_grow(pts, [], dim).center for pts in P])
+        return centers, np.linalg.norm(P - centers[:, None], axis=2).max(axis=1)
+    # Each side's diameter disk (sides ab, ac, bc): the first of the smallest
+    # covering ones, an obtuse triangle's longest side; else the circumcircle.
+    p, q, r = P[:, [[0, 0, 1], [1, 2, 2], [2, 1, 0]]].swapaxes(0, 1)
+    centers, radii = 0.5 * (p + q), 0.5 * _row_norms(p - q)
+    covers = _row_norms(r - centers) <= radii * (1.0 + _CONTAINS_EPS)
+    side = np.where(covers, radii, np.inf).argmin(axis=1)
+    center, radius = centers[np.arange(n), side], radii[np.arange(n), side]
+    acute = np.nonzero(~covers.any(axis=1))[0]
+    if acute.size:
+        # ``_ball_from_support``'s Gram solve, row-wise; an uncovered
+        # triangle is never flat enough for its Gram matrix to be singular.
+        tri = P[acute]
+        m = tri[:, 1:] - tri[:, :1]
+        gram = m @ m.transpose(0, 2, 1)
+        coef = np.linalg.solve(gram, 0.5 * np.diagonal(gram, axis1=1, axis2=2)[..., None])
+        center[acute] = tri[:, 0] + (coef.transpose(0, 2, 1) @ m)[:, 0]
+        radius[acute] = _row_norms(tri - center[acute, None]).max(axis=1)
+    return center, radius
 
 
 def smallest_enclosing_ball(points) -> Ball:
@@ -164,28 +183,25 @@ def smallest_enclosing_ball(points) -> Ball:
         raise InvalidSceneError("smallest_enclosing_ball needs at least one point")
     if not np.all(np.isfinite(pts)):
         raise InvalidSceneError("points must be finite")
-    n, dim = pts.shape
-    if n == 1:
-        return Ball(pts[0].copy(), 0.0)
-    if n == 2:
-        return Ball(0.5 * (pts[0] + pts[1]), 0.5 * float(np.linalg.norm(pts[0] - pts[1])))
-    if n == 3 and dim == 2:
-        return _seb_three_2d(pts[0], pts[1], pts[2])
-    ball = _seb_grow(pts, [], dim)
-    # Tighten radius to the true max gap so containment checks are exact.
-    radius = float(np.linalg.norm(pts - ball.center, axis=1).max())
-    return Ball(ball.center, radius)
+    centers, radii = _seb_stack(pts[None])
+    return Ball(centers[0], float(radii[0]))
+
+
+def _wall_points(scene: SiteScene, X: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Radial projections onto the bounding sphere of the rows of X, whose
+    norms are ``norm``; the origin goes to (r, 0, ..., 0)."""
+    zero = norm == 0.0
+    pts = X * (scene.bounding_radius / np.where(zero, 1.0, norm))[:, None]
+    if zero.any():
+        pts[zero] = 0.0
+        pts[zero, 0] = scene.bounding_radius
+    return pts
 
 
 def wall_witness(scene: SiteScene, x: np.ndarray) -> np.ndarray:
     """Radial projection of x onto the bounding sphere."""
-    x = np.asarray(x, float)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        w = np.zeros(scene.dim)
-        w[0] = scene.bounding_radius
-        return w
-    return x * (scene.bounding_radius / nx)
+    X = np.asarray(x, float)[None]
+    return _wall_points(scene, X, _row_norms(X))[0]
 
 
 class _Nearest(NamedTuple):
@@ -213,6 +229,8 @@ class _Nearest(NamedTuple):
         witnesses) stay in up to R + 2 ``band``; this hysteresis stops a
         witness hovering at the cut from flickering in and out.
         """
+        if keep and band is None:
+            raise ValueError("keep needs an absolute band, but band is None")
         if band is None:
             cut = self.R * (1.0 + self.scene.tie_tolerance)
         else:
@@ -236,20 +254,32 @@ class _Nearest(NamedTuple):
             labels.append(-1)
         return labels
 
-    def points(self, i: int, labels: list) -> list:
-        """The witness points of row ``i`` for a list of labels."""
-        return [self.scene.sites[k] if k >= 0 else wall_witness(self.scene, self.X[i])
-                for k in labels]
-
     def nearest_points(self) -> np.ndarray:
         """Each row's nearest witness: a site, which wins a distance tie
         with the wall, or else the row's wall projection."""
         j = self.d_sites.argmin(axis=1)
         pts = self.scene.sites[j]
         on_wall = self.d_wall < self.d_sites[np.arange(len(j)), j]
-        scale = self.scene.bounding_radius / self.norm[on_wall]
-        pts[on_wall] = self.X[on_wall] * scale[:, None]
+        pts[on_wall] = _wall_points(self.scene, self.X[on_wall], self.norm[on_wall])
         return pts
+
+    def balls(self, sites: np.ndarray, wall: np.ndarray):
+        """Center (n, d) and radius F (n,) of each row's witness ball in a
+        cut returned by ``cut``: rows are grouped by witness count and wall
+        flag, and each group's witnesses, in ``labels`` order, go to
+        ``_seb_stack`` as one stack."""
+        counts = sites.sum(axis=1)
+        cols = sites.nonzero()[1]  # row by row, each row's sites ascending
+        first = np.cumsum(counts) - counts
+        key = 2 * counts + wall
+        centers, F = np.empty_like(self.X), np.empty(len(self.X))
+        for g in np.unique(key).tolist():
+            rows = np.nonzero(key == g)[0]
+            pts = [self.scene.sites[cols[first[rows, None] + np.arange(g // 2)]]]
+            if g % 2:
+                pts.append(_wall_points(self.scene, self.X[rows], self.norm[rows])[:, None])
+            centers[rows], F[rows] = _seb_stack(np.concatenate(pts, axis=1))
+        return centers, F
 
 
 def _nearest(scene: SiteScene, X: np.ndarray) -> _Nearest:
@@ -258,12 +288,11 @@ def _nearest(scene: SiteScene, X: np.ndarray) -> _Nearest:
 
     Every site and wall distance of a query point is computed here, so one
     point gets the same R and witnesses whichever path asks for it.  Site
-    distances are ``cdist``'s; |x| is sqrt(x . x) as a per-row matrix
-    product, which equals ``np.linalg.norm`` of the single row bit for bit.
-    Rows are not checked against the domain; see ``_Nearest.check``.
+    distances are ``cdist``'s and |x| is ``_row_norms``'.  Rows are not
+    checked against the domain; see ``_Nearest.check``.
     """
     d_sites = cdist(X, scene.sites)
-    norm = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0, 0]
+    norm = _row_norms(X)
     d_wall = scene.bounding_radius - norm
     R = d_sites.min(axis=1)
     return _Nearest(scene, X, norm, d_sites, d_wall, np.minimum(R, d_wall, out=R))
@@ -288,16 +317,8 @@ def nearest_site_info(scene: SiteScene, x, band: float | None = None,
         near.check()
     labels = near.labels(0, *near.cut(band, keep))
     ties = frozenset(labels if band is None else near.labels(0, *near.cut()))
-    return R, labels, near.points(0, labels), ties
-
-
-def witness_ball(points):
-    """Center and radius F of the smallest ball enclosing a witness list;
-    a single witness is its own center, with F = 0."""
-    if len(points) == 1:
-        return points[0], 0.0
-    ball = smallest_enclosing_ball(np.stack(points))
-    return ball.center, ball.radius
+    points = [scene.sites[k] if k >= 0 else wall_witness(scene, x) for k in labels]
+    return R, labels, points, ties
 
 
 # --- JSON round trip (17 significant digits: exact float round trip) ---

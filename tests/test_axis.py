@@ -1,5 +1,6 @@
 """Voronoi skeleton construction and the (lambda, alpha) filtration."""
 
+import hashlib
 import json
 import math
 
@@ -180,6 +181,24 @@ class TestSkeleton:
                              bounding_radius=4.0)
         with pytest.raises(mx.InvalidSceneError):
             mx.build_skeleton(scene)
+
+    @pytest.mark.parametrize("name, vertices, digest", [
+        ("lattice-3", 12, "9984b7c82d06db97b4cf220c33ab71da"
+                          "1af34d8650a51cce33b4671d8998cc0c"),
+        ("random-40", 78, "9a51c32493042ef599a04f20e5166e27"
+                          "87f5c35d7864cf35b68399ac0888ebb5")])
+    def test_vertex_data_is_pinned(self, name, vertices, digest):
+        # recorded before the witness balls were batched; a refactor of the
+        # field or the ball routine must leave these bits alone
+        if name == "lattice-3":
+            scene = mx.SiteScene(sites=lattice(3), bounding_radius=10.0)
+        else:
+            scene = mx.random_scene(40, 8.0)
+        data = mx.build_skeleton(scene).vertex_data
+        R = np.array([vd.R for vd in data])
+        F = np.array([vd.F for vd in data])
+        assert len(data) == vertices
+        assert hashlib.sha256(R.tobytes() + F.tobytes()).hexdigest() == digest
 
 
 class TestFilteredAxis:

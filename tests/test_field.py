@@ -213,6 +213,17 @@ class TestCriticalFunction:
         assert prof.flags == ("r-max-sampled",)
         assert prof.r_max == 2.9
 
+    def test_planar_profile_is_pinned(self):
+        scene, t_grid, r_max = _planar_with_r_max()
+        prof = mx.estimate_critical_function(scene, t_grid, samples_per_level=300,
+                                             seed=5, r_max=r_max)
+        digest = hashlib.sha256(prof.chi.tobytes()
+                                + prof.sample_count.tobytes()).hexdigest()
+        assert digest == ("748fe31bf51734fbf0804131c6c04a7f"
+                          "953a6e140cbe847013e3800067ffafb4")
+        assert prof.sample_count.tolist() == [300, 287, 251, 228, 200, 136, 69]
+        assert prof.flags == ()
+
 
 def _planar_with_r_max():
     scene = mx.random_scene(12, 5.0, seed=3)

@@ -1,11 +1,14 @@
 """Scene containers, validation, enclosing balls, and serialization."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import medaxis as mx
+from medaxis.scene import _nearest, nearest_site_info
 
 
 def two_site_scene():
@@ -83,6 +86,125 @@ class TestSmallestEnclosingBall:
         ball = mx.smallest_enclosing_ball(pts)
         dists = np.linalg.norm(pts - ball.center, axis=1)
         assert dists.max() <= ball.radius * (1.0 + 1e-9) + 1e-12
+
+
+def point_set(kind, n, dim, seed):
+    """n points in R^dim: on a line, on a circle in a random 2-plane, on a
+    sphere, on a coarse integer lattice (repeats allowed) or at random."""
+    rng = np.random.default_rng(seed)
+    center = rng.normal(size=dim)
+    if kind == "collinear":
+        return center + rng.uniform(-3.0, 3.0, size=(n, 1)) * rng.normal(size=dim)
+    if kind == "lattice":
+        return 1.5 * rng.integers(-2, 3, size=(n, dim)).astype(float)
+    if kind == "random":
+        return center + 2.0 * rng.normal(size=(n, dim))
+    radius = rng.uniform(0.5, 4.0)
+    if kind == "cospherical":
+        dirs = rng.normal(size=(n, dim))
+        return center + radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
+    ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return center + radius * np.column_stack([np.cos(ang), np.sin(ang)]) @ plane.T
+
+
+def brute_force_radius(pts):
+    """Radius of the smallest covering ball among the circumballs, centred
+    in the affine hull, of every subset of at most d + 1 points (subsets
+    with a singular Gram system have no such ball and are skipped)."""
+    n, dim = pts.shape
+    best = np.inf
+    for size in range(1, min(n, dim + 1) + 1):
+        for sub in itertools.combinations(range(n), size):
+            support = pts[list(sub)]
+            m = support[1:] - support[0]
+            gram = m @ m.T
+            try:
+                coef = np.linalg.solve(gram, 0.5 * np.diag(gram))
+            except np.linalg.LinAlgError:
+                continue
+            center = support[0] + coef @ m
+            radius = np.linalg.norm(support - center, axis=1).max()
+            if np.linalg.norm(pts - center, axis=1).max() <= radius * (1.0 + 1e-13) + 1e-13:
+                best = min(best, radius)
+    return best
+
+
+class TestSmallestEnclosingBallProperties:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["collinear", "cocircular", "cospherical",
+                                 "lattice", "random"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_brute_force(self, kind, seed):
+        for dim, n in itertools.product((2, 3), range(1, 9)):
+            pts = point_set(kind, n, dim, seed)
+            ball = mx.smallest_enclosing_ball(pts)
+            gaps = np.linalg.norm(pts - ball.center, axis=1)
+            assert gaps.max() <= ball.radius * (1.0 + 1e-12)
+            expected = brute_force_radius(pts)
+            assert np.isfinite(expected)
+            assert abs(ball.radius - expected) <= 1e-12 * expected
+
+
+def _wire_scene():
+    """A 3-d square wire: 40 sites on a square of side 2 in the plane z = 0."""
+    u = np.linspace(-1.0, 1.0, 10, endpoint=False)
+    ring = np.concatenate([np.stack([u, -np.ones_like(u)], axis=1),
+                           np.stack([np.ones_like(u), u], axis=1),
+                           np.stack([-u, np.ones_like(u)], axis=1),
+                           np.stack([-np.ones_like(u), -u], axis=1)])
+    return mx.SiteScene(sites=np.column_stack([ring, np.zeros(len(ring))]),
+                        bounding_radius=2.5)
+
+
+def _grouping_rows(dim):
+    """Scene and query rows that between them have 1, 2, 3 and 4 or more
+    witnesses, with and without the wall."""
+    rng = np.random.default_rng(5)
+    if dim == 2:
+        g = 1.5 * np.array([[i, j] for i in range(3) for j in range(3)], float) - 1.5
+        scene = mx.SiteScene(sites=np.vstack([g, [[2.6, 0.5]]]), bounding_radius=4.0)
+        p = scene.sites
+        sq = np.array([[0.75, 0.75], [-0.75, 0.75], [0.75, -0.75], [-0.75, -0.75]])
+        rows = [mx.build_skeleton(scene).vertices, sq,
+                0.5 * (p[:-1] + p[1:]), rng.uniform(-2.5, 2.5, size=(60, 2))]
+    else:
+        scene = _wire_scene()
+        p = scene.sites
+        rows = [rng.uniform(-1.2, 1.2, size=(200, 3)) * [1.0, 1.0, 0.3],
+                0.5 * (p[:-1] + p[1:]), [[0.0, 0.0, 0.0], [0.0, 0.0, 2.3]]]
+    # site/wall balance points: halfway from a site to the wall, radially
+    norms = np.linalg.norm(p, axis=1, keepdims=True)
+    balance = p / np.where(norms > 0.0, norms, 1.0) * 0.5 * (norms + scene.bounding_radius)
+    rows.append(balance[norms[:, 0] > 0.0])
+    X = np.vstack(rows)
+    return scene, X[np.linalg.norm(X, axis=1) < scene.bounding_radius]
+
+
+class TestNearestBalls:
+    def test_keep_without_band_rejected(self):
+        with pytest.raises(ValueError, match="keep"):
+            nearest_site_info(two_site_scene(), np.array([0.0, 2.0]),
+                              keep=frozenset({0}))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grouped_balls_equal_per_row_balls(self, dim):
+        scene, X = _grouping_rows(dim)
+        near = _nearest(scene, X)
+        near.check()
+        kinds = set()
+        for band in (None, 0.02, 0.1, 0.5):
+            sites, wall = near.cut(band)
+            centers, F = near.balls(sites, wall)
+            for i in range(len(X)):
+                labels = near.labels(i, sites, wall)
+                pts = [scene.sites[k] if k >= 0 else mx.wall_witness(scene, X[i])
+                       for k in labels]
+                ball = mx.smallest_enclosing_ball(np.stack(pts))
+                assert np.array_equal(centers[i], ball.center)
+                assert F[i] == ball.radius
+                kinds.add((min(len(labels), 4), labels[-1] == -1))
+        assert kinds == {(k, w) for k in (1, 2, 3, 4) for w in (False, True)}
 
 
 class TestWallWitness:
