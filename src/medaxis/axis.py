@@ -28,11 +28,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError
 
-from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _nearest
+from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
 from .field import _BATCH_DISTANCES, eval_field, eval_field_batch
 
 __all__ = [
@@ -75,65 +78,61 @@ class VertexData:
     F: float
 
 
+class SkeletonArrays(NamedTuple):
+    """The skeleton as arrays: row e of the edge fields is ``edges[e]``,
+    and row k of R and F is ``vertex_data[k]``."""
+
+    h: np.ndarray     # (E,) half-gaps
+    mid: np.ndarray   # (E, 2) bisector midpoints
+    u: np.ndarray     # (E, 2) unit bisector directions
+    s: np.ndarray     # (E, 2) parameters s0 < s1 of the ends
+    v: np.ndarray     # (E, 2) vertex ids of the ends
+    wall: np.ndarray  # (E, 2) whether the wall clips each end
+    R: np.ndarray     # (V,) vertex distances to the scene
+    F: np.ndarray     # (V,) vertex witness radii
+
+
 @dataclass(frozen=True)
 class VoronoiSkeleton:
     scene: SiteScene
     vertices: np.ndarray
     vertex_data: list
     edges: list
+    arrays: SkeletonArrays
     flags: tuple = ()
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
-
-
-def _interval_intersect(a, b):
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    return (lo, hi)
-
-
-def _wall_interval(scene: SiteScene, m: np.ndarray, u: np.ndarray, h: float):
-    """Parameter range on the bisector where sites beat the wall.
+def _wall_intervals(scene: SiteScene, m: np.ndarray, u: np.ndarray, h: np.ndarray):
+    """Parameter ranges (lo, hi, ok) on the bisectors where sites beat the wall.
 
     Solves sqrt(h^2+s^2) <= R - |m + s u| exactly: one downward condition
     quadratic plus the half-line where the squaring step was valid plus the
-    inside-the-ball range.
+    inside-the-ball range.  ``ok`` is False where the range is empty.
     """
     r = scene.bounding_radius
-    beta = float(m @ u)
-    m2 = float(m @ m)
+    beta = _dot(m, u)
+    m2 = _dot(m, m)
     a_lin = r * r + m2 - h * h
 
     qa = 4.0 * (r * r - beta * beta)
     qb = 4.0 * beta * (2.0 * r * r - a_lin)
     qc = 4.0 * r * r * m2 - a_lin * a_lin
     disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
-    lo = (-qb - root) / (2.0 * qa)
-    hi = (-qb + root) / (2.0 * qa)
-    span = (lo, hi)
-
-    # validity of the squaring step: a_lin + 2 beta s >= 0
-    if beta > 0.0:
-        span = _interval_intersect(span, (-a_lin / (2.0 * beta), math.inf))
-    elif beta < 0.0:
-        span = _interval_intersect(span, (-math.inf, -a_lin / (2.0 * beta)))
-    elif a_lin < 0.0:
-        return None
-
-    # stay inside the ball: s^2 + 2 beta s + m2 - r^2 <= 0
     disc_b = beta * beta - (m2 - r * r)
-    if disc_b < 0.0:
-        return None
-    root_b = math.sqrt(disc_b)
-    span = _interval_intersect(span, (-beta - root_b, -beta + root_b))
-    if span[0] >= span[1]:
-        return None
-    return span
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(disc)
+        lo = (-qb - root) / (2.0 * qa)
+        hi = (-qb + root) / (2.0 * qa)
+        # validity of the squaring step: a_lin + 2 beta s >= 0
+        valid = -a_lin / (2.0 * beta)
+        lo = np.where((beta > 0.0) & (valid > lo), valid, lo)
+        hi = np.where((beta < 0.0) & (valid < hi), valid, hi)
+        # stay inside the ball: s^2 + 2 beta s + m2 - r^2 <= 0
+        root_b = np.sqrt(disc_b)
+    lo = np.where(-beta - root_b > lo, -beta - root_b, lo)
+    hi = np.where(-beta + root_b < hi, -beta + root_b, hi)
+    ok = ~((disc < 0.0) | ((beta == 0.0) & (a_lin < 0.0)) | (disc_b < 0.0) | (lo >= hi))
+    return lo, hi, ok
 
 
 def _line_edges(sites: np.ndarray):
@@ -144,8 +143,9 @@ def _line_edges(sites: np.ndarray):
     """
     rel = sites - sites[0]
     far = rel[int(np.argmax(np.einsum("ij,ij->i", rel, rel)))]
-    order = np.argsort(rel @ far, kind="stable").tolist()
-    return sorted((min(i, j), max(i, j), ()) for i, j in zip(order, order[1:]))
+    order = np.argsort(rel @ far, kind="stable")
+    pairs = np.sort(np.column_stack([order[:-1], order[1:]]), axis=1)
+    return pairs[np.lexsort(pairs.T[::-1])], np.empty((len(pairs), 0), int)
 
 
 def _spans_all(tri: Delaunay, n: int) -> bool:
@@ -155,17 +155,20 @@ def _spans_all(tri: Delaunay, n: int) -> bool:
 
 
 def _delaunay_edges(scene: SiteScene):
-    """Delaunay edges (i, j), i < j, each with the third sites of its (at
-    most two) triangles.
+    """Delaunay edges (E, 2) of site indices i < j in ascending order, and
+    the third sites (E, 2) of each edge's (at most two) triangles, ascending,
+    with -1 where a hull edge has one triangle.
 
     The wall clips bisector intervals but never creates adjacencies, so the
     edges of the site triangulation are the exact candidate set, and the
     interval of edge (i, j) ends at the circumcenters of its triangles,
     which only those third sites determine.  Flat inputs (rank < 2, or ones
-    Qhull reports flat) take the sorted-line path; sites that Qhull drops
-    as coplanar are kept by a joggled retriangulation.
+    Qhull reports flat) take the sorted-line path, with no third sites;
+    sites that Qhull drops as coplanar are kept by a joggled
+    retriangulation.
     """
     sites = scene.sites
+    n = len(sites)
     if np.linalg.matrix_rank(sites - sites[0]) < 2:
         return _line_edges(sites)
     try:
@@ -174,58 +177,64 @@ def _delaunay_edges(scene: SiteScene):
         if not any(code in str(err) for code in _QHULL_FLAT):
             raise
         return _line_edges(sites)
-    if not _spans_all(tri, len(sites)):
+    if not _spans_all(tri, n):
         tri = Delaunay(sites, qhull_options="QJ")
-        if not _spans_all(tri, len(sites)):
+        if not _spans_all(tri, n):
             raise RuntimeError("Qhull left sites out of the joggled triangulation")
-    opposite = {}
-    for simplex in tri.simplices.tolist():
-        for k in range(3):
-            i, j = sorted((simplex[k - 2], simplex[k - 1]))
-            opposite.setdefault((i, j), []).append(simplex[k])
-    return [(i, j, tuple(sorted(opp))) for (i, j), opp in sorted(opposite.items())]
+    # the three sides of every triangle, each with the triangle's third site
+    simplices = tri.simplices.astype(np.intp)
+    ends = np.sort(np.stack([simplices[:, [1, 2, 0]], simplices[:, [2, 0, 1]]], axis=2),
+                   axis=2).reshape(-1, 2)
+    key = ends[:, 0] * n + ends[:, 1]
+    order = np.lexsort((simplices.ravel(), key))
+    key, third = key[order], simplices.ravel()[order]
+    _, first, count = np.unique(key, return_index=True, return_counts=True)
+    pairs = np.column_stack([key[first] // n, key[first] % n])
+    return pairs, np.column_stack([third[first], np.where(count == 2, third[first + count - 1], -1)])
 
 
-def _pair_edge(scene: SiteScene, i: int, j: int, opposite):
-    """Clipped bisector interval for the site pair (i, j), or None.
+def _pair_edges(scene: SiteScene, pairs: np.ndarray, opposite: np.ndarray):
+    """Clipped bisector intervals of the site pairs (E, 2), each bounded by
+    its row of ``opposite`` (E, K) sites, where -1 is no site.
 
-    Each site k in ``opposite`` cuts the bisector where it becomes as close
-    as p and q: a s <= b with a = 2 (k - p).u, b = |k|^2 - |p|^2 - 2 (k - p).m.
+    Each site k cuts the bisector of (p, q) where it becomes as close as p
+    and q: a s <= b with a = 2 (k - p).u, b = |k|^2 - |p|^2 - 2 (k - p).m;
+    the nearest cut on each side bounds the interval, the first in row order
+    on a tie.  Returns the kept pairs and their (m, u, h, s, src): ``s``
+    (E', 2) are the interval ends and ``src`` (E', 2) their bounding sites,
+    -1 where the wall clips.
     """
-    p = scene.sites[i]
-    q = scene.sites[j]
+    sites = scene.sites
+    r = scene.bounding_radius
+    p, q = sites[pairs[:, 0]], sites[pairs[:, 1]]
     dvec = q - p
-    length = float(np.linalg.norm(dvec))
+    length = _row_norms(dvec)
     h = 0.5 * length
     m = 0.5 * (p + q)
-    u = _perp(dvec) / length
+    u = np.column_stack([-dvec[:, 1], dvec[:, 0]]) / length[:, None]
 
-    lo, lo_src = -math.inf, None
-    hi, hi_src = math.inf, None
-    for k in opposite:
-        rel = scene.sites[k] - p
-        a = 2.0 * float(rel @ u)
-        b = float(scene.sites[k] @ scene.sites[k]) - float(p @ p) - 2.0 * float(rel @ m)
-        if abs(a) < 1e-14 * scene.bounding_radius:
-            if b < 0.0:
-                return None
-        elif a > 0.0 and b / a < hi:
-            hi, hi_src = b / a, k
-        elif a < 0.0 and b / a > lo:
-            lo, lo_src = b / a, k
-    if lo >= hi:
-        return None
+    k = sites[opposite]
+    rel = k - p[:, None]
+    a = 2.0 * _dot(rel, u[:, None])
+    b = _dot(k, k) - _dot(p, p)[:, None] - 2.0 * _dot(rel, m[:, None])
+    flat = np.abs(a) < 1e-14 * r
+    cuts = (opposite >= 0) & ~flat
+    ratio = np.divide(b, a, out=np.zeros_like(b), where=cuts)
+    # column 0 is the open end, which a cut must beat strictly
+    rows = np.arange(len(pairs))
+    labels = np.column_stack([np.full(len(pairs), -1), opposite])
+    ups = np.column_stack([np.full(len(pairs), np.inf), np.where(cuts & (a > 0.0), ratio, np.inf)])
+    downs = np.column_stack([np.full(len(pairs), -np.inf), np.where(cuts & (a < 0.0), ratio, -np.inf)])
+    k_hi, k_lo = ups.argmin(axis=1), downs.argmax(axis=1)
+    hi, lo = ups[rows, k_hi], downs[rows, k_lo]
 
-    wall = _wall_interval(scene, m, u, h)
-    if wall is None:
-        return None
-    w_lo, w_hi = wall
-    # an end's source is its bounding site, or None where the wall clips
-    s0, src0 = (lo, lo_src) if lo >= w_lo else (w_lo, None)
-    s1, src1 = (hi, hi_src) if hi <= w_hi else (w_hi, None)
-    if s1 - s0 <= 1e-12 * scene.bounding_radius:
-        return None
-    return (m, u, h, s0, s1, src0, src1)
+    w_lo, w_hi, w_ok = _wall_intervals(scene, m, u, h)
+    at_site = np.column_stack([lo >= w_lo, hi <= w_hi])
+    s = np.where(at_site, np.column_stack([lo, hi]), np.column_stack([w_lo, w_hi]))
+    src = np.where(at_site, np.column_stack([labels[rows, k_lo], labels[rows, k_hi]]), -1)
+    dead = ((opposite >= 0) & flat & (b < 0.0)).any(axis=1)
+    keep = ~dead & ~(lo >= hi) & w_ok & ~(s[:, 1] - s[:, 0] <= 1e-12 * r)
+    return pairs[keep], m[keep], u[keep], h[keep], s[keep], src[keep]
 
 
 def _merge_endpoints(points, tol):
@@ -261,6 +270,14 @@ def _merge_endpoints(points, tol):
     return reps, ids
 
 
+def _row_chunks(scene: SiteScene, n: int) -> list:
+    """Slices of n query rows, each at most 1/32 of a march batch of site
+    distances: whole batches raised the peak memory of a 2000-site axis run
+    by 7 MiB (freed blocks stay in the heap)."""
+    step = max(1, (_BATCH_DISTANCES // 32) // len(scene.sites))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
 def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
     """Medial skeleton of the scene: Voronoi edges between sites, wall-clipped.
 
@@ -271,44 +288,39 @@ def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
     """
     if scene.dim != 2:
         raise InvalidSceneError("skeleton construction is planar (d = 2)")
-    raw = []
-    for i, j, opposite in _delaunay_edges(scene):
-        got = _pair_edge(scene, i, j, opposite)
-        if got is not None:
-            raw.append((i, j) + got)
+    pairs, mid, u, h, s, src = _pair_edges(scene, *_delaunay_edges(scene))
 
-    endpoints = []
-    for (i, j, m, u, h, s0, s1, src0, src1) in raw:
-        endpoints.append(m + s0 * u)
-        endpoints.append(m + s1 * u)
-    tol = 1e-9 * scene.bounding_radius
-    reps, ids = _merge_endpoints(endpoints, tol)
-
-    witness_sets = [set() for _ in reps]
-    wall_flags = [False] * len(reps)
-    edges = []
-    for e_idx, (i, j, m, u, h, s0, s1, src0, src1) in enumerate(raw):
-        v0, v1 = ids[2 * e_idx], ids[2 * e_idx + 1]
-        for vid, src in ((v0, src0), (v1, src1)):
-            witness_sets[vid].update((i, j) if src is None else (i, j, src))
-            wall_flags[vid] = wall_flags[vid] or src is None
-        edges.append(SkeletonEdge(v0=v0, v1=v1, pair=(i, j), h=h, mid=m, u=u, s0=s0, s1=s1,
-                                  wall0=src0 is None, wall1=src1 is None))
-
+    ends = mid[:, None] + s[:, :, None] * u[:, None]
+    reps, ids = _merge_endpoints(ends.reshape(-1, 2).tolist(), 1e-9 * scene.bounding_radius)
     vertices = np.array(reps) if reps else np.empty((0, 2))
-    data = []
-    # Chunks of 1/32 of a march batch: whole batches raised the peak memory
-    # of a 2000-site axis run by 7 MiB (freed blocks stay in the heap).
-    chunk = max(1, (_BATCH_DISTANCES // 32) // len(scene.sites))
-    for k in range(0, len(reps), chunk):
-        got = eval_field_batch(scene, vertices[k:k + chunk])
-        for vid, r_val, f_val in zip(range(k, len(reps)), got["R"].tolist(), got["F"].tolist()):
-            data.append(VertexData(point=np.asarray(reps[vid]),
-                                   witness_sites=tuple(sorted(witness_sets[vid])),
-                                   has_wall=wall_flags[vid], R=r_val, F=f_val))
-    flags = () if raw else ("empty-skeleton",)
+    v = np.array(ids, dtype=np.intp).reshape(-1, 2)
+    wall = src < 0
+
+    # witnesses of a vertex: the pair and bounding site of every end on it
+    n = len(scene.sites)
+    labels = np.concatenate([np.repeat(pairs, 2, axis=0), src.reshape(-1, 1)], axis=1)
+    keys = np.unique((v.reshape(-1, 1) * n + labels)[labels >= 0])
+    bounds = np.searchsorted(keys // n, np.arange(len(vertices) + 1)).tolist()
+    witnesses = (keys % n).tolist()
+    has_wall = np.zeros(len(vertices), bool)
+    has_wall[v[wall]] = True
+
+    R, F = np.empty(len(vertices)), np.empty(len(vertices))
+    for rows in _row_chunks(scene, len(vertices)):
+        got = eval_field_batch(scene, vertices[rows])
+        R[rows], F[rows] = got["R"], got["F"]
+    data = [VertexData(point=point, witness_sites=tuple(witnesses[lo:hi]), has_wall=w,
+                       R=r_val, F=f_val)
+            for point, lo, hi, w, r_val, f_val in zip(
+                vertices, bounds, bounds[1:], has_wall.tolist(), R.tolist(), F.tolist())]
+    edges = [SkeletonEdge(v0=v0, v1=v1, pair=(i, j), h=hh, mid=mm, u=uu, s0=s0, s1=s1,
+                          wall0=w0, wall1=w1)
+             for (v0, v1), (i, j), hh, mm, uu, (s0, s1), (w0, w1) in zip(
+                 v.tolist(), pairs.tolist(), h.tolist(), mid, u, s.tolist(), wall.tolist())]
+    arrays = SkeletonArrays(h=h, mid=mid, u=u, s=s, v=v, wall=wall, R=R, F=F)
+    flags = () if edges else ("empty-skeleton",)
     return VoronoiSkeleton(scene=scene, vertices=vertices, vertex_data=data,
-                           edges=edges, flags=flags)
+                           edges=edges, arrays=arrays, flags=flags)
 
 
 def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> float:
@@ -321,20 +333,16 @@ def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> fl
         raise InvalidSceneError("exact maximal distance value needs a planar scene")
     if skeleton is None:
         skeleton = build_skeleton(scene)
-    best = 0.0
-    for vd in skeleton.vertex_data:
-        best = max(best, vd.R)
     r = scene.bounding_radius
-    for p in scene.sites:
-        np_ = float(np.linalg.norm(p))
-        cand = 0.5 * (r + np_)
-        if np_ > 0.0:
-            x = -p * (0.5 * (r - np_) / np_)
-        else:
-            x = np.array([-0.5 * r, 0.0])
-        if _nearest(scene, x[None]).d_sites.min() >= cand * (1.0 - 1e-12):
-            best = max(best, cand)
-    return best
+    norm = _row_norms(scene.sites)
+    cand = 0.5 * (r + norm)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        X = -scene.sites * (0.5 * (r - norm) / norm)[:, None]
+    X[norm == 0.0] = (-0.5 * r, 0.0)
+    valid = np.empty(len(X), bool)
+    for rows in _row_chunks(scene, len(X)):
+        valid[rows] = _nearest(scene, X[rows]).d_sites.min(axis=1) >= cand[rows] * (1.0 - 1e-12)
+    return max([0.0] + skeleton.arrays.R.tolist() + cand[valid].tolist())
 
 
 # --- filtration ---------------------------------------------------------
@@ -368,124 +376,75 @@ class FilteredAxis:
         return float(np.linalg.norm(b - a, axis=1).sum())
 
 
-class _AxisAccumulator:
-    def __init__(self):
-        self.points = []
-        self.segments = []
-        self.seg_data = []
-        self.key_of = {}
-
-    def vertex(self, key, point):
-        if key not in self.key_of:
-            self.key_of[key] = len(self.points)
-            self.points.append(np.asarray(point, float))
-        return self.key_of[key]
-
-    def segment(self, ia, ib, data_a, data_b):
-        self.segments.append((ia, ib))
-        self.seg_data.append((data_a, data_b))
-
-
-def _edge_values(h: float, alpha: float, s: float):
-    r_val = math.hypot(h, s)
-    f_alpha = (r_val - alpha) / r_val * h
-    return (r_val, h, f_alpha)
-
-
-def _kept_spans(h: float, alpha: float, lam: float, s0: float, s1: float):
-    """Sub-intervals of [s0, s1] where the edge passes the filter."""
-    if alpha == 0.0:
-        return [(s0, s1)] if h >= lam else []
-    if h <= lam:
-        return []
-    r_star = alpha * h / (h - lam)
-    if r_star <= h:
-        return [(s0, s1)]
-    s_star = math.sqrt(r_star * r_star - h * h)
-    spans = []
-    if s0 < -s_star:
-        spans.append((s0, min(s1, -s_star)))
-    if s1 > s_star:
-        spans.append((max(s0, s_star), s1))
-    return [(a, b) for a, b in spans if b > a]
-
-
-def _union_components(n: int, pairs) -> np.ndarray:
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    roots = {}
-    out = np.empty(n, int)
-    for i in range(n):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        out[i] = roots[r]
-    return out
-
-
 def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> FilteredAxis:
-    """Retain the part of the skeleton where F_alpha >= lambda (closed form)."""
+    """Retain the part of the skeleton where F_alpha >= lambda (closed form).
+
+    Edge e keeps the sub-intervals of [s0, s1] outside |s| < s*, where
+    s* = sqrt(R*^2 - h^2): at most a low span ending at -s* and a high one
+    starting at s*, or the whole edge.  Vertices are numbered in the order
+    segments first reach them: a skeleton vertex at a kept end, else the cut
+    point (edge, s rounded to 12 places); surviving skeleton vertices on no
+    segment follow as isolated points.
+    """
     if lam <= 0.0:
         raise InvalidSceneError("lambda must be positive")
     if alpha < 0.0:
         raise InvalidSceneError("alpha must be nonnegative")
-    scene = skeleton.scene
-    acc = _AxisAccumulator()
+    sk = skeleton.arrays
+    n_v = len(skeleton.vertices)
+    h, s0, s1 = sk.h, sk.s[:, 0], sk.s[:, 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_star = alpha * h / (h - lam)
+        s_star = np.sqrt(r_star * r_star - h * h)
+    whole = (h >= lam) if alpha == 0.0 else (h > lam) & (r_star <= h)
+    cut = (h > lam) & ~whole
+    lo = np.column_stack([s0, np.where(s_star > s0, s_star, s0)])
+    hi = np.column_stack([np.where(whole | ~(-s_star < s1), s1, -s_star), s1])
+    kept = np.column_stack([whole | cut & (s0 < -s_star), cut & (s1 > s_star)])
+    e, side = np.nonzero(kept & ~(hi - lo <= 1e-12 * skeleton.scene.bounding_radius))
+    a, b = lo[e, side], hi[e, side]
+    at_v0, at_v1 = a == s0[e], b == s1[e]
+    wall_limited = bool((at_v0 & sk.wall[e, 0] | at_v1 & sk.wall[e, 1]).any())
+
+    # Keys: skeleton vertex ids, then n_v + 2 e for an edge's cut point at
+    # -s* and n_v + 2 e + 1 for the one at s*; the two are one point when
+    # s* rounds to 0 at 12 places.
+    zero = s_star[e] < 1e-12
+    zero[zero] = [round(x, 12) == 0.0 for x in s_star[e[zero]].tolist()]
+    keys = np.column_stack([np.where(at_v0, sk.v[e, 0], n_v + 2 * e + 1 - zero),
+                            np.where(at_v1, sk.v[e, 1], n_v + 2 * e)]).ravel()
+    ends = np.column_stack([a, b]).ravel()
+    edge = np.repeat(e, 2)
+    points = sk.mid[edge] + ends[:, None] * sk.u[edge]
+    at_vertex = keys < n_v
+    points[at_vertex] = skeleton.vertices[keys[at_vertex]]
+    used, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty(len(order), np.intp)
+    number[order] = np.arange(len(order))
+    segments = number[inverse].reshape(-1, 2)
+
+    alive = sk.R > alpha
+    alive[alive] = (sk.R[alive] - alpha) / sk.R[alive] * sk.F[alive] >= lam
+    alive[used[used < n_v]] = False
+    lone = np.flatnonzero(alive)
+    vertices = np.concatenate([points[first[order]], skeleton.vertices[lone]])
+    isolated = np.arange(len(order), len(vertices))
+
+    hh = h[edge]
+    r_val = np.array(list(map(math.hypot, hh.tolist(), ends.tolist())))
+    seg_data = np.stack([r_val, hh, (r_val - alpha) / r_val * hh], axis=1).reshape(-1, 2, 3)
+    graph = csr_matrix((np.ones(len(segments)), (segments[:, 0], segments[:, 1])),
+                       shape=(len(vertices), len(vertices)))
+    comp = connected_components(graph, directed=False)[1].astype(np.intp)
+
     flags = list(skeleton.flags)
-    tol_len = 1e-12 * scene.bounding_radius
-
-    vertex_surv = [vid for vid, vd in enumerate(skeleton.vertex_data)
-                   if vd.R > alpha and (vd.R - alpha) / vd.R * vd.F >= lam]
-
-    wall_limited = False
-    for e_idx, edge in enumerate(skeleton.edges):
-        spans = _kept_spans(edge.h, alpha, lam, edge.s0, edge.s1)
-        for (a, b) in spans:
-            if b - a <= tol_len:
-                continue
-            if (a == edge.s0 and edge.wall0) or (b == edge.s1 and edge.wall1):
-                wall_limited = True
-            if a == edge.s0:
-                ia = acc.vertex(("v", edge.v0), skeleton.vertices[edge.v0])
-            else:
-                ia = acc.vertex(("c", e_idx, round(a, 12)), edge.mid + a * edge.u)
-            if b == edge.s1:
-                ib = acc.vertex(("v", edge.v1), skeleton.vertices[edge.v1])
-            else:
-                ib = acc.vertex(("c", e_idx, round(b, 12)), edge.mid + b * edge.u)
-            acc.segment(ia, ib, _edge_values(edge.h, alpha, a), _edge_values(edge.h, alpha, b))
-
-    used = {i for seg in acc.segments for i in seg}
-    isolated = []
-    for vid in vertex_surv:
-        key = ("v", vid)
-        if key in acc.key_of and acc.key_of[key] in used:
-            continue
-        idx = acc.vertex(key, skeleton.vertices[vid])
-        isolated.append(idx)
-
-    n = len(acc.points)
-    vertices = np.array(acc.points) if n else np.empty((0, 2))
-    segments = np.array(acc.segments, int) if acc.segments else np.empty((0, 2), int)
-    seg_data = np.array(acc.seg_data) if acc.seg_data else np.empty((0, 2, 3))
-    comp = _union_components(n, acc.segments)
     if wall_limited:
         flags.append("wall-limited")
-    if n == 0:
+    if len(vertices) == 0:
         flags.append("empty-axis")
     return FilteredAxis(lam=float(lam), alpha=float(alpha), vertices=vertices,
-                        segments=segments, segment_data=seg_data,
-                        isolated=np.array(sorted(isolated), int),
+                        segments=segments, segment_data=seg_data, isolated=isolated,
                         component_ids=comp, flags=tuple(flags))
 
 
@@ -499,13 +458,14 @@ def axis_membership(scene: SiteScene, x, lam: float, alpha: float) -> bool:
 
 
 def axis_to_json(axis: FilteredAxis) -> str:
+    # ``tolist`` floats repr with 17 significant digits at most: exact round trip
     payload = {
         "lambda": axis.lam,
         "alpha": axis.alpha,
-        "vertices": [[float(f"{c:.17g}") for c in row] for row in axis.vertices],
-        "segments": [[int(a), int(b)] for a, b in axis.segments],
-        "isolated": [[float(f"{c:.17g}") for c in row] for row in axis.isolated_points],
-        "components": [int(c) for c in axis.component_ids],
+        "vertices": axis.vertices.tolist(),
+        "segments": axis.segments.tolist(),
+        "isolated": axis.isolated_points.tolist(),
+        "components": axis.component_ids.tolist(),
         "flags": list(axis.flags),
     }
     return json.dumps(payload)

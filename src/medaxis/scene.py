@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -84,12 +85,13 @@ class SiteScene:
         if np.any(norms >= r):
             raise InvalidSceneError("every site must lie strictly inside the bounding ball")
         # Pairwise separation must clear the tie band by a wide margin,
-        # otherwise witness sets are ill-defined.
+        # otherwise witness sets are ill-defined.  The tree's radius is a
+        # little wide; the gaps it finds are measured again as ``norm`` does.
         min_sep = 10.0 * self.tie_tolerance * r
-        for i in range(len(sites)):
-            gaps = np.linalg.norm(sites[i + 1:] - sites[i], axis=1)
-            if gaps.size and float(gaps.min()) <= min_sep:
-                raise InvalidSceneError("sites must be pairwise distinct (separation above the tie band)")
+        close = cKDTree(sites).query_pairs(max(min_sep, 0.0) * (1.0 + 1e-6),
+                                           output_type="ndarray")
+        if np.any(np.linalg.norm(sites[close[:, 1]] - sites[close[:, 0]], axis=1) <= min_sep):
+            raise InvalidSceneError("sites must be pairwise distinct (separation above the tie band)")
 
     @property
     def dim(self) -> int:
@@ -129,10 +131,16 @@ def _seb_grow(points: np.ndarray, support: list[np.ndarray], dim: int) -> Ball:
     return ball
 
 
+def _dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis (broadcast), as one matrix product
+    per row, which equals ``float(a @ b)`` of the single rows bit for bit."""
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
+
+
 def _row_norms(D: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the last axis, sqrt(x . x) as a matrix product
-    per row, which equals ``np.linalg.norm`` of the single row bit for bit."""
-    return np.sqrt(D[..., None, :] @ D[..., :, None])[..., 0, 0]
+    """Euclidean norm along the last axis, sqrt(x . x), which equals
+    ``np.linalg.norm`` of the single row bit for bit."""
+    return np.sqrt(_dot(D, D))
 
 
 def _seb_stack(P: np.ndarray):

@@ -22,35 +22,28 @@ def _fmt(v: float) -> str:
     return "%.3f" % v
 
 
-class _Canvas:
-    def __init__(self, scale: float, center: float):
-        self.scale = scale
-        self.center = center
-        self.parts = []
+def _canvas(scale: float, P: np.ndarray) -> np.ndarray:
+    """Canvas coordinates (n, 2) of the points in the rows of P (any leading
+    shape): y flipped, since SVG grows downward."""
+    P = P.reshape(-1, P.shape[-1])
+    center = _SIZE / 2
+    return np.column_stack([center + scale * P[:, 0], center - scale * P[:, 1]])
 
-    def map(self, p) -> tuple:
-        # y flipped: SVG grows downward
-        return (self.center + self.scale * p[0], self.center - self.scale * p[1])
 
-    def line(self, a, b, color, width, dash=None):
-        xa, ya = self.map(a)
-        xb, yb = self.map(b)
-        extra = ' stroke-dasharray="%s"' % dash if dash else ""
-        self.parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>'
-            % (_fmt(xa), _fmt(ya), _fmt(xb), _fmt(yb), color, width, extra))
+def _elements(template: str, coords: np.ndarray, sep: str = "\n") -> str:
+    """The template filled from each row of coordinates, by one format."""
+    return sep.join([template] * len(coords)) % tuple(coords.ravel().tolist())
 
-    def circle(self, c, r_px, color, fill="none", width="1"):
-        x, y = self.map(c)
-        self.parts.append(
-            '<circle cx="%s" cy="%s" r="%s" stroke="%s" fill="%s" stroke-width="%s"/>'
-            % (_fmt(x), _fmt(y), _fmt(r_px), color, fill, width))
 
-    def polyline(self, pts, color, width):
-        coords = " ".join("%s,%s" % tuple(map(_fmt, self.map(p))) for p in pts)
-        self.parts.append(
-            '<polyline points="%s" stroke="%s" fill="none" stroke-width="%s"/>'
-            % (coords, color, width))
+def _lines(scale: float, A, B, color: str, width: str) -> str:
+    return _elements('<line x1="%%.3f" y1="%%.3f" x2="%%.3f" y2="%%.3f" stroke="%s" '
+                     'stroke-width="%s"/>' % (color, width),
+                     np.column_stack([_canvas(scale, A), _canvas(scale, B)]))
+
+
+def _circles(scale: float, C, r_px: float, color: str, fill: str = "none") -> str:
+    return _elements('<circle cx="%%.3f" cy="%%.3f" r="%s" stroke="%s" fill="%s" '
+                     'stroke-width="1"/>' % (_fmt(r_px), color, fill), _canvas(scale, C))
 
 
 def scene_svg(scene: SiteScene, axis: FilteredAxis | None = None,
@@ -59,27 +52,28 @@ def scene_svg(scene: SiteScene, axis: FilteredAxis | None = None,
     """Scene with optional skeleton (gray), filtered axis (blue), isolated
     axis points (blue crosses), and trajectories (orange).  Planar scenes."""
     scale = (_SIZE / 2 - _MARGIN) / scene.bounding_radius
-    cv = _Canvas(scale, _SIZE / 2)
-    cv.circle(np.zeros(2), scale * scene.bounding_radius, "#888888")
+    parts = [_circles(scale, np.zeros((1, 2)), scale * scene.bounding_radius, "#888888")]
 
     if skeleton is not None:
-        for e in skeleton.edges:
-            cv.line(e.mid + e.s0 * e.u, e.mid + e.s1 * e.u, "#bbbbbb", "1")
+        sk = skeleton.arrays
+        ends = sk.mid[:, None] + sk.s[:, :, None] * sk.u[:, None]
+        parts.append(_lines(scale, ends[:, 0], ends[:, 1], "#bbbbbb", "1"))
     if axis is not None:
-        for a, b in axis.segments:
-            cv.line(axis.vertices[a], axis.vertices[b], "#2266cc", "2.5")
-        arm = 4.0 / scale
-        for p in axis.isolated_points:
-            cv.line(p - (arm, 0.0), p + (arm, 0.0), "#2266cc", "2.5")
-            cv.line(p - (0.0, arm), p + (0.0, arm), "#2266cc", "2.5")
+        V, seg = axis.vertices, axis.segments
+        parts.append(_lines(scale, V[seg[:, 0]], V[seg[:, 1]], "#2266cc", "2.5"))
+        # a cross per isolated point: its horizontal arm, then its vertical one
+        P = axis.isolated_points[:, None]
+        arms = (4.0 / scale) * np.eye(2)
+        parts.append(_lines(scale, P - arms, P + arms, "#2266cc", "2.5"))
     if trajectories is not None:
         for traj in trajectories:
-            cv.polyline(traj.points, "#ee8833", "1.5")
-            cv.circle(traj.points[0], 2.5, "#ee8833", fill="#ee8833")
-    for site in scene.sites:
-        cv.circle(site, 3.0, "#cc2222", fill="#cc2222")
+            parts.append('<polyline points="%s" stroke="#ee8833" fill="none" '
+                         'stroke-width="1.5"/>'
+                         % _elements("%.3f,%.3f", _canvas(scale, traj.points), " "))
+            parts.append(_circles(scale, traj.points[:1], 2.5, "#ee8833", fill="#ee8833"))
+    parts.append(_circles(scale, scene.sites, 3.0, "#cc2222", fill="#cc2222"))
 
-    body = "\n".join(cv.parts)
+    body = "\n".join(part for part in parts if part)
     return ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d">\n<rect width="%d" height="%d" fill="white"/>\n'
             "%s\n</svg>\n" % (_SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, body))

@@ -37,17 +37,202 @@ def nearly_collinear_row(seed, half=3.0, slope=0.5):
     return mx.SiteScene(sites=sites, bounding_radius=10.0)
 
 
+def all_pairs(scene):
+    """Every site pair (i < j), with every other site as a bound."""
+    n = len(scene.sites)
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], int).reshape(-1, 2)
+    others = np.array([[k for k in range(n) if k not in (i, j)] for i, j in pairs.tolist()],
+                      int).reshape(len(pairs), max(n - 2, 0))
+    return pairs, others
+
+
 def all_pairs_skeleton(scene):
     """Reference construction: every site pair, bounded by every other site."""
-    n = len(scene.sites)
-    every = [(i, j, tuple(k for k in range(n) if k not in (i, j)))
-             for i in range(n) for j in range(i + 1, n)]
+    edges = all_pairs(scene)
     original = axis_mod._delaunay_edges
-    axis_mod._delaunay_edges = lambda s: every
+    axis_mod._delaunay_edges = lambda s: edges
     try:
         return mx.build_skeleton(scene)
     finally:
         axis_mod._delaunay_edges = original
+
+
+# --- scalar oracles: the per-edge loops that the array path replaced ------
+
+def scalar_wall_interval(scene, m, u, h):
+    r = scene.bounding_radius
+    beta = float(m @ u)
+    m2 = float(m @ m)
+    a_lin = r * r + m2 - h * h
+    qa = 4.0 * (r * r - beta * beta)
+    qb = 4.0 * beta * (2.0 * r * r - a_lin)
+    qc = 4.0 * r * r * m2 - a_lin * a_lin
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    lo, hi = (-qb - root) / (2.0 * qa), (-qb + root) / (2.0 * qa)
+    if beta > 0.0:
+        lo = max(lo, -a_lin / (2.0 * beta))
+    elif beta < 0.0:
+        hi = min(hi, -a_lin / (2.0 * beta))
+    elif a_lin < 0.0:
+        return None
+    disc_b = beta * beta - (m2 - r * r)
+    if disc_b < 0.0:
+        return None
+    root_b = math.sqrt(disc_b)
+    lo, hi = max(lo, -beta - root_b), min(hi, -beta + root_b)
+    return None if lo >= hi else (lo, hi)
+
+
+def scalar_pair_edge(scene, i, j, opposite):
+    """One bisector interval: (m, u, h, s0, s1, src0, src1), src None at
+    the wall, or None."""
+    p, q = scene.sites[i], scene.sites[j]
+    dvec = q - p
+    length = float(np.linalg.norm(dvec))
+    h = 0.5 * length
+    m = 0.5 * (p + q)
+    u = np.array([-dvec[1], dvec[0]]) / length
+    lo, lo_src, hi, hi_src = -math.inf, None, math.inf, None
+    for k in opposite:
+        rel = scene.sites[k] - p
+        a = 2.0 * float(rel @ u)
+        b = float(scene.sites[k] @ scene.sites[k]) - float(p @ p) - 2.0 * float(rel @ m)
+        if abs(a) < 1e-14 * scene.bounding_radius:
+            if b < 0.0:
+                return None
+        elif a > 0.0 and b / a < hi:
+            hi, hi_src = b / a, k
+        elif a < 0.0 and b / a > lo:
+            lo, lo_src = b / a, k
+    if lo >= hi:
+        return None
+    wall = scalar_wall_interval(scene, m, u, h)
+    if wall is None:
+        return None
+    s0, src0 = (lo, lo_src) if lo >= wall[0] else (wall[0], None)
+    s1, src1 = (hi, hi_src) if hi <= wall[1] else (wall[1], None)
+    if s1 - s0 <= 1e-12 * scene.bounding_radius:
+        return None
+    return (m, u, h, s0, s1, src0, src1)
+
+
+def scalar_kept_spans(h, alpha, lam, s0, s1):
+    if alpha == 0.0:
+        return [(s0, s1)] if h >= lam else []
+    if h <= lam:
+        return []
+    r_star = alpha * h / (h - lam)
+    if r_star <= h:
+        return [(s0, s1)]
+    s_star = math.sqrt(r_star * r_star - h * h)
+    spans = []
+    if s0 < -s_star:
+        spans.append((s0, min(s1, -s_star)))
+    if s1 > s_star:
+        spans.append((max(s0, s_star), s1))
+    return [(a, b) for a, b in spans if b > a]
+
+
+def scalar_components(n, pairs):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    roots = {}
+    return np.array([roots.setdefault(find(i), len(roots)) for i in range(n)], int)
+
+
+def scalar_filter_axis(skeleton, lam, alpha):
+    """The edge-by-edge filter, reading the skeleton's edge and vertex lists."""
+    points, segments, seg_data, key_of = [], [], [], {}
+
+    def vertex(key, point):
+        if key not in key_of:
+            key_of[key] = len(points)
+            points.append(np.asarray(point, float))
+        return key_of[key]
+
+    def values(h, s):
+        r_val = math.hypot(h, s)
+        return (r_val, h, (r_val - alpha) / r_val * h)
+
+    tol_len = 1e-12 * skeleton.scene.bounding_radius
+    flags = list(skeleton.flags)
+    wall_limited = False
+    for e_idx, edge in enumerate(skeleton.edges):
+        for a, b in scalar_kept_spans(edge.h, alpha, lam, edge.s0, edge.s1):
+            if b - a <= tol_len:
+                continue
+            if (a == edge.s0 and edge.wall0) or (b == edge.s1 and edge.wall1):
+                wall_limited = True
+            ia = (vertex(("v", edge.v0), skeleton.vertices[edge.v0]) if a == edge.s0
+                  else vertex(("c", e_idx, round(a, 12)), edge.mid + a * edge.u))
+            ib = (vertex(("v", edge.v1), skeleton.vertices[edge.v1]) if b == edge.s1
+                  else vertex(("c", e_idx, round(b, 12)), edge.mid + b * edge.u))
+            segments.append((ia, ib))
+            seg_data.append((values(edge.h, a), values(edge.h, b)))
+    isolated = []
+    for vid, vd in enumerate(skeleton.vertex_data):
+        if vd.R > alpha and (vd.R - alpha) / vd.R * vd.F >= lam and ("v", vid) not in key_of:
+            isolated.append(vertex(("v", vid), skeleton.vertices[vid]))
+    n = len(points)
+    if wall_limited:
+        flags.append("wall-limited")
+    if n == 0:
+        flags.append("empty-axis")
+    return mx.FilteredAxis(
+        lam=float(lam), alpha=float(alpha),
+        vertices=np.array(points) if n else np.empty((0, 2)),
+        segments=np.array(segments, int) if segments else np.empty((0, 2), int),
+        segment_data=np.array(seg_data) if seg_data else np.empty((0, 2, 3)),
+        isolated=np.array(isolated, int), component_ids=scalar_components(n, segments),
+        flags=tuple(flags))
+
+
+def scalar_scene_r_max(scene, skeleton):
+    best = max([0.0] + [vd.R for vd in skeleton.vertex_data])
+    r = scene.bounding_radius
+    for p in scene.sites:
+        norm = float(np.linalg.norm(p))
+        cand = 0.5 * (r + norm)
+        x = -p * (0.5 * (r - norm) / norm) if norm > 0.0 else np.array([-0.5 * r, 0.0])
+        if cdist(x[None], scene.sites).min() >= cand * (1.0 - 1e-12):
+            best = max(best, cand)
+    return best
+
+
+def assert_same_axis(got, ref):
+    for name in ("vertices", "segments", "segment_data", "isolated", "component_ids"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert (got.lam, got.alpha, got.flags) == (ref.lam, ref.alpha, ref.flags)
+
+
+def assert_pair_edges_match_scalar(scene, pairs, opposite):
+    kept, m, u, h, s, src = axis_mod._pair_edges(scene, pairs, opposite)
+    got = [(tuple(ij), mm.tolist(), uu.tolist(), hh, s0, s1, a, b)
+           for ij, mm, uu, hh, (s0, s1), (a, b)
+           in zip(kept.tolist(), m, u, h.tolist(), s.tolist(), src.tolist())]
+    ref = []
+    for (i, j), opp in zip(pairs.tolist(), opposite.tolist()):
+        one = scalar_pair_edge(scene, i, j, [k for k in opp if k >= 0])
+        if one is not None:
+            mm, uu, hh, s0, s1, a, b = one
+            ref.append(((i, j), mm.tolist(), uu.tolist(), hh, s0, s1,
+                        -1 if a is None else a, -1 if b is None else b))
+    assert got == ref
 
 
 def assert_same_skeleton(got, ref):
@@ -111,6 +296,12 @@ _ORACLE_SCENES = {
 }
 
 
+# (lambda, alpha) points that keep whole edges, two spans of an edge, cut
+# every edge to isolated vertices, or empty the axis on the oracle scenes
+_ORACLE_GRID = [(0.05, 0.0), (0.5, 0.0), (0.3, 0.5), (0.75, 0.5), (1.2, 0.5),
+                (2.5, 1.0), (6.0, 0.5)]
+
+
 class TestSkeleton:
     def test_two_site_bisector(self):
         sk = mx.build_skeleton(two_site_scene())
@@ -164,6 +355,22 @@ class TestSkeleton:
     def test_neighbor_pruning_matches_all_pairs(self, name):
         scene = mx.SiteScene(sites=_ORACLE_SCENES[name](), bounding_radius=10.0)
         assert_same_skeleton(mx.build_skeleton(scene), all_pairs_skeleton(scene))
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_SCENES))
+    def test_arrays_match_scalar_oracle(self, name):
+        scene = mx.SiteScene(sites=_ORACLE_SCENES[name](), bounding_radius=10.0)
+        assert_pair_edges_match_scalar(scene, *axis_mod._delaunay_edges(scene))
+        # many bounds per pair, with exact ties on the lattices and polygons
+        assert_pair_edges_match_scalar(scene, *all_pairs(scene))
+        sk = mx.build_skeleton(scene)
+        for lam, alpha in _ORACLE_GRID:
+            assert_same_axis(mx.filter_axis(sk, lam, alpha), scalar_filter_axis(sk, lam, alpha))
+        assert mx.scene_r_max(scene, sk) == scalar_scene_r_max(scene, sk)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_r_max_matches_scalar_oracle_on_random_scenes(self, seed):
+        scene = mx.random_scene(4 + 5 * seed, bounding_radius=6.0 + seed, seed=seed)
+        assert mx.scene_r_max(scene) == scalar_scene_r_max(scene, mx.build_skeleton(scene))
 
     @pytest.mark.parametrize("seed, half, slope", [
         (372, 3.0, 0.5), (16, 3.0, 0.5), (29, 3.0, 0.5), (39, 3.0, 0.5),
@@ -224,6 +431,12 @@ class TestFilteredAxis:
         assert abs(ax.total_length() - 9.9) < 1e-9
         assert len(np.unique(ax.component_ids)) == 1
 
+    def test_alpha_zero_keeps_edge_at_lambda_equal_half_gap(self):
+        sk = mx.build_skeleton(two_site_scene())
+        ax = mx.filter_axis(sk, 1.0, 0.0)
+        assert abs(ax.total_length() - 9.9) < 1e-9
+        assert_same_axis(ax, scalar_filter_axis(sk, 1.0, 0.0))
+
     def test_lambda_at_half_gap_cuts_edge_but_keeps_vertices(self):
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 1.2, 0.5)
@@ -237,6 +450,19 @@ class TestFilteredAxis:
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 4.6, 0.5)
         assert ax.is_empty
+
+    def test_cut_points_rounding_to_zero_share_a_vertex(self):
+        # half-gap 1e-7 and R* one ulp above it: s* is about 2.5e-15, so the
+        # cut points -s* and s* of edge (0, 1) are one vertex (their keys
+        # round to 0 at 12 places), which both of its spans reach
+        scene = mx.SiteScene(np.array([[0.0, 0.0], [2e-7, 0.0], [3.0, 1.0]]), 10.0)
+        sk = mx.build_skeleton(scene)
+        lam, alpha = 5e-8, 5.000000000000001e-08
+        ax = mx.filter_axis(sk, lam, alpha)
+        assert_same_axis(ax, scalar_filter_axis(sk, lam, alpha))
+        assert len(ax.segments) == 4 and len(ax.vertices) == 5
+        shared = ax.segments[0, 1]
+        assert ax.segments[1, 0] == shared and np.abs(ax.vertices[shared]).max() < 1e-6
 
     def test_nonpositive_lambda_rejected(self):
         sk = mx.build_skeleton(two_site_scene())
@@ -323,7 +549,11 @@ class TestMembership:
            lam=st.floats(0.05, 1.0), alpha=st.floats(0.0, 0.5))
     def test_kept_midpoints_are_members(self, kind, size, seed, lam, alpha):
         scene = adversarial_scene(kind, size, seed)
-        ax = mx.filter_axis(mx.build_skeleton(scene), lam, alpha)
+        sk = mx.build_skeleton(scene)
+        ax = mx.filter_axis(sk, lam, alpha)
+        # the array path equals the scalar oracles on every draw
+        assert_pair_edges_match_scalar(scene, *axis_mod._delaunay_edges(scene))
+        assert_same_axis(ax, scalar_filter_axis(sk, lam, alpha))
         for a, b in ax.segments:
             mid = 0.5 * (ax.vertices[a] + ax.vertices[b])
             assert mx.axis_membership(scene, mid, lam, alpha)
@@ -357,6 +587,53 @@ class TestAxisJson:
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 0.75, 0.5)
         assert mx.axis_to_json(ax) == mx.axis_to_json(ax)
+
+
+_NEAR_WALL_PIN = np.vstack([_NEAR_WALL, [[0.5, -0.2], [-3.0, 1.0], [3.5, 2.5], [0.0, -4.0]]])
+# whole edges at alpha = 0, isolated vertices, two spans on an edge, empty
+_PIN_GRID = [(0.5, 0.0), (0.75, 0.5), (0.3, 0.5), (1.5, 0.5), (6.0, 0.5)]
+
+
+def output_digests(scene):
+    """SHA-256 of the JSON and of the SVG of the filtered axes over _PIN_GRID."""
+    sk = mx.build_skeleton(scene)
+    js, svg = hashlib.sha256(), hashlib.sha256()
+    for lam, alpha in _PIN_GRID:
+        ax = mx.filter_axis(sk, lam, alpha)
+        js.update(mx.axis_to_json(ax).encode())
+        svg.update(mx.scene_svg(scene, axis=ax, skeleton=sk).encode())
+    return js.hexdigest(), svg.hexdigest()
+
+
+class TestOutputPins:
+    """Output bytes recorded before the skeleton, filter and writers worked
+    on arrays; any change to them must show here."""
+
+    @pytest.mark.parametrize("name, json_digest, svg_digest", [
+        ("lattice-plus",
+         "801f884ef022ad194deee946c4578037c808c516257190f1eee52618ada9d3cf",
+         "3c4ae7c7580b60962b5cb59c8655703e006b36a46954eb055f7fdacb83603195"),
+        ("random-60",
+         "d86658d962a960558c256a724ce28b3a3282ecbdee7badf3394ffca106456fd5",
+         "d7fe9e6091bfa550357debad368496e9f1e27256db19c04df172a102d59dcf1c"),
+        ("near-wall",
+         "5a87945bab348dcea1539986575a98773d4b5e7ff7f521c3a22fbcc4be21283a",
+         "31b66abf568b80d61ebdbf8faaa64c82f5c64ab0c0f1b3d8b82c75d41c5ab950")])
+    def test_axis_json_and_svg(self, name, json_digest, svg_digest):
+        scene = {
+            "lattice-plus": lambda: mx.SiteScene(np.vstack([lattice(3), [[0.4, 2.9]]]), 10.0),
+            "random-60": lambda: mx.random_scene(60, bounding_radius=10.0, seed=5),
+            "near-wall": lambda: mx.SiteScene(_NEAR_WALL_PIN, 10.0),
+        }[name]()
+        assert output_digests(scene) == (json_digest, svg_digest)
+
+    def test_trajectory_svg(self):
+        scene = mx.random_scene(12, bounding_radius=8.0, seed=3, min_separation=0.6)
+        trajs = [mx.integrate_flow(scene, x, horizon=1.0)
+                 for x in ([0.3, 0.2], [-2.0, 1.0], [1.0, -3.0])]
+        svg = mx.scene_svg(scene, trajectories=trajs)
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "e49d0ea2432dcd2f5b91b70d8bd403f6d4af3340d4a7823140ee2079fab5d41c")
 
 
 class TestSceneRMax:

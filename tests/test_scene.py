@@ -57,6 +57,82 @@ class TestSceneValidation:
         assert scene.dim == 3
 
 
+def separated_by_all_pairs(sites, radius, tie_tolerance=1e-9):
+    """The separation check as an all-pairs loop: the reference decision."""
+    sites = np.asarray(sites, float)
+    min_sep = 10.0 * tie_tolerance * radius
+    for i in range(len(sites)):
+        gaps = np.linalg.norm(sites[i + 1:] - sites[i], axis=1)
+        if gaps.size and float(gaps.min()) <= min_sep:
+            return False
+    return True
+
+
+def accepted(sites, radius, tie_tolerance=1e-9):
+    try:
+        mx.SiteScene(sites=sites, bounding_radius=radius, tie_tolerance=tie_tolerance)
+    except mx.InvalidSceneError:
+        return False
+    return True
+
+
+def _gap_scene(gap, offset=(0.3, -0.2)):
+    base = np.array(offset)
+    return np.array([base, base + [gap, 0.0], [2.0, 1.0], [-1.0, 2.5]])
+
+
+class TestSeparationCheck:
+    """The tree-based check decides exactly as the all-pairs loop."""
+
+    MIN_SEP = 10.0 * 1e-9 * 10.0
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (0.3, -0.2), (-7.1, 3.3)])
+    def test_pairs_at_the_minimum_separation(self, step, offset):
+        gap = self.MIN_SEP
+        for _ in range(abs(step)):
+            gap = np.nextafter(gap, np.inf if step > 0 else 0.0)
+        sites = _gap_scene(gap, offset)
+        want = separated_by_all_pairs(sites, 10.0)
+        assert accepted(sites, 10.0) == want
+        if offset == (0.0, 0.0):
+            assert want == (step > 0)
+
+    @pytest.mark.parametrize("k, spacing", [(3, 1.5), (6, 1.0), (8, 1.00000001e-7)])
+    def test_lattices(self, k, spacing):
+        g = np.array([[i, j] for i in range(k) for j in range(k)], float) * spacing
+        sites = g - g.mean(axis=0)
+        assert accepted(sites, 10.0) == separated_by_all_pairs(sites, 10.0)
+        # squeeze one row onto its neighbour's minimum separation
+        squeezed = sites.copy()
+        squeezed[1] = squeezed[0] + [self.MIN_SEP, 0.0]
+        assert accepted(squeezed, 10.0) == separated_by_all_pairs(squeezed, 10.0)
+
+    def test_three_dimensional(self):
+        rng = np.random.default_rng(4)
+        sites = rng.uniform(-2.0, 2.0, size=(40, 3))
+        assert accepted(sites, 5.0)
+        close = np.vstack([sites, sites[7] + [0.0, 0.0, 0.5e-7]])
+        assert not accepted(close, 5.0)
+        assert not separated_by_all_pairs(close, 5.0)
+
+    def test_single_site(self):
+        assert accepted([[1.0, 2.0]], 10.0)
+
+    def test_tolerance_edge_values(self):
+        sites = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        for tol in (0.0, -1e-9):
+            assert accepted(sites, 10.0, tol) == separated_by_all_pairs(sites, 10.0, tol)
+
+    def test_two_thousand_sites(self):
+        rng = np.random.default_rng(11)
+        sites = rng.uniform(-6.0, 6.0, size=(2000, 2))
+        assert accepted(sites, 10.0) == separated_by_all_pairs(sites, 10.0)
+        sites[1500] = sites[200] + [0.0, self.MIN_SEP]
+        assert not accepted(sites, 10.0)
+        assert not separated_by_all_pairs(sites, 10.0)
+
+
 class TestSmallestEnclosingBall:
     def test_single_point(self):
         ball = mx.smallest_enclosing_ball(np.array([[1.0, 2.0]]))
