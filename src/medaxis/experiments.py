@@ -258,11 +258,6 @@ def _connected(axis: FilteredAxis) -> bool:
     return len(set(int(c) for c in axis.component_ids)) == 1
 
 
-def _axis_gdiam(axis: FilteredAxis, resolution: float) -> float:
-    graph = build_geodesic_graph(axis, resolution)
-    return geodesic_diameter(graph)
-
-
 def _jitter(scene: SiteScene, eps: float, rng) -> SiteScene:
     dirs = rng.normal(size=scene.sites.shape)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -508,7 +503,7 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
             connected = _connected(axis_lo) and _connected(axis_hi)
             if connected and hyp_ok:
                 t_flow = lip * delta
-                diam = _axis_gdiam(axis_lo, res)
+                diam = geodesic_diameter(build_geodesic_graph(axis_lo))
                 radius = max(t_flow, d_h + 2.0 * res)
                 try:
                     distortion, corr = gh_distortion(
@@ -650,7 +645,8 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
     summary_half = reach_summary(profile, mu, alpha, lam, window_alpha=alpha / 2.0)
 
     base_connected = _connected(base_axis)
-    gdiam_base = _axis_gdiam(base_axis, res) if base_connected else float("inf")
+    gdiam_base = (geodesic_diameter(build_geodesic_graph(base_axis))
+                  if base_connected else float("inf"))
     report.constants["mu"] = mu
     report.constants["mu_tilde"] = summary_used.mu_tilde
     report.constants["gdiam_base"] = gdiam_base
@@ -663,7 +659,7 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
             report.add_assertion("gh-surjective-%d" % k, True, False)
             report.add_assertion("gh-%d" % k, True, False)
             continue
-        gdiam_p = _axis_gdiam(axis_p, res)
+        gdiam_p = geodesic_diameter(build_geodesic_graph(axis_p))
         cons = stability_constants(summary_used, delta=lam / 2.0, epsilon=eps,
                                    gdiam_a=gdiam_base, gdiam_b=gdiam_p,
                                    r_bound=scene.bounding_radius,

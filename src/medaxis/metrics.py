@@ -2,9 +2,11 @@
 
 Hausdorff distances are computed by sampling one axis at a fixed spacing and
 measuring exact point-to-segment distances against the other, so the result
-carries an error of at most half the sampling resolution.  Intrinsic
-(geodesic) metrics live on a refined graph whose edges are straight
-subsegments of the axis; shortest paths use Dijkstra on that graph.
+carries an error of at most half the sampling resolution.  The intrinsic
+(geodesic) metric is exact: the axis is a graph of straight segments, so the
+distance between two axis points is an offset to an end of each point's
+segment plus a shortest path between axis vertices, taken from one all-pairs
+table over the vertices.
 
 Gromov-Hausdorff distances are never computed exactly (that would be a
 global optimization); instead the nearest-neighbor relation at a given
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .axis import FilteredAxis
@@ -41,56 +43,66 @@ __all__ = [
     "stability_constants",
 ]
 
-_NODE_BUDGET = 5000
+
+def _pieces(axis: FilteredAxis):
+    """End vertices (K, 2) and lengths of the axis's segments, followed by
+    (i, i) and length 0 for each isolated point i."""
+    ends = np.vstack([axis.segments, np.stack([axis.isolated, axis.isolated], axis=1)])
+    a, b = axis.vertices[ends[:, 0]], axis.vertices[ends[:, 1]]
+    return ends, np.linalg.norm(b - a, axis=1)
 
 
-def _axis_segments(axis: FilteredAxis):
-    if len(axis.segments) == 0:
-        return np.empty((0, 2)), np.empty((0, 2))
-    return axis.vertices[axis.segments[:, 0]], axis.vertices[axis.segments[:, 1]]
+def _axis_samples(axis: FilteredAxis, spacing: float):
+    """Every vertex, then the interior points of each segment at spacing <=
+    the given value.
+
+    Returns (points, ends, offsets, seg): for each point the end vertices
+    (u, v) of its segment, its distances (du, dv) to them and the segment id,
+    which is -1 for a vertex (then u = v and du = dv = 0).
+    """
+    ends, length = _pieces(axis)  # an isolated point has no interior
+    a, b = axis.vertices[ends[:, 0]], axis.vertices[ends[:, 1]]
+    pieces = np.maximum(np.ceil(length / spacing).astype(int), 1)
+    inner = pieces - 1
+    seg = np.repeat(np.arange(len(ends)), inner)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    t = j / pieces[seg]
+    verts = np.arange(len(axis.vertices))
+    points = np.vstack([axis.vertices, a[seg] + t[:, None] * (b[seg] - a[seg])])
+    offsets = np.vstack([np.zeros((len(verts), 2)),
+                         np.stack([t * length[seg], (1.0 - t) * length[seg]], axis=1)])
+    return (points, np.vstack([np.stack([verts, verts], axis=1), ends[seg]]),
+            offsets, np.concatenate([np.full(len(verts), -1), seg]))
 
 
 def sample_axis_points(axis: FilteredAxis, spacing: float) -> np.ndarray:
-    """Points along all segments at spacing <= the given value, plus isolated
-    points; segment endpoints are always included."""
-    chunks = []
-    a, b = _axis_segments(axis)
-    for k in range(len(a)):
-        seg_len = float(np.linalg.norm(b[k] - a[k]))
-        n = max(1, math.ceil(seg_len / spacing))
-        t = np.linspace(0.0, 1.0, n + 1)[:, None]
-        chunks.append(a[k] + t * (b[k] - a[k]))
-    iso = axis.isolated_points
-    if len(iso):
-        chunks.append(iso)
-    if not chunks:
-        return np.empty((0, 2))
-    return np.vstack(chunks)
+    """Every axis vertex (segment ends and isolated points), then points
+    along each segment at spacing <= the given value."""
+    return _axis_samples(axis, spacing)[0]
 
 
-def _points_to_axis_dist(points: np.ndarray, axis: FilteredAxis,
-                         chunk: int = 512) -> np.ndarray:
-    """Exact distance from each query point to the axis point set."""
-    a, b = _axis_segments(axis)
-    iso = axis.isolated_points
-    ab = b - a
+def _project(points: np.ndarray, axis: FilteredAxis, chunk: int = 512):
+    """Nearest axis point to each query point: its distance, its piece (an
+    index into ``_pieces``) and its parameter t in [0, 1] along the piece."""
+    ends, _ = _pieces(axis)
+    a = axis.vertices[ends[:, 0]]
+    ab = axis.vertices[ends[:, 1]] - a
     ab2 = np.einsum("ij,ij->i", ab, ab)
     safe = np.where(ab2 > 0.0, ab2, 1.0)
-    out = np.empty(len(points))
+    dist = np.empty(len(points))
+    piece = np.empty(len(points), int)
+    param = np.empty(len(points))
     for lo in range(0, len(points), chunk):
-        p = points[lo:lo + chunk]
-        best = np.full(len(p), np.inf)
-        if len(a):
-            ap = p[:, None, :] - a[None, :, :]
-            t = np.clip(np.einsum("ijk,jk->ij", ap, ab) / safe, 0.0, 1.0)
-            diff = ap - t[:, :, None] * ab[None, :, :]
-            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            best = d.min(axis=1)
-        if len(iso):
-            d_iso = np.sqrt(((p[:, None, :] - iso[None, :, :]) ** 2).sum(-1))
-            best = np.minimum(best, d_iso.min(axis=1))
-        out[lo:lo + chunk] = best
-    return out
+        ap = points[lo:lo + chunk, None, :] - a[None, :, :]
+        t = np.clip(np.einsum("ijk,jk->ij", ap, ab) / safe, 0.0, 1.0)
+        diff = ap - t[:, :, None] * ab[None, :, :]
+        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        k = d.argmin(axis=1)
+        rows = np.arange(len(k))
+        dist[lo:lo + chunk] = d[rows, k]
+        piece[lo:lo + chunk] = k
+        param[lo:lo + chunk] = t[rows, k]
+    return dist, piece, param
 
 
 def directed_hausdorff(axis_a: FilteredAxis, axis_b: FilteredAxis,
@@ -106,7 +118,7 @@ def directed_hausdorff(axis_a: FilteredAxis, axis_b: FilteredAxis,
     if axis_b.is_empty:
         return math.inf
     samples = sample_axis_points(axis_a, resolution)
-    value = float(_points_to_axis_dist(samples, axis_b).max())
+    value = float(_project(samples, axis_b)[0].max())
     scale = max(float(np.abs(samples).max()), 1.0)
     return value if value > 1e-12 * scale else 0.0
 
@@ -124,104 +136,89 @@ def hausdorff_distance(axis_a: FilteredAxis, axis_b: FilteredAxis,
 
 @dataclass(frozen=True)
 class GeodesicGraph:
-    points: np.ndarray
-    matrix: csr_matrix
-    component_ids: np.ndarray
-    resolution: float
+    """An axis with the shortest-path lengths ``dist`` (V x V, inf between
+    components) and the predecessor table ``pred`` over its vertices."""
+    axis: FilteredAxis
+    dist: np.ndarray
+    pred: np.ndarray
     flags: tuple = ()
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.dist)
 
 
-def build_geodesic_graph(axis: FilteredAxis, resolution: float) -> GeodesicGraph:
-    """Refine every segment so each piece is <= resolution and build the
-    weighted adjacency; coarsens (with a flag) if 5000 nodes would be
-    exceeded."""
-    flags = []
-    a, b = _axis_segments(axis)
-    seg_len = np.linalg.norm(b - a, axis=1) if len(a) else np.empty(0)
-    base_nodes = len(axis.vertices)
-    res = resolution
-    for _ in range(40):
-        interior = np.maximum(np.ceil(seg_len / res).astype(int), 1) - 1
-        total = base_nodes + int(interior.sum())
-        if total <= _NODE_BUDGET:
-            break
-        res *= 1.5
-        if "resolution-coarsened" not in flags:
-            flags.append("resolution-coarsened")
-
-    points = [axis.vertices.copy()] if base_nodes else [np.empty((0, 2))]
-    edge_weight = {}
-    next_id = base_nodes
-    for k in range(len(a)):
-        pieces = int(interior[k]) + 1
-        ids = [int(axis.segments[k, 0])]
-        if interior[k] > 0:
-            t = np.arange(1, pieces)[:, None] / pieces
-            points.append(a[k] + t * (b[k] - a[k]))
-            ids.extend(range(next_id, next_id + interior[k]))
-            next_id += int(interior[k])
-        ids.append(int(axis.segments[k, 1]))
-        w = seg_len[k] / pieces
-        for u, v in zip(ids[:-1], ids[1:]):
-            # parallel edges between the same node pair keep the shorter one
-            key = (u, v) if u < v else (v, u)
-            prev = edge_weight.get(key)
-            if prev is None or w < prev:
-                edge_weight[key] = w
-    pts = np.vstack(points)
-    if edge_weight:
-        keys = sorted(edge_weight)
-        rows = np.array([k[0] for k in keys] + [k[1] for k in keys], int)
-        cols = np.array([k[1] for k in keys] + [k[0] for k in keys], int)
-        weights = np.array([edge_weight[k] for k in keys] * 2, float)
-    else:
-        rows = np.empty(0, int)
-        cols = np.empty(0, int)
-        weights = np.empty(0, float)
-    mat = csr_matrix((weights, (rows, cols)), shape=(len(pts), len(pts)))
-    n_comp, comp = connected_components(mat, directed=False)
-    # axis vertices not on any segment are genuine isolated components
-    return GeodesicGraph(points=pts, matrix=mat, component_ids=comp,
-                         resolution=res, flags=tuple(flags))
+def build_geodesic_graph(axis: FilteredAxis) -> GeodesicGraph:
+    """All-pairs shortest paths over the axis vertices, each segment an edge
+    weighted by its length (two segments never share both ends)."""
+    ends, length = _pieces(axis)
+    n = len(axis.vertices)
+    mat = csr_matrix((length, (ends[:, 0], ends[:, 1])), shape=(n, n))
+    dist, pred = dijkstra(mat, directed=False, return_predecessors=True)
+    return GeodesicGraph(axis=axis, dist=dist, pred=pred)
 
 
-def _snap(graph: GeodesicGraph, p) -> int:
-    d = np.linalg.norm(graph.points - np.asarray(p, float), axis=1)
-    return int(np.argmin(d))
+def _pair_lengths(graph: GeodesicGraph, ends, offsets, seg, i, j):
+    """Exact geodesic lengths between points i[k] and j[k], described as in
+    ``_axis_samples``, and which end pair (2 * end of i + end of j) realises
+    each; two points on one segment are joined along it."""
+    via = (offsets[i][:, :, None] + graph.dist[ends[i][:, :, None], ends[j][:, None, :]]
+           + offsets[j][:, None, :]).reshape(-1, 4)
+    best = via.argmin(axis=1)
+    same = (seg[i] == seg[j]) & (seg[i] >= 0)
+    return (np.where(same, np.abs(offsets[i, 0] - offsets[j, 0]),
+                     via[np.arange(len(via)), best]), best)
 
 
 def geodesic(graph: GeodesicGraph, a, b):
-    """Shortest path between the graph nodes nearest to a and b.
+    """Shortest path along the axis between the axis points nearest to a and b.
 
-    Returns (length, polyline); disconnected endpoints give (inf, empty).
+    Returns (length, polyline [a', vertex path, b']); disconnected endpoints
+    give (inf, empty).
     """
-    ia, ib = _snap(graph, a), _snap(graph, b)
-    dist, pred = dijkstra(graph.matrix, directed=False, indices=ia,
-                          return_predecessors=True)
-    length = float(dist[ib])
-    if not math.isfinite(length):
+    axis = graph.axis
+    _, piece, t = _project(np.array([a, b], float), axis)
+    ends, length = _pieces(axis)
+    ends, length = ends[piece], length[piece]
+    offsets = np.stack([t * length, (1.0 - t) * length], axis=1)
+    total, best = _pair_lengths(graph, ends, offsets, piece, [0], [1])
+    if not math.isfinite(total[0]):
         return math.inf, np.empty((0, 2))
-    path = [ib]
-    while path[-1] != ia:
-        path.append(int(pred[path[-1]]))
-    return length, graph.points[path[::-1]]
+    start = axis.vertices[ends[:, 0]]
+    proj = start + t[:, None] * (axis.vertices[ends[:, 1]] - start)
+    if piece[0] == piece[1]:
+        return float(total[0]), proj
+    src, path = ends[0, best[0] // 2], [ends[1, best[0] % 2]]
+    while path[-1] != src:
+        path.append(graph.pred[src, path[-1]])
+    return float(total[0]), np.vstack([proj[:1], axis.vertices[path[::-1]], proj[1:]])
 
 
-def geodesic_diameter(graph: GeodesicGraph, chunk: int = 256) -> float:
-    """Max pairwise shortest-path length; inf if the graph is disconnected."""
-    n = len(graph.points)
-    if n == 0:
-        return 0.0
-    if graph.component_ids.max() != graph.component_ids.min():
+def geodesic_diameter(graph: GeodesicGraph) -> float:
+    """Max geodesic distance between two axis points; inf if the axis is
+    disconnected, 0 if it is empty.
+
+    Fix a point at arc length s on segment a and let d0, d1 be its distances
+    to the ends of segment b.  The farthest point of b lies at distance
+    (d0 + d1 + L_b) / 2, since |d0 - d1| <= L_b.  Each of d0, d1 is the
+    smaller of s + D[a0, .] and L_a - s + D[a1, .], so the function of s is
+    concave and piecewise linear: its maximum lies at s = 0, s = L_a or one
+    of its two kinks clipped to [0, L_a].  For b = a the same form reads L_a,
+    and s = 0 or L_a covers the vertices (an isolated point is a piece of
+    length 0).
+    """
+    axis = graph.axis
+    if np.unique(axis.component_ids).size > 1:
         return math.inf
+    ends, length = _pieces(axis)
     best = 0.0
-    for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        dist = dijkstra(graph.matrix, directed=False, indices=idx)
-        best = max(best, float(dist.max()))
+    for lo in range(0, len(ends), 64):  # 64 rows of segments a bound the memory
+        a = slice(lo, lo + 64)
+        la = length[a, None]
+        to_b = [(graph.dist[ends[a, :1], b], graph.dist[ends[a, 1:], b]) for b in ends.T]
+        kinks = [np.clip((la + d1 - d0) / 2.0, 0.0, la) for d0, d1 in to_b]
+        s = np.stack(np.broadcast_arrays(0.0, la, *kinks))
+        far = sum(np.minimum(s + d0, la - s + d1) for d0, d1 in to_b) + length
+        best = max(best, float(far.max()) / 2.0)
     return best
 
 
@@ -243,47 +240,43 @@ class Correspondence:
     flags: tuple = ()
 
 
-def _pair_distance_matrix(graph: GeodesicGraph, sources: np.ndarray) -> np.ndarray:
-    out = np.empty((len(sources), len(graph.points)))
-    for lo in range(0, len(sources), 256):
-        out[lo:lo + 256] = dijkstra(graph.matrix, directed=False,
-                                    indices=sources[lo:lo + 256])
-    return out
-
-
 def gh_distortion(axis_a: FilteredAxis, axis_b: FilteredAxis, radius: float,
                   sample_pairs: int = 2000, resolution: float = 0.01,
                   seed: int = 0):
     """Distortion of the all-pairs-within-radius relation between two axes.
 
-    Builds refined graphs, checks the relation is surjective both ways
-    (raising SurjectivityError naming uncovered nodes otherwise), and
-    estimates sup |d_A(a,a') - d_B(b,b')| over related pairs by sampling
-    4-tuples; exhaustive when the relation is small enough.
+    Samples both axes at the resolution, checks the relation is surjective
+    both ways (raising SurjectivityError naming uncovered points otherwise),
+    and estimates sup |d_A(a,a') - d_B(b,b')| over related pairs by sampling
+    4-tuples, with exact geodesic distances; exhaustive when the relation is
+    small enough.
     """
-    ga = build_geodesic_graph(axis_a, resolution)
-    gb = build_geodesic_graph(axis_b, resolution)
-    flags = list(ga.flags) + list(gb.flags)
-    tree_a = cKDTree(ga.points)
-    tree_b = cKDTree(gb.points)
+    ga = build_geodesic_graph(axis_a)
+    gb = build_geodesic_graph(axis_b)
+    sa = _axis_samples(axis_a, resolution)
+    sb = _axis_samples(axis_b, resolution)
+    pts_a, pts_b = sa[0], sb[0]
+    flags = []
+    tree_a = cKDTree(pts_a)
+    tree_b = cKDTree(pts_b)
 
-    cnt_a = tree_b.query_ball_point(ga.points, radius, return_length=True)
-    cnt_b = tree_a.query_ball_point(gb.points, radius, return_length=True)
+    cnt_a = tree_b.query_ball_point(pts_a, radius, return_length=True)
+    cnt_b = tree_a.query_ball_point(pts_b, radius, return_length=True)
     uncovered_a = np.nonzero(cnt_a == 0)[0]
     uncovered_b = np.nonzero(cnt_b == 0)[0]
     if len(uncovered_a) or len(uncovered_b):
         raise SurjectivityError(
             "proximity relation at radius %g is not surjective: %d uncovered "
-            "nodes in the first axis (e.g. %s), %d in the second (e.g. %s)"
+            "points in the first axis (e.g. %s), %d in the second (e.g. %s)"
             % (radius, len(uncovered_a),
-               ga.points[uncovered_a[:3]].tolist() if len(uncovered_a) else "-",
+               pts_a[uncovered_a[:3]].tolist() if len(uncovered_a) else "-",
                len(uncovered_b),
-               gb.points[uncovered_b[:3]].tolist() if len(uncovered_b) else "-"))
+               pts_b[uncovered_b[:3]].tolist() if len(uncovered_b) else "-"))
 
     total_pairs = int(cnt_a.sum())
     rng = np.random.default_rng(seed)
     if total_pairs * total_pairs <= sample_pairs:
-        rows = tree_b.query_ball_point(ga.points, radius)
+        rows = tree_b.query_ball_point(pts_a, radius)
         pa, pb = [], []
         for i, row in enumerate(rows):
             for j in sorted(row):
@@ -298,26 +291,18 @@ def gh_distortion(axis_a: FilteredAxis, axis_b: FilteredAxis, radius: float,
         exhaustive = True
     else:
         prob = cnt_a / total_pairs
-        draws = rng.choice(len(ga.points), size=2 * sample_pairs, p=prob)
+        draws = rng.choice(len(pts_a), size=2 * sample_pairs, p=prob)
         pa = draws
         pb = np.empty(2 * sample_pairs, int)
         for k, i in enumerate(draws):
-            row = tree_b.query_ball_point(ga.points[i], radius)
+            row = tree_b.query_ball_point(pts_a[i], radius)
             pb[k] = row[rng.integers(0, len(row))]
         idx1 = np.arange(sample_pairs)
         idx2 = np.arange(sample_pairs, 2 * sample_pairs)
         exhaustive = False
 
-    src_a = np.unique(pa)
-    src_b = np.unique(pb)
-    da_all = _pair_distance_matrix(ga, src_a)
-    db_all = _pair_distance_matrix(gb, src_b)
-    row_a = {int(v): k for k, v in enumerate(src_a)}
-    row_b = {int(v): k for k, v in enumerate(src_b)}
-    ra = np.array([row_a[int(v)] for v in pa[idx1]], int)
-    rb = np.array([row_b[int(v)] for v in pb[idx1]], int)
-    da = da_all[ra, pa[idx2]]
-    db = db_all[rb, pb[idx2]]
+    da = _pair_lengths(ga, *sa[1:], pa[idx1], pa[idx2])[0]
+    db = _pair_lengths(gb, *sb[1:], pb[idx1], pb[idx2])[0]
 
     both_inf = np.isinf(da) & np.isinf(db)
     with np.errstate(invalid="ignore"):
@@ -326,8 +311,8 @@ def gh_distortion(axis_a: FilteredAxis, axis_b: FilteredAxis, radius: float,
     if np.isinf(gaps).any():
         flags.append("disconnected-pair")
     distortion = float(gaps.max()) if len(gaps) else 0.0
-    corr = Correspondence(radius=float(radius), n_a=len(ga.points),
-                          n_b=len(gb.points), n_pairs=total_pairs,
+    corr = Correspondence(radius=float(radius), n_a=len(pts_a),
+                          n_b=len(pts_b), n_pairs=total_pairs,
                           pairs_a=pa, pairs_b=pb, exhaustive=exhaustive,
                           flags=tuple(flags))
     return distortion, corr

@@ -81,6 +81,8 @@ class SiteScene:
             raise InvalidSceneError("sites must be a nonempty (m, d) array with d >= 2")
         if not np.all(np.isfinite(sites)):
             raise InvalidSceneError("site coordinates must be finite")
+        if not (0.0 <= self.tie_tolerance < math.inf):
+            raise InvalidSceneError("tie_tolerance must be nonnegative and finite")
         norms = np.linalg.norm(sites, axis=1)
         if np.any(norms >= r):
             raise InvalidSceneError("every site must lie strictly inside the bounding ball")
@@ -88,7 +90,7 @@ class SiteScene:
         # otherwise witness sets are ill-defined.  The tree's radius is a
         # little wide; the gaps it finds are measured again as ``norm`` does.
         min_sep = 10.0 * self.tie_tolerance * r
-        close = cKDTree(sites).query_pairs(max(min_sep, 0.0) * (1.0 + 1e-6),
+        close = cKDTree(sites).query_pairs(min_sep * (1.0 + 1e-6),
                                            output_type="ndarray")
         if np.any(np.linalg.norm(sites[close[:, 1]] - sites[close[:, 0]], axis=1) <= min_sep):
             raise InvalidSceneError("sites must be pairwise distinct (separation above the tie band)")

@@ -383,8 +383,7 @@ def test_criterion_09_geodesic_diameter_and_pushes():
     ]
     for scene, lam, alpha in scenes:
         axis = filter_axis(build_skeleton(scene), lam, alpha)
-        res = scene.bounding_radius / 1000.0
-        graph = build_geodesic_graph(axis, res)
+        graph = build_geodesic_graph(axis)
         gd = geodesic_diameter(graph)
         assert math.isfinite(gd)  # connected by construction of the scenes
         top = 0.9 * 5.0 * (scene.bounding_radius / 6.0)

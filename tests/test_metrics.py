@@ -1,12 +1,16 @@
 """Hausdorff and intrinsic comparisons between filtered axes, plus the
 closed-form constant formulary."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 import medaxis as mx
+from medaxis.metrics import _axis_samples, _pair_lengths
 
 
 def two_site_scene():
@@ -62,29 +66,165 @@ class TestGeodesics:
     def test_connected_axis_diameter_is_its_length(self):
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 0.4, 0.5)   # full bisector survives
-        graph = mx.build_geodesic_graph(ax, resolution=0.02)
-        diam = mx.geodesic_diameter(graph)
-        assert diam == pytest.approx(9.9, abs=0.05)
+        graph = mx.build_geodesic_graph(ax)
+        assert mx.geodesic_diameter(graph) == 9.9
 
     def test_disconnected_axis_has_infinite_diameter(self):
         _, tight = two_site_axes()
-        graph = mx.build_geodesic_graph(tight, resolution=0.02)
+        graph = mx.build_geodesic_graph(tight)
         assert math.isinf(mx.geodesic_diameter(graph))
 
     def test_path_on_a_segment_is_straight(self):
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 0.4, 0.5)
-        graph = mx.build_geodesic_graph(ax, resolution=0.02)
+        graph = mx.build_geodesic_graph(ax)
         length, path = mx.geodesic(graph, np.array([0.0, -2.0]), np.array([0.0, 3.0]))
-        assert length == pytest.approx(5.0, abs=0.05)
-        assert len(path) > 2
+        assert length == pytest.approx(5.0, abs=1e-12)
+        # exactly the two projections, with no vertex between them
+        assert path.shape == (2, 2)
+        assert np.allclose(path, [[0.0, -2.0], [0.0, 3.0]], atol=1e-12)
 
     def test_disconnected_endpoints_give_inf(self):
         _, tight = two_site_axes()
-        graph = mx.build_geodesic_graph(tight, resolution=0.02)
+        graph = mx.build_geodesic_graph(tight)
         length, path = mx.geodesic(graph, np.array([0.0, -2.5]), np.array([0.0, 2.5]))
         assert math.isinf(length)
         assert len(path) == 0
+
+
+def refined_oracle(axis, resolution):
+    """The refined geodesic graph: every segment cut into pieces of length
+    <= resolution, all-sources Dijkstra over the nodes.  Returns the nodes
+    (axis vertices first, then each segment's interior points) and the
+    node-to-node distance table."""
+    points = [axis.vertices]
+    edges = []
+    next_id = len(axis.vertices)
+    for u, v in axis.segments:
+        a, b = axis.vertices[u], axis.vertices[v]
+        seg_len = np.linalg.norm(b - a)
+        pieces = max(math.ceil(seg_len / resolution), 1)
+        t = np.arange(1, pieces)[:, None] / pieces
+        points.append(a + t * (b - a))
+        ids = [u, *range(next_id, next_id + pieces - 1), v]
+        next_id += pieces - 1
+        edges += [(p, q, seg_len / pieces) for p, q in zip(ids[:-1], ids[1:])]
+    pts = np.vstack(points)
+    rows, cols, w = np.array(edges).T if edges else np.empty((3, 0))
+    mat = csr_matrix((w, (rows.astype(int), cols.astype(int))),
+                     shape=(len(pts), len(pts)))
+    return pts, dijkstra(mat, directed=False)
+
+
+# rows (c_s, c_t, c_z) of the constraints (c_s, c_t, c_z) . (s, t, z) <= rhs
+LP_ROWS = np.array([[-1, -1, 1], [-1, 1, 1], [1, -1, 1], [1, 1, 1],
+                    [-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0]], float)
+LP_TIGHT = [list(c) for c in itertools.combinations(range(8), 3)
+            if abs(np.linalg.det(LP_ROWS[list(c)])) > 0.5]
+
+
+def lp_vertex_diameter(axis, vdist):
+    """Diameter by brute force: for two distinct segments, the distance of
+    the points at arc lengths (s, t) is the smallest of four linear
+    functions, so its maximum over the rectangle is a vertex of the linear
+    program max z.  Every vertex (three tight constraints out of eight) is
+    solved for, and the feasible ones are kept."""
+    seg = axis.segments
+    length = np.linalg.norm(axis.vertices[seg[:, 1]] - axis.vertices[seg[:, 0]], axis=1)
+    a, b = np.array(list(itertools.permutations(range(len(seg)), 2))).T
+    (a0, a1), (b0, b1), la, lb = seg[a].T, seg[b].T, length[a], length[b]
+    zero = np.zeros_like(la)
+    rhs = np.stack([vdist[a0, b0], vdist[a0, b1] + lb, la + vdist[a1, b0],
+                    la + vdist[a1, b1] + lb, zero, la, zero, lb], axis=1)
+    x = np.stack([np.linalg.solve(LP_ROWS[t], rhs[:, t].T).T for t in LP_TIGHT])
+    scale = max(float(np.abs(axis.vertices).max()), 1.0)
+    feasible = np.all(x @ LP_ROWS.T <= rhs + 1e-12 * scale, axis=2)
+    return max(float(vdist.max()), float(x[..., 2][feasible].max()))
+
+
+def hand_axis(vertices, segments, isolated=(), components=None):
+    vertices = np.array(vertices, float).reshape(-1, 2)
+    segments = np.array(segments, int).reshape(-1, 2)
+    if components is None:
+        components = np.zeros(len(vertices), int)
+    return mx.FilteredAxis(lam=1.0, alpha=0.0, vertices=vertices, segments=segments,
+                           segment_data=np.zeros((len(segments), 2, 3)),
+                           isolated=np.array(isolated, int),
+                           component_ids=np.array(components, int))
+
+
+def random_axis(seed):
+    scene = mx.random_scene(30, 10.0, seed=seed, min_separation=0.8)
+    return mx.filter_axis(mx.build_skeleton(scene), 0.1, 0.05)
+
+
+class TestExactGeodesics:
+    RES = 0.2
+    SEEDS = (1, 2, 3)
+
+    def test_hand_built_diameters(self):
+        h = math.sqrt(3.0) / 2.0
+        triangle = hand_axis([[0, 0], [1, 0], [0.5, h]], [[0, 1], [1, 2], [2, 0]])
+        graph = mx.build_geodesic_graph(triangle)
+        assert graph.dist.max() == pytest.approx(1.0)
+        assert mx.geodesic_diameter(graph) == pytest.approx(1.5, abs=1e-12)
+        # theta graph: P and Q joined by a segment of length 0.2 and by two
+        # paths of three unit segments; the farthest points are the middles
+        # of the two paths, and the best pair with a segment end reads 2.6
+        r = math.sqrt(0.84)
+        theta = hand_axis([[0, 0], [0.2, 0], [-0.4, r], [0.6, r], [-0.4, -r], [0.6, -r]],
+                          [[0, 1], [0, 2], [2, 3], [3, 1], [0, 4], [4, 5], [5, 1]])
+        cases = [
+            (theta, 3.0),
+            (hand_axis([[0, 0], [3, 4]], [[0, 1]]), 5.0),
+            (hand_axis([[0, 0], [1, 0], [0, 2], [-3.5, 0]], [[0, 1], [0, 2], [3, 0]]), 5.5),
+            (hand_axis([], []), 0.0),
+            (hand_axis([[1, 2]], [], isolated=[0]), 0.0),
+            (hand_axis([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1], [2, 3]],
+                       components=[0, 0, 1, 1]), math.inf),
+        ]
+        for axis, expect in cases:
+            assert mx.geodesic_diameter(mx.build_geodesic_graph(axis)) == \
+                pytest.approx(expect, abs=1e-12)
+
+    def test_relation_points_are_the_refined_nodes(self):
+        axis = random_axis(1)
+        pts, _ = refined_oracle(axis, self.RES)
+        assert np.array_equal(mx.sample_axis_points(axis, self.RES), pts)
+
+    def test_random_axes_against_oracle_and_brute_force(self):
+        cycles = 0
+        for seed in self.SEEDS:
+            axis = random_axis(seed)
+            n_v = len(axis.vertices)
+            cycles += len(axis.segments) - n_v + 1
+            pts, oracle = refined_oracle(axis, self.RES)
+            assert np.isfinite(oracle).all()
+            scale = max(float(np.abs(axis.vertices).max()), 1.0)
+            graph = mx.build_geodesic_graph(axis)
+            diam = mx.geodesic_diameter(graph)
+            assert oracle.max() - 1e-12 * scale <= diam <= oracle.max() + self.RES
+            assert diam == pytest.approx(lp_vertex_diameter(axis, oracle[:n_v, :n_v]),
+                                         abs=1e-12 * scale)
+            samples = _axis_samples(axis, self.RES)
+            i, j = np.divmod(np.arange(len(pts) ** 2), len(pts))
+            exact = _pair_lengths(graph, *samples[1:], i, j)[0].reshape(len(pts), -1)
+            assert np.abs(exact - oracle).max() <= 1e-12 * scale
+        assert cycles > 0
+
+    def test_path_length_matches_polyline(self):
+        rng = np.random.default_rng(4)
+        for seed in self.SEEDS:
+            axis = random_axis(seed)
+            graph = mx.build_geodesic_graph(axis)
+            pts, oracle = refined_oracle(axis, self.RES)
+            for _ in range(10):
+                i, j = rng.integers(0, len(pts), size=2)
+                length, path = mx.geodesic(graph, pts[i], pts[j])
+                assert length == pytest.approx(oracle[i, j], abs=1e-9)
+                assert np.allclose(path[[0, -1]], pts[[i, j]], atol=1e-9)
+                assert np.linalg.norm(np.diff(path, axis=0), axis=1).sum() == \
+                    pytest.approx(length, abs=1e-9)
 
 
 class TestDistortion:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,8 +122,10 @@ class TestSeparationCheck:
 
     def test_tolerance_edge_values(self):
         sites = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        for tol in (0.0, -1e-9):
-            assert accepted(sites, 10.0, tol) == separated_by_all_pairs(sites, 10.0, tol)
+        assert accepted(sites, 10.0, 0.0) == separated_by_all_pairs(sites, 10.0, 0.0)
+        for tol in (-1e-9, math.nan, math.inf):
+            with pytest.raises(mx.InvalidSceneError, match="tie_tolerance"):
+                mx.SiteScene(sites=sites, bounding_radius=10.0, tie_tolerance=tol)
 
     def test_two_thousand_sites(self):
         rng = np.random.default_rng(11)
