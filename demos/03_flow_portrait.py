@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from medaxis import (entered_axis, integrate_flow, radius_certificate,
+from medaxis import (entered_axis, integrate_flows, radius_certificate,
                      random_scene, scene_svg)
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
@@ -27,13 +27,11 @@ def main():
     print("flowing 16 seeds, lam=%.2f alpha=%.2f" % (lam, alpha))
     print("%6s %18s %6s %9s %9s %6s" % ("seed", "stop", "nodes",
                                         "R start", "R end", "cert"))
-    trajs = []
+    ang = 2.0 * np.pi * np.arange(16) / 16.0
+    starts = 2.2 * np.column_stack([np.cos(ang), np.sin(ang)])
+    trajs = integrate_flows(scene, starts, alpha=alpha, horizon=4.0, stop=stop)
     worst_step = 0.0
-    for k in range(16):
-        ang = 2.0 * np.pi * k / 16.0
-        x0 = 2.2 * np.array([np.cos(ang), np.sin(ang)])
-        traj = integrate_flow(scene, x0, alpha=alpha, horizon=4.0, stop=stop)
-        trajs.append(traj)
+    for k, traj in enumerate(trajs):
         steps = np.diff(traj.R)
         if len(steps):
             worst_step = min(worst_step, float(steps.min()))

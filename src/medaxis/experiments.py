@@ -28,7 +28,7 @@ from .field import (
     reach_summary,
 )
 from .axis import FilteredAxis, axis_to_json, build_skeleton, filter_axis, scene_r_max
-from .flow import entered_axis, integrate_flow, radius_certificate, time_exhausted
+from .flow import entered_axis, integrate_flows, radius_certificate, time_exhausted
 from .metrics import (
     SurjectivityError,
     build_geodesic_graph,
@@ -394,12 +394,10 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
     lam = float(config.lambda_grid[0]) if config.lambda_grid else None
     stop = entered_axis(lam, alpha) if (lam is not None and alpha is not None) \
         else time_exhausted()
-    trajs = []
+    trajs = integrate_flows(config.scene, config.starts, alpha=alpha,
+                            horizon=config.horizon, stop=stop)
     paths = []
-    for k, start in enumerate(config.starts):
-        traj = integrate_flow(config.scene, np.asarray(start, float),
-                              alpha=alpha, horizon=config.horizon, stop=stop)
-        trajs.append(traj)
+    for k, (start, traj) in enumerate(zip(config.starts, trajs)):
         r_steps = np.diff(traj.R)
         row = {
             "start": [float(v) for v in start],
@@ -503,11 +501,12 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
             connected = _connected(axis_lo) and _connected(axis_hi)
             if connected and hyp_ok:
                 t_flow = lip * delta
-                diam = geodesic_diameter(build_geodesic_graph(axis_lo))
+                graph_lo = build_geodesic_graph(axis_lo)
+                diam = geodesic_diameter(graph_lo)
                 radius = max(t_flow, d_h + 2.0 * res)
                 try:
                     distortion, corr = gh_distortion(
-                        axis_lo, axis_hi, radius,
+                        graph_lo, build_geodesic_graph(axis_hi), radius,
                         sample_pairs=config.sample_pairs,
                         resolution=res, seed=config.seed)
                     gh_ok = True
@@ -645,8 +644,8 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
     summary_half = reach_summary(profile, mu, alpha, lam, window_alpha=alpha / 2.0)
 
     base_connected = _connected(base_axis)
-    gdiam_base = (geodesic_diameter(build_geodesic_graph(base_axis))
-                  if base_connected else float("inf"))
+    base_graph = build_geodesic_graph(base_axis) if base_connected else None
+    gdiam_base = geodesic_diameter(base_graph) if base_connected else float("inf")
     report.constants["mu"] = mu
     report.constants["mu_tilde"] = summary_used.mu_tilde
     report.constants["gdiam_base"] = gdiam_base
@@ -659,7 +658,8 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
             report.add_assertion("gh-surjective-%d" % k, True, False)
             report.add_assertion("gh-%d" % k, True, False)
             continue
-        gdiam_p = geodesic_diameter(build_geodesic_graph(axis_p))
+        graph_p = build_geodesic_graph(axis_p)
+        gdiam_p = geodesic_diameter(graph_p)
         cons = stability_constants(summary_used, delta=lam / 2.0, epsilon=eps,
                                    gdiam_a=gdiam_base, gdiam_b=gdiam_p,
                                    r_bound=scene.bounding_radius,
@@ -670,7 +670,7 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
         d_h = hausdorff_distance(base_axis, axis_p, res)
         try:
             distortion, corr = gh_distortion(
-                base_axis, axis_p, radius, sample_pairs=config.sample_pairs,
+                base_graph, graph_p, radius, sample_pairs=config.sample_pairs,
                 resolution=res, seed=config.seed)
             surjective = True
         except SurjectivityError:

@@ -18,16 +18,22 @@ gradient norm is sqrt(1 - (F/R)^2), clamped at zero.
 A step that cannot be accepted at any size down to 1e-12 of the bounding
 radius terminates the trajectory with status "stalled"; this is the normal
 outcome at a local maximum of R, where every direction decreases R.
+
+``integrate_flows`` integrates all starts of a call in lockstep, one step
+attempt per start and tick, with array operations over the rows; each row
+follows the same steps as it would alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .scene import DomainError, SiteScene, _seb_stack, nearest_site_info
+from .scene import (DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms,
+                    _wall_points)
 
 __all__ = [
     "StopCondition",
@@ -35,6 +41,7 @@ __all__ = [
     "entered_axis",
     "gradient_below",
     "Trajectory",
+    "integrate_flows",
     "integrate_flow",
     "RadiusCertificate",
     "radius_certificate",
@@ -97,67 +104,140 @@ class Trajectory:
         return len(self.times)
 
 
-def _probe(scene: SiteScene, x: np.ndarray, band: float,
-           prev_wide: frozenset = frozenset()):
-    """One kernel query: exact witness data plus band-widened sheet data.
+class _Probe(NamedTuple):
+    """A kernel query of the flow at n rows: the distance kernel's arrays,
+    in ``_Nearest``'s order, then the band-widened witnesses and, once
+    ``_with_balls`` has run, their balls."""
 
-    The wide set is the band cut with the previous node's wide set as its
-    hysteresis keep-set, so a witness hovering at the cut does not flicker
-    in and out between nodes.  Returns (dmin, exact ids, steering
-    direction, wide F, wide witness count, wide id set, wide witness
-    points).
+    X: np.ndarray        # (n, d) query rows
+    norm: np.ndarray     # (n,) |x|
+    d_sites: np.ndarray  # (n, m) site distances
+    d_wall: np.ndarray   # (n,) wall distances
+    R: np.ndarray        # (n,) distance to the scene set
+    wide: np.ndarray     # (n, m + 1) witnesses within the band cut, wall last
+    count: np.ndarray    # (n,) number of wide witnesses
+    centers: np.ndarray | None = None  # (n, d) wide witness ball centers
+    F: np.ndarray | None = None        # (n,) wide witness ball radii
+
+
+def _probe(scene: SiteScene, X: np.ndarray, band: float,
+           keep: np.ndarray | None = None) -> _Probe:
+    """Query the rows of X.  The wide set is the band cut with the previous
+    node's wide set as its hysteresis keep-set, so a witness hovering at the
+    cut does not flicker in and out between nodes."""
+    near = _nearest(scene, X)
+    sites, wall = near.cut(band, keep)
+    wide = np.concatenate((sites, wall[:, None]), axis=1)
+    return _Probe(*near[1:], wide, wide.sum(axis=1))
+
+
+def _with_balls(scene: SiteScene, probe: _Probe) -> _Probe:
+    """The probe with its wide witness balls."""
+    near = _Nearest(scene, *probe[:5])
+    return _Probe(*probe[:7], *near.balls(probe.wide[:, :-1], probe.wide[:, -1]))
+
+
+def _ties(scene: SiteScene, probe: _Probe, rows: np.ndarray):
+    """Site and wall masks of the exact witnesses (the relative tie band)
+    of ``rows``."""
+    return _Nearest(scene, *(a[rows] for a in probe[:5])).cut()
+
+
+def _accept(scene: SiteScene, node: _Probe, trial: _Probe) -> np.ndarray:
+    """Rows whose trial is accepted: R must not decrease (a trial outside
+    the domain has R <= 0), and a drop of F by more than a hair rejects the
+    trial only where the exact witnesses changed."""
+    acc = trial.R >= node.R
+    drop = trial.F < node.F - _F_BACKSLIDE_TOL
+    if drop.any():
+        r = drop.nonzero()[0]
+        (ts, tw), (ns, nw) = _ties(scene, trial, r), _ties(scene, node, r)
+        acc[r] &= ~((ts != ns).any(axis=1) | (tw != nw))
+    return acc
+
+
+def _pairs(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
+    """The two wide witnesses of each of ``rows``, which have two, shaped
+    (len(rows), 2, d) in label order: a site, then a later site or the
+    row's wall projection."""
+    cols = probe.wide[rows].nonzero()[1].reshape(-1, 2)
+    m = len(scene.sites)
+    pts = scene.sites[np.minimum(cols, m - 1)]
+    wall = (cols[:, 1] == m).nonzero()[0]
+    if wall.size:
+        pts[wall, 1] = _wall_points(scene, probe.X[rows[wall]], probe.norm[rows[wall]])
+    return pts
+
+
+def _steer(scene: SiteScene, probe: _Probe):
+    """Steering direction and its norm at each row of a probe.
+
+    Steering by the band-widened ball center instead of the razor-thin
+    exact tie set lets a trajectory slide along a bisector smoothly rather
+    than chattering across it with rejected micro-steps; the step-acceptance
+    rule still enforces hard radius monotonicity.
     """
-    dmin, labels, pts_w, ids = nearest_site_info(scene, x, band, keep=prev_wide)
-    # Steering by the band-widened ball center instead of the razor-thin
-    # exact tie set lets a trajectory slide along a bisector smoothly
-    # rather than chattering across it with rejected micro-steps; the
-    # step-acceptance rule still enforces hard radius monotonicity.
-    centers, F = _seb_stack(np.array([pts_w]))
-    f_wide = float(F[0])
-    grad = (x - centers[0]) / dmin
-    if len(pts_w) == 2:
+    grad = (probe.X - probe.centers) / probe.R[:, None]
+    two = (probe.count == 2).nonzero()[0]
+    if two.size:
         # Pure slide direction: remove the component along the witness
         # pair, which only measures the (band-sized) offset from the
         # bisector and would otherwise feed back into outward drift.
-        n = pts_w[1] - pts_w[0]
-        nn = float(np.linalg.norm(n))
-        if nn > 0.0:
-            n = n / nn
-            grad = grad - float(grad @ n) * n
-    return dmin, ids, grad, f_wide, len(pts_w), frozenset(labels), pts_w
+        pts = _pairs(scene, probe, two)
+        n = pts[:, 1] - pts[:, 0]
+        n /= _row_norms(n)[:, None]
+        g = grad[two]
+        grad[two] = g - _dot(g, n)[:, None] * n
+    return grad, _row_norms(grad)
 
 
-def _snap_to_tie(y: np.ndarray, pts_w, cap: float) -> np.ndarray:
-    """One Newton step of y toward the equal-distance locus of a pair.
+def _snap_to_tie(Y: np.ndarray, pts: np.ndarray, cap: np.ndarray):
+    """One Newton step of each row of Y toward the equal-distance locus of
+    its pair of points (shaped (n, 2, d)).
 
     Keeps a sliding trajectory centered in its band so the reported witness
-    pair does not flicker at the band edge.  Displacement is capped so the
-    correction can never dominate an accepted step.
+    pair does not flicker at the band edge.  A row moves only if its
+    displacement is within its cap, so the correction can never dominate an
+    accepted step.  Returns the moving rows' mask and the stepped rows.
     """
-    d1 = float(np.linalg.norm(y - pts_w[0]))
-    d2 = float(np.linalg.norm(y - pts_w[1]))
-    if d1 == 0.0 or d2 == 0.0:
-        return y
-    g = d1 - d2
-    dg = (y - pts_w[0]) / d1 - (y - pts_w[1]) / d2
-    nrm2 = float(dg @ dg)
-    if nrm2 <= 0.0:
-        return y
-    step = -(g / nrm2) * dg
-    if float(np.linalg.norm(step)) > cap:
-        return y
-    return y + step
+    D = Y[:, None] - pts
+    d = _row_norms(D)
+    U = D / d[..., None]
+    dg = U[:, 0] - U[:, 1]
+    nrm2 = _dot(dg, dg)
+    moves = nrm2 > 0.0
+    step = ((d[:, 1] - d[:, 0]) / np.where(moves, nrm2, 1.0))[:, None] * dg
+    return moves & (_row_norms(step) <= cap), Y + step
 
 
-def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
-                   horizon: float = 1.0, stop: StopCondition | None = None,
-                   max_step: float | None = None,
-                   flow_band: float | None = None) -> Trajectory:
-    """Integrate the distance gradient flow from x0 up to the time horizon.
+def _f_alpha(R: np.ndarray, F: np.ndarray, alpha: float | None) -> np.ndarray:
+    """F_alpha of nodes: (R - alpha)/R F, NaN where R <= alpha or alpha is
+    None."""
+    if alpha is None:
+        return np.full(len(R), np.nan)
+    return np.where(R > alpha, (R - alpha) / R * F, np.nan)
+
+
+def _grad_norm(R: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Band-widened gradient norm of nodes, sqrt(1 - (F/R)^2) clamped at
+    zero; float_power is libm pow, as is Python's float ** 2."""
+    return np.sqrt(np.maximum(0.0, 1.0 - np.float_power(F / R, 2.0)))
+
+
+def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
+                    horizon: float = 1.0, stop: StopCondition | None = None,
+                    max_step: float | None = None,
+                    flow_band: float | None = None) -> list[Trajectory]:
+    """Integrate the distance gradient flow from each row of X0 up to the
+    time horizon, all rows in lockstep.
 
     Acceptance rule per step: R must not decrease, and if the witness set
     changes the band-widened F must not drop by more than a hair.  Rejected
     steps are halved; exhaustion of step size is reported as "stalled".
+
+    Every running row makes one attempt per tick, so a tick is one kernel
+    query, plus one for the rows whose trial snaps to a tie.  A row's
+    trajectory does not depend on the other rows of the batch.
     """
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
@@ -170,96 +250,136 @@ def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
         max_step = scene.bounding_radius / 500.0
     if flow_band is None:
         flow_band = max_step
-
-    x = np.asarray(x0, float).copy()
-    t = 0.0
-    arc = 0.0
-    rejected = 0
-    rows_t, rows_s, rows_x = [], [], []
-    rows_r, rows_f, rows_fa, rows_g, rows_w = [], [], [], [], []
-    reason = None
+    if not flow_band >= 0.0:
+        raise ValueError("flow_band must be nonnegative")
+    try:
+        X = np.array(X0, float)
+    except ValueError as err:
+        raise DomainError("starts must be points of the scene's dimension") from err
+    if len(X) == 0:
+        return []
+    if X.ndim != 2 or X.shape[1] != scene.dim:
+        raise DomainError("query point has wrong dimension")
+    kind = None if stop is None else stop.kind
     stall_floor = _STALL_FRACTION * scene.bounding_radius
 
-    node = _probe(scene, x, flow_band)
+    node = _probe(scene, X, flow_band)
+    if not (node.R > 0.0).all():
+        _nearest(scene, X).check()
+    node = _with_balls(scene, node)
+    grad, gnorm = _steer(scene, node)
+    n = len(X)
+    live = np.arange(n)  # batch row of each running row
+    t, arc, rejected = np.zeros(n), np.zeros(n), np.zeros(n, int)
+    done_nodes, done_rejected, done_reason = (np.zeros(n, int) for _ in range(3))
+    acc = np.ones(n, bool)  # rows that reached a new node this tick
+    moved = True            # acc.all()
+    stalled = False         # rejected rows whose halved step is below the floor
+    log = []
     while True:
-        dmin, ids, grad, f_wide, n_wide, wide, _ = node
-        gn_wide = math.sqrt(max(0.0, 1.0 - (f_wide / dmin) ** 2))
-        if alpha is not None and dmin > alpha:
-            fa_wide = (dmin - alpha) / dmin * f_wide
-        else:
-            fa_wide = float("nan")
-        rows_t.append(t)
-        rows_s.append(arc)
-        rows_x.append(x.copy())
-        rows_r.append(dmin)
-        rows_f.append(f_wide)
-        rows_fa.append(fa_wide)
-        rows_g.append(gn_wide)
-        rows_w.append(n_wide)
-
-        if stop is not None and stop.kind == "axis" and fa_wide >= stop.lam:
-            reason = "entered-axis"
-            break
-        if stop is not None and stop.kind == "gradient" and gn_wide < stop.eta:
-            reason = "gradient-below"
-            break
-        if t >= horizon:
-            reason = "time-exhausted"
-            break
-        if len(rows_t) >= _NODE_CAP:
-            reason = "node-cap"
-            break
-
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
-            reason = "stalled"
-            break
+        # Every row has run since the first tick, so a row's node count is
+        # the tick count less its rejected steps.  A row that did not move
+        # tests its node again, which passed, so only its step can end it.
+        log.append((live, acc, t, arc, node.X, node.R, node.F, node.count))
         remaining = horizon - t
-        if remaining <= stall_floor:
-            # within rounding of the horizon; do not mistake it for a stall
-            reason = "time-exhausted"
-            break
-        dt = min(max_step, remaining)
-        while dt >= stall_floor:
-            y = x + dt * grad
-            try:
-                trial = _probe(scene, y, flow_band, wide)
-                pts_y = trial[-1]
-                if len(pts_y) == 2:
-                    # The in-band offset can slightly exceed the step size
-                    # when band and step are comparable, so the cap allows
-                    # for both scales.
-                    y2 = _snap_to_tie(y, pts_y, cap=dt + 2.0 * flow_band)
-                    if y2 is not y:
-                        y = y2
-                        trial = _probe(scene, y, flow_band, wide)
-            except DomainError:
-                trial = None
-            if trial is not None:
-                dmin_y, ids_y, _, f_wide_y, _, _, _ = trial
-                if not (dmin_y < dmin or (ids_y != ids
-                                          and f_wide_y < f_wide - _F_BACKSLIDE_TOL)):
-                    break
-            dt *= 0.5
-            rejected += 1
+        fresh = np.minimum(max_step, remaining)
+        if moved:
+            dt = fresh
         else:
-            reason = "stalled"
-            break
-        arc += dt * gnorm
-        t = horizon if dt == remaining else t + dt
-        x = y
-        # The accepted trial's probe is the new node's: same point, band
-        # and keep-set.
-        node = trial
+            dt = np.where(acc, fresh, 0.5 * dt)
+            stalled = ~acc & (dt < stall_floor)
+        # Stop tests, in order; their codes index ``reasons`` below.
+        # remaining <= stall_floor, within rounding of the horizon, is
+        # implied by t >= horizon and is not a stall; a max_step below the
+        # floor stalls every row at its first node.
+        tests = [False, False, None, False, gnorm == 0.0,
+                 remaining <= stall_floor, max_step < stall_floor]
+        ends = tests[4] | tests[5]
+        if not moved:
+            ends |= stalled
+        if kind == "axis":
+            tests[0] = _f_alpha(node.R, node.F, alpha) >= stop.lam
+            ends |= tests[0]
+        elif kind == "gradient":
+            tests[1] = _grad_norm(node.R, node.F) < stop.eta
+            ends |= tests[1]
+        if len(log) >= _NODE_CAP:
+            tests[3] = len(log) - rejected >= _NODE_CAP
+            ends |= tests[3]
+        if tests[6] or ends.any():
+            tests[2] = t >= horizon
+            code = np.where(stalled, 4, -1)
+            for k in range(6, -1, -1):
+                code = np.where(tests[k], k, code)
+            ends = code >= 0
+            done = live[ends]
+            done_reason[done], done_rejected[done] = code[ends], rejected[ends]
+            done_nodes[done] = len(log) - rejected[ends]
+            go = ~ends
+            if not go.any():
+                break
+            live, t, arc, dt, remaining, grad, gnorm, rejected = (
+                a[go] for a in (live, t, arc, dt, remaining, grad, gnorm, rejected))
+            node = _Probe(*(a[go] for a in node))
 
-    return Trajectory(scene=scene, alpha=alpha,
-                      times=np.array(rows_t), arc=np.array(rows_s),
-                      points=np.array(rows_x), R=np.array(rows_r),
-                      F=np.array(rows_f), F_alpha=np.array(rows_fa),
-                      grad_norm=np.array(rows_g),
-                      witness_counts=np.array(rows_w, int),
-                      stop_reason=reason, flow_band=flow_band,
-                      max_step=max_step, rejected_steps=rejected)
+        trial = _probe(scene, node.X + dt[:, None] * grad, flow_band, node.wide)
+        two = (trial.count == 2).nonzero()[0]
+        if two.size:
+            two = two[trial.R[two] > 0.0]
+            # The in-band offset can slightly exceed the step size when band
+            # and step are comparable, so the cap allows for both scales.
+            moves, Y = _snap_to_tie(trial.X[two], _pairs(scene, trial, two),
+                                    cap=dt[two] + 2.0 * flow_band)
+            rows = two[moves]
+            if rows.size == len(live):
+                trial = _probe(scene, Y, flow_band, node.wide)
+            elif rows.size:
+                again = _probe(scene, Y[moves], flow_band, node.wide[rows])
+                for mine, theirs in zip(trial[:7], again[:7]):
+                    mine[rows] = theirs
+        trial = _with_balls(scene, trial)
+        acc = _accept(scene, node, trial)
+        moved = acc.all()
+        if moved:
+            arc = arc + dt * gnorm
+            t = np.where(dt == remaining, horizon, t + dt)
+            node = trial
+            grad, gnorm = _steer(scene, trial)
+            stalled = False
+            continue
+        rejected += ~acc
+        arc = np.where(acc, arc + dt * gnorm, arc)
+        t = np.where(acc, np.where(dt == remaining, horizon, t + dt), t)
+        pick = acc.nonzero()[0]
+        if pick.size:
+            grad[pick], gnorm[pick] = _steer(scene, _Probe(*(a[pick] for a in trial)))
+            node = _Probe(*(np.where(acc[:, None] if b.ndim > 1 else acc, a, b)
+                            for a, b in zip(trial, node)))
+
+    reasons = ("entered-axis", "gradient-below", "time-exhausted", "node-cap",
+               "stalled", "time-exhausted", "stalled")
+    rows, acc, *cols = (np.concatenate(c) for c in zip(*log))
+    order = acc.nonzero()[0][np.argsort(rows[acc], kind="stable")]
+    times, arcs, points, R, F, counts = (c[order] for c in cols)
+    fa, gn = _f_alpha(R, F, alpha), _grad_norm(R, F)
+    bounds = np.cumsum(done_nodes).tolist()
+    return [Trajectory(scene=scene, alpha=alpha, times=times[a:b], arc=arcs[a:b],
+                       points=points[a:b], R=R[a:b], F=F[a:b], F_alpha=fa[a:b],
+                       grad_norm=gn[a:b], witness_counts=counts[a:b],
+                       stop_reason=reasons[code], flow_band=flow_band,
+                       max_step=max_step, rejected_steps=k)
+            for a, b, code, k in zip([0] + bounds[:-1], bounds,
+                                     done_reason.tolist(), done_rejected.tolist())]
+
+
+def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
+                   horizon: float = 1.0, stop: StopCondition | None = None,
+                   max_step: float | None = None,
+                   flow_band: float | None = None) -> Trajectory:
+    """Integrate the distance gradient flow from x0 up to the time horizon:
+    ``integrate_flows`` over a batch of one start."""
+    return integrate_flows(scene, [x0], alpha, horizon, stop, max_step,
+                           flow_band)[0]
 
 
 # --- certified radius growth ---------------------------------------------
@@ -376,8 +496,8 @@ def push_path(scene: SiteScene, base_path, T: float, alpha: float,
     l_base = _polyline_length(base)
     verts = _resample(base, subdiv)
 
-    trajs = [integrate_flow(scene, v, alpha=alpha, horizon=T,
-                            stop=time_exhausted(), max_step=max_step) for v in verts]
+    trajs = integrate_flows(scene, verts, alpha=alpha, horizon=T,
+                            stop=time_exhausted(), max_step=max_step)
     flags = {"flow-" + tr.stop_reason for tr in trajs
              if tr.stop_reason != "time-exhausted"}
     piece_up = trajs[0].points
@@ -407,10 +527,8 @@ def flow_expansion_check(scene: SiteScene, x1, x2, alpha: float, T: float,
     exponential expansion bound d0 * exp(T / alpha)."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    t1 = integrate_flow(scene, x1, alpha=alpha, horizon=T,
-                        stop=time_exhausted(), max_step=max_step)
-    t2 = integrate_flow(scene, x2, alpha=alpha, horizon=T,
-                        stop=time_exhausted(), max_step=max_step)
+    t1, t2 = integrate_flows(scene, [x1, x2], alpha=alpha, horizon=T,
+                             stop=time_exhausted(), max_step=max_step)
     flags = set()
     for tr in (t1, t2):
         if tr.stop_reason != "time-exhausted":

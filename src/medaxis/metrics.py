@@ -176,6 +176,8 @@ def geodesic(graph: GeodesicGraph, a, b):
     give (inf, empty).
     """
     axis = graph.axis
+    if axis.is_empty:
+        raise ValueError("geodesic needs a point on the axis, but the axis is empty")
     _, piece, t = _project(np.array([a, b], float), axis)
     ends, length = _pieces(axis)
     ends, length = ends[piece], length[piece]
@@ -240,10 +242,11 @@ class Correspondence:
     flags: tuple = ()
 
 
-def gh_distortion(axis_a: FilteredAxis, axis_b: FilteredAxis, radius: float,
+def gh_distortion(graph_a: GeodesicGraph, graph_b: GeodesicGraph, radius: float,
                   sample_pairs: int = 2000, resolution: float = 0.01,
                   seed: int = 0):
-    """Distortion of the all-pairs-within-radius relation between two axes.
+    """Distortion of the all-pairs-within-radius relation between the axes
+    of two geodesic graphs.
 
     Samples both axes at the resolution, checks the relation is surjective
     both ways (raising SurjectivityError naming uncovered points otherwise),
@@ -251,10 +254,8 @@ def gh_distortion(axis_a: FilteredAxis, axis_b: FilteredAxis, radius: float,
     4-tuples, with exact geodesic distances; exhaustive when the relation is
     small enough.
     """
-    ga = build_geodesic_graph(axis_a)
-    gb = build_geodesic_graph(axis_b)
-    sa = _axis_samples(axis_a, resolution)
-    sb = _axis_samples(axis_b, resolution)
+    sa = _axis_samples(graph_a.axis, resolution)
+    sb = _axis_samples(graph_b.axis, resolution)
     pts_a, pts_b = sa[0], sb[0]
     flags = []
     tree_a = cKDTree(pts_a)
@@ -301,8 +302,8 @@ def gh_distortion(axis_a: FilteredAxis, axis_b: FilteredAxis, radius: float,
         idx2 = np.arange(sample_pairs, 2 * sample_pairs)
         exhaustive = False
 
-    da = _pair_lengths(ga, *sa[1:], pa[idx1], pa[idx2])[0]
-    db = _pair_lengths(gb, *sb[1:], pb[idx1], pb[idx2])[0]
+    da = _pair_lengths(graph_a, *sa[1:], pa[idx1], pa[idx2])[0]
+    db = _pair_lengths(graph_b, *sb[1:], pb[idx1], pb[idx2])[0]
 
     both_inf = np.isinf(da) & np.isinf(db)
     with np.errstate(invalid="ignore"):

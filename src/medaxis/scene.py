@@ -231,30 +231,29 @@ class _Nearest(NamedTuple):
                 raise DomainError("query point is outside the open bounding ball")
             raise DomainError("query point coincides with a site")
 
-    def cut(self, band: float | None = None, keep=()):
+    def cut(self, band: float | None = None, keep: np.ndarray | None = None):
         """Site mask (n, m) and wall mask (n,) of the witnesses within a cut.
 
         The cut is the scene's relative tie band when ``band`` is None and
-        the absolute band R + ``band`` otherwise.  Labels in ``keep`` (known
-        witnesses) stay in up to R + 2 ``band``; this hysteresis stops a
-        witness hovering at the cut from flickering in and out.
+        the absolute band R + ``band`` (``band`` >= 0) otherwise.  ``keep``
+        marks each row's known witnesses, shaped (n, m + 1) with the wall
+        last, so that a label indexes its column; they stay in up to
+        R + 2 ``band``.  This hysteresis stops a witness hovering at the cut
+        from flickering in and out.
         """
-        if keep and band is None:
-            raise ValueError("keep needs an absolute band, but band is None")
         if band is None:
+            if keep is not None:
+                raise ValueError("keep needs an absolute band, but band is None")
             cut = self.R * (1.0 + self.scene.tie_tolerance)
         else:
+            if band < 0.0:
+                raise ValueError("witness band must be nonnegative")
             cut = self.R + float(band)
-        sites = self.d_sites <= cut[:, None]
-        wall = self.d_wall <= cut
-        if keep:
-            far = self.R + 2.0 * band
-            for k in keep:
-                if k < 0:
-                    wall |= self.d_wall <= far
-                else:
-                    sites[:, k] |= self.d_sites[:, k] <= far
-        return sites, wall
+        if keep is None:
+            return self.d_sites <= cut[:, None], self.d_wall <= cut
+        far = self.R + 2.0 * band  # never below the cut
+        bound = np.where(keep, far[:, None], cut[:, None])
+        return self.d_sites <= bound[:, :-1], self.d_wall <= bound[:, -1]
 
     def labels(self, i: int, sites: np.ndarray, wall: np.ndarray) -> list:
         """Row ``i``'s witness labels in a cut returned by ``cut``: site
@@ -280,16 +279,27 @@ class _Nearest(NamedTuple):
         ``_seb_stack`` as one stack."""
         counts = sites.sum(axis=1)
         cols = sites.nonzero()[1]  # row by row, each row's sites ascending
-        first = np.cumsum(counts) - counts
         key = 2 * counts + wall
+        groups = np.bincount(key).nonzero()[0].tolist()
+        if len(groups) == 1:  # one group: every row, in order
+            return _seb_stack(self._witnesses(groups[0], slice(None),
+                                              cols.reshape(len(key), groups[0] // 2)))
+        first = np.cumsum(counts) - counts
         centers, F = np.empty_like(self.X), np.empty(len(self.X))
-        for g in np.unique(key).tolist():
+        for g in groups:
             rows = np.nonzero(key == g)[0]
-            pts = [self.scene.sites[cols[first[rows, None] + np.arange(g // 2)]]]
-            if g % 2:
-                pts.append(_wall_points(self.scene, self.X[rows], self.norm[rows])[:, None])
-            centers[rows], F[rows] = _seb_stack(np.concatenate(pts, axis=1))
+            centers[rows], F[rows] = _seb_stack(self._witnesses(
+                g, rows, cols[first[rows, None] + np.arange(g // 2)]))
         return centers, F
+
+    def _witnesses(self, key: int, rows, cols: np.ndarray) -> np.ndarray:
+        """The witness stack of a group of rows whose key is 2 x site count
+        + wall flag and whose site columns are ``cols``."""
+        pts = self.scene.sites[cols]
+        if key % 2:
+            wall = _wall_points(self.scene, self.X[rows], self.norm[rows])
+            pts = np.concatenate((pts, wall[:, None]), axis=1)
+        return pts
 
 
 def _nearest(scene: SiteScene, X: np.ndarray) -> _Nearest:
@@ -325,7 +335,11 @@ def nearest_site_info(scene: SiteScene, x, band: float | None = None,
     R = float(near.R[0])
     if not R > 0.0:
         near.check()
-    labels = near.labels(0, *near.cut(band, keep))
+    mask = None
+    if keep:
+        mask = np.zeros((1, len(scene.sites) + 1), bool)
+        mask[0, list(keep)] = True
+    labels = near.labels(0, *near.cut(band, mask))
     ties = frozenset(labels if band is None else near.labels(0, *near.cut()))
     points = [scene.sites[k] if k >= 0 else wall_witness(scene, x) for k in labels]
     return R, labels, points, ties

@@ -8,7 +8,7 @@ import pytest
 
 import medaxis as mx
 from medaxis import field
-from medaxis.flow import _probe
+from medaxis.flow import _probe, _ties
 
 
 def two_site_scene():
@@ -134,9 +134,11 @@ class TestBatchEvaluation:
         assert wall_rows >= 30
         ties = [mx.eval_field(scene, x).witness_ids for x in X[:4]]
         assert all(len(ids) == 4 for ids in ties)
-        for x in X:
-            exact_ids = _probe(scene, x, 0.05)[1]
-            assert exact_ids == frozenset(mx.eval_field(scene, x).witness_ids)
+        # the flow's batched probe finds each row's exact witnesses
+        sites, wall = _ties(scene, _probe(scene, X, 0.05), np.arange(len(X)))
+        for k, x in enumerate(X):
+            exact_ids = sites[k].nonzero()[0].tolist() + [-1] * bool(wall[k])
+            assert frozenset(exact_ids) == frozenset(mx.eval_field(scene, x).witness_ids)
 
     def test_r_batch_matches(self):
         scene = mx.random_scene(7, bounding_radius=5.0, seed=3)

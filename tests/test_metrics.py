@@ -23,6 +23,10 @@ def two_site_axes():
     return mx.filter_axis(sk, 0.70, 0.5), mx.filter_axis(sk, 0.75, 0.5)
 
 
+def graphs(*axes):
+    return [mx.build_geodesic_graph(ax) for ax in axes]
+
+
 class TestHausdorff:
     def test_nested_direction_is_exactly_zero(self):
         loose, tight = two_site_axes()
@@ -90,6 +94,13 @@ class TestGeodesics:
         length, path = mx.geodesic(graph, np.array([0.0, -2.5]), np.array([0.0, 2.5]))
         assert math.isinf(length)
         assert len(path) == 0
+
+    def test_empty_axis_is_named(self):
+        sk = mx.build_skeleton(two_site_scene())
+        graph = mx.build_geodesic_graph(mx.filter_axis(sk, 50.0, 0.5))
+        assert graph.axis.is_empty
+        with pytest.raises(ValueError, match="axis is empty"):
+            mx.geodesic(graph, [0.0, 0.0], [1.0, 1.0])
 
 
 def refined_oracle(axis, resolution):
@@ -231,7 +242,7 @@ class TestDistortion:
     def test_self_distortion_bounded_by_radius(self):
         loose, _ = two_site_axes()
         res = 0.01
-        distortion, corr = mx.gh_distortion(loose, loose, radius=res,
+        distortion, corr = mx.gh_distortion(*graphs(loose, loose), radius=res,
                                             resolution=res, seed=0)
         assert distortion <= 2.0 * res
         assert corr.n_pairs > 0
@@ -239,20 +250,20 @@ class TestDistortion:
     def test_radius_below_gap_is_not_surjective(self):
         loose, tight = two_site_axes()
         with pytest.raises(mx.SurjectivityError):
-            mx.gh_distortion(loose, tight, radius=1e-4, resolution=0.01, seed=0)
+            mx.gh_distortion(*graphs(loose, tight), radius=1e-4, resolution=0.01, seed=0)
 
     def test_small_graphs_enumerate_all_pairs(self):
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 1.2, 0.5)   # two isolated points
-        distortion, corr = mx.gh_distortion(ax, ax, radius=0.01,
+        distortion, corr = mx.gh_distortion(*graphs(ax, ax), radius=0.01,
                                             resolution=0.01, seed=0)
         assert corr.exhaustive
         assert distortion == 0.0
 
     def test_deterministic_in_seed(self):
         loose, tight = two_site_axes()
-        d1, _ = mx.gh_distortion(loose, tight, radius=0.5, resolution=0.01, seed=5)
-        d2, _ = mx.gh_distortion(loose, tight, radius=0.5, resolution=0.01, seed=5)
+        d1, _ = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01, seed=5)
+        d2, _ = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01, seed=5)
         assert d1 == d2
 
 
