@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from test_axis import adversarial_scene
 
 import medaxis as mx
-from medaxis.flow import (_F_BACKSLIDE_TOL, _NODE_CAP, _STALL_FRACTION, _accept,
-                          _probe, _with_balls)
+import medaxis.flow as flow_mod
+from medaxis.flow import (_F_BACKSLIDE_TOL, _STALL_FRACTION, _accept, _probe,
+                          _with_balls)
 from medaxis.scene import _seb_stack, nearest_site_info
 
 
@@ -88,7 +89,7 @@ def oracle_flow(scene, x0, alpha=None, horizon=1.0, stop=None, max_step=None,
         if t >= horizon:
             reason = "time-exhausted"
             break
-        if len(rows) >= _NODE_CAP:
+        if len(rows) >= flow_mod._NODE_CAP:
             reason = "node-cap"
             break
         gnorm = float(np.linalg.norm(grad))
@@ -279,6 +280,18 @@ class TestLockstepBatch:
             assert t[-1] == 0.0038 and t[-2] + (0.0038 - t[-2]) != 0.0038
         if name == "wall-band":
             assert events["backslides"] > 0
+
+    def test_node_cap_counts_nodes_not_ticks(self, monkeypatch):
+        monkeypatch.setattr(flow_mod, "_NODE_CAP", 6)
+        capped_late = 0  # capped rows whose rejected steps delayed the cap
+        for name in ("near-wall", "plane-axis-bisectors", "critical"):
+            scene, starts, kw = _CASES[name]
+            want = [oracle_flow(scene, x, **kw) for x in starts]
+            for g, w in zip(mx.integrate_flows(scene, starts, **kw), want):
+                assert_same_trajectory(g, w)
+            capped_late += sum(w.stop_reason == "node-cap" and w.rejected_steps > 0
+                               for w in want)
+        assert capped_late > 0
 
     def test_one_start_is_a_batch_of_one(self):
         scene, starts, kw = _CASES["plane-axis-bisectors"]
