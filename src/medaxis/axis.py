@@ -36,7 +36,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
-from .field import _BATCH_DISTANCES, eval_field, eval_field_batch
+from .field import _row_chunks, eval_field, eval_field_batch
 
 __all__ = [
     "SkeletonEdge",
@@ -268,14 +268,6 @@ def _merge_endpoints(points, tol):
             buckets.setdefault((cx, cy), []).append(assigned)
         ids.append(assigned)
     return reps, ids
-
-
-def _row_chunks(scene: SiteScene, n: int) -> list:
-    """Slices of n query rows, each at most 1/32 of a march batch of site
-    distances: whole batches raised the peak memory of a 2000-site axis run
-    by 7 MiB (freed blocks stay in the heap)."""
-    step = max(1, (_BATCH_DISTANCES // 32) // len(scene.sites))
-    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:

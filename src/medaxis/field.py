@@ -16,7 +16,10 @@ taking an ordered minimum of the band-widened gradient norm.  The seeds of
 consecutive levels march as one batch, each row towards its own level;
 every step is row-wise, so the batching changes the cost, never the result.
 Batches are capped in rows x sites so that a large scene keeps the memory
-of one level.
+of one level.  Each march step queries every site; the bisection of a
+bracketed row queries every site once, then, unless the scene has only a
+few sites, only those that can be nearest anywhere in its bracket, with
+the same R bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .scene import (
     OffsetDomainError,
     SiteScene,
     _nearest,
+    _row_norms,
     _seb_stack,
     nearest_site_info,
 )
@@ -121,6 +125,20 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
 # keeps one level's memory.
 _BATCH_DISTANCES = 1 << 20
 
+# A candidate distance costs as much as 8 to 12 columns of a full query
+# (measured with 12 sites in the plane and 400 in space), so a bisection
+# measures its candidates only while their table is under 1/8 of the sites
+# wide.
+_CANDIDATE_COST = 8
+
+
+def _row_chunks(scene: SiteScene, n: int) -> list:
+    """Slices of n query rows, each at most 1/32 of a march batch of site
+    distances: whole batches raised the peak memory of a 2000-site axis run
+    by 7 MiB (freed blocks stay in the heap)."""
+    step = max(1, (_BATCH_DISTANCES // 32) // len(scene.sites))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class CriticalProfile:
@@ -166,13 +184,18 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     then bisect.
 
     Every step is row-wise, so a row's result does not depend on which rows
-    share its batch.  Each iteration makes one kernel query: the trial
+    share its batch.  Each march iteration makes one kernel query: the trial
     query's R, wall distance and nearest witness of the rows that stay
-    active are their current values in the next iteration, and only one
-    distance matrix is alive at a time.  Returns the indices of the kept rows
-    and their points, which satisfy |R - t| <= band: bracketed rows, bisected
-    down to rounding, in row order, then stalled rows that already sit in
-    the band, in row order.
+    active are their current values in the next iteration.  These queries
+    and the final check write their site distances into one rows x sites
+    buffer, so that no freed distance matrix of the batch is left in the
+    heap to raise the peak memory.  The first halving of the brackets
+    queries every site, in row chunks, and keeps each row's candidate sites
+    (``_bracket_candidates``); later halvings measure only those, which
+    gives the same R bit for bit, unless the sites are too few for that to
+    pay.  Returns the indices of the kept rows and their points, which
+    satisfy |R - t| <= band: bracketed rows, bisected down to rounding, in
+    row order, then stalled rows that already sit in the band, in row order.
     """
     r_bound = scene.bounding_radius
     lo = np.empty_like(X)   # the bracket end with R <= t
@@ -180,7 +203,8 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     bracketed = np.zeros(len(X), bool)
     idx = np.arange(len(X))
     cur = X
-    near = _nearest(scene, cur)
+    buf = np.empty((len(X), len(scene.sites)))
+    near = _nearest(scene, cur, out=buf)
     r_here, d_wall, foot = near.R, near.d_wall, near.nearest_points()
     del near
     for _ in range(max_iters):
@@ -193,7 +217,7 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
         # never step through the wall
         step = np.minimum(step, 0.5 * d_wall)
         trial = cur + np.sign(gap)[:, None] * step[:, None] * u
-        near = _nearest(scene, trial)
+        near = _nearest(scene, trial, out=buf[:len(trial)])
         crossed = (r_here - level) * (near.R - level) <= 0.0
         sel = idx[crossed]
         above = (r_here[crossed] - level[crossed] > 0.0)[:, None]
@@ -210,11 +234,16 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     # A row whose (a, b) an iteration leaves bitwise unchanged would repeat
     # that iteration forever, so it leaves the bisection early.
     live = np.arange(len(rows))
-    for _ in range(60):
+    for halving in range(60):
         if live.size == 0:
             break
         mid = 0.5 * (a[live] + b[live])
-        neg = (_nearest(scene, mid).R - t[rows[live]]) < 0.0
+        if halving == 0:
+            R, cand = _bracket_candidates(scene, mid, _row_norms(b - a))
+        else:
+            R = _nearest(scene, mid, None if cand is None else cand[live],
+                         out=buf[:len(mid)]).R
+        neg = (R - t[rows[live]]) < 0.0
         old = np.where(neg[:, None], a[live], b[live])
         moved = (old.view(np.int64) != mid.view(np.int64)).any(axis=1)
         a[live[neg]] = mid[neg]
@@ -222,10 +251,36 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
         live = live[moved]
     in_band = np.abs(r_here - t[idx]) <= band
     rows = np.concatenate([rows, idx[in_band]])
-    out = np.vstack([0.5 * (a + b), cur[in_band]])
-    near = _nearest(scene, out)
+    pts = np.vstack([0.5 * (a + b), cur[in_band]])
+    near = _nearest(scene, pts, out=buf[:len(pts)])
     keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t[rows]) <= band)
-    return rows[keep], out[keep]
+    return rows[keep], pts[keep]
+
+
+def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
+    """R at the midpoints of brackets of lengths ``width``, and each row's
+    candidate sites: those within (Rs + 2 width)(1 + 1e-9) of its midpoint,
+    Rs the nearest site distance there.
+
+    Every later midpoint y of a bracket lies in the box spanned by its ends,
+    so |y - mid| <= width, and a site nearest to y is within
+    Rs + 2 |y - mid| of mid (two triangle inequalities).  The factor
+    covers rounding.  The rows are queried in chunks.  The table is None
+    when it would cost more to measure than the full query
+    (``_CANDIDATE_COST``).
+    """
+    R = np.empty(len(mid))
+    tables = []
+    for rows in _row_chunks(scene, len(mid)):
+        near = _nearest(scene, mid[rows])
+        R[rows] = near.R
+        reach = (near.d_sites.min(axis=1) + 2.0 * width[rows]) * (1.0 + 1e-9)
+        tables.append(near.candidates(reach))
+    k = max(table.shape[1] for table in tables)
+    if _CANDIDATE_COST * k >= len(scene.sites):
+        return R, None
+    return R, np.vstack([np.pad(table, ((0, 0), (0, k - table.shape[1])), mode="edge")
+                         for table in tables])
 
 
 def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.ndarray:

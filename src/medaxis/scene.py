@@ -145,14 +145,61 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(D, D))
 
 
+def _gram_centers(S: np.ndarray) -> np.ndarray:
+    """Centers (n, d) of the balls with all three points of each row of a
+    stack S (n, 3, d) on their boundary: ``_ball_from_support``'s Gram
+    solve of the support S[i, 0], S[i, 1], S[i, 2], row-wise."""
+    m = S[:, 1:] - S[:, :1]
+    gram = m @ m.transpose(0, 2, 1)
+    coef = np.linalg.solve(gram, 0.5 * np.diagonal(gram, axis1=1, axis2=2)[..., None])
+    return S[:, 0] + (coef.transpose(0, 2, 1) @ m)[:, 0]
+
+
+def _welzl_three(P: np.ndarray) -> np.ndarray:
+    """Centers of ``_seb_grow(P[i], [], d)`` for a stack of three-point sets:
+    its fixed decision tree, row-wise, with its arithmetic.
+
+    The ball starts as the point p0.  Each containment test below replaces
+    it, in the rows where the tested point lies outside, by the ball of the
+    recursion's next support: a pair, whose 1 x 1 Gram solve gives exactly
+    0.5, or last the three points.
+    """
+    p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
+    center, radius = p0, np.zeros(len(P))
+
+    def outside(p):
+        return _row_norms(p - center) > radius * (1.0 + _CONTAINS_EPS)
+
+    def grow(mask, a, b):  # to the ball with support [a, b]
+        c = a + 0.5 * (b - a)
+        r = np.maximum(_row_norms(a - c), _row_norms(b - c))
+        return np.where(mask[:, None], c, center), np.where(mask, r, radius)
+
+    center, radius = grow(outside(p1), p1, p0)
+    regrow = outside(p2)
+    # ``_seb_grow([p0, p1], [p2])``: the ball restarts at the point p2
+    center, radius = np.where(regrow[:, None], p2, center), np.where(regrow, 0.0, radius)
+    center, radius = grow(regrow & outside(p0), p2, p0)
+    regrow &= outside(p1)
+    center, radius = grow(regrow, p2, p1)
+    regrow &= outside(p0)
+    if regrow.any():
+        # Only an acute triangle gets here (each point lies outside the
+        # other two's diameter ball), so no Gram matrix is singular.
+        center[regrow] = _gram_centers(P[regrow][:, ::-1])
+    return center
+
+
 def _seb_stack(P: np.ndarray):
     """Centers (n, d) and radii (n,) of the smallest balls enclosing a stack
     of k-point sets, shaped (n, k, d): the one smallest-enclosing-ball routine.
 
     One and two points in any dimension, and three in the plane, take closed
-    forms row-wise over the stack, and other sets Welzl's move-to-front
-    recursion (1991), with the radius tightened to the largest gap.  A row's
-    result does not depend on the stack it is in.
+    forms row-wise over the stack.  Other sets follow Welzl's move-to-front
+    recursion (1991): three points in d >= 3 row-wise over the stack
+    (``_welzl_three``), the rest one row at a time (``_seb_grow``).  The
+    radius is tightened to the largest gap.  A row's result does not depend
+    on the stack it is in.
     """
     n, k, dim = P.shape
     if k == 1:
@@ -160,7 +207,8 @@ def _seb_stack(P: np.ndarray):
     if k == 2:
         return 0.5 * (P[:, 0] + P[:, 1]), 0.5 * _row_norms(P[:, 0] - P[:, 1])
     if k > 3 or dim != 2:
-        centers = np.array([_seb_grow(pts, [], dim).center for pts in P])
+        centers = (_welzl_three(P) if k == 3 and dim > 2 else
+                   np.array([_seb_grow(pts, [], dim).center for pts in P]))
         return centers, np.linalg.norm(P - centers[:, None], axis=2).max(axis=1)
     # Each side's diameter disk (sides ab, ac, bc): the first of the smallest
     # covering ones, an obtuse triangle's longest side; else the circumcircle.
@@ -171,14 +219,10 @@ def _seb_stack(P: np.ndarray):
     center, radius = centers[np.arange(n), side], radii[np.arange(n), side]
     acute = np.nonzero(~covers.any(axis=1))[0]
     if acute.size:
-        # ``_ball_from_support``'s Gram solve, row-wise; an uncovered
-        # triangle is never flat enough for its Gram matrix to be singular.
-        tri = P[acute]
-        m = tri[:, 1:] - tri[:, :1]
-        gram = m @ m.transpose(0, 2, 1)
-        coef = np.linalg.solve(gram, 0.5 * np.diagonal(gram, axis1=1, axis2=2)[..., None])
-        center[acute] = tri[:, 0] + (coef.transpose(0, 2, 1) @ m)[:, 0]
-        radius[acute] = _row_norms(tri - center[acute, None]).max(axis=1)
+        # an uncovered triangle is never flat enough for its Gram matrix
+        # to be singular
+        center[acute] = _gram_centers(P[acute])
+        radius[acute] = _row_norms(P[acute] - center[acute, None]).max(axis=1)
     return center, radius
 
 
@@ -220,7 +264,7 @@ class _Nearest(NamedTuple):
     scene: SiteScene
     X: np.ndarray        # (n, d) query rows
     norm: np.ndarray     # (n,) |x|
-    d_sites: np.ndarray  # (n, m) site distances
+    d_sites: np.ndarray  # (n, m) site distances, or (n, k) to candidates
     d_wall: np.ndarray   # (n,) wall distances r - |x|
     R: np.ndarray        # (n,) distance to the scene set
 
@@ -254,6 +298,19 @@ class _Nearest(NamedTuple):
         far = self.R + 2.0 * band  # never below the cut
         bound = np.where(keep, far[:, None], cut[:, None])
         return self.d_sites <= bound[:, :-1], self.d_wall <= bound[:, -1]
+
+    def candidates(self, reach: np.ndarray) -> np.ndarray:
+        """Table (n, k) of each row's sites within ``reach`` (n,) of it, in
+        ascending order, padded with the row's first one; k is the largest
+        count.  Every reach must be at least the row's nearest site
+        distance, so that no row is empty."""
+        within = self.d_sites <= reach[:, None]
+        counts = within.sum(axis=1)
+        rows, cols = within.nonzero()
+        first = np.cumsum(counts) - counts
+        table = np.repeat(cols[first][:, None], counts.max(), axis=1)
+        table[rows, np.arange(len(cols)) - first[rows]] = cols
+        return table
 
     def labels(self, i: int, sites: np.ndarray, wall: np.ndarray) -> list:
         """Row ``i``'s witness labels in a cut returned by ``cut``: site
@@ -302,16 +359,28 @@ class _Nearest(NamedTuple):
         return pts
 
 
-def _nearest(scene: SiteScene, X: np.ndarray) -> _Nearest:
+def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> _Nearest:
     """The distance kernel: distances from the rows of a 2-d array to the
     scene set.
 
     Every site and wall distance of a query point is computed here, so one
     point gets the same R and witnesses whichever path asks for it.  Site
-    distances are ``cdist``'s and |x| is ``_row_norms``'.  Rows are not
-    checked against the domain; see ``_Nearest.check``.
+    distances are ``cdist``'s and |x| is ``_row_norms``'.  A table ``cand``
+    (n, k) of site indices (``_Nearest.candidates``) restricts each row to
+    its own sites: ``d_sites`` then holds those k distances, which equal
+    ``cdist``'s bit for bit.  Without ``cand``, a C-contiguous (n, m) array
+    ``out`` receives the site distances.  Rows are not checked against the
+    domain; see ``_Nearest.check``.
     """
-    d_sites = cdist(X, scene.sites)
+    if cand is None:
+        d_sites = cdist(X, scene.sites, out=out)
+    else:  # squares summed coordinate by coordinate, as cdist does
+        diff = X[:, None] - scene.sites[cand]
+        d_sites = diff[..., 0] * diff[..., 0]
+        for j in range(1, X.shape[1]):
+            d_sites += diff[..., j] * diff[..., j]
+        np.sqrt(d_sites, out=d_sites)
     norm = _row_norms(X)
     d_wall = scene.bounding_radius - norm
     R = d_sites.min(axis=1)

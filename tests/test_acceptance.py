@@ -24,8 +24,8 @@ import medaxis as mx
 from medaxis.axis import build_skeleton, filter_axis, axis_membership
 from medaxis.field import (estimate_critical_function, eval_field,
                            eval_field_batch, reach_summary, OffsetDomainError)
-from medaxis.flow import (integrate_flow, radius_certificate, push_path,
-                          entered_axis)
+from medaxis.flow import (integrate_flow, integrate_flows, radius_certificate,
+                          push_path, entered_axis)
 from medaxis.metrics import (hausdorff_distance, build_geodesic_graph,
                              geodesic_diameter, stability_constants)
 from medaxis.experiments import (ExperimentConfig, run_critfn, run_perturb,
@@ -198,8 +198,8 @@ def test_criterion_04_flow_monotonicity():
             s = rng.uniform(edge.s0 + 0.1 * (edge.s1 - edge.s0),
                             edge.s0 + 0.9 * (edge.s1 - edge.s0))
             starts.append(edge.mid + s * edge.u)
-        for p in starts:
-            traj = integrate_flow(scene, p, alpha=alpha, horizon=2.0)
+        # one batch per scene; a row does not depend on its batch
+        for traj in integrate_flows(scene, starts, alpha=alpha, horizon=2.0):
             n_traj += 1
             if len(traj) > 1:
                 worst_dr = min(worst_dr, float(np.diff(traj.R).min()))

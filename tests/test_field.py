@@ -2,13 +2,18 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
+from test_scene import _wire_scene
 
 import medaxis as mx
 from medaxis import field
 from medaxis.flow import _probe, _ties
+from medaxis.scene import _nearest, _row_norms
 
 
 def two_site_scene():
@@ -280,6 +285,160 @@ class TestBatchedMarch:
             assert pts[mine].tobytes() == alone_pts.tobytes()
             assert len(alone_rows) > 0
             offset += len(x)
+
+
+# --- the full-scan oracle: every halving queries every site ---------------
+
+def oracle_march(scene, X, t, band, max_iters=200):
+    """``field._march_to_level`` with a full kernel query at every halving.
+    Returns the kept rows, their points, and the ends (lo, hi) of every
+    bracketed row's bracket, in row order."""
+    r_bound = scene.bounding_radius
+    lo = np.empty_like(X)
+    hi = np.empty_like(X)
+    bracketed = np.zeros(len(X), bool)
+    idx = np.arange(len(X))
+    cur = X
+    near = _nearest(scene, cur)
+    r_here, d_wall, foot = near.R, near.d_wall, near.nearest_points()
+    for _ in range(max_iters):
+        if idx.size == 0:
+            break
+        level = t[idx]
+        u = (cur - foot) / r_here[:, None]
+        gap = level - r_here
+        step = np.clip(0.9 * np.abs(gap), band / 4.0, 0.05 * r_bound)
+        step = np.minimum(step, 0.5 * d_wall)
+        trial = cur + np.sign(gap)[:, None] * step[:, None] * u
+        near = _nearest(scene, trial)
+        crossed = (r_here - level) * (near.R - level) <= 0.0
+        sel = idx[crossed]
+        above = (r_here[crossed] - level[crossed] > 0.0)[:, None]
+        lo[sel] = np.where(above, trial[crossed], cur[crossed])
+        hi[sel] = np.where(above, cur[crossed], trial[crossed])
+        bracketed[sel] = True
+        stay = ~crossed
+        idx, cur = idx[stay], trial[stay]
+        r_here, d_wall = near.R[stay], near.d_wall[stay]
+        foot = near.nearest_points()[stay]
+    rows = np.nonzero(bracketed)[0]
+    a, b = lo[rows], hi[rows]
+    ends = (a.copy(), b.copy())
+    live = np.arange(len(rows))
+    for _ in range(60):
+        if live.size == 0:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        neg = (_nearest(scene, mid).R - t[rows[live]]) < 0.0
+        old = np.where(neg[:, None], a[live], b[live])
+        moved = (old.view(np.int64) != mid.view(np.int64)).any(axis=1)
+        a[live[neg]] = mid[neg]
+        b[live[~neg]] = mid[~neg]
+        live = live[moved]
+    in_band = np.abs(r_here - t[idx]) <= band
+    rows = np.concatenate([rows, idx[in_band]])
+    out = np.vstack([0.5 * (a + b), cur[in_band]])
+    near = _nearest(scene, out)
+    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t[rows]) <= band)
+    return rows[keep], out[keep], ends
+
+
+def _lattice_scene():
+    lattice = np.array([[i, j] for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
+    return mx.SiteScene(sites=lattice, bounding_radius=5.0)
+
+
+def _march_case(case):
+    """Scene, seeds, levels and band of one march comparison."""
+    rng = np.random.default_rng(12)
+    if case == "switch":
+        # seeds just left of the two sites' bisector, levels just above
+        # their R: most brackets straddle the bisector
+        scene = two_site_scene()
+        X = np.column_stack([-rng.uniform(0.0, 6e-4, 60), rng.uniform(0.2, 3.0, 60)])
+        t = mx.r_batch(scene, X) + rng.uniform(0.0, 4e-4, 60)
+        return scene, X, t, scene.bounding_radius / 2000.0
+    if case == "wire-3d":
+        scene, levels = _wire_scene(), np.array([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0])
+    elif case == "planar-r-max":
+        scene, levels, _ = _planar_with_r_max()
+    elif case == "lattice":
+        scene, levels = _lattice_scene(), np.array([0.3, 0.5, math.sqrt(0.5), 1.0, 2.0])
+    else:
+        scene, levels = two_site_scene(), np.array([0.5, 1.0, 2.0, 4.5])
+    seeds = [field._sprinkle(scene, t, 150, rng) for t in levels]
+    t = np.concatenate([np.full(len(x), lev) for x, lev in zip(seeds, levels)])
+    return scene, np.vstack(seeds), t, scene.bounding_radius / 2000.0
+
+
+class TestCandidateBisection:
+    """Later halvings measure each row's candidate sites only; every kept
+    row and point must equal the full-scan oracle's bit for bit."""
+
+    @pytest.mark.parametrize("setting", ["default", "candidates", "small-chunks"])
+    @pytest.mark.parametrize("case", ["wire-3d", "planar-r-max", "lattice",
+                                      "two-site", "switch"])
+    def test_equals_full_scan_oracle(self, case, setting, monkeypatch):
+        if setting != "default":  # candidates however few the sites
+            monkeypatch.setattr(field, "_CANDIDATE_COST", 0)
+        if setting == "small-chunks":  # of 2000 // 32 // m rows, some of one
+            monkeypatch.setattr(field, "_BATCH_DISTANCES", 2000)
+        tables = []
+        bracket_candidates = field._bracket_candidates
+
+        def spy(*args):
+            R, cand = bracket_candidates(*args)
+            tables.append(cand)
+            return R, cand
+
+        monkeypatch.setattr(field, "_bracket_candidates", spy)
+        scene, X, t, band = _march_case(case)
+        rows, pts = field._march_to_level(scene, X, t, band)
+        widths = [None if cand is None else cand.shape[1] for cand in tables]
+        if setting != "default" or case == "wire-3d":
+            assert None not in widths
+        if case == "two-site" and setting == "default":
+            assert widths == [None]
+        want_rows, want_pts, (a, b) = oracle_march(scene, X, t, band)
+        assert np.array_equal(rows, want_rows)
+        assert pts.tobytes() == want_pts.tobytes()
+        assert len(rows) > 0.5 * len(X)
+        if case == "switch":
+            ends = [cdist(e, scene.sites).argmin(axis=1) for e in (a, b)]
+            assert np.count_nonzero(ends[0] != ends[1]) > 0.5 * len(X)
+        if case == "lattice":  # bisected onto the four-way ties
+            R = mx.r_batch(scene, pts)
+            assert np.any(np.abs(R - math.sqrt(0.5)) < 1e-12)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["random-2d", "random-3d", "lattice", "wire-3d"]),
+           seed=st.integers(0, 2 ** 16), log_width=st.floats(-9.0, 0.5))
+    def test_candidates_hold_every_nearest_site(self, kind, seed, log_width):
+        rng = np.random.default_rng(seed)
+        if kind == "lattice":
+            scene = _lattice_scene()
+            # near the cells' centers, where four sites tie
+            a = rng.integers(-1, 1, size=(40, 2)) + 0.5 + rng.normal(size=(40, 2)) * 1e-3
+        elif kind == "wire-3d":
+            scene = _wire_scene()
+            a = rng.uniform(-1.2, 1.2, size=(40, 3))
+        else:
+            dim = 2 if kind == "random-2d" else 3
+            scene = mx.random_scene(int(rng.integers(1, 30)), 5.0, seed=seed, dim=dim)
+            a = rng.uniform(-3.0, 3.0, size=(40, dim))
+        step = rng.normal(size=a.shape)
+        b = a + 10.0 ** log_width * step / np.linalg.norm(step, axis=1, keepdims=True)
+        mid = 0.5 * (a + b)
+        with mock.patch.object(field, "_CANDIDATE_COST", 0):
+            R, cand = field._bracket_candidates(scene, mid, _row_norms(b - a))
+        assert R.tobytes() == _nearest(scene, mid).R.tobytes()
+        # points on each bracket and in the box its ends span
+        for y in [a, b, a + rng.uniform(size=(40, 1)) * (b - a),
+                  a + rng.uniform(size=a.shape) * (b - a)]:
+            d = cdist(y, scene.sites)
+            for i, row in enumerate(d):
+                assert set(np.flatnonzero(row == row.min())) <= set(cand[i])
+            assert np.all(_nearest(scene, y, cand).d_sites.min(axis=1) == d.min(axis=1))
 
 
 def synthetic_profile():

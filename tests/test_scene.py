@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import medaxis as mx
-from medaxis.scene import _nearest, nearest_site_info
+from medaxis.scene import _nearest, _seb_grow, _seb_stack, nearest_site_info
 
 
 def two_site_scene():
@@ -225,6 +225,93 @@ class TestSmallestEnclosingBallProperties:
             assert abs(ball.radius - expected) <= 1e-12 * expected
 
 
+def three_point_stack(kind, n, dim, rng):
+    """n three-point sets in R^dim, shaped (n, 3, dim), of one kind, their
+    points in random order; each set is scaled and offset at random
+    (offsets up to 1e6)."""
+    if kind in ("acute", "obtuse", "right", "equidistant"):
+        # on a circle in a random 2-plane: near the corners of an
+        # equilateral triangle (each moved by up to 0.5 rad), on them,
+        # within an arc of 3 rad, or with two points antipodal, where
+        # rounding puts the third a hair inside or outside their ball
+        base = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1))
+        if kind == "obtuse":
+            ang = base + rng.uniform(0.0, 3.0, size=(n, 3))
+        elif kind == "right":
+            ang = base + np.column_stack([np.zeros(n), np.full(n, np.pi),
+                                          rng.uniform(0.1, 3.0, size=n)])
+        else:
+            jitter = 0.5 if kind == "acute" else 0.0
+            ang = base + 2.0 * np.pi / 3.0 * np.arange(3) + rng.uniform(
+                -jitter, jitter, size=(n, 3))
+        plane = np.linalg.qr(rng.normal(size=(n, dim, 2)))[0]
+        pts = np.stack([np.cos(ang), np.sin(ang)], axis=2) @ plane.transpose(0, 2, 1)
+    elif kind == "collinear":
+        pts = rng.normal(size=(n, 3, 1)) * rng.normal(size=(n, 1, dim))
+        pts += 1e-9 * rng.normal(size=pts.shape)
+    else:
+        pts = rng.normal(size=(n, 3, dim))
+        if kind == "repeated":
+            src, dst = rng.permuted(np.tile([0, 1, 2], (n, 1)), axis=1)[:, :2].T
+            pts[np.arange(n), dst] = pts[np.arange(n), src]
+    order = rng.random((n, 3)).argsort(axis=1)
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1, 1))
+    offset = 10.0 ** rng.uniform(0.0, 6.0, size=(n, 1, 1)) * rng.normal(size=(n, 1, dim))
+    return pts * scale + offset
+
+
+def welzl_oracle(P):
+    """Per-row ``_seb_grow``, with the radius tightened to the largest gap."""
+    centers = np.array([_seb_grow(pts, [], P.shape[2]).center for pts in P])
+    return centers, np.linalg.norm(P - centers[:, None], axis=2).max(axis=1)
+
+
+THREE_POINT_KINDS = ["random", "acute", "obtuse", "right", "equidistant", "collinear",
+                     "repeated"]
+
+
+class TestThreePointBalls:
+    """Three-point sets in d >= 3 are batched; every center and radius must
+    equal the recursion's bit for bit."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("kind", THREE_POINT_KINDS)
+    def test_stack_equals_recursion(self, kind, dim):
+        P = three_point_stack(kind, 300, dim, np.random.default_rng(7))
+        want_c, want_r = welzl_oracle(P)
+        for n in (1, 7, len(P)):
+            centers, radii = _seb_stack(P[:n])
+            assert centers.tobytes() == want_c[:n].tobytes()
+            assert radii.tobytes() == want_r[:n].tobytes()
+
+    def test_every_branch_is_taken(self):
+        # the recursion's support sizes: acute sets end with all three
+        # points, obtuse ones with two, and a thrice repeated point with one
+        rng = np.random.default_rng(8)
+        for kind, support in [("acute", 3), ("obtuse", 2)]:
+            P = three_point_stack(kind, 50, 3, rng)
+            _, radii = _seb_stack(P)
+            sides = np.linalg.norm(P - np.roll(P, 1, axis=1), axis=2).max(axis=1)
+            if support == 3:
+                assert np.all(radii > 0.5 * sides * (1.0 + 1e-9))
+            else:
+                assert np.allclose(radii, 0.5 * sides, rtol=1e-12)
+        P = np.repeat(rng.normal(size=(4, 1, 3)), 3, axis=1)
+        assert np.all(_seb_stack(P)[1] == 0.0)
+        assert _seb_stack(P)[0].tobytes() == welzl_oracle(P)[0].tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(THREE_POINT_KINDS), dim=st.sampled_from([3, 4]),
+           n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+    def test_stack_equals_recursion_property(self, kind, dim, n, seed):
+        P = three_point_stack(kind, n, dim, np.random.default_rng(seed))
+        centers, radii = _seb_stack(P)
+        want_c, want_r = welzl_oracle(P)
+        assert centers.tobytes() == want_c.tobytes()
+        assert radii.tobytes() == want_r.tobytes()
+
+
 def _wire_scene():
     """A 3-d square wire: 40 sites on a square of side 2 in the plane z = 0."""
     u = np.linspace(-1.0, 1.0, 10, endpoint=False)
@@ -284,6 +371,26 @@ class TestNearestBalls:
                 assert F[i] == ball.radius
                 kinds.add((min(len(labels), 4), labels[-1] == -1))
         assert kinds == {(k, w) for k in (1, 2, 3, 4) for w in (False, True)}
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_candidate_distances_equal_cdist_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        scene = mx.random_scene(50, 10.0, seed=dim, dim=dim)
+        X = rng.uniform(-7.0, 7.0, size=(20000, dim))
+        cand = rng.integers(0, 50, size=(len(X), 6))
+        full = _nearest(scene, X)
+        near = _nearest(scene, X, cand)
+        assert near.d_sites.tobytes() == np.take_along_axis(full.d_sites, cand, 1).tobytes()
+        assert near.d_wall.tobytes() == full.d_wall.tobytes()
+
+    def test_table_rows_are_padded_with_their_first_site(self):
+        scene = mx.SiteScene(sites=[[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]],
+                             bounding_radius=5.0)
+        near = _nearest(scene, np.array([[0.4, 0.0], [2.5, 0.0], [1.5, 0.0]]))
+        table = near.candidates(np.array([0.7, 0.6, 2.0]))
+        assert table.tolist() == [[0, 1, 0], [2, 2, 2], [0, 1, 2]]
 
 
 class TestWallWitness:
