@@ -28,19 +28,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
 from .field import _row_chunks, eval_field, eval_field_batch
 
 __all__ = [
-    "SkeletonEdge",
-    "VertexData",
     "VoronoiSkeleton",
     "build_skeleton",
     "FilteredAxis",
@@ -56,49 +53,27 @@ _QHULL_FLAT = ("QH6154", "QH7089")
 
 
 @dataclass(frozen=True)
-class SkeletonEdge:
-    v0: int
-    v1: int
-    pair: tuple
-    h: float
-    mid: np.ndarray
-    u: np.ndarray
-    s0: float
-    s1: float
-    wall0: bool
-    wall1: bool
-
-
-@dataclass(frozen=True)
-class VertexData:
-    point: np.ndarray
-    witness_sites: tuple
-    has_wall: bool
-    R: float
-    F: float
-
-
-class SkeletonArrays(NamedTuple):
-    """The skeleton as arrays: row e of the edge fields is ``edges[e]``,
-    and row k of R and F is ``vertex_data[k]``."""
-
-    h: np.ndarray     # (E,) half-gaps
-    mid: np.ndarray   # (E, 2) bisector midpoints
-    u: np.ndarray     # (E, 2) unit bisector directions
-    s: np.ndarray     # (E, 2) parameters s0 < s1 of the ends
-    v: np.ndarray     # (E, 2) vertex ids of the ends
-    wall: np.ndarray  # (E, 2) whether the wall clips each end
-    R: np.ndarray     # (V,) vertex distances to the scene
-    F: np.ndarray     # (V,) vertex witness radii
-
-
-@dataclass(frozen=True)
 class VoronoiSkeleton:
+    """The skeleton as arrays: vertex rows (V,) and edge rows (E,).
+
+    Edge e is the interval s[e, 0] < s[e, 1] of the bisector mid[e] + s u[e]
+    of the sites ``pairs[e]`` (i < j), with half-gap h[e].  Its ends are the
+    vertices ``edges[e]``, each bounded by the site ``bound[e]`` or, where
+    that is -1, clipped by the wall.  R and F are the vertices' distances to
+    the scene and witness radii.
+    """
+
     scene: SiteScene
-    vertices: np.ndarray
-    vertex_data: list
-    edges: list
-    arrays: SkeletonArrays
+    vertices: np.ndarray  # (V, 2)
+    R: np.ndarray         # (V,)
+    F: np.ndarray         # (V,)
+    edges: np.ndarray     # (E, 2) vertex ids of the ends
+    pairs: np.ndarray     # (E, 2) site pairs
+    h: np.ndarray         # (E,) half-gaps
+    mid: np.ndarray       # (E, 2) bisector midpoints
+    u: np.ndarray         # (E, 2) unit bisector directions
+    s: np.ndarray         # (E, 2) parameters of the ends
+    bound: np.ndarray     # (E, 2) bounding site of each end, -1 at the wall
     flags: tuple = ()
 
 
@@ -200,8 +175,8 @@ def _pair_edges(scene: SiteScene, pairs: np.ndarray, opposite: np.ndarray):
     Each site k cuts the bisector of (p, q) where it becomes as close as p
     and q: a s <= b with a = 2 (k - p).u, b = |k|^2 - |p|^2 - 2 (k - p).m;
     the nearest cut on each side bounds the interval, the first in row order
-    on a tie.  Returns the kept pairs and their (m, u, h, s, src): ``s``
-    (E', 2) are the interval ends and ``src`` (E', 2) their bounding sites,
+    on a tie.  Returns the kept pairs and their (m, u, h, s, bound): ``s``
+    (E', 2) are the interval ends and ``bound`` (E', 2) their bounding sites,
     -1 where the wall clips.
     """
     sites = scene.sites
@@ -231,43 +206,27 @@ def _pair_edges(scene: SiteScene, pairs: np.ndarray, opposite: np.ndarray):
     w_lo, w_hi, w_ok = _wall_intervals(scene, m, u, h)
     at_site = np.column_stack([lo >= w_lo, hi <= w_hi])
     s = np.where(at_site, np.column_stack([lo, hi]), np.column_stack([w_lo, w_hi]))
-    src = np.where(at_site, np.column_stack([labels[rows, k_lo], labels[rows, k_hi]]), -1)
+    bound = np.where(at_site, np.column_stack([labels[rows, k_lo], labels[rows, k_hi]]), -1)
     dead = ((opposite >= 0) & flat & (b < 0.0)).any(axis=1)
     keep = ~dead & ~(lo >= hi) & w_ok & ~(s[:, 1] - s[:, 0] <= 1e-12 * r)
-    return pairs[keep], m[keep], u[keep], h[keep], s[keep], src[keep]
+    return pairs[keep], m[keep], u[keep], h[keep], s[keep], bound[keep]
 
 
-def _merge_endpoints(points, tol):
-    """Assign shared ids to coincident endpoints (first occurrence wins).
+def _endpoint_vertices(points: np.ndarray, tol: float):
+    """Vertices of the endpoints (N, 2) and each endpoint's vertex id.
 
-    Spatial hashing on a tol-sized grid keeps this linear; a point only has
-    to be compared with representatives in its own and adjacent cells.
+    Endpoints linked by steps of at most ``tol`` are one vertex; vertices
+    are numbered by first occurrence and sit at their first endpoint.
     """
-    reps = []
-    ids = []
-    buckets = {}
-    inv = 1.0 / tol if tol > 0.0 else 0.0
-    for pt in points:
-        cx = int(math.floor(pt[0] * inv))
-        cy = int(math.floor(pt[1] * inv))
-        assigned = None
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for ri in buckets.get((gx, gy), ()):
-                    rp = reps[ri]
-                    if np.hypot(pt[0] - rp[0], pt[1] - rp[1]) <= tol:
-                        assigned = ri
-                        break
-                if assigned is not None:
-                    break
-            if assigned is not None:
-                break
-        if assigned is None:
-            reps.append(pt)
-            assigned = len(reps) - 1
-            buckets.setdefault((cx, cy), []).append(assigned)
-        ids.append(assigned)
-    return reps, ids
+    close = cKDTree(points).query_pairs(tol * (1.0 + 1e-6), output_type="ndarray")
+    a, b = points[close[:, 0]], points[close[:, 1]]
+    close = close[np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]) <= tol]
+    graph = csr_matrix((np.ones(len(close)), (close[:, 0], close[:, 1])),
+                       shape=(len(points), len(points)))
+    # components are labelled in the order of their lowest node, which is
+    # the order of first occurrence
+    label = connected_components(graph, directed=False)[1].astype(np.intp)
+    return points[np.unique(label, return_index=True)[1]], label
 
 
 def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
@@ -280,39 +239,16 @@ def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
     """
     if scene.dim != 2:
         raise InvalidSceneError("skeleton construction is planar (d = 2)")
-    pairs, mid, u, h, s, src = _pair_edges(scene, *_delaunay_edges(scene))
-
-    ends = mid[:, None] + s[:, :, None] * u[:, None]
-    reps, ids = _merge_endpoints(ends.reshape(-1, 2).tolist(), 1e-9 * scene.bounding_radius)
-    vertices = np.array(reps) if reps else np.empty((0, 2))
-    v = np.array(ids, dtype=np.intp).reshape(-1, 2)
-    wall = src < 0
-
-    # witnesses of a vertex: the pair and bounding site of every end on it
-    n = len(scene.sites)
-    labels = np.concatenate([np.repeat(pairs, 2, axis=0), src.reshape(-1, 1)], axis=1)
-    keys = np.unique((v.reshape(-1, 1) * n + labels)[labels >= 0])
-    bounds = np.searchsorted(keys // n, np.arange(len(vertices) + 1)).tolist()
-    witnesses = (keys % n).tolist()
-    has_wall = np.zeros(len(vertices), bool)
-    has_wall[v[wall]] = True
-
+    pairs, mid, u, h, s, bound = _pair_edges(scene, *_delaunay_edges(scene))
+    ends = (mid[:, None] + s[:, :, None] * u[:, None]).reshape(-1, 2)
+    vertices, ids = _endpoint_vertices(ends, 1e-9 * scene.bounding_radius)
     R, F = np.empty(len(vertices)), np.empty(len(vertices))
     for rows in _row_chunks(scene, len(vertices)):
         got = eval_field_batch(scene, vertices[rows])
         R[rows], F[rows] = got["R"], got["F"]
-    data = [VertexData(point=point, witness_sites=tuple(witnesses[lo:hi]), has_wall=w,
-                       R=r_val, F=f_val)
-            for point, lo, hi, w, r_val, f_val in zip(
-                vertices, bounds, bounds[1:], has_wall.tolist(), R.tolist(), F.tolist())]
-    edges = [SkeletonEdge(v0=v0, v1=v1, pair=(i, j), h=hh, mid=mm, u=uu, s0=s0, s1=s1,
-                          wall0=w0, wall1=w1)
-             for (v0, v1), (i, j), hh, mm, uu, (s0, s1), (w0, w1) in zip(
-                 v.tolist(), pairs.tolist(), h.tolist(), mid, u, s.tolist(), wall.tolist())]
-    arrays = SkeletonArrays(h=h, mid=mid, u=u, s=s, v=v, wall=wall, R=R, F=F)
-    flags = () if edges else ("empty-skeleton",)
-    return VoronoiSkeleton(scene=scene, vertices=vertices, vertex_data=data,
-                           edges=edges, arrays=arrays, flags=flags)
+    return VoronoiSkeleton(scene=scene, vertices=vertices, R=R, F=F, edges=ids.reshape(-1, 2),
+                           pairs=pairs, h=h, mid=mid, u=u, s=s, bound=bound,
+                           flags=() if len(pairs) else ("empty-skeleton",))
 
 
 def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> float:
@@ -334,7 +270,7 @@ def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> fl
     valid = np.empty(len(X), bool)
     for rows in _row_chunks(scene, len(X)):
         valid[rows] = _nearest(scene, X[rows]).d_sites.min(axis=1) >= cand[rows] * (1.0 - 1e-12)
-    return max([0.0] + skeleton.arrays.R.tolist() + cand[valid].tolist())
+    return max([0.0] + skeleton.R.tolist() + cand[valid].tolist())
 
 
 # --- filtration ---------------------------------------------------------
@@ -382,9 +318,8 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
         raise InvalidSceneError("lambda must be positive")
     if alpha < 0.0:
         raise InvalidSceneError("alpha must be nonnegative")
-    sk = skeleton.arrays
     n_v = len(skeleton.vertices)
-    h, s0, s1 = sk.h, sk.s[:, 0], sk.s[:, 1]
+    h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         r_star = alpha * h / (h - lam)
         s_star = np.sqrt(r_star * r_star - h * h)
@@ -396,18 +331,19 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     e, side = np.nonzero(kept & ~(hi - lo <= 1e-12 * skeleton.scene.bounding_radius))
     a, b = lo[e, side], hi[e, side]
     at_v0, at_v1 = a == s0[e], b == s1[e]
-    wall_limited = bool((at_v0 & sk.wall[e, 0] | at_v1 & sk.wall[e, 1]).any())
+    wall = skeleton.bound[e] < 0
+    wall_limited = bool((at_v0 & wall[:, 0] | at_v1 & wall[:, 1]).any())
 
     # Keys: skeleton vertex ids, then n_v + 2 e for an edge's cut point at
     # -s* and n_v + 2 e + 1 for the one at s*; the two are one point when
     # s* rounds to 0 at 12 places.
     zero = s_star[e] < 1e-12
     zero[zero] = [round(x, 12) == 0.0 for x in s_star[e[zero]].tolist()]
-    keys = np.column_stack([np.where(at_v0, sk.v[e, 0], n_v + 2 * e + 1 - zero),
-                            np.where(at_v1, sk.v[e, 1], n_v + 2 * e)]).ravel()
+    keys = np.column_stack([np.where(at_v0, skeleton.edges[e, 0], n_v + 2 * e + 1 - zero),
+                            np.where(at_v1, skeleton.edges[e, 1], n_v + 2 * e)]).ravel()
     ends = np.column_stack([a, b]).ravel()
     edge = np.repeat(e, 2)
-    points = sk.mid[edge] + ends[:, None] * sk.u[edge]
+    points = skeleton.mid[edge] + ends[:, None] * skeleton.u[edge]
     at_vertex = keys < n_v
     points[at_vertex] = skeleton.vertices[keys[at_vertex]]
     used, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -416,8 +352,9 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     number[order] = np.arange(len(order))
     segments = number[inverse].reshape(-1, 2)
 
-    alive = sk.R > alpha
-    alive[alive] = (sk.R[alive] - alpha) / sk.R[alive] * sk.F[alive] >= lam
+    R, F = skeleton.R, skeleton.F
+    alive = R > alpha
+    alive[alive] = (R[alive] - alpha) / R[alive] * F[alive] >= lam
     alive[used[used < n_v]] = False
     lone = np.flatnonzero(alive)
     vertices = np.concatenate([points[first[order]], skeleton.vertices[lone]])

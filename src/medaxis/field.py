@@ -195,7 +195,8 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     gives the same R bit for bit, unless the sites are too few for that to
     pay.  Returns the indices of the kept rows and their points, which
     satisfy |R - t| <= band: bracketed rows, bisected down to rounding, in
-    row order, then stalled rows that already sit in the band, in row order.
+    row order, then stalled rows that already sit in the band, in row order;
+    and the largest R of the seeds ``X`` (0 when there are none).
     """
     r_bound = scene.bounding_radius
     lo = np.empty_like(X)   # the bracket end with R <= t
@@ -206,6 +207,7 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     buf = np.empty((len(X), len(scene.sites)))
     near = _nearest(scene, cur, out=buf)
     r_here, d_wall, foot = near.R, near.d_wall, near.nearest_points()
+    r_seeds = float(r_here.max(initial=0.0))
     del near
     for _ in range(max_iters):
         if idx.size == 0:
@@ -254,7 +256,7 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     pts = np.vstack([0.5 * (a + b), cur[in_band]])
     near = _nearest(scene, pts, out=buf[:len(pts)])
     keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t[rows]) <= band)
-    return rows[keep], pts[keep]
+    return rows[keep], pts[keep], r_seeds
 
 
 def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
@@ -341,9 +343,8 @@ def estimate_critical_function(scene: SiteScene, t_grid,
             stop += 1
         X = np.vstack(seeds[start:stop])
         level = np.repeat(np.arange(start, stop), sizes[start:stop])
-        if r_max is None and len(X):
-            seen_r = max(seen_r, float(r_batch(scene, X).max()))
-        rows, on_level = _march_to_level(scene, X, t_grid[level], band_width)
+        rows, on_level, r_seeds = _march_to_level(scene, X, t_grid[level], band_width)
+        seen_r = max(seen_r, r_seeds)
         norms = _band_gradient_norms(scene, on_level, band_width)
         for k in range(start, stop):
             mine = level[rows] == k

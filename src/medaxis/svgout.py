@@ -55,8 +55,7 @@ def scene_svg(scene: SiteScene, axis: FilteredAxis | None = None,
     parts = [_circles(scale, np.zeros((1, 2)), scale * scene.bounding_radius, "#888888")]
 
     if skeleton is not None:
-        sk = skeleton.arrays
-        ends = sk.mid[:, None] + sk.s[:, :, None] * sk.u[:, None]
+        ends = skeleton.mid[:, None] + skeleton.s[:, :, None] * skeleton.u[:, None]
         parts.append(_lines(scale, ends[:, 0], ends[:, 1], "#bbbbbb", "1"))
     if axis is not None:
         V, seg = axis.vertices, axis.segments

@@ -117,17 +117,18 @@ def test_criterion_03_membership_oracle_agreement():
         skeleton = build_skeleton(scene)
         axis = filter_axis(skeleton, lam, alpha)
         intervals = {}
-        for ei, edge in enumerate(skeleton.edges):
-            perp = np.array([-edge.u[1], edge.u[0]])
+        for ei, (mid, u, (s0, s1)) in enumerate(zip(skeleton.mid, skeleton.u,
+                                                    skeleton.s.tolist())):
+            perp = np.array([-u[1], u[0]])
             kept = []
             for seg in axis.segments:
                 ends = axis.vertices[list(seg)]
-                offs = ends - edge.mid
+                offs = ends - mid
                 if np.abs(offs @ perp).max() > 1e-9:
                     continue
-                s_vals = np.sort(offs @ edge.u)
-                if (s_vals[0] >= edge.s0 - 1e-9
-                        and s_vals[1] <= edge.s1 + 1e-9):
+                s_vals = np.sort(offs @ u)
+                if (s_vals[0] >= s0 - 1e-9
+                        and s_vals[1] <= s1 + 1e-9):
                     kept.append((float(s_vals[0]), float(s_vals[1])))
             intervals[ei] = kept
 
@@ -148,17 +149,17 @@ def test_criterion_03_membership_oracle_agreement():
         n_edge = 0
         while n_edge < 4000:
             ei = int(rng.integers(len(skeleton.edges)))
-            edge = skeleton.edges[ei]
-            s = float(rng.uniform(edge.s0, edge.s1))
+            s0, s1 = skeleton.s[ei].tolist()
+            s = float(rng.uniform(s0, s1))
             spans = intervals[ei]
             near_boundary = (any(abs(s - b) < band
                                  for lo_hi in spans for b in lo_hi)
-                             or abs(s - edge.s0) < band
-                             or abs(s - edge.s1) < band)
+                             or abs(s - s0) < band
+                             or abs(s - s1) < band)
             if near_boundary:
                 continue
             inside = any(lo <= s <= hi for lo, hi in spans)
-            p = edge.mid + s * edge.u
+            p = skeleton.mid[ei] + s * skeleton.u[ei]
             n_edge += 1
             if axis_membership(scene, p, lam, alpha) != inside:
                 disagreements += 1
@@ -194,10 +195,10 @@ def test_criterion_04_flow_monotonicity():
                     starts.append(p)
                     break
         for _ in range(10):
-            edge = skeleton.edges[int(rng.integers(len(skeleton.edges)))]
-            s = rng.uniform(edge.s0 + 0.1 * (edge.s1 - edge.s0),
-                            edge.s0 + 0.9 * (edge.s1 - edge.s0))
-            starts.append(edge.mid + s * edge.u)
+            ei = int(rng.integers(len(skeleton.edges)))
+            s0, s1 = skeleton.s[ei].tolist()
+            s = rng.uniform(s0 + 0.1 * (s1 - s0), s0 + 0.9 * (s1 - s0))
+            starts.append(skeleton.mid[ei] + s * skeleton.u[ei])
         # one batch per scene; a row does not depend on its batch
         for traj in integrate_flows(scene, starts, alpha=alpha, horizon=2.0):
             n_traj += 1

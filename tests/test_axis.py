@@ -1,8 +1,10 @@
 """Voronoi skeleton construction and the (lambda, alpha) filtration."""
 
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,21 +172,24 @@ def scalar_filter_axis(skeleton, lam, alpha):
     tol_len = 1e-12 * skeleton.scene.bounding_radius
     flags = list(skeleton.flags)
     wall_limited = False
-    for e_idx, edge in enumerate(skeleton.edges):
-        for a, b in scalar_kept_spans(edge.h, alpha, lam, edge.s0, edge.s1):
+    for e_idx, ((v0, v1), h, (s0, s1), (wall0, wall1)) in enumerate(zip(
+            skeleton.edges.tolist(), skeleton.h.tolist(), skeleton.s.tolist(),
+            (skeleton.bound < 0).tolist())):
+        mid, u = skeleton.mid[e_idx], skeleton.u[e_idx]
+        for a, b in scalar_kept_spans(h, alpha, lam, s0, s1):
             if b - a <= tol_len:
                 continue
-            if (a == edge.s0 and edge.wall0) or (b == edge.s1 and edge.wall1):
+            if (a == s0 and wall0) or (b == s1 and wall1):
                 wall_limited = True
-            ia = (vertex(("v", edge.v0), skeleton.vertices[edge.v0]) if a == edge.s0
-                  else vertex(("c", e_idx, round(a, 12)), edge.mid + a * edge.u))
-            ib = (vertex(("v", edge.v1), skeleton.vertices[edge.v1]) if b == edge.s1
-                  else vertex(("c", e_idx, round(b, 12)), edge.mid + b * edge.u))
+            ia = (vertex(("v", v0), skeleton.vertices[v0]) if a == s0
+                  else vertex(("c", e_idx, round(a, 12)), mid + a * u))
+            ib = (vertex(("v", v1), skeleton.vertices[v1]) if b == s1
+                  else vertex(("c", e_idx, round(b, 12)), mid + b * u))
             segments.append((ia, ib))
-            seg_data.append((values(edge.h, a), values(edge.h, b)))
+            seg_data.append((values(h, a), values(h, b)))
     isolated = []
-    for vid, vd in enumerate(skeleton.vertex_data):
-        if vd.R > alpha and (vd.R - alpha) / vd.R * vd.F >= lam and ("v", vid) not in key_of:
+    for vid, (R, F) in enumerate(zip(skeleton.R.tolist(), skeleton.F.tolist())):
+        if R > alpha and (R - alpha) / R * F >= lam and ("v", vid) not in key_of:
             isolated.append(vertex(("v", vid), skeleton.vertices[vid]))
     n = len(points)
     if wall_limited:
@@ -201,7 +206,7 @@ def scalar_filter_axis(skeleton, lam, alpha):
 
 
 def scalar_scene_r_max(scene, skeleton):
-    best = max([0.0] + [vd.R for vd in skeleton.vertex_data])
+    best = max([0.0] + skeleton.R.tolist())
     r = scene.bounding_radius
     for p in scene.sites:
         norm = float(np.linalg.norm(p))
@@ -235,8 +240,22 @@ def assert_pair_edges_match_scalar(scene, pairs, opposite):
     assert got == ref
 
 
+def vertex_witnesses(skeleton):
+    """Each vertex's witness sites (ascending) and wall flag: the pairs and
+    bounding sites of the edge ends on it, and whether the wall clips one."""
+    n = len(skeleton.scene.sites)
+    labels = np.concatenate([np.repeat(skeleton.pairs, 2, axis=0),
+                             skeleton.bound.reshape(-1, 1)], axis=1)
+    keys = np.unique((skeleton.edges.reshape(-1, 1) * n + labels)[labels >= 0])
+    bounds = np.searchsorted(keys // n, np.arange(len(skeleton.vertices) + 1)).tolist()
+    witnesses = (keys % n).tolist()
+    has_wall = np.zeros(len(skeleton.vertices), bool)
+    has_wall[skeleton.edges[skeleton.bound < 0]] = True
+    return [tuple(witnesses[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], has_wall.tolist()
+
+
 def assert_same_skeleton(got, ref):
-    assert [e.pair for e in got.edges] == [e.pair for e in ref.edges]
+    assert got.pairs.tolist() == ref.pairs.tolist()
     assert got.vertices.shape == ref.vertices.shape
     if len(ref.vertices) == 0:
         return
@@ -244,9 +263,52 @@ def assert_same_skeleton(got, ref):
     match = gap.argmin(axis=1)
     assert sorted(match) == list(range(len(ref.vertices)))
     assert gap[np.arange(len(match)), match].max() < 1e-9
-    for vd, k in zip(got.vertex_data, match):
-        assert vd.witness_sites == ref.vertex_data[k].witness_sites
-        assert vd.has_wall == ref.vertex_data[k].has_wall
+    (got_sites, got_wall), (ref_sites, ref_wall) = vertex_witnesses(got), vertex_witnesses(ref)
+    for k_got, k_ref in enumerate(match):
+        assert got_sites[k_got] == ref_sites[k_ref]
+        assert got_wall[k_got] == ref_wall[k_ref]
+
+
+def loop_merge_endpoints(points, tol):
+    """Shared ids of coincident endpoints (first occurrence wins), by a
+    per-point loop over a spatial hash on a tol-sized grid: a point is
+    compared only with representatives in its own and adjacent cells."""
+    reps = []
+    ids = []
+    buckets = {}
+    inv = 1.0 / tol if tol > 0.0 else 0.0
+    for pt in points:
+        cx = int(math.floor(pt[0] * inv))
+        cy = int(math.floor(pt[1] * inv))
+        assigned = None
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for ri in buckets.get((gx, gy), ()):
+                    rp = reps[ri]
+                    if np.hypot(pt[0] - rp[0], pt[1] - rp[1]) <= tol:
+                        assigned = ri
+                        break
+                if assigned is not None:
+                    break
+            if assigned is not None:
+                break
+        if assigned is None:
+            reps.append(pt)
+            assigned = len(reps) - 1
+            buckets.setdefault((cx, cy), []).append(assigned)
+        ids.append(assigned)
+    return reps, ids
+
+
+def assert_merge_matches_loop(scene, pairs, opposite):
+    """The array merge gives the loop's vertex ids and coordinates exactly."""
+    _, mid, u, _, s, _ = axis_mod._pair_edges(scene, pairs, opposite)
+    ends = (mid[:, None] + s[:, :, None] * u[:, None]).reshape(-1, 2)
+    tol = 1e-9 * scene.bounding_radius
+    vertices, ids = axis_mod._endpoint_vertices(ends, tol)
+    reps, ref_ids = loop_merge_endpoints(ends.tolist(), tol)
+    assert ids.tolist() == ref_ids
+    assert vertices.tolist() == reps
 
 
 def adversarial_scene(kind, size, seed):
@@ -296,6 +358,12 @@ _ORACLE_SCENES = {
 }
 
 
+# scene kinds, sizes and seeds of adversarial_scene, and filter parameters
+_AXIS_DRAWS = dict(kind=st.sampled_from(["lattice", "polygon", "polygon-center", "row",
+                                         "near-wall", "random"]),
+                   size=st.integers(1, 60), seed=st.integers(0, 2 ** 16),
+                   lam=st.floats(0.05, 1.0), alpha=st.floats(0.0, 0.5))
+
 # (lambda, alpha) points that keep whole edges, two spans of an edge, cut
 # every edge to isolated vertices, or empty the axis on the oracle scenes
 _ORACLE_GRID = [(0.05, 0.0), (0.5, 0.0), (0.3, 0.5), (0.75, 0.5), (1.2, 0.5),
@@ -306,46 +374,47 @@ class TestSkeleton:
     def test_two_site_bisector(self):
         sk = mx.build_skeleton(two_site_scene())
         assert len(sk.edges) == 1
-        edge = sk.edges[0]
-        assert edge.pair == (0, 1)
-        assert abs(edge.h - 1.0) < 1e-12
-        assert abs(edge.s0 + 99.0 / 20.0) < 1e-9
-        assert abs(edge.s1 - 99.0 / 20.0) < 1e-9
-        assert edge.wall0 and edge.wall1
+        assert sk.pairs.tolist() == [[0, 1]]
+        assert abs(sk.h[0] - 1.0) < 1e-12
+        assert abs(sk.s[0, 0] + 99.0 / 20.0) < 1e-9
+        assert abs(sk.s[0, 1] - 99.0 / 20.0) < 1e-9
+        assert sk.bound.tolist() == [[-1, -1]]
 
     def test_two_site_wall_vertices(self):
         sk = mx.build_skeleton(two_site_scene())
-        for vd in sk.vertex_data:
-            assert abs(abs(vd.point[1]) - 4.95) < 1e-9
-            assert abs(vd.R - 101.0 / 20.0) < 1e-9
-            assert abs(vd.F - vd.R) < 1e-9   # wall vertex is a balance point
-            assert vd.has_wall
+        _, has_wall = vertex_witnesses(sk)
+        assert len(sk.vertices) == 2 and all(has_wall)
+        assert np.all(np.abs(np.abs(sk.vertices[:, 1]) - 4.95) < 1e-9)
+        assert np.all(np.abs(sk.R - 101.0 / 20.0) < 1e-9)
+        assert np.all(np.abs(sk.F - sk.R) < 1e-9)   # wall vertex is a balance point
 
     def test_three_site_circumcenter_vertex(self):
         scene = mx.SiteScene(sites=np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                              bounding_radius=10.0)
         sk = mx.build_skeleton(scene)
-        inner = [vd for vd in sk.vertex_data if not vd.has_wall]
+        witnesses, has_wall = vertex_witnesses(sk)
+        inner = [k for k, wall in enumerate(has_wall) if not wall]
         assert len(inner) == 1
-        assert np.allclose(inner[0].point, [0.0, 0.0], atol=1e-9)
-        assert abs(inner[0].R - 1.0) < 1e-9
-        assert inner[0].witness_sites == (0, 1, 2)
+        assert np.allclose(sk.vertices[inner[0]], [0.0, 0.0], atol=1e-9)
+        assert abs(sk.R[inner[0]] - 1.0) < 1e-9
+        assert witnesses[inner[0]] == (0, 1, 2)
 
     def test_three_site_diagonal_wall_clip(self):
         scene = mx.SiteScene(sites=np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                              bounding_radius=10.0)
         sk = mx.build_skeleton(scene)
         expect_r = 10.0 - 99.0 / (20.0 - math.sqrt(2.0))
-        diag = [vd for vd in sk.vertex_data
-                if vd.has_wall and len(vd.witness_sites) == 2 and 2 in vd.witness_sites]
+        witnesses, has_wall = vertex_witnesses(sk)
+        diag = [k for k, (sites, wall) in enumerate(zip(witnesses, has_wall))
+                if wall and len(sites) == 2 and 2 in sites]
         assert len(diag) == 2
-        for vd in diag:
-            assert abs(vd.R - expect_r) < 1e-9
+        for k in diag:
+            assert abs(sk.R[k] - expect_r) < 1e-9
 
     def test_single_site_skeleton_is_empty(self):
         scene = mx.SiteScene(sites=np.array([[1.0, 0.0]]), bounding_radius=10.0)
         sk = mx.build_skeleton(scene)
-        assert sk.edges == [] and sk.vertices.shape == (0, 2)
+        assert sk.edges.shape == (0, 2) and sk.vertices.shape == (0, 2)
         assert sk.flags == ("empty-skeleton",)
         ax = mx.filter_axis(sk, 0.75, 0.5)
         assert ax.is_empty and "empty-axis" in ax.flags
@@ -360,8 +429,10 @@ class TestSkeleton:
     def test_arrays_match_scalar_oracle(self, name):
         scene = mx.SiteScene(sites=_ORACLE_SCENES[name](), bounding_radius=10.0)
         assert_pair_edges_match_scalar(scene, *axis_mod._delaunay_edges(scene))
+        assert_merge_matches_loop(scene, *axis_mod._delaunay_edges(scene))
         # many bounds per pair, with exact ties on the lattices and polygons
         assert_pair_edges_match_scalar(scene, *all_pairs(scene))
+        assert_merge_matches_loop(scene, *all_pairs(scene))
         sk = mx.build_skeleton(scene)
         for lam, alpha in _ORACLE_GRID:
             assert_same_axis(mx.filter_axis(sk, lam, alpha), scalar_filter_axis(sk, lam, alpha))
@@ -380,8 +451,19 @@ class TestSkeleton:
         # last two also get its point at infinity in a triangle)
         scene = nearly_collinear_row(seed, half, slope)
         sk = mx.build_skeleton(scene)
-        assert [e.pair for e in sk.edges] == [(k, k + 1) for k in range(5)]
+        assert sk.pairs.tolist() == [[k, k + 1] for k in range(5)]
         assert_same_skeleton(sk, all_pairs_skeleton(scene))
+        assert_merge_matches_loop(scene, *axis_mod._delaunay_edges(scene))
+
+    def test_merge_matches_loop_on_2000_sites(self):
+        # the 2000-site scene of the benchmark's large planar axis workload
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+        spec = importlib.util.spec_from_file_location("bench_scenes", path)
+        bench_scenes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_scenes)
+        sites = bench_scenes.separated_sites(np.random.default_rng(1), 2000, 10.0, min_sep=0.15)
+        scene = mx.SiteScene(sites=sites, bounding_radius=10.0)
+        assert_merge_matches_loop(scene, *axis_mod._delaunay_edges(scene))
 
     def test_rejects_three_dimensional_scene(self):
         scene = mx.SiteScene(sites=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
@@ -401,11 +483,9 @@ class TestSkeleton:
             scene = mx.SiteScene(sites=lattice(3), bounding_radius=10.0)
         else:
             scene = mx.random_scene(40, 8.0)
-        data = mx.build_skeleton(scene).vertex_data
-        R = np.array([vd.R for vd in data])
-        F = np.array([vd.F for vd in data])
-        assert len(data) == vertices
-        assert hashlib.sha256(R.tobytes() + F.tobytes()).hexdigest() == digest
+        sk = mx.build_skeleton(scene)
+        assert len(sk.vertices) == vertices
+        assert hashlib.sha256(sk.R.tobytes() + sk.F.tobytes()).hexdigest() == digest
 
 
 class TestFilteredAxis:
@@ -521,42 +601,49 @@ class TestMembership:
         rng = np.random.default_rng(29)
         band = 1e-6
         disagreements = 0
-        for edge in sk.edges:
+        for mid, u_dir, (s0, s1) in zip(sk.mid, sk.u, sk.s.tolist()):
             kept = []
             for seg in ax.segments:
                 ends = ax.vertices[list(seg)]
-                offs = ends - edge.mid
-                if np.abs(offs @ np.array([-edge.u[1], edge.u[0]])).max() > 1e-9:
+                offs = ends - mid
+                if np.abs(offs @ np.array([-u_dir[1], u_dir[0]])).max() > 1e-9:
                     continue
-                s_vals = np.sort(offs @ edge.u)
-                if s_vals[0] >= edge.s0 - 1e-9 and s_vals[1] <= edge.s1 + 1e-9:
+                s_vals = np.sort(offs @ u_dir)
+                if s_vals[0] >= s0 - 1e-9 and s_vals[1] <= s1 + 1e-9:
                     kept.append((s_vals[0], s_vals[1]))
             for u in rng.uniform(0.0, 1.0, size=8):
-                s = edge.s0 + u * (edge.s1 - edge.s0)
+                s = s0 + u * (s1 - s0)
                 inside = any(a + band <= s <= b - band for a, b in kept)
                 outside = all(s <= a - band or s >= b + band for a, b in kept)
                 if not inside and not outside:
                     continue   # within the boundary band, either answer is fine
-                x = edge.mid + s * edge.u
+                x = mid + s * u_dir
                 if mx.axis_membership(scene, x, lam, alpha) != inside:
                     disagreements += 1
         assert disagreements == 0
 
     @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(kind=st.sampled_from(["lattice", "polygon", "polygon-center", "row",
-                                 "near-wall", "random"]),
-           size=st.integers(1, 60), seed=st.integers(0, 2 ** 16),
-           lam=st.floats(0.05, 1.0), alpha=st.floats(0.0, 0.5))
+    @given(**_AXIS_DRAWS)
     def test_kept_midpoints_are_members(self, kind, size, seed, lam, alpha):
         scene = adversarial_scene(kind, size, seed)
         sk = mx.build_skeleton(scene)
         ax = mx.filter_axis(sk, lam, alpha)
         # the array path equals the scalar oracles on every draw
         assert_pair_edges_match_scalar(scene, *axis_mod._delaunay_edges(scene))
+        assert_merge_matches_loop(scene, *axis_mod._delaunay_edges(scene))
         assert_same_axis(ax, scalar_filter_axis(sk, lam, alpha))
         for a, b in ax.segments:
             mid = 0.5 * (ax.vertices[a] + ax.vertices[b])
             assert mx.axis_membership(scene, mid, lam, alpha)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(**_AXIS_DRAWS)
+    def test_kept_segment_ends_pass_the_filter(self, kind, size, seed, lam, alpha):
+        # a cut point has F_alpha = lambda only up to rounding
+        scene = adversarial_scene(kind, size, seed)
+        ax = mx.filter_axis(mx.build_skeleton(scene), lam, alpha)
+        for vid in np.unique(ax.segments):
+            assert mx.eval_field(scene, ax.vertices[vid], alpha).F_alpha >= lam * (1.0 - 1e-9)
 
     def test_ambient_points_never_members(self):
         scene = mx.random_scene(12, bounding_radius=8.0, seed=17, min_separation=0.8)
@@ -587,6 +674,19 @@ class TestAxisJson:
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 0.75, 0.5)
         assert mx.axis_to_json(ax) == mx.axis_to_json(ax)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(**_AXIS_DRAWS)
+    def test_json_round_trip_and_rebuild(self, kind, size, seed, lam, alpha):
+        scene = adversarial_scene(kind, size, seed)
+        ax = mx.filter_axis(mx.build_skeleton(scene), lam, alpha)
+        text = mx.axis_to_json(ax)
+        payload = json.loads(text)
+        assert payload["vertices"] == ax.vertices.tolist()
+        assert payload["segments"] == ax.segments.tolist()
+        assert payload["isolated"] == ax.isolated_points.tolist()
+        assert payload["components"] == ax.component_ids.tolist()
+        assert mx.axis_to_json(mx.filter_axis(mx.build_skeleton(scene), lam, alpha)) == text
 
 
 _NEAR_WALL_PIN = np.vstack([_NEAR_WALL, [[0.5, -0.2], [-3.0, 1.0], [3.5, 2.5], [0.0, -4.0]]])

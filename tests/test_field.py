@@ -275,11 +275,12 @@ class TestBatchedMarch:
         sets = [(field._sprinkle(scene, t, 80, rng), t) for t in (0.4, 1.1)]
         X = np.vstack([x for x, _ in sets])
         levels = np.concatenate([np.full(len(x), t) for x, t in sets])
-        rows, pts = field._march_to_level(scene, X, levels, band)
+        rows, pts, r_seeds = field._march_to_level(scene, X, levels, band)
+        assert r_seeds == mx.r_batch(scene, X).max()
         offset = 0
         for x, t in sets:
-            alone_rows, alone_pts = field._march_to_level(scene, x, np.full(len(x), t),
-                                                          band)
+            alone_rows, alone_pts, _ = field._march_to_level(scene, x, np.full(len(x), t),
+                                                             band)
             mine = (rows >= offset) & (rows < offset + len(x))
             assert np.array_equal(rows[mine] - offset, alone_rows)
             assert pts[mine].tobytes() == alone_pts.tobytes()
@@ -393,7 +394,7 @@ class TestCandidateBisection:
 
         monkeypatch.setattr(field, "_bracket_candidates", spy)
         scene, X, t, band = _march_case(case)
-        rows, pts = field._march_to_level(scene, X, t, band)
+        rows, pts, _ = field._march_to_level(scene, X, t, band)
         widths = [None if cand is None else cand.shape[1] for cand in tables]
         if setting != "default" or case == "wire-3d":
             assert None not in widths

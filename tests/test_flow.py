@@ -174,13 +174,14 @@ def domain_points(scene, k, seed, clearance=0.05):
 def bisector_points(scene, k, seed):
     """k seeded points on the skeleton's edges (none if it has none), away
     from their ends, where the flow slides along a tie."""
-    edges = mx.build_skeleton(scene).edges
+    sk = mx.build_skeleton(scene)
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(k if edges else 0):
-        e = edges[int(rng.integers(len(edges)))]
-        s = rng.uniform(e.s0 + 0.1 * (e.s1 - e.s0), e.s0 + 0.9 * (e.s1 - e.s0))
-        out.append(e.mid + s * e.u)
+    for _ in range(k if len(sk.edges) else 0):
+        e = int(rng.integers(len(sk.edges)))
+        s0, s1 = sk.s[e].tolist()
+        s = rng.uniform(s0 + 0.1 * (s1 - s0), s0 + 0.9 * (s1 - s0))
+        out.append(sk.mid[e] + s * sk.u[e])
     return np.array(out).reshape(-1, scene.dim)
 
 
