@@ -66,7 +66,6 @@ class ExperimentConfig:
     resolution: float | None = None
     out_dir: str | None = None
     mu: float | str = "auto"
-    delta: float | None = None
     t_grid: tuple | None = None
     t_count: int = 80
     samples_per_level: int = 4000
@@ -100,11 +99,9 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         if key in raw:
             val = raw.pop(key)
             kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-    for key in ("seed", "resolution", "out_dir", "mu", "delta", "t_count",
-                "samples_per_level", "band_width", "horizon", "sample_pairs",
-                "gh_variant", "expect_square_side"):
-        if key in raw:
-            kwargs[key] = raw.pop(key)
+    for f in dataclasses.fields(ExperimentConfig):  # the scalar keys left
+        if f.name in raw:
+            kwargs[f.name] = raw.pop(f.name)
     if raw:
         raise InvalidSceneError("unknown config keys: %s" % sorted(raw))
     return ExperimentConfig(**kwargs)
@@ -447,6 +444,18 @@ _SWEEPS = {
 }
 
 
+def _gh_measure(config: ExperimentConfig, graph_a, graph_b, radius: float):
+    """(distortion, surjective) of the radius relation between two geodesic
+    graphs; a relation that is not surjective has infinite distortion."""
+    try:
+        distortion = gh_distortion(graph_a, graph_b, radius,
+                                   sample_pairs=config.sample_pairs,
+                                   resolution=config.resolution, seed=config.seed)[0]
+    except SurjectivityError:
+        return float("inf"), False
+    return distortion, True
+
+
 def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     scene = config.scene
     res = config.resolution
@@ -504,14 +513,8 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
                 graph_lo = build_geodesic_graph(axis_lo)
                 diam = geodesic_diameter(graph_lo)
                 radius = max(t_flow, d_h + 2.0 * res)
-                try:
-                    distortion, corr = gh_distortion(
-                        graph_lo, build_geodesic_graph(axis_hi), radius,
-                        sample_pairs=config.sample_pairs,
-                        resolution=res, seed=config.seed)
-                    gh_ok = True
-                except SurjectivityError:
-                    distortion, gh_ok = float("inf"), False
+                distortion, gh_ok = _gh_measure(
+                    config, graph_lo, build_geodesic_graph(axis_hi), radius)
                 gh_bound = (2.0 * t_flow + diam * math.expm1(t_flow / alpha)
                             if t_flow / alpha < 700.0 else float("inf"))
                 row["gh_distortion"] = distortion
@@ -668,13 +671,7 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
         radius = min(max(res, cons.hausdorff_bound),
                      4.0 * scene.bounding_radius)
         d_h = hausdorff_distance(base_axis, axis_p, res)
-        try:
-            distortion, corr = gh_distortion(
-                base_graph, graph_p, radius, sample_pairs=config.sample_pairs,
-                resolution=res, seed=config.seed)
-            surjective = True
-        except SurjectivityError:
-            distortion, surjective = float("inf"), False
+        distortion, surjective = _gh_measure(config, base_graph, graph_p, radius)
         hyp_ok = (cons.hypothesis_flags["mu-tilde-defined"]
                   and cons.hypothesis_flags["reach-exceeds-filter"]
                   and cons.hypothesis_flags["gh-epsilon-small"])

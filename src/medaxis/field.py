@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scene import (
+    DomainError,
     InvalidSceneError,
     OffsetDomainError,
     SiteScene,
     _nearest,
     _row_norms,
     _seb_stack,
-    nearest_site_info,
 )
 
 __all__ = [
@@ -78,20 +78,28 @@ def _offset_rescale(R, F, alpha):
 
 def eval_field(scene: SiteScene, x, alpha: float | None = None,
                witness_band: float | None = None) -> FieldSample:
-    """Evaluate the distance field at one point.
+    """Evaluate the distance field at one point: ``eval_field_batch``'s
+    path on one row, with the witness labels (site indices, then -1 for
+    the wall) and points read off the row's witness mask.
 
     ``witness_band`` widens the witness band to an absolute length (the
     default is the scene's relative tie band); integrators use a band at
     their step scale so that sheet contact is observable.
     """
     x = np.asarray(x, float)
-    dmin, labels, points, _ = nearest_site_info(scene, x, band=witness_band)
-    centers, F = _seb_stack(np.array([points]))
-    f_val = float(F[0])
-    f_alpha = None if alpha is None else _offset_rescale(dmin, f_val, alpha)
-    return FieldSample(point=x, R=dmin, theta=points, F=f_val,
-                       grad=(x - centers[0]) / dmin, F_alpha=f_alpha,
-                       witness_ids=tuple(labels))
+    if x.shape != (scene.dim,):
+        raise DomainError("query point has wrong dimension")
+    near = _nearest(scene, x[None])
+    near.check()
+    cols = near.cut(witness_band).nonzero()[1]
+    theta = near.witnesses(np.zeros(1, int), cols[None])
+    centers, F = _seb_stack(theta)  # ``near.balls`` of the row
+    R, f_val = float(near.R[0]), float(F[0])
+    f_alpha = None if alpha is None else _offset_rescale(R, f_val, alpha)
+    labels = np.where(cols < len(scene.sites), cols, -1)
+    return FieldSample(point=x, R=R, theta=list(theta[0]), F=f_val,
+                       grad=(x - centers[0]) / R, F_alpha=f_alpha,
+                       witness_ids=tuple(labels.tolist()))
 
 
 def r_batch(scene: SiteScene, X) -> np.ndarray:
@@ -108,10 +116,10 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
     X = np.atleast_2d(np.asarray(X, float))
     near = _nearest(scene, X)
     near.check()
-    sites, wall = near.cut(witness_band)
-    centers, F = near.balls(sites, wall)
+    mask = near.cut(witness_band)
+    centers, F = near.balls(mask)
     out = {"R": near.R, "F": F, "grad": (X - centers) / near.R[:, None],
-           "witness_count": sites.sum(axis=1) + wall}
+           "witness_count": mask.sum(axis=1)}
     if alpha is not None:
         out["F_alpha"] = _offset_rescale(near.R, F, alpha)
     return out
@@ -288,7 +296,7 @@ def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
 def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.ndarray:
     """|grad| with the witness band widened to ``band`` (absolute)."""
     near = _nearest(scene, X)
-    ratio = near.balls(*near.cut(band))[1] / near.R
+    ratio = near.balls(near.cut(band))[1] / near.R
     return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
 

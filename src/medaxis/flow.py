@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import (DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms,
-                    _wall_points)
+from .scene import DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms
 
 __all__ = [
     "StopCondition",
@@ -126,20 +125,18 @@ def _probe(scene: SiteScene, X: np.ndarray, band: float,
     node's wide set as its hysteresis keep-set, so a witness hovering at the
     cut does not flicker in and out between nodes."""
     near = _nearest(scene, X)
-    sites, wall = near.cut(band, keep)
-    wide = np.concatenate((sites, wall[:, None]), axis=1)
+    wide = near.cut(band, keep)
     return _Probe(*near[1:], wide, wide.sum(axis=1))
 
 
 def _with_balls(scene: SiteScene, probe: _Probe) -> _Probe:
     """The probe with its wide witness balls."""
-    near = _Nearest(scene, *probe[:5])
-    return _Probe(*probe[:7], *near.balls(probe.wide[:, :-1], probe.wide[:, -1]))
+    return _Probe(*probe[:7], *_Nearest(scene, *probe[:5]).balls(probe.wide))
 
 
-def _ties(scene: SiteScene, probe: _Probe, rows: np.ndarray):
-    """Site and wall masks of the exact witnesses (the relative tie band)
-    of ``rows``."""
+def _ties(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
+    """Witness mask of the exact witnesses (the relative tie band) of
+    ``rows``."""
     return _Nearest(scene, *(a[rows] for a in probe[:5])).cut()
 
 
@@ -151,8 +148,7 @@ def _accept(scene: SiteScene, node: _Probe, trial: _Probe) -> np.ndarray:
     drop = trial.F < node.F - _F_BACKSLIDE_TOL
     if drop.any():
         r = drop.nonzero()[0]
-        (ts, tw), (ns, nw) = _ties(scene, trial, r), _ties(scene, node, r)
-        acc[r] &= ~((ts != ns).any(axis=1) | (tw != nw))
+        acc[r] &= ~(_ties(scene, trial, r) != _ties(scene, node, r)).any(axis=1)
     return acc
 
 
@@ -161,12 +157,7 @@ def _pairs(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
     (len(rows), 2, d) in label order: a site, then a later site or the
     row's wall projection."""
     cols = probe.wide[rows].nonzero()[1].reshape(-1, 2)
-    m = len(scene.sites)
-    pts = scene.sites[np.minimum(cols, m - 1)]
-    wall = (cols[:, 1] == m).nonzero()[0]
-    if wall.size:
-        pts[wall, 1] = _wall_points(scene, probe.X[rows[wall]], probe.norm[rows[wall]])
-    return pts
+    return _Nearest(scene, *probe[:5]).witnesses(rows, cols)
 
 
 def _steer(scene: SiteScene, probe: _Probe):
@@ -424,9 +415,7 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float,
                                         else "start-below-certificate-radius",))
     s0 = math.sqrt(gap0 * gap0 - lam * lam)
 
-    with np.errstate(invalid="ignore"):
-        fa = np.where(traj.R > alpha, (traj.R - alpha) / traj.R * traj.F, np.nan)
-    inside = fa >= lam
+    inside = _f_alpha(traj.R, traj.F, alpha) >= lam
     first_inside = int(np.argmax(inside)) if bool(inside.any()) else None
     n_checked = first_inside if first_inside is not None else len(traj.R)
 

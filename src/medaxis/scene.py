@@ -25,8 +25,6 @@ __all__ = [
     "DomainError",
     "OffsetDomainError",
     "smallest_enclosing_ball",
-    "nearest_site_info",
-    "wall_witness",
     "random_scene",
     "scene_to_json",
     "scene_from_json",
@@ -252,12 +250,6 @@ def _wall_points(scene: SiteScene, X: np.ndarray, norm: np.ndarray) -> np.ndarra
     return pts
 
 
-def wall_witness(scene: SiteScene, x: np.ndarray) -> np.ndarray:
-    """Radial projection of x onto the bounding sphere."""
-    X = np.asarray(x, float)[None]
-    return _wall_points(scene, X, _row_norms(X))[0]
-
-
 class _Nearest(NamedTuple):
     """Distances from n query rows to a scene, as computed by ``_nearest``."""
 
@@ -270,18 +262,20 @@ class _Nearest(NamedTuple):
 
     def check(self) -> None:
         """Raise DomainError unless every row lies in the open domain."""
-        if self.R.size and self.R.min() <= 0.0:
+        if self.R.size and not self.R.min() > 0.0:
+            if not np.isfinite(self.X).all():
+                raise DomainError("query point must be finite")
             if self.d_wall.min() <= 0.0:
                 raise DomainError("query point is outside the open bounding ball")
             raise DomainError("query point coincides with a site")
 
-    def cut(self, band: float | None = None, keep: np.ndarray | None = None):
-        """Site mask (n, m) and wall mask (n,) of the witnesses within a cut.
+    def cut(self, band: float | None = None, keep: np.ndarray | None = None) -> np.ndarray:
+        """Witness mask (n, m + 1) of the witnesses within a cut: column j < m
+        is site j and column m the wall.
 
         The cut is the scene's relative tie band when ``band`` is None and
-        the absolute band R + ``band`` (``band`` >= 0) otherwise.  ``keep``
-        marks each row's known witnesses, shaped (n, m + 1) with the wall
-        last, so that a label indexes its column; they stay in up to
+        the absolute band R + ``band`` (``band`` >= 0) otherwise.  ``keep``,
+        a witness mask, marks each row's known witnesses; they stay in up to
         R + 2 ``band``.  This hysteresis stops a witness hovering at the cut
         from flickering in and out.
         """
@@ -293,11 +287,15 @@ class _Nearest(NamedTuple):
             if band < 0.0:
                 raise ValueError("witness band must be nonnegative")
             cut = self.R + float(band)
+        mask = np.empty((len(self.R), self.d_sites.shape[1] + 1), bool)
         if keep is None:
-            return self.d_sites <= cut[:, None], self.d_wall <= cut
-        far = self.R + 2.0 * band  # never below the cut
-        bound = np.where(keep, far[:, None], cut[:, None])
-        return self.d_sites <= bound[:, :-1], self.d_wall <= bound[:, -1]
+            bound = np.broadcast_to(cut[:, None], mask.shape)
+        else:
+            far = self.R + 2.0 * band  # never below the cut
+            bound = np.where(keep, far[:, None], cut[:, None])
+        np.less_equal(self.d_sites, bound[:, :-1], out=mask[:, :-1])
+        np.less_equal(self.d_wall, bound[:, -1], out=mask[:, -1])
+        return mask
 
     def candidates(self, reach: np.ndarray) -> np.ndarray:
         """Table (n, k) of each row's sites within ``reach`` (n,) of it, in
@@ -312,14 +310,6 @@ class _Nearest(NamedTuple):
         table[rows, np.arange(len(cols)) - first[rows]] = cols
         return table
 
-    def labels(self, i: int, sites: np.ndarray, wall: np.ndarray) -> list:
-        """Row ``i``'s witness labels in a cut returned by ``cut``: site
-        indices in ascending order, then -1 for the wall."""
-        labels = sites[i].nonzero()[0].tolist()
-        if wall[i]:
-            labels.append(-1)
-        return labels
-
     def nearest_points(self) -> np.ndarray:
         """Each row's nearest witness: a site, which wins a distance tie
         with the wall, or else the row's wall projection."""
@@ -329,33 +319,35 @@ class _Nearest(NamedTuple):
         pts[on_wall] = _wall_points(self.scene, self.X[on_wall], self.norm[on_wall])
         return pts
 
-    def balls(self, sites: np.ndarray, wall: np.ndarray):
+    def balls(self, mask: np.ndarray):
         """Center (n, d) and radius F (n,) of each row's witness ball in a
-        cut returned by ``cut``: rows are grouped by witness count and wall
-        flag, and each group's witnesses, in ``labels`` order, go to
-        ``_seb_stack`` as one stack."""
-        counts = sites.sum(axis=1)
-        cols = sites.nonzero()[1]  # row by row, each row's sites ascending
-        key = 2 * counts + wall
-        groups = np.bincount(key).nonzero()[0].tolist()
+        witness mask (``cut``): rows are grouped by witness count, and each
+        group's witnesses, in column order, go to ``_seb_stack`` as one
+        stack."""
+        counts = mask.sum(axis=1)
+        cols = mask.nonzero()[1]  # row by row, each row's columns ascending
+        groups = np.bincount(counts).nonzero()[0].tolist()
         if len(groups) == 1:  # one group: every row, in order
-            return _seb_stack(self._witnesses(groups[0], slice(None),
-                                              cols.reshape(len(key), groups[0] // 2)))
+            return _seb_stack(self.witnesses(np.arange(len(counts)),
+                                             cols.reshape(len(counts), groups[0])))
         first = np.cumsum(counts) - counts
         centers, F = np.empty_like(self.X), np.empty(len(self.X))
-        for g in groups:
-            rows = np.nonzero(key == g)[0]
-            centers[rows], F[rows] = _seb_stack(self._witnesses(
-                g, rows, cols[first[rows, None] + np.arange(g // 2)]))
+        for k in groups:
+            rows = np.nonzero(counts == k)[0]
+            centers[rows], F[rows] = _seb_stack(self.witnesses(
+                rows, cols[first[rows, None] + np.arange(k)]))
         return centers, F
 
-    def _witnesses(self, key: int, rows, cols: np.ndarray) -> np.ndarray:
-        """The witness stack of a group of rows whose key is 2 x site count
-        + wall flag and whose site columns are ``cols``."""
-        pts = self.scene.sites[cols]
-        if key % 2:
-            wall = _wall_points(self.scene, self.X[rows], self.norm[rows])
-            pts = np.concatenate((pts, wall[:, None]), axis=1)
+    def witnesses(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The witness stack (len(rows), k, d) of ``rows`` whose witness
+        mask columns are ``cols`` (len(rows), k), ascending: sites, then
+        the row's wall projection where its last column is the wall's."""
+        m = len(self.scene.sites)
+        pts = self.scene.sites[np.minimum(cols, m - 1)]
+        wall = (cols[:, -1] == m).nonzero()[0]
+        if wall.size:
+            pts[wall, -1] = _wall_points(self.scene, self.X[rows[wall]],
+                                         self.norm[rows[wall]])
         return pts
 
 
@@ -385,33 +377,6 @@ def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None,
     d_wall = scene.bounding_radius - norm
     R = d_sites.min(axis=1)
     return _Nearest(scene, X, norm, d_sites, d_wall, np.minimum(R, d_wall, out=R))
-
-
-def nearest_site_info(scene: SiteScene, x, band: float | None = None,
-                      keep=frozenset()):
-    """One-row view of the distance kernel.
-
-    Returns the distance R to the scene, the labels (site indices, then -1
-    for the wall) and points of the witnesses within the cut, and the label
-    set within the relative tie band (the exact witness set).  ``band`` is
-    an absolute widening of the cut (length units); None means the tie
-    band.  ``keep`` holds known witness labels, kept up to two bands out.
-    """
-    x = np.asarray(x, float)
-    if x.shape != (scene.dim,):
-        raise DomainError("query point has wrong dimension")
-    near = _nearest(scene, x[None])
-    R = float(near.R[0])
-    if not R > 0.0:
-        near.check()
-    mask = None
-    if keep:
-        mask = np.zeros((1, len(scene.sites) + 1), bool)
-        mask[0, list(keep)] = True
-    labels = near.labels(0, *near.cut(band, mask))
-    ties = frozenset(labels if band is None else near.labels(0, *near.cut()))
-    points = [scene.sites[k] if k >= 0 else wall_witness(scene, x) for k in labels]
-    return R, labels, points, ties
 
 
 # --- JSON round trip (17 significant digits: exact float round trip) ---

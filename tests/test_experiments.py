@@ -193,6 +193,23 @@ class TestCli:
         assert cli_main(["critfn", "--config", cfg]) == 3
         assert "samples_per_level" in capsys.readouterr().err
 
+    def test_delta_key_exits_three(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
+                      "bounding_radius": 10.0},
+            "lambda_grid": [0.75], "alpha_grid": [0.5], "delta": 0.1})
+        assert cli_main(["axis", "--config", cfg]) == 3
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_non_finite_flow_start_exits_three(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
+                      "bounding_radius": 10.0},
+            "starts": [[0.0, 2.0], [math.nan, 0.0]],
+            "out_dir": str(tmp_path / "out")})
+        assert cli_main(["flow", "--config", cfg]) == 3
+        assert "query point must be finite" in capsys.readouterr().err
+
     def test_config_without_scene_exits_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"lambda_grid": [0.75],
                                         "alpha_grid": [0.5]})

@@ -13,7 +13,7 @@ from test_scene import _wire_scene
 import medaxis as mx
 from medaxis import field
 from medaxis.flow import _probe, _ties
-from medaxis.scene import _nearest, _row_norms
+from medaxis.scene import _nearest, _row_norms, _wall_points
 
 
 def two_site_scene():
@@ -57,6 +57,18 @@ class TestEvalField:
         scene = two_site_scene()
         with pytest.raises(mx.DomainError):
             mx.eval_field(scene, [1.0, 0.0])
+
+    @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0]])
+    def test_non_finite_point_rejected(self, x):
+        scene = two_site_scene()
+        with pytest.raises(mx.DomainError, match="finite"):
+            mx.eval_field(scene, x)
+        with pytest.raises(mx.DomainError, match="finite"):
+            mx.eval_field_batch(scene, [[0.0, 2.0], x])
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(mx.DomainError, match="dimension"):
+            mx.eval_field(two_site_scene(), [0.0, 1.0, 2.0])
 
     def test_inside_offset_rejected_when_alpha_given(self):
         scene = two_site_scene()
@@ -126,24 +138,32 @@ class TestBatchEvaluation:
             u = rng.standard_normal(2)
             pts.append(u / np.linalg.norm(u) * rng.uniform(3.2, 4.99))
         X = np.array(pts)
+        alpha = 0.5 * float(mx.r_batch(scene, X).min())
+        near = _nearest(scene, X)
+        wall = _wall_points(scene, X, near.norm)
         wall_rows = 0
         for band in (None, 0.05):
-            out = mx.eval_field_batch(scene, X, witness_band=band)
+            out = mx.eval_field_batch(scene, X, alpha=alpha, witness_band=band)
+            mask = near.cut(band)
             for k, x in enumerate(X):
-                s = mx.eval_field(scene, x, witness_band=band)
+                s = mx.eval_field(scene, x, alpha=alpha, witness_band=band)
                 assert out["R"][k] == s.R
                 assert out["F"][k] == s.F
+                assert out["F_alpha"][k] == s.F_alpha
                 assert np.array_equal(out["grad"][k], s.grad)
                 assert out["witness_count"][k] == len(s.witness_ids)
+                theta = [lattice[j] for j in mask[k, :-1].nonzero()[0]]
+                theta += [wall[k]] * bool(mask[k, -1])
+                assert np.array(s.theta).tobytes() == np.array(theta).tobytes()
                 wall_rows += s.witness_ids == (-1,)
         assert wall_rows >= 30
         ties = [mx.eval_field(scene, x).witness_ids for x in X[:4]]
         assert all(len(ids) == 4 for ids in ties)
         # the flow's batched probe finds each row's exact witnesses
-        sites, wall = _ties(scene, _probe(scene, X, 0.05), np.arange(len(X)))
+        exact = _ties(scene, _probe(scene, X, 0.05), np.arange(len(X)))
         for k, x in enumerate(X):
-            exact_ids = sites[k].nonzero()[0].tolist() + [-1] * bool(wall[k])
-            assert frozenset(exact_ids) == frozenset(mx.eval_field(scene, x).witness_ids)
+            exact_ids = [j if j < len(lattice) else -1 for j in exact[k].nonzero()[0]]
+            assert tuple(exact_ids) == mx.eval_field(scene, x).witness_ids
 
     def test_r_batch_matches(self):
         scene = mx.random_scene(7, bounding_radius=5.0, seed=3)

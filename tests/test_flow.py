@@ -13,15 +13,34 @@ import medaxis as mx
 import medaxis.flow as flow_mod
 from medaxis.flow import (_F_BACKSLIDE_TOL, _STALL_FRACTION, _accept, _probe,
                           _with_balls)
-from medaxis.scene import _seb_stack, nearest_site_info
+from medaxis.scene import _nearest, _seb_stack, _wall_points
 
 
 # --- the scalar oracle: one start, one probe at a time --------------------
 
+def oracle_witnesses(scene, x, band, prev_wide):
+    """One point's distance R to the scene, the labels (site indices, then
+    -1 for the wall) and points of its witnesses within R + band, those in
+    ``prev_wide`` within R + 2 band, and its exact (tie band) label set."""
+    near = _nearest(scene, x[None])
+    near.check()
+    dmin = float(near.R[0])
+    dists = near.d_sites[0].tolist() + [float(near.d_wall[0])]
+    labels = list(range(len(scene.sites))) + [-1]
+    wide_cut, far = dmin + band, dmin + 2.0 * band
+    wide = [k for k, d in zip(labels, dists)
+            if d <= (far if k in prev_wide else wide_cut)]
+    tie = dmin * (1.0 + scene.tie_tolerance)
+    ids = frozenset(k for k, d in zip(labels, dists) if d <= tie)
+    pts = [scene.sites[k] if k >= 0 else _wall_points(scene, x[None], near.norm)[0]
+           for k in wide]
+    return dmin, wide, pts, ids
+
+
 def oracle_probe(scene, x, band, prev_wide=frozenset()):
     """One kernel query: (dmin, exact ids, steering direction, wide F, wide
     witness count, wide id set, wide witness points)."""
-    dmin, labels, pts_w, ids = nearest_site_info(scene, x, band, keep=prev_wide)
+    dmin, labels, pts_w, ids = oracle_witnesses(scene, x, band, prev_wide)
     centers, F = _seb_stack(np.array([pts_w]))
     f_wide = float(F[0])
     grad = (x - centers[0]) / dmin
@@ -345,6 +364,9 @@ class TestLockstepBatch:
             mx.integrate_flows(scene, [[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(mx.DomainError, match="outside"):
             mx.integrate_flows(scene, [[0.0, 1.0], [20.0, 0.0]])
+        for bad in ([math.nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(mx.DomainError, match="finite"):
+                mx.integrate_flows(scene, [[0.0, 1.0], bad])
         with pytest.raises(ValueError, match="flow_band"):
             mx.integrate_flows(scene, [[0.0, 1.0]], flow_band=-0.1)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import medaxis as mx
-from medaxis.scene import _nearest, _seb_grow, _seb_stack, nearest_site_info
+from medaxis.scene import _nearest, _row_norms, _seb_grow, _seb_stack, _wall_points
 
 
 def two_site_scene():
@@ -347,29 +347,36 @@ def _grouping_rows(dim):
     return scene, X[np.linalg.norm(X, axis=1) < scene.bounding_radius]
 
 
+def wall_points(scene, X):
+    X = np.atleast_2d(np.asarray(X, float))
+    return _wall_points(scene, X, _row_norms(X))
+
+
 class TestNearestBalls:
     def test_keep_without_band_rejected(self):
+        near = _nearest(two_site_scene(), np.array([[0.0, 2.0]]))
         with pytest.raises(ValueError, match="keep"):
-            nearest_site_info(two_site_scene(), np.array([0.0, 2.0]),
-                              keep=frozenset({0}))
+            near.cut(keep=np.array([[True, False, False]]))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_grouped_balls_equal_per_row_balls(self, dim):
         scene, X = _grouping_rows(dim)
         near = _nearest(scene, X)
         near.check()
+        m = len(scene.sites)
         kinds = set()
         for band in (None, 0.02, 0.1, 0.5):
-            sites, wall = near.cut(band)
-            centers, F = near.balls(sites, wall)
+            mask = near.cut(band)
+            assert mask.shape == (len(X), m + 1)
+            centers, F = near.balls(mask)
             for i in range(len(X)):
-                labels = near.labels(i, sites, wall)
-                pts = [scene.sites[k] if k >= 0 else mx.wall_witness(scene, X[i])
-                       for k in labels]
+                cols = mask[i].nonzero()[0]
+                pts = [scene.sites[k] if k < m else wall_points(scene, X[i])[0]
+                       for k in cols]
                 ball = mx.smallest_enclosing_ball(np.stack(pts))
                 assert np.array_equal(centers[i], ball.center)
                 assert F[i] == ball.radius
-                kinds.add((min(len(labels), 4), labels[-1] == -1))
+                kinds.add((min(len(cols), 4), bool(mask[i, -1])))
         assert kinds == {(k, w) for k in (1, 2, 3, 4) for w in (False, True)}
 
 
@@ -396,14 +403,14 @@ class TestCandidateTable:
 class TestWallWitness:
     def test_radial_projection(self):
         scene = two_site_scene()
-        w = mx.wall_witness(scene, np.array([0.0, 2.0]))
+        w = wall_points(scene, [0.0, 2.0])[0]
         assert np.allclose(w, [0.0, 10.0], atol=1e-12)
 
     def test_witness_is_on_sphere(self):
         scene = two_site_scene()
         rng = np.random.default_rng(3)
         for x in rng.normal(size=(20, 2)):
-            w = mx.wall_witness(scene, x)
+            w = wall_points(scene, x)[0]
             assert abs(np.linalg.norm(w) - 10.0) < 1e-9
 
 
