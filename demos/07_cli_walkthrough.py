@@ -47,7 +47,7 @@ def main():
     print("config written to %s:" % os.path.relpath(config_path))
     print(json.dumps(config, indent=2))
 
-    for sub in ("axis", "sweep-lambda"):
+    for sub in ("axis", "sweep-lambda", "critfn"):
         out_dir = os.path.join(OUT, sub)
         cmd = axiform_cmd() + [sub, "--config", config_path, "--out", out_dir]
         shown = [os.path.basename(cmd[0])]

@@ -35,7 +35,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
-from .field import _row_chunks, eval_field, eval_field_batch
+from .field import CriticalProfile, _check_levels, _row_chunks, eval_field, eval_field_batch
 
 __all__ = [
     "VoronoiSkeleton",
@@ -44,6 +44,7 @@ __all__ = [
     "filter_axis",
     "axis_membership",
     "scene_r_max",
+    "exact_critical_function",
     "axis_to_json",
 ]
 
@@ -212,6 +213,20 @@ def _pair_edges(scene: SiteScene, pairs: np.ndarray, opposite: np.ndarray):
     return pairs[keep], m[keep], u[keep], h[keep], s[keep], bound[keep]
 
 
+def _components(n: int, ends: np.ndarray) -> np.ndarray:
+    """Component label of each of the n nodes of the graph with the edges
+    ``ends`` (k, 2), as ``connected_components`` numbers them: in the order
+    of their lowest node, whatever the order of the edges.  The CSR arrays
+    are built from the ends sorted by their first node, which costs less
+    than a conversion from COO."""
+    order = np.argsort(ends[:, 0])
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(ends[:, 0], minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.ones(len(ends)), ends[order, 1].astype(np.int32), indptr),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[1].astype(np.intp)
+
+
 def _endpoint_vertices(points: np.ndarray, tol: float):
     """Vertices of the endpoints (N, 2) and each endpoint's vertex id.
 
@@ -220,12 +235,9 @@ def _endpoint_vertices(points: np.ndarray, tol: float):
     """
     close = cKDTree(points).query_pairs(tol * (1.0 + 1e-6), output_type="ndarray")
     a, b = points[close[:, 0]], points[close[:, 1]]
-    close = close[np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]) <= tol]
-    graph = csr_matrix((np.ones(len(close)), (close[:, 0], close[:, 1])),
-                       shape=(len(points), len(points)))
     # components are labelled in the order of their lowest node, which is
     # the order of first occurrence
-    label = connected_components(graph, directed=False)[1].astype(np.intp)
+    label = _components(len(points), close[np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]) <= tol])
     return points[np.unique(label, return_index=True)[1]], label
 
 
@@ -273,6 +285,87 @@ def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> fl
     return max([0.0] + skeleton.R.tolist() + cand[valid].tolist())
 
 
+def _site_wall_points(scene: SiteScene, t: np.ndarray):
+    """Points where level t meets the site/wall ellipse of a site p: the at
+    most two intersections of |x| = r - t and |x - p| = t (one where they
+    touch), as rows (N, 2) with their level and site indices.  For a site
+    at the origin the circles meet only at t = r/2, and every level is
+    below that, since R <= r/2 in such a scene."""
+    r = scene.bounding_radius
+    d = _row_norms(scene.sites)
+    site = np.flatnonzero(d > 0.0)
+    d, p = d[site], scene.sites[site]
+    # x = a p/d + b p_perp/d with a^2 + b^2 = (r - t)^2
+    a = (r * (r - 2.0 * t[:, None]) + d * d) / (2.0 * d)
+    b2 = (r - t[:, None]) ** 2 - a * a
+    level, k = np.nonzero(b2 >= 0.0)
+    a, b = a[level, k], np.sqrt(b2[level, k])
+    two = b > 0.0
+    level, k = np.concatenate([level, level[two]]), np.concatenate([k, k[two]])
+    a, b = np.concatenate([a, a[two]]), np.concatenate([b, -b[two]])
+    along, perp = p[k] / d[k, None], np.column_stack([-p[k, 1], p[k, 0]]) / d[k, None]
+    return a[:, None] * along + b[:, None] * perp, level, site[k]
+
+
+def exact_critical_function(scene: SiteScene, t_grid,
+                            skeleton: VoronoiSkeleton | None = None) -> CriticalProfile:
+    """The critical function of a planar scene in closed form, read off its
+    skeleton.
+
+    The reported quantity is the paper's pointwise infimum
+    chi(t) = inf {|grad R(x)| : R(x) = t} at each level t exactly, with
+    |grad R| = sqrt(1 - (F/R)^2) and witness sets in the scene's tie band.
+    (``field.estimate_critical_function`` approximates a band-windowed
+    minimum instead: the band-widened norm over |R - t| <= band_width.)
+    Off the medial set |grad R| = 1, so chi(t) = sqrt(1 - (H(t)/t)^2), where
+    H(t) is the largest F over the features that level t meets:
+
+    - a site/site edge, with F = h on the R-range
+      [sqrt(h^2 + s_near^2), sqrt(h^2 + s_far^2)] of its span s, s_near = 0
+      when the span holds 0;
+    - a site/wall point of site p, where |x| = r - t meets |x - p| = t, kept
+      where the tie band marks both p and the wall, with F its witness ball
+      radius as ``eval_field`` reads it;
+    - a skeleton vertex with R == t.
+
+    A level that meets none has chi = 1.  ``sample_count`` counts the
+    features met per level and ``band_width`` is 0.  ``reach_summary`` reads
+    wfs and r_mu off either profile as first crossings on its level grid, so
+    a critical value between two levels shows only through the dip of chi
+    around it.  The levels must be finite, positive, strictly increasing and
+    below ``scene_r_max``.
+    """
+    if scene.dim != 2:
+        raise InvalidSceneError("the exact critical function needs a planar scene")
+    if skeleton is None:
+        skeleton = build_skeleton(scene)
+    r_max = scene_r_max(scene, skeleton)
+    t = _check_levels(t_grid, r_max)
+    X, level, site = _site_wall_points(scene, t)
+    F, kept = np.empty(len(X)), np.empty(len(X), bool)
+    for rows in _row_chunks(scene, len(X)):
+        near = _nearest(scene, X[rows])
+        mask = near.cut()
+        kept[rows] = mask[np.arange(len(mask)), site[rows]] & mask[:, -1]
+        F[rows] = near.balls(mask)[1]
+    # every feature as an R-range [lo, hi] with its F: edges, vertices and
+    # the kept wall points, each on its own level
+    h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
+    s_near = np.maximum(0.0, np.maximum(s0, -s1))
+    s_far = np.maximum(-s0, s1)
+    lo = np.concatenate([np.sqrt(h * h + s_near * s_near), skeleton.R, t[level[kept]]])
+    hi = np.concatenate([np.sqrt(h * h + s_far * s_far), skeleton.R, t[level[kept]]])
+    weight = np.concatenate([h, skeleton.F, F[kept]])
+    H, counts = np.zeros(len(t)), np.zeros(len(t), int)
+    for rows in _row_chunks(scene, len(t)):
+        met = (lo <= t[rows, None]) & (t[rows, None] <= hi)
+        H[rows] = np.where(met, weight, 0.0).max(axis=1, initial=0.0)
+        counts[rows] = met.sum(axis=1)
+    ratio = H / t
+    return CriticalProfile(t_grid=t, chi=np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio)),
+                           sample_count=counts, band_width=0.0, r_max=r_max)
+
+
 # --- filtration ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -314,9 +407,9 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     point (edge, s rounded to 12 places); surviving skeleton vertices on no
     segment follow as isolated points.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise InvalidSceneError("lambda must be positive")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise InvalidSceneError("alpha must be nonnegative")
     n_v = len(skeleton.vertices)
     h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
@@ -363,9 +456,7 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     hh = h[edge]
     r_val = np.array(list(map(math.hypot, hh.tolist(), ends.tolist())))
     seg_data = np.stack([r_val, hh, (r_val - alpha) / r_val * hh], axis=1).reshape(-1, 2, 3)
-    graph = csr_matrix((np.ones(len(segments)), (segments[:, 0], segments[:, 1])),
-                       shape=(len(vertices), len(vertices)))
-    comp = connected_components(graph, directed=False)[1].astype(np.intp)
+    comp = _components(len(vertices), segments)
 
     flags = list(skeleton.flags)
     if wall_limited:

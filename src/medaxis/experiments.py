@@ -27,7 +27,15 @@ from .field import (
     profile_to_csv,
     reach_summary,
 )
-from .axis import FilteredAxis, axis_to_json, build_skeleton, filter_axis, scene_r_max
+from .axis import (
+    FilteredAxis,
+    VoronoiSkeleton,
+    axis_to_json,
+    build_skeleton,
+    exact_critical_function,
+    filter_axis,
+    scene_r_max,
+)
 from .flow import entered_axis, integrate_flows, radius_certificate, time_exhausted
 from .metrics import (
     SurjectivityError,
@@ -77,10 +85,11 @@ class ExperimentConfig:
     expect_square_side: float | None = None
 
     def __post_init__(self):
-        for name in ("lambda_grid", "alpha_grid", "epsilons"):
-            vals = getattr(self, name)
-            if len(vals) != len(set(vals)) or list(vals) != sorted(vals):
-                raise InvalidSceneError("%s must be strictly increasing" % name)
+        for name in ("lambda_grid", "alpha_grid", "epsilons", "t_grid"):
+            vals = getattr(self, name) or ()
+            # NaN compares false both ways, so a sortedness test passes it
+            if any(v != v for v in vals) or any(not a < b for a, b in zip(vals, vals[1:])):
+                raise InvalidSceneError("%s must be strictly increasing, without NaN" % name)
         _check_sampling(self.samples_per_level, self.band_width)
         if self.resolution is None:
             self.resolution = self.scene.bounding_radius / 1000.0
@@ -201,26 +210,33 @@ def _slope_fit(eps, vals):
 
 # --- shared measurement helpers --------------------------------------------
 
-def _default_t_grid(r_max: float, count: int) -> np.ndarray:
-    return np.linspace(0.02 * r_max, 0.99 * r_max, count)
+def _levels(config: ExperimentConfig, r_max: float | None) -> np.ndarray:
+    """The config's t_grid, or t_count levels spread below r_max."""
+    if config.t_grid is not None:
+        return np.asarray(config.t_grid, float)
+    if r_max is None:
+        raise InvalidSceneError("t_grid required for non-planar scenes")
+    return np.linspace(0.02 * r_max, 0.99 * r_max, config.t_count)
 
 
-def _profile_for(scene: SiteScene, config: ExperimentConfig,
-                 cache: dict | None = None) -> tuple:
-    """Critical profile for a scene (cached by scene content within a run)."""
+def _profile_for(scene: SiteScene, config: ExperimentConfig, cache: dict | None = None,
+                 skeleton: VoronoiSkeleton | None = None) -> tuple:
+    """Critical profile for a scene (cached by scene content within a run):
+    in closed form from the scene's skeleton (the caller's, when it holds
+    one) for d = 2, sampled for d >= 3."""
     key = scene_to_json(scene)
     if cache is not None and key in cache:
         return cache[key]
-    r_max = scene_r_max(scene) if scene.dim == 2 else None
-    if config.t_grid is not None:
-        t_grid = np.asarray(config.t_grid, float)
+    if scene.dim == 2:
+        if skeleton is None:
+            skeleton = build_skeleton(scene)
+        r_max = scene_r_max(scene, skeleton)
+        profile = exact_critical_function(scene, _levels(config, r_max), skeleton)
     else:
-        if r_max is None:
-            raise InvalidSceneError("t_grid required for non-planar scenes")
-        t_grid = _default_t_grid(r_max, config.t_count)
-    profile = estimate_critical_function(
-        scene, t_grid, samples_per_level=config.samples_per_level,
-        band_width=config.band_width, seed=config.seed, r_max=r_max)
+        r_max = None
+        profile = estimate_critical_function(
+            scene, _levels(config, r_max), samples_per_level=config.samples_per_level,
+            band_width=config.band_width, seed=config.seed)
     out = (profile, r_max)
     if cache is not None:
         cache[key] = out
@@ -469,7 +485,7 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     points = [way.point(v, float(fixed[0])) for v in grid]
 
     skeleton = build_skeleton(scene)
-    profile, r_max = _profile_for(scene, config)
+    profile, r_max = _profile_for(scene, config, skeleton=skeleton)
     axes = [filter_axis(skeleton, lam, alpha) for lam, alpha in points]
     lam_mu, alpha_mu = points[way.mu_at]
     mu, mu_flags = _resolve_mu(config, profile, alpha_mu, lam_mu)
@@ -556,8 +572,9 @@ def _jitter_base(config: ExperimentConfig, report: StabilityReport) -> tuple:
     lam = float(config.lambda_grid[0])
     alpha = float(config.alpha_grid[0])
     cache = {}
-    base_axis = filter_axis(build_skeleton(config.scene), lam, alpha)
-    profile, _ = _profile_for(config.scene, config, cache)
+    skeleton = build_skeleton(config.scene)
+    base_axis = filter_axis(skeleton, lam, alpha)
+    profile, _ = _profile_for(config.scene, config, cache, skeleton)
     mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
     report.flags.extend(mu_flags)
     summary = reach_summary(profile, mu, alpha, lam)

@@ -10,11 +10,14 @@ For a query point x in the open domain the field consists of:
 
 The identity |grad|^2 = 1 - (F/R)^2 holds whenever the witnesses are exactly
 equidistant, which is the case up to the tie band.  The critical function
-chi(t) = inf {|grad(x)| : R(x) = t} is estimated by sprinkling points,
-marching them onto the level set along the local ascent direction, and
-taking an ordered minimum of the band-widened gradient norm.  The seeds of
-consecutive levels march as one batch, each row towards its own level;
-every step is row-wise, so the batching changes the cost, never the result.
+chi(t) = inf {|grad(x)| : R(x) = t} of a scene in any dimension is
+estimated here by sprinkling points, marching them onto the level set along
+the local ascent direction, and taking an ordered minimum of the
+band-widened gradient norm; a planar scene has it in closed form
+(``axis.exact_critical_function``), which the experiments use for d = 2.
+The seeds of consecutive levels march as one batch, each row towards its
+own level; every step is row-wise, so the batching changes the cost, never
+the result.
 Batches are capped in rows x sites so that a large scene keeps the memory
 of one level.  Each march step queries every site; the bisection of a
 bracketed row queries every site once, then, unless the scene has only a
@@ -310,6 +313,23 @@ def _check_sampling(samples_per_level, band_width) -> None:
         raise InvalidSceneError("band_width must be finite and positive")
 
 
+def _check_levels(t_grid, r_max: float | None) -> np.ndarray:
+    """The level grid as a float array, rejected unless it is 1-d, finite,
+    positive, strictly increasing and, when ``r_max`` is given, below it."""
+    t_grid = np.asarray(t_grid, float)
+    if t_grid.ndim != 1 or len(t_grid) == 0:
+        raise InvalidSceneError("t_grid must be a strictly increasing 1-d array")
+    if not np.isfinite(t_grid).all():
+        raise InvalidSceneError("levels must be finite")
+    if np.any(np.diff(t_grid) <= 0):
+        raise InvalidSceneError("t_grid must be a strictly increasing 1-d array")
+    if np.any(t_grid <= 0.0):
+        raise InvalidSceneError("levels must be positive")
+    if r_max is not None and np.any(t_grid >= r_max):
+        raise InvalidSceneError("levels must stay below the maximal distance value")
+    return t_grid
+
+
 def estimate_critical_function(scene: SiteScene, t_grid,
                                samples_per_level: int = 4000,
                                band_width: float | None = None,
@@ -326,14 +346,13 @@ def estimate_critical_function(scene: SiteScene, t_grid,
     sample in the band report chi = 1 and are flagged.  The march is
     row-wise, so the batching does not change the result, which is
     deterministic given the seed.
+
+    The estimate approximates the band-windowed minimum of the gradient
+    norm over |R - t| <= band_width, not the pointwise chi(t), and it misses
+    features that no seed reaches; ``axis.exact_critical_function`` gives
+    the pointwise chi of a planar scene.
     """
-    t_grid = np.asarray(t_grid, float)
-    if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) <= 0):
-        raise InvalidSceneError("t_grid must be a strictly increasing 1-d array")
-    if np.any(t_grid <= 0.0):
-        raise InvalidSceneError("levels must be positive")
-    if r_max is not None and np.any(t_grid >= r_max):
-        raise InvalidSceneError("levels must stay below the maximal distance value")
+    t_grid = _check_levels(t_grid, r_max)
     _check_sampling(samples_per_level, band_width)
     if band_width is None:
         band_width = scene.bounding_radius / 2000.0

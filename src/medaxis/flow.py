@@ -230,8 +230,8 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     query, plus one for the rows whose trial snaps to a tie.  A row's
     trajectory does not depend on the other rows of the batch.
     """
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     if stop is not None and stop.alpha is not None:
         if alpha is None:
             alpha = stop.alpha

@@ -549,6 +549,12 @@ class TestFilteredAxis:
         with pytest.raises(mx.InvalidSceneError):
             mx.filter_axis(sk, 0.0, 0.5)
 
+    @pytest.mark.parametrize("lam, alpha", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_parameters_rejected(self, lam, alpha):
+        sk = mx.build_skeleton(two_site_scene())
+        with pytest.raises(mx.InvalidSceneError):
+            mx.filter_axis(sk, lam, alpha)
+
     def test_alpha_monotonicity_nested(self):
         sk = mx.build_skeleton(two_site_scene())
         small = mx.filter_axis(sk, 0.75, 0.25)
@@ -734,6 +740,131 @@ class TestOutputPins:
         svg = mx.scene_svg(scene, trajectories=trajs)
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "e49d0ea2432dcd2f5b91b70d8bd403f6d4af3340d4a7823140ee2079fab5d41c")
+
+
+def level_points(scene, skeleton, t):
+    """Every point of the medial set on level t, enumerated one at a time:
+    the points at |s| = sqrt(t^2 - h^2) of each edge span, the meets of
+    |x| = r - t and |x - p| = t where eval_field has both p and the wall
+    as witnesses, and the vertices with R == t."""
+    r = scene.bounding_radius
+    points = []
+    for e in range(len(skeleton.h)):
+        h, (s0, s1) = skeleton.h[e], skeleton.s[e]
+        if t >= h:
+            s = math.sqrt(t * t - h * h)
+            points += [skeleton.mid[e] + x * skeleton.u[e] for x in {s, -s} if s0 <= x <= s1]
+    for i, p in enumerate(scene.sites):
+        d = math.hypot(*p)
+        if d == 0.0:
+            continue
+        a = ((r - t) ** 2 - t * t + d * d) / (2.0 * d)
+        if a * a > (r - t) ** 2:
+            continue
+        b = math.sqrt((r - t) ** 2 - a * a)
+        for x in {b, -b}:
+            x = (a * p + x * np.array([-p[1], p[0]])) / d
+            if {i, -1} <= set(mx.eval_field(scene, x).witness_ids):
+                points.append(x)
+    return points + [v for v, R in zip(skeleton.vertices, skeleton.R) if R == t]
+
+
+def oracle_chi(scene, skeleton, t_grid):
+    """The smallest eval_field |grad| over the level points of each level,
+    1 where there are none."""
+    return np.array([min((np.linalg.norm(mx.eval_field(scene, x).grad)
+                          for x in level_points(scene, skeleton, t)), default=1.0)
+                     for t in t_grid.tolist()])
+
+
+# the oracle scenes (collinear rows, lattices, sites at the origin and near
+# the wall among them), random scenes and ROADMAP's seed-26 sampler miss
+_EXACT_SCENES = {name: lambda make=make: mx.SiteScene(make(), 10.0)
+                 for name, make in _ORACLE_SCENES.items()}
+_EXACT_SCENES.update({"random-%d" % seed: lambda seed=seed: mx.random_scene(8 + seed % 9, 10.0,
+                                                                          seed=seed)
+                      for seed in (1, 4, 7, 10)})
+_EXACT_SCENES["seed-26"] = lambda: mx.random_scene(14, 6.0, min_separation=1.0, seed=26)
+
+
+class TestExactCriticalFunction:
+    @pytest.mark.parametrize("name", sorted(_EXACT_SCENES))
+    def test_matches_level_point_oracle(self, name):
+        """On a level grid and at every vertex value below r_max.  Compared
+        in squares, since a square root near 0 magnifies the rounding of F."""
+        scene = _EXACT_SCENES[name]()
+        sk = mx.build_skeleton(scene)
+        r_max = mx.scene_r_max(scene, sk)
+        t = np.unique(np.concatenate([np.linspace(0.02 * r_max, 0.99 * r_max, 15),
+                                      sk.R[sk.R < r_max]]))
+        prof = mx.exact_critical_function(scene, t, sk)
+        np.testing.assert_allclose(prof.chi ** 2, oracle_chi(scene, sk, t) ** 2,
+                                   rtol=0.0, atol=1e-12)
+        assert prof.flags == () and prof.band_width == 0.0 and prof.r_max == r_max
+        # the skeleton is built when none is passed
+        again = mx.exact_critical_function(scene, t)
+        assert again.chi.tobytes() == prof.chi.tobytes()
+        assert again.sample_count.tolist() == prof.sample_count.tolist()
+
+    @pytest.mark.parametrize("name, misses", [
+        ("pinned", [5]), ("seed-26", [4]), ("random-10", [2])])
+    def test_dense_sampler_reads_no_lower(self, name, misses):
+        """A dense sampler never reads more than 1e-3 below the exact chi;
+        the cells where it reads more than 1e-3 above are sampler misses.
+        (Within band_width of a critical value the sampler's band-windowed
+        minimum may read lower; no level here is that close.)"""
+        scene = {"pinned": lambda: mx.random_scene(12, 5.0, seed=3),
+                 "seed-26": lambda: mx.random_scene(14, 6.0, min_separation=1.0, seed=26),
+                 "random-10": lambda: mx.random_scene(10, 6.0, seed=31)}[name]()
+        r_max = mx.scene_r_max(scene)
+        t = np.linspace(0.02 * r_max, 0.99 * r_max, 9)
+        exact = mx.exact_critical_function(scene, t)
+        sampled = mx.estimate_critical_function(
+            scene, t, samples_per_level=3000, band_width=1e-5 * scene.bounding_radius,
+            seed=2, r_max=r_max)
+        assert np.all(sampled.chi >= exact.chi - 1e-3)
+        assert np.flatnonzero(sampled.chi > exact.chi + 1e-3).tolist() == misses
+
+    def test_seed_26_sampler_miss(self):
+        """Next to site 7's site/wall critical value 0.6087, where the
+        sampler at 800 samples per level on a 20-level grid read 0.409."""
+        scene = mx.random_scene(14, 6.0, min_separation=1.0, seed=26)
+        prof = mx.exact_critical_function(scene, [0.6093])
+        assert prof.chi[0] == pytest.approx(0.028673, abs=1e-6)
+
+    def test_two_sites_closed_form(self):
+        """Below the half-gap no feature; from it, the bisector (chi = 0 at
+        its midpoint); from 4.5 = (r - 1)/2, the site/wall points too."""
+        t = np.array([0.5, 1.0, 1.5, 3.0, 4.5, 5.0])
+        prof = mx.exact_critical_function(two_site_scene(), t)
+        assert prof.chi[:4].tolist() == [1.0, 0.0, math.sqrt(1.0 - 1.0 / 2.25),
+                                         math.sqrt(1.0 - 1.0 / 9.0)]
+        assert prof.chi[4] == 0.0 and 0.0 < prof.chi[5] < 1.0
+        assert prof.sample_count.tolist() == [0, 1, 1, 1, 3, 5]
+
+    def test_single_sites(self):
+        """One site off the origin meets only the wall: chi = 1 below
+        (r - |p|)/2, 0 there, then below 1.  A site at the origin meets
+        nothing below r/2 = r_max."""
+        one = mx.SiteScene(np.array([[2.0, 0.0]]), 10.0)
+        prof = mx.exact_critical_function(one, [1.0, 3.9, 4.0, 4.1, 5.9])
+        assert prof.chi[:2].tolist() == [1.0, 1.0] and prof.chi[2] == 0.0
+        assert np.all(prof.chi[3:] < 1.0) and prof.sample_count.tolist() == [0, 0, 1, 2, 2]
+        origin = mx.SiteScene(np.array([[0.0, 0.0]]), 10.0)
+        prof = mx.exact_critical_function(origin, [0.5, 2.5, 4.999])
+        assert prof.r_max == 5.0 and prof.chi.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("t_grid, match", [
+        ([0.5, math.nan], "finite"), ([math.inf], "finite"), ([1.0, 0.5], "increasing"),
+        ([1.0, 1.0], "increasing"), ([0.0, 1.0], "positive"), ([[0.5, 1.0]], "1-d"),
+        ([], "1-d"), ([1.0, 5.05], "below")])
+    def test_bad_levels_rejected(self, t_grid, match):
+        with pytest.raises(mx.InvalidSceneError, match=match):
+            mx.exact_critical_function(two_site_scene(), t_grid)
+
+    def test_rejects_three_dimensional_scene(self):
+        with pytest.raises(mx.InvalidSceneError, match="planar"):
+            mx.exact_critical_function(mx.random_scene(4, 5.0, seed=1, dim=3), [0.5])
 
 
 class TestSceneRMax:

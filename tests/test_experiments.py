@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import medaxis as mx
-from medaxis import cli
+from medaxis import axis, cli, experiments
+from medaxis.axis import build_skeleton
 from medaxis.cli import main as cli_main
 from medaxis.experiments import (ExperimentConfig, config_from_dict,
                                  run_axis, run_critfn, run_flow,
@@ -59,6 +60,12 @@ class TestConfig:
     def test_duplicate_grid_rejected(self):
         with pytest.raises(mx.InvalidSceneError):
             ExperimentConfig(scene=two_site_scene(), lambda_grid=(0.5, 0.5))
+
+    @pytest.mark.parametrize("name", ["lambda_grid", "alpha_grid", "epsilons", "t_grid"])
+    @pytest.mark.parametrize("vals", [(math.nan,), (0.5, math.nan), (math.nan, 0.5)])
+    def test_nan_in_grid_rejected(self, name, vals):
+        with pytest.raises(mx.InvalidSceneError, match="NaN"):
+            ExperimentConfig(scene=two_site_scene(), **{name: vals})
 
     def test_bad_band_width_rejected(self):
         with pytest.raises(mx.InvalidSceneError):
@@ -119,6 +126,37 @@ class TestRunCritfn:
         lines = (tmp_path / "critfn.csv").read_text().strip().splitlines()
         assert lines[0] == "t,chi"
         assert len(lines) == 4
+
+
+class TestPlanarProfile:
+    def test_planar_profile_never_samples(self, tmp_path, monkeypatch):
+        """d = 2 takes the exact chi; the sampler is for d >= 3 only."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran on a planar scene")
+
+        monkeypatch.setattr(experiments, "estimate_critical_function", refuse)
+        monkeypatch.setattr(mx, "estimate_critical_function", refuse)
+        cfg = ExperimentConfig(scene=two_site_scene(), t_count=12, samples_per_level=300,
+                               seed=5, lambda_grid=(0.7, 0.75), alpha_grid=(0.5,),
+                               gh_variant=False, out_dir=str(tmp_path))
+        profile, r_max = experiments._profile_for(cfg.scene, cfg)
+        assert profile.band_width == 0.0 and r_max == profile.r_max == 5.05
+        assert run_critfn(cfg).passed and run_sweep_lambda(cfg).passed
+
+    def test_sweep_builds_one_skeleton(self, monkeypatch):
+        """The profile reads the sweep's own skeleton."""
+        built = []
+
+        def counting(scene):
+            built.append(scene)
+            return build_skeleton(scene)
+
+        monkeypatch.setattr(experiments, "build_skeleton", counting)
+        monkeypatch.setattr(axis, "build_skeleton", counting)
+        cfg = ExperimentConfig(scene=two_site_scene(), t_count=12,
+                               lambda_grid=(0.7, 0.75), alpha_grid=(0.5,), gh_variant=False)
+        run_sweep_lambda(cfg)
+        assert len(built) == 1
 
 
 class TestRunFlow:
@@ -210,6 +248,24 @@ class TestCli:
         assert cli_main(["flow", "--config", cfg]) == 3
         assert "query point must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [("axis", "lambda_grid"), ("critfn", "t_grid")])
+    def test_nan_grid_exits_three(self, tmp_path, capsys, command, key):
+        body = {"scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]], "bounding_radius": 10.0},
+                "lambda_grid": [0.75], "alpha_grid": [0.5], "t_grid": [0.5, 1.5]}
+        body[key] = [0.5, math.nan]
+        cfg = self.write_cfg(tmp_path, body)
+        assert cli_main([command, "--config", cfg]) == 3
+        assert "NaN" in capsys.readouterr().err
+
+    def test_nan_horizon_exits_three(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
+                      "bounding_radius": 10.0},
+            "starts": [[0.0, 2.0]], "horizon": math.nan,
+            "out_dir": str(tmp_path / "out")})
+        assert cli_main(["flow", "--config", cfg]) == 3
+        assert "horizon must be finite" in capsys.readouterr().err
+
     def test_config_without_scene_exits_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"lambda_grid": [0.75],
                                         "alpha_grid": [0.5]})
@@ -228,7 +284,7 @@ class TestCli:
         with pytest.raises(TypeError, match="internal bug"):
             cli_main(["axis", "--config", cfg])
 
-    @pytest.mark.parametrize("command", ["axis", "sweep-lambda"])
+    @pytest.mark.parametrize("command", ["axis", "sweep-lambda", "critfn"])
     def test_reports_match_tracked_demo_output(self, tmp_path, command):
         demo = os.path.join(os.path.dirname(__file__), os.pardir,
                             "demos", "out", "cli")

@@ -228,6 +228,11 @@ class TestCriticalFunction:
             mx.estimate_critical_function(two_site_scene(), np.array([0.5, 1.5]),
                                           **kwargs)
 
+    @pytest.mark.parametrize("t_grid", [[0.5, math.nan], [math.nan], [0.5, math.inf]])
+    def test_non_finite_levels_rejected(self, t_grid):
+        with pytest.raises(mx.InvalidSceneError, match="finite"):
+            mx.estimate_critical_function(two_site_scene(), t_grid, samples_per_level=10)
+
     def test_3d_profile_is_pinned(self):
         scene = mx.random_scene(8, 5.0, seed=4, dim=3)
         prof = mx.estimate_critical_function(scene, np.array([0.5, 1.2, 2.0, 2.9]),

@@ -370,6 +370,13 @@ class TestLockstepBatch:
         with pytest.raises(ValueError, match="flow_band"):
             mx.integrate_flows(scene, [[0.0, 1.0]], flow_band=-0.1)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            mx.integrate_flows(two_site_scene(), [[0.0, 2.0]], horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            mx.integrate_flow(two_site_scene(), [0.0, 2.0], horizon=horizon)
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["lattice", "polygon", "polygon-center", "row",
                                  "near-wall", "random"]),
