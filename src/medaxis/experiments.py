@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .scene import InvalidSceneError, SiteScene, load_scene, scene_from_json, scene_to_json
+from .scene import InvalidSceneError, SiteScene, load_scene, scene_from_json
 from .field import (
     CriticalProfile,
     _check_sampling,
@@ -219,28 +219,19 @@ def _levels(config: ExperimentConfig, r_max: float | None) -> np.ndarray:
     return np.linspace(0.02 * r_max, 0.99 * r_max, config.t_count)
 
 
-def _profile_for(scene: SiteScene, config: ExperimentConfig, cache: dict | None = None,
-                 skeleton: VoronoiSkeleton | None = None) -> tuple:
-    """Critical profile for a scene (cached by scene content within a run):
-    in closed form from the scene's skeleton (the caller's, when it holds
-    one) for d = 2, sampled for d >= 3."""
-    key = scene_to_json(scene)
-    if cache is not None and key in cache:
-        return cache[key]
+def _profile_for(scene: SiteScene, config: ExperimentConfig,
+                 skeleton: VoronoiSkeleton | None = None) -> CriticalProfile:
+    """Critical profile for a scene: in closed form from the scene's
+    skeleton (the caller's, when it holds one) for d = 2, sampled for
+    d >= 3."""
     if scene.dim == 2:
         if skeleton is None:
             skeleton = build_skeleton(scene)
-        r_max = scene_r_max(scene, skeleton)
-        profile = exact_critical_function(scene, _levels(config, r_max), skeleton)
-    else:
-        r_max = None
-        profile = estimate_critical_function(
-            scene, _levels(config, r_max), samples_per_level=config.samples_per_level,
-            band_width=config.band_width, seed=config.seed)
-    out = (profile, r_max)
-    if cache is not None:
-        cache[key] = out
-    return out
+        return exact_critical_function(
+            scene, _levels(config, scene_r_max(scene, skeleton)), skeleton)
+    return estimate_critical_function(
+        scene, _levels(config, None), samples_per_level=config.samples_per_level,
+        band_width=config.band_width, seed=config.seed)
 
 
 def _resolve_mu(config: ExperimentConfig, profile: CriticalProfile,
@@ -336,7 +327,7 @@ def run_critfn(config: ExperimentConfig) -> StabilityReport:
     signature (median plateau at 1/sqrt(2), zero crossing at half the side)."""
     report = StabilityReport(kind="critfn", seed=config.seed,
                              resolution=config.resolution)
-    profile, r_max = _profile_for(config.scene, config)
+    profile = _profile_for(config.scene, config)
     report.rows = [{"t": float(t), "chi": float(c)}
                    for t, c in zip(profile.t_grid, profile.chi)]
     report.flags.extend(profile.flags)
@@ -485,13 +476,13 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     points = [way.point(v, float(fixed[0])) for v in grid]
 
     skeleton = build_skeleton(scene)
-    profile, r_max = _profile_for(scene, config, skeleton=skeleton)
+    profile = _profile_for(scene, config, skeleton)
     axes = [filter_axis(skeleton, lam, alpha) for lam, alpha in points]
     lam_mu, alpha_mu = points[way.mu_at]
     mu, mu_flags = _resolve_mu(config, profile, alpha_mu, lam_mu)
     report.flags.extend(mu_flags)
     report.constants["mu"] = mu
-    report.constants["r_max"] = r_max
+    report.constants["r_max"] = profile.r_max
 
     for i in range(len(grid) - 1):
         lo, hi = grid[i], grid[i + 1]
@@ -500,7 +491,7 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
         lam, alpha = points[i + 1]
         summary = reach_summary(profile, mu, alpha, lam,
                                 window_alpha=way.window(lo))
-        lip = (way.lip(r_max, lo, alpha, summary.mu_tilde)
+        lip = (way.lip(profile.r_max, lo, alpha, summary.mu_tilde)
                if math.isfinite(summary.mu_tilde) else float("nan"))
         hyp_ok = (math.isfinite(summary.mu_tilde)
                   and math.isfinite(summary.r_mu_alpha)
@@ -571,17 +562,16 @@ def _jitter_base(config: ExperimentConfig, report: StabilityReport) -> tuple:
                                 % report.kind)
     lam = float(config.lambda_grid[0])
     alpha = float(config.alpha_grid[0])
-    cache = {}
     skeleton = build_skeleton(config.scene)
     base_axis = filter_axis(skeleton, lam, alpha)
-    profile, _ = _profile_for(config.scene, config, cache, skeleton)
+    profile = _profile_for(config.scene, config, skeleton)
     mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
     report.flags.extend(mu_flags)
     summary = reach_summary(profile, mu, alpha, lam)
     rng_top = np.random.default_rng([config.seed, len(config.epsilons) - 1])
     try:
         scene_top = _jitter(config.scene, float(max(config.epsilons)), rng_top)
-        profile_top, _ = _profile_for(scene_top, config, cache)
+        profile_top = _profile_for(scene_top, config)
         summary = _merge_summaries(
             summary, reach_summary(profile_top, mu, alpha, lam))
     except InvalidSceneError:

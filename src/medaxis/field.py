@@ -15,14 +15,9 @@ estimated here by sprinkling points, marching them onto the level set along
 the local ascent direction, and taking an ordered minimum of the
 band-widened gradient norm; a planar scene has it in closed form
 (``axis.exact_critical_function``), which the experiments use for d = 2.
-The seeds of consecutive levels march as one batch, each row towards its
-own level; every step is row-wise, so the batching changes the cost, never
-the result.
-Batches are capped in rows x sites so that a large scene keeps the memory
-of one level.  Each march step queries every site; the bisection of a
-bracketed row queries every site once, then, unless the scene has only a
-few sites, only those that can be nearest anywhere in its bracket, with
-the same R bit for bit.
+The seeds march one level at a time.  Each march step queries every site;
+the bisection of a bracketed seed queries every site once, then only those
+that can be nearest anywhere in its bracket, with the same R bit for bit.
 """
 
 from __future__ import annotations
@@ -130,24 +125,16 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
 
 # --- critical function -------------------------------------------------
 
-# Rows x sites of one march batch (8 MiB per float64 distance matrix).
-# Levels of a small scene march together, so numpy's fixed cost per call is
-# paid once for all of them; a large scene marches one level at a time and
-# keeps one level's memory.
-_BATCH_DISTANCES = 1 << 20
-
-# A candidate distance costs as much as 8 to 12 columns of a full query
-# (measured with 12 sites in the plane and 400 in space), so a bisection
-# measures its candidates only while their table is under 1/8 of the sites
-# wide.
-_CANDIDATE_COST = 8
+# Site distances per query chunk (256 KiB of float64).
+_CHUNK_DISTANCES = 1 << 15
 
 
 def _row_chunks(scene: SiteScene, n: int) -> list:
-    """Slices of n query rows, each at most 1/32 of a march batch of site
-    distances: whole batches raised the peak memory of a 2000-site axis run
-    by 7 MiB (freed blocks stay in the heap)."""
-    step = max(1, (_BATCH_DISTANCES // 32) // len(scene.sites))
+    """Slices of n query rows, each holding at most ``_CHUNK_DISTANCES``
+    site distances (and at least one row): larger chunks raised the peak
+    memory of a 2000-site axis run by 7 MiB (freed blocks stay in the
+    heap)."""
+    step = max(1, _CHUNK_DISTANCES // len(scene.sites))
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
@@ -189,25 +176,25 @@ def _sprinkle(scene: SiteScene, t: float, n: int, rng: np.random.Generator) -> n
     return out[inside]
 
 
-def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
+def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
                     max_iters: int = 200):
-    """March each row along +-ascent until its level ``t[i]`` is bracketed,
+    """March each seed along +-ascent until the level ``t`` is bracketed,
     then bisect.
 
-    Every step is row-wise, so a row's result does not depend on which rows
-    share its batch.  Each march iteration makes one kernel query: the trial
-    query's R, wall distance and nearest witness of the rows that stay
-    active are their current values in the next iteration.  These queries
-    and the final check write their site distances into one rows x sites
-    buffer, so that no freed distance matrix of the batch is left in the
-    heap to raise the peak memory.  The first halving of the brackets
-    queries every site, in row chunks, and keeps each row's candidate sites
-    (``_bracket_candidates``); later halvings measure only those, which
-    gives the same R bit for bit, unless the sites are too few for that to
-    pay.  Returns the indices of the kept rows and their points, which
-    satisfy |R - t| <= band: bracketed rows, bisected down to rounding, in
-    row order, then stalled rows that already sit in the band, in row order;
-    and the largest R of the seeds ``X`` (0 when there are none).
+    Every step is row-wise, so a seed's result does not depend on which
+    seeds march with it.  Each march iteration makes one kernel query: the
+    trial query's R, wall distance and nearest witness of the seeds that
+    stay active are their current values in the next iteration.  These
+    queries and the final check write their site distances into one
+    seeds x sites buffer, so that no freed distance matrix of the march is
+    left in the heap to raise the peak memory.  The first halving of the
+    brackets queries every site, in row chunks, and keeps each seed's
+    candidate sites (``_bracket_candidates``); later halvings measure only
+    those, which gives the same R bit for bit.  Returns the kept points,
+    which satisfy |R - t| <= band: bracketed seeds, bisected down to
+    rounding, in seed order, then stalled seeds that already sit in the
+    band, in seed order; and the largest R of the seeds (0 when there are
+    none).
     """
     r_bound = scene.bounding_radius
     lo = np.empty_like(X)   # the bracket end with R <= t
@@ -223,17 +210,16 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
     for _ in range(max_iters):
         if idx.size == 0:
             break
-        level = t[idx]
         u = (cur - foot) / r_here[:, None]
-        gap = level - r_here
+        gap = t - r_here
         step = np.clip(0.9 * np.abs(gap), band / 4.0, 0.05 * r_bound)
         # never step through the wall
         step = np.minimum(step, 0.5 * d_wall)
         trial = cur + np.sign(gap)[:, None] * step[:, None] * u
         near = _nearest(scene, trial, out=buf[:len(trial)])
-        crossed = (r_here - level) * (near.R - level) <= 0.0
+        crossed = (r_here - t) * (near.R - t) <= 0.0
         sel = idx[crossed]
-        above = (r_here[crossed] - level[crossed] > 0.0)[:, None]
+        above = (r_here[crossed] - t > 0.0)[:, None]
         lo[sel] = np.where(above, trial[crossed], cur[crossed])
         hi[sel] = np.where(above, cur[crossed], trial[crossed])
         bracketed[sel] = True
@@ -254,20 +240,17 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: np.ndarray, band: float,
         if halving == 0:
             R, cand = _bracket_candidates(scene, mid, _row_norms(b - a))
         else:
-            R = _nearest(scene, mid, None if cand is None else cand[live],
-                         out=buf[:len(mid)]).R
-        neg = (R - t[rows[live]]) < 0.0
+            R = _nearest(scene, mid, cand[live], out=buf[:len(mid)]).R
+        neg = (R - t) < 0.0
         old = np.where(neg[:, None], a[live], b[live])
         moved = (old.view(np.int64) != mid.view(np.int64)).any(axis=1)
         a[live[neg]] = mid[neg]
         b[live[~neg]] = mid[~neg]
         live = live[moved]
-    in_band = np.abs(r_here - t[idx]) <= band
-    rows = np.concatenate([rows, idx[in_band]])
-    pts = np.vstack([0.5 * (a + b), cur[in_band]])
+    pts = np.vstack([0.5 * (a + b), cur[np.abs(r_here - t) <= band]])
     near = _nearest(scene, pts, out=buf[:len(pts)])
-    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t[rows]) <= band)
-    return rows[keep], pts[keep], r_seeds
+    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t) <= band)
+    return pts[keep], r_seeds
 
 
 def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
@@ -278,9 +261,8 @@ def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
     Every later midpoint y of a bracket lies in the box spanned by its ends,
     so |y - mid| <= width, and a site nearest to y is within
     Rs + 2 |y - mid| of mid (two triangle inequalities).  The factor
-    covers rounding.  The rows are queried in chunks.  The table is None
-    when it would cost more to measure than the full query
-    (``_CANDIDATE_COST``).
+    covers rounding.  The rows are queried in chunks, and each chunk's
+    table is padded to the widest one by repeating its last column.
     """
     R = np.empty(len(mid))
     tables = []
@@ -290,8 +272,6 @@ def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
         reach = (near.d_sites.min(axis=1) + 2.0 * width[rows]) * (1.0 + 1e-9)
         tables.append(near.candidates(reach))
     k = max(table.shape[1] for table in tables)
-    if _CANDIDATE_COST * k >= len(scene.sites):
-        return R, None
     return R, np.vstack([np.pad(table, ((0, 0), (0, k - table.shape[1])), mode="edge")
                          for table in tables])
 
@@ -337,15 +317,11 @@ def estimate_critical_function(scene: SiteScene, t_grid,
                                r_max: float | None = None) -> CriticalProfile:
     """Sampled upper estimate of the critical function on a level grid.
 
-    Every level's seeds are sprinkled up front, in level order.  Consecutive
-    levels then march onto their level sets as one batch while the batch's
-    rows x sites stay within ``_BATCH_DISTANCES``: small scenes share each
-    numpy call across levels, and a large scene marches one level at a time
-    so its memory stays that of one level.  Per level, chi is the minimum
-    band-widened gradient norm of its marched points.  Levels that collect no
-    sample in the band report chi = 1 and are flagged.  The march is
-    row-wise, so the batching does not change the result, which is
-    deterministic given the seed.
+    Level by level, in grid order, seeds are sprinkled from one generator,
+    marched onto the level set, and chi is the minimum band-widened gradient
+    norm of the marched points.  Levels that collect no sample in the band
+    report chi = 1 and are flagged.  The result is deterministic given the
+    seed.
 
     The estimate approximates the band-windowed minimum of the gradient
     norm over |R - t| <= band_width, not the pointwise chi(t), and it misses
@@ -357,28 +333,16 @@ def estimate_critical_function(scene: SiteScene, t_grid,
     if band_width is None:
         band_width = scene.bounding_radius / 2000.0
     rng = np.random.default_rng(seed)
-    seeds = [_sprinkle(scene, float(t), samples_per_level, rng) for t in t_grid]
-    sizes = np.array([len(x) for x in seeds])
     chi = np.ones(len(t_grid))
     counts = np.zeros(len(t_grid), int)
     seen_r = 0.0
-    start = 0
-    while start < len(t_grid):
-        stop = start + 1
-        while (stop < len(t_grid)
-               and sizes[start:stop + 1].sum() * len(scene.sites) <= _BATCH_DISTANCES):
-            stop += 1
-        X = np.vstack(seeds[start:stop])
-        level = np.repeat(np.arange(start, stop), sizes[start:stop])
-        rows, on_level, r_seeds = _march_to_level(scene, X, t_grid[level], band_width)
+    for k, t in enumerate(t_grid.tolist()):
+        X = _sprinkle(scene, t, samples_per_level, rng)
+        on_level, r_seeds = _march_to_level(scene, X, t, band_width)
         seen_r = max(seen_r, r_seeds)
-        norms = _band_gradient_norms(scene, on_level, band_width)
-        for k in range(start, stop):
-            mine = level[rows] == k
-            counts[k] = np.count_nonzero(mine)
-            if counts[k]:
-                chi[k] = float(norms[mine].min())
-        start = stop
+        counts[k] = len(on_level)
+        if counts[k]:
+            chi[k] = float(_band_gradient_norms(scene, on_level, band_width).min())
     flags = [f"empty-band:{t:.6g}" for t, c in zip(t_grid, counts) if c == 0]
     if r_max is None:
         r_max_val = max(seen_r, float(t_grid[-1]))

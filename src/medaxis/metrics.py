@@ -333,10 +333,6 @@ class StabilityConstants:
     t_lambda: float
     t_alpha: float
     c: float
-    lip_lambda: float
-    lip_alpha: float
-    gh_lambda_bound: float
-    gh_alpha_bound: float
     gh_term_flow: float
     gh_term_near: float
     gh_term_diam: float
@@ -347,7 +343,6 @@ class StabilityConstants:
     universal_gdiam_bound: float
     diam_used: float
     hypothesis_flags: dict = field(default_factory=dict)
-    hypotheses_met: bool = False
 
 
 def _safe_exp(x: float) -> float:
@@ -372,6 +367,8 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
     the universal (dimension-dependent) diameter bound is reported alongside
     but is too pessimistic to assert.  Hypothesis flags record each
     smallness precondition; bounds are only meaningful where they pass.
+    The filter sweeps form their Lipschitz rates and GH bounds themselves
+    (``experiments._SWEEPS``), from the lower grid value.
     """
     r_max = summary.r_max
     mu = summary.mu
@@ -396,8 +393,6 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
         t_lambda = r_max ** 2 * delta / (alpha * lam * mt ** 2)
         t_alpha = r_max * delta / (alpha * mt ** 2)
         c = (22.0 / 3.0) * r_max ** 2 / (alpha ** 0.5 * mt ** 1.5 * lam)
-        lip_lambda = r_max ** 2 / (alpha * lam * mt ** 2)
-        lip_alpha = r_max / (alpha * mt ** 2)
         entry_bound = 8.0 * r_max ** 2 * epsilon / ((2.0 * lam - delta) * delta * mt)
         hausdorff_bound = c * math.sqrt(epsilon)
         t_gh = c ** 1.5 * epsilon ** 0.25
@@ -406,8 +401,6 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
         gh_term_near = 2.0 * c * math.sqrt(epsilon) * growth
         gh_term_diam = diam * (growth - 1.0)
         gh_bound = gh_term_flow + gh_term_near + gh_term_diam
-        gh_lambda_bound = 2.0 * t_lambda + diam * (_safe_exp(t_lambda / alpha) - 1.0)
-        gh_alpha_bound = 2.0 * t_alpha + diam * (_safe_exp(t_alpha / alpha) - 1.0)
 
         mt_h = mu_tilde_half if mu_tilde_half is not None else mt
         if math.isfinite(mt_h) and mt_h > 0.0 and r_bound is not None:
@@ -422,10 +415,9 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
                      + 2.0 * alpha * ((4.0 * r_max / alpha) ** dim + 1.0 + 2.0 / mu)
                      * _safe_exp(1.0 / mu + r_max / (alpha * mt ** 2)))
     else:
-        t_lambda = t_alpha = c = lip_lambda = lip_alpha = nan
+        t_lambda = t_alpha = c = nan
         entry_bound = hausdorff_bound = nan
         gh_term_flow = gh_term_near = gh_term_diam = gh_bound = nan
-        gh_lambda_bound = gh_alpha_bound = nan
         gdiam_bound = universal = nan
 
     if flags["mu-tilde-defined"]:
@@ -455,11 +447,8 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
         r_max=r_max, mu=mu, mu_tilde=mt, alpha=alpha, lam=lam,
         delta=float(delta), epsilon=float(epsilon),
         t_lambda=t_lambda, t_alpha=t_alpha, c=c,
-        lip_lambda=lip_lambda, lip_alpha=lip_alpha,
-        gh_lambda_bound=gh_lambda_bound, gh_alpha_bound=gh_alpha_bound,
         gh_term_flow=gh_term_flow, gh_term_near=gh_term_near,
         gh_term_diam=gh_term_diam, gh_bound=gh_bound,
         entry_bound=entry_bound, hausdorff_bound=hausdorff_bound,
         gdiam_bound=gdiam_bound, universal_gdiam_bound=universal,
-        diam_used=diam, hypothesis_flags=flags,
-        hypotheses_met=bool(all(flags.values())))
+        diam_used=diam, hypothesis_flags=flags)

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 import medaxis as mx
-from medaxis.axis import build_skeleton, filter_axis, axis_membership
-from medaxis.field import (estimate_critical_function, eval_field,
-                           eval_field_batch, reach_summary, OffsetDomainError)
+from medaxis.axis import (build_skeleton, filter_axis, axis_membership,
+                          exact_critical_function, scene_r_max)
+from medaxis.field import (eval_field, eval_field_batch, reach_summary,
+                           OffsetDomainError)
 from medaxis.flow import (integrate_flow, integrate_flows, radius_certificate,
                           push_path, entered_axis)
 from medaxis.metrics import (hausdorff_distance, build_geodesic_graph,
@@ -229,11 +230,11 @@ def test_criterion_04_flow_monotonicity():
 
 def test_criterion_05_entry_time_bound():
     """Starts within 1e-3 of the two-site axis enter the slack filtration
-    within the certified time budget computed from measured constants."""
+    within the certified time budget computed from the exact critical
+    profile."""
     scene = two_site_scene()
     lam, alpha, delta, eps = 0.5, 0.25, 0.2, 1e-3
-    profile = estimate_critical_function(scene, np.linspace(0.3, 5.0, 60),
-                                         samples_per_level=1200, seed=11)
+    profile = exact_critical_function(scene, np.linspace(0.3, 5.0, 60))
     summary = reach_summary(profile, mu=0.5, alpha=alpha, lam=lam)
     assert math.isfinite(summary.mu_tilde)
     assert summary.r_mu_alpha > alpha + lam
@@ -383,13 +384,13 @@ def test_criterion_09_geodesic_diameter_and_pushes():
                          seed=13), 0.2, 0.15),
     ]
     for scene, lam, alpha in scenes:
-        axis = filter_axis(build_skeleton(scene), lam, alpha)
+        skeleton = build_skeleton(scene)
+        axis = filter_axis(skeleton, lam, alpha)
         graph = build_geodesic_graph(axis)
         gd = geodesic_diameter(graph)
         assert math.isfinite(gd)  # connected by construction of the scenes
-        top = 0.9 * 5.0 * (scene.bounding_radius / 6.0)
-        profile = estimate_critical_function(
-            scene, np.linspace(0.3, top, 40), samples_per_level=800, seed=3)
+        top = 0.99 * scene_r_max(scene, skeleton)
+        profile = exact_critical_function(scene, np.linspace(0.3, top, 40), skeleton)
         summary = reach_summary(profile, mu=0.4, alpha=alpha, lam=lam)
         summary_half = reach_summary(profile, mu=0.4, alpha=alpha, lam=lam,
                                      window_alpha=alpha / 2.0)

@@ -139,8 +139,8 @@ class TestPlanarProfile:
         cfg = ExperimentConfig(scene=two_site_scene(), t_count=12, samples_per_level=300,
                                seed=5, lambda_grid=(0.7, 0.75), alpha_grid=(0.5,),
                                gh_variant=False, out_dir=str(tmp_path))
-        profile, r_max = experiments._profile_for(cfg.scene, cfg)
-        assert profile.band_width == 0.0 and r_max == profile.r_max == 5.05
+        profile = experiments._profile_for(cfg.scene, cfg)
+        assert profile.band_width == 0.0 and profile.r_max == 5.05
         assert run_critfn(cfg).passed and run_sweep_lambda(cfg).passed
 
     def test_sweep_builds_one_skeleton(self, monkeypatch):

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +232,14 @@ class TestCriticalFunction:
         with pytest.raises(mx.InvalidSceneError, match="finite"):
             mx.estimate_critical_function(two_site_scene(), t_grid, samples_per_level=10)
 
+    def test_empty_level_and_sampled_r_max_are_flagged(self):
+        prof = mx.estimate_critical_function(mx.random_scene(5, 5.0, seed=1),
+                                             np.array([0.1, 1.0, 4.9]),
+                                             samples_per_level=100, seed=6)
+        assert prof.flags == ("empty-band:4.9", "r-max-sampled")
+        assert prof.sample_count[2] == 0 and prof.chi[2] == 1.0
+        assert prof.sample_count[:2].min() > 0
+
     def test_3d_profile_is_pinned(self):
         scene = mx.random_scene(8, 5.0, seed=4, dim=3)
         prof = mx.estimate_critical_function(scene, np.array([0.5, 1.2, 2.0, 2.9]),
@@ -264,12 +271,16 @@ def _planar_with_r_max():
 
 
 class TestBatchedMarch:
-    """Levels march in batches; the schedule must not change any result."""
+    """The seeds of a level march as one batch, and the bisection's full
+    query runs in row chunks; neither schedule may change any result."""
 
     @pytest.mark.parametrize("case", ["planar-r-max", "empty-band", "3d"])
     @pytest.mark.parametrize("cap", [1, 2500, 1 << 40])
     def test_batch_schedule_does_not_change_results(self, case, cap,
                                                      monkeypatch):
+        """``cap`` site distances per row chunk: one row per chunk, 200 to
+        500 rows (the default's chunk holds every row of a level), or all
+        of them in one chunk."""
         if case == "planar-r-max":
             scene, t_grid, r_max = _planar_with_r_max()
         elif case == "empty-band":
@@ -280,45 +291,41 @@ class TestBatchedMarch:
                                     np.linspace(0.3, 3.0, 4), None)
 
         def run():
-            return mx.estimate_critical_function(scene, t_grid, samples_per_level=100,
+            return mx.estimate_critical_function(scene, t_grid, samples_per_level=1000,
                                                  seed=6, r_max=r_max)
 
         ref = run()
-        monkeypatch.setattr(field, "_BATCH_DISTANCES", cap)
+        monkeypatch.setattr(field, "_CHUNK_DISTANCES", cap)
         got = run()
         assert got.chi.tobytes() == ref.chi.tobytes()
         assert got.sample_count.tolist() == ref.sample_count.tolist()
         assert got.flags == ref.flags
         assert got.r_max == ref.r_max
-        if case == "empty-band":
-            assert ref.flags == ("empty-band:4.9", "r-max-sampled")
 
     def test_rows_march_independently(self):
         scene, _, _ = _planar_with_r_max()
         rng = np.random.default_rng(2)
         band = scene.bounding_radius / 2000.0
-        sets = [(field._sprinkle(scene, t, 80, rng), t) for t in (0.4, 1.1)]
-        X = np.vstack([x for x, _ in sets])
-        levels = np.concatenate([np.full(len(x), t) for x, t in sets])
-        rows, pts, r_seeds = field._march_to_level(scene, X, levels, band)
-        assert r_seeds == mx.r_batch(scene, X).max()
-        offset = 0
-        for x, t in sets:
-            alone_rows, alone_pts, _ = field._march_to_level(scene, x, np.full(len(x), t),
-                                                             band)
-            mine = (rows >= offset) & (rows < offset + len(x))
-            assert np.array_equal(rows[mine] - offset, alone_rows)
-            assert pts[mine].tobytes() == alone_pts.tobytes()
-            assert len(alone_rows) > 0
-            offset += len(x)
+
+        def rows(pts):
+            return sorted(p.tobytes() for p in pts)
+
+        for t in (0.4, 1.1):
+            X = field._sprinkle(scene, t, 160, rng)
+            pts, r_seeds = field._march_to_level(scene, X, t, band)
+            assert r_seeds == mx.r_batch(scene, X).max()
+            alone = [field._march_to_level(scene, x, t, band)[0]
+                     for x in (X[:50], X[50:60], X[60:])]
+            assert all(len(p) > 0 for p in alone)
+            assert rows(pts) == rows(np.vstack(alone))
 
 
 # --- the full-scan oracle: every halving queries every site ---------------
 
 def oracle_march(scene, X, t, band, max_iters=200):
     """``field._march_to_level`` with a full kernel query at every halving.
-    Returns the kept rows, their points, and the ends (lo, hi) of every
-    bracketed row's bracket, in row order."""
+    Returns the kept points and the ends (lo, hi) of every bracketed
+    seed's bracket, in seed order."""
     r_bound = scene.bounding_radius
     lo = np.empty_like(X)
     hi = np.empty_like(X)
@@ -330,16 +337,15 @@ def oracle_march(scene, X, t, band, max_iters=200):
     for _ in range(max_iters):
         if idx.size == 0:
             break
-        level = t[idx]
         u = (cur - foot) / r_here[:, None]
-        gap = level - r_here
+        gap = t - r_here
         step = np.clip(0.9 * np.abs(gap), band / 4.0, 0.05 * r_bound)
         step = np.minimum(step, 0.5 * d_wall)
         trial = cur + np.sign(gap)[:, None] * step[:, None] * u
         near = _nearest(scene, trial)
-        crossed = (r_here - level) * (near.R - level) <= 0.0
+        crossed = (r_here - t) * (near.R - t) <= 0.0
         sel = idx[crossed]
-        above = (r_here[crossed] - level[crossed] > 0.0)[:, None]
+        above = (r_here[crossed] - t > 0.0)[:, None]
         lo[sel] = np.where(above, trial[crossed], cur[crossed])
         hi[sel] = np.where(above, cur[crossed], trial[crossed])
         bracketed[sel] = True
@@ -355,18 +361,16 @@ def oracle_march(scene, X, t, band, max_iters=200):
         if live.size == 0:
             break
         mid = 0.5 * (a[live] + b[live])
-        neg = (_nearest(scene, mid).R - t[rows[live]]) < 0.0
+        neg = (_nearest(scene, mid).R - t) < 0.0
         old = np.where(neg[:, None], a[live], b[live])
         moved = (old.view(np.int64) != mid.view(np.int64)).any(axis=1)
         a[live[neg]] = mid[neg]
         b[live[~neg]] = mid[~neg]
         live = live[moved]
-    in_band = np.abs(r_here - t[idx]) <= band
-    rows = np.concatenate([rows, idx[in_band]])
-    out = np.vstack([0.5 * (a + b), cur[in_band]])
+    out = np.vstack([0.5 * (a + b), cur[np.abs(r_here - t) <= band]])
     near = _nearest(scene, out)
-    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t[rows]) <= band)
-    return rows[keep], out[keep], ends
+    keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t) <= band)
+    return out[keep], ends
 
 
 def _lattice_scene():
@@ -375,63 +379,70 @@ def _lattice_scene():
 
 
 def _march_case(case):
-    """Scene, seeds, levels and band of one march comparison."""
+    """Scene, band, and the seeds of each level of one march comparison."""
     rng = np.random.default_rng(12)
     if case == "switch":
-        # seeds just left of the two sites' bisector, levels just above
-        # their R: most brackets straddle the bisector
+        # seeds just left of the two sites' bisector, R just below the
+        # level: most brackets straddle the bisector
         scene = two_site_scene()
-        X = np.column_stack([-rng.uniform(0.0, 6e-4, 60), rng.uniform(0.2, 3.0, 60)])
-        t = mx.r_batch(scene, X) + rng.uniform(0.0, 4e-4, 60)
-        return scene, X, t, scene.bounding_radius / 2000.0
+        levels = []
+        for t in (1.3, 2.2, 3.0):
+            x = -rng.uniform(0.0, 6e-4, 20)
+            r = t - rng.uniform(0.0, 4e-4, 20)
+            levels.append((np.column_stack([x, np.sqrt(r * r - (x + 1.0) ** 2)]), t))
+        return scene, scene.bounding_radius / 2000.0, levels
     if case == "wire-3d":
-        scene, levels = _wire_scene(), np.array([0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0])
+        scene, ts = _wire_scene(), [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0]
     elif case == "planar-r-max":
-        scene, levels, _ = _planar_with_r_max()
+        scene, grid, _ = _planar_with_r_max()
+        ts = grid.tolist()
     elif case == "lattice":
-        scene, levels = _lattice_scene(), np.array([0.3, 0.5, math.sqrt(0.5), 1.0, 2.0])
+        scene, ts = _lattice_scene(), [0.3, 0.5, math.sqrt(0.5), 1.0, 2.0]
     else:
-        scene, levels = two_site_scene(), np.array([0.5, 1.0, 2.0, 4.5])
-    seeds = [field._sprinkle(scene, t, 150, rng) for t in levels]
-    t = np.concatenate([np.full(len(x), lev) for x, lev in zip(seeds, levels)])
-    return scene, np.vstack(seeds), t, scene.bounding_radius / 2000.0
+        scene, ts = two_site_scene(), [0.5, 1.0, 2.0, 4.5]
+    levels = [(field._sprinkle(scene, t, 150, rng), t) for t in ts]
+    return scene, scene.bounding_radius / 2000.0, levels
 
 
 class TestCandidateBisection:
-    """Later halvings measure each row's candidate sites only; every kept
-    row and point must equal the full-scan oracle's bit for bit."""
+    """Later halvings measure each seed's candidate sites only; every kept
+    point must equal the full-scan oracle's bit for bit."""
 
     @pytest.mark.parametrize("setting", ["default", "candidates", "small-chunks"])
     @pytest.mark.parametrize("case", ["wire-3d", "planar-r-max", "lattice",
                                       "two-site", "switch"])
     def test_equals_full_scan_oracle(self, case, setting, monkeypatch):
-        if setting != "default":  # candidates however few the sites
-            monkeypatch.setattr(field, "_CANDIDATE_COST", 0)
-        if setting == "small-chunks":  # of 2000 // 32 // m rows, some of one
-            monkeypatch.setattr(field, "_BATCH_DISTANCES", 2000)
+        """``candidates`` widens every table to all sites, so the result may
+        depend on a table only through the sites it holds; ``small-chunks``
+        queries the first halving in chunks of 62 // m rows, some of one."""
+        if setting == "small-chunks":
+            monkeypatch.setattr(field, "_CHUNK_DISTANCES", 62)
         tables = []
         bracket_candidates = field._bracket_candidates
 
-        def spy(*args):
-            R, cand = bracket_candidates(*args)
+        def spy(scene, mid, width):
+            R, cand = bracket_candidates(scene, mid, width)
+            if setting == "candidates":
+                cand = np.tile(np.arange(len(scene.sites)), (len(mid), 1))
             tables.append(cand)
             return R, cand
 
         monkeypatch.setattr(field, "_bracket_candidates", spy)
-        scene, X, t, band = _march_case(case)
-        rows, pts, _ = field._march_to_level(scene, X, t, band)
-        widths = [None if cand is None else cand.shape[1] for cand in tables]
-        if setting != "default" or case == "wire-3d":
-            assert None not in widths
-        if case == "two-site" and setting == "default":
-            assert widths == [None]
-        want_rows, want_pts, (a, b) = oracle_march(scene, X, t, band)
-        assert np.array_equal(rows, want_rows)
-        assert pts.tobytes() == want_pts.tobytes()
-        assert len(rows) > 0.5 * len(X)
-        if case == "switch":
-            ends = [cdist(e, scene.sites).argmin(axis=1) for e in (a, b)]
-            assert np.count_nonzero(ends[0] != ends[1]) > 0.5 * len(X)
+        scene, band, levels = _march_case(case)
+        marched = []
+        for X, t in levels:
+            pts, _ = field._march_to_level(scene, X, t, band)
+            want_pts, (a, b) = oracle_march(scene, X, t, band)
+            assert pts.tobytes() == want_pts.tobytes()
+            marched.append(pts)
+            if case == "switch":
+                ends = [cdist(e, scene.sites).argmin(axis=1) for e in (a, b)]
+                assert np.count_nonzero(ends[0] != ends[1]) > 0.5 * len(X)
+        pts = np.vstack(marched)
+        assert len(pts) > 0.5 * sum(len(X) for X, _ in levels)
+        assert len(tables) == len(levels)
+        if case == "wire-3d" and setting != "candidates":
+            assert max(cand.shape[1] for cand in tables) < len(scene.sites)
         if case == "lattice":  # bisected onto the four-way ties
             R = mx.r_batch(scene, pts)
             assert np.any(np.abs(R - math.sqrt(0.5)) < 1e-12)
@@ -455,8 +466,7 @@ class TestCandidateBisection:
         step = rng.normal(size=a.shape)
         b = a + 10.0 ** log_width * step / np.linalg.norm(step, axis=1, keepdims=True)
         mid = 0.5 * (a + b)
-        with mock.patch.object(field, "_CANDIDATE_COST", 0):
-            R, cand = field._bracket_candidates(scene, mid, _row_norms(b - a))
+        R, cand = field._bracket_candidates(scene, mid, _row_norms(b - a))
         assert R.tobytes() == _nearest(scene, mid).R.tobytes()
         # points on each bracket and in the box its ends span
         for y in [a, b, a + rng.uniform(size=(40, 1)) * (b - a),

@@ -395,6 +395,18 @@ class TestLockstepBatch:
             if not any(f.startswith("start-") for f in cert.flags):
                 assert cert.valid
 
+    @pytest.mark.xfail(strict=True, reason="known defect: the radius certificate "
+                       "fails on this draw of the property above (ROADMAP item 5)")
+    def test_certificate_holds_on_near_wall_draw(self):
+        """The flow runs to the horizon in 51 nodes without entering the
+        axis, and the certificate's smallest residual is -1.15e-3, at node
+        10, against a tolerance of 1e-4."""
+        scene = adversarial_scene("near-wall", 1, 7178)
+        traj, = mx.integrate_flows(scene, [[0.35043833, 4.21981254]], horizon=1.0,
+                                   stop=mx.entered_axis(0.25, 0.0))
+        assert np.all(np.diff(traj.R) >= 0.0)
+        assert mx.radius_certificate(traj, 0.0, 0.25).valid
+
 
 class TestIntegrateFlow:
     def test_radius_never_decreases(self):
