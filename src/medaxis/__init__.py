@@ -6,153 +6,21 @@ of the nearest-site witnesses, and verifies the closed-form stability
 bounds that the filtration satisfies: Hausdorff Lipschitz dependence on
 the filter parameters, Hausdorff and Gromov-Hausdorff stability under
 site perturbation, and gradient-flow certificates.
+
+The public names are those of each module's ``__all__``, bound here to the
+modules' own objects.
 """
 
-from .scene import (
-    Ball,
-    DomainError,
-    InvalidSceneError,
-    SiteScene,
-    load_scene,
-    random_scene,
-    save_scene,
-    scene_from_json,
-    scene_to_json,
-    smallest_enclosing_ball,
-)
-from .field import (
-    CriticalProfile,
-    FieldSample,
-    OffsetDomainError,
-    ReachSummary,
-    estimate_critical_function,
-    eval_field,
-    eval_field_batch,
-    profile_from_csv,
-    profile_to_csv,
-    r_batch,
-    reach_summary,
-)
-from .axis import (
-    FilteredAxis,
-    VoronoiSkeleton,
-    axis_membership,
-    axis_to_json,
-    build_skeleton,
-    exact_critical_function,
-    filter_axis,
-    scene_r_max,
-)
-from .flow import (
-    PushedPath,
-    RadiusCertificate,
-    StopCondition,
-    Trajectory,
-    entered_axis,
-    flow_expansion_check,
-    gradient_below,
-    integrate_flow,
-    integrate_flows,
-    push_path,
-    radius_certificate,
-    time_exhausted,
-)
-from .metrics import (
-    Correspondence,
-    GeodesicGraph,
-    StabilityConstants,
-    SurjectivityError,
-    build_geodesic_graph,
-    directed_hausdorff,
-    geodesic,
-    geodesic_diameter,
-    gh_distortion,
-    hausdorff_distance,
-    sample_axis_points,
-    stability_constants,
-)
-from .svgout import profile_svg, scene_svg
-from .experiments import (
-    ExperimentConfig,
-    StabilityReport,
-    config_from_dict,
-    load_config,
-    run_axis,
-    run_critfn,
-    run_flow,
-    run_gh,
-    run_perturb,
-    run_sweep_alpha,
-    run_sweep_lambda,
-)
+from . import axis, experiments, field, flow, metrics, scene, svgout
+from .scene import *  # noqa: F401,F403
+from .field import *  # noqa: F401,F403
+from .axis import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .svgout import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball",
-    "InvalidSceneError",
-    "SiteScene",
-    "load_scene",
-    "random_scene",
-    "save_scene",
-    "scene_from_json",
-    "scene_to_json",
-    "smallest_enclosing_ball",
-    "CriticalProfile",
-    "DomainError",
-    "FieldSample",
-    "OffsetDomainError",
-    "ReachSummary",
-    "estimate_critical_function",
-    "eval_field",
-    "eval_field_batch",
-    "profile_from_csv",
-    "profile_to_csv",
-    "r_batch",
-    "reach_summary",
-    "FilteredAxis",
-    "VoronoiSkeleton",
-    "axis_membership",
-    "axis_to_json",
-    "build_skeleton",
-    "filter_axis",
-    "exact_critical_function",
-    "scene_r_max",
-    "PushedPath",
-    "RadiusCertificate",
-    "StopCondition",
-    "Trajectory",
-    "entered_axis",
-    "flow_expansion_check",
-    "gradient_below",
-    "integrate_flow",
-    "integrate_flows",
-    "push_path",
-    "radius_certificate",
-    "time_exhausted",
-    "Correspondence",
-    "GeodesicGraph",
-    "StabilityConstants",
-    "SurjectivityError",
-    "build_geodesic_graph",
-    "directed_hausdorff",
-    "geodesic",
-    "geodesic_diameter",
-    "gh_distortion",
-    "hausdorff_distance",
-    "sample_axis_points",
-    "stability_constants",
-    "profile_svg",
-    "scene_svg",
-    "ExperimentConfig",
-    "StabilityReport",
-    "config_from_dict",
-    "load_config",
-    "run_axis",
-    "run_critfn",
-    "run_flow",
-    "run_gh",
-    "run_perturb",
-    "run_sweep_alpha",
-    "run_sweep_lambda",
-]
+__all__ = [name for mod in (scene, field, axis, flow, metrics, svgout, experiments)
+           for name in mod.__all__]

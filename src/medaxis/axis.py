@@ -26,7 +26,6 @@ has an empty skeleton: its site/wall bisector is not an edge.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,7 +373,6 @@ class FilteredAxis:
     alpha: float
     vertices: np.ndarray
     segments: np.ndarray
-    segment_data: np.ndarray
     isolated: np.ndarray
     component_ids: np.ndarray
     flags: tuple = ()
@@ -453,9 +451,6 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     vertices = np.concatenate([points[first[order]], skeleton.vertices[lone]])
     isolated = np.arange(len(order), len(vertices))
 
-    hh = h[edge]
-    r_val = np.array(list(map(math.hypot, hh.tolist(), ends.tolist())))
-    seg_data = np.stack([r_val, hh, (r_val - alpha) / r_val * hh], axis=1).reshape(-1, 2, 3)
     comp = _components(len(vertices), segments)
 
     flags = list(skeleton.flags)
@@ -464,7 +459,7 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     if len(vertices) == 0:
         flags.append("empty-axis")
     return FilteredAxis(lam=float(lam), alpha=float(alpha), vertices=vertices,
-                        segments=segments, segment_data=seg_data, isolated=isolated,
+                        segments=segments, isolated=isolated,
                         component_ids=comp, flags=tuple(flags))
 
 

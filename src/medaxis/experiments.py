@@ -22,6 +22,7 @@ import numpy as np
 from .scene import InvalidSceneError, SiteScene, load_scene, scene_from_json
 from .field import (
     CriticalProfile,
+    _check_count,
     _check_sampling,
     estimate_critical_function,
     profile_to_csv,
@@ -68,7 +69,6 @@ class ExperimentConfig:
     scene: SiteScene
     lambda_grid: tuple = ()
     alpha_grid: tuple = ()
-    grid: tuple = ()
     epsilons: tuple = ()
     seed: int = 0
     resolution: float | None = None
@@ -91,8 +91,11 @@ class ExperimentConfig:
             if any(v != v for v in vals) or any(not a < b for a, b in zip(vals, vals[1:])):
                 raise InvalidSceneError("%s must be strictly increasing, without NaN" % name)
         _check_sampling(self.samples_per_level, self.band_width)
+        _check_count("sample_pairs", self.sample_pairs)
         if self.resolution is None:
             self.resolution = self.scene.bounding_radius / 1000.0
+        elif not (math.isfinite(self.resolution) and self.resolution > 0.0):
+            raise InvalidSceneError("resolution must be finite and positive")
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -104,7 +107,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     else:
         scene = scene_from_json(json.dumps(scene_spec))
     kwargs = {"scene": scene}
-    for key in ("lambda_grid", "alpha_grid", "epsilons", "starts", "grid", "t_grid"):
+    for key in ("lambda_grid", "alpha_grid", "epsilons", "starts", "t_grid"):
         if key in raw:
             val = raw.pop(key)
             kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
@@ -284,8 +287,6 @@ def _merge_summaries(a, b):
 # --- experiments ------------------------------------------------------------
 
 def _grid_points(config: ExperimentConfig) -> list:
-    if config.grid:
-        return [(float(l), float(a)) for l, a in config.grid]
     return [(float(l), float(a)) for l in config.lambda_grid
             for a in config.alpha_grid]
 
@@ -457,7 +458,7 @@ def _gh_measure(config: ExperimentConfig, graph_a, graph_b, radius: float):
     try:
         distortion = gh_distortion(graph_a, graph_b, radius,
                                    sample_pairs=config.sample_pairs,
-                                   resolution=config.resolution, seed=config.seed)[0]
+                                   resolution=config.resolution, seed=config.seed)
     except SurjectivityError:
         return float("inf"), False
     return distortion, True
@@ -496,8 +497,8 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
         hyp_ok = (math.isfinite(summary.mu_tilde)
                   and math.isfinite(summary.r_mu_alpha)
                   and summary.r_mu_alpha > alpha + lam)
-        d_h = hausdorff_distance(axis_lo, axis_hi, res)
         back = directed_hausdorff(axis_hi, axis_lo, res)
+        d_h = max(directed_hausdorff(axis_lo, axis_hi, res), back)
         bound = lip * delta + res
         row = {
             "lo": lo, "hi": hi, "delta": delta, "d_H": d_h,
@@ -553,9 +554,11 @@ def run_sweep_alpha(config: ExperimentConfig) -> StabilityReport:
 def _jitter_base(config: ExperimentConfig, report: StabilityReport) -> tuple:
     """Set-up shared by the jitter experiments.
 
-    Returns (lam, alpha, base axis, profile, mu, summary), where the summary
-    is merged with the one of the most perturbed scene (which is jittered
-    exactly as the last epsilon's scene) so the hypotheses cover both.
+    Returns (lam, alpha, base axis, profile, mu, summary, jitters).  Each
+    epsilon k is jittered once, by ``default_rng([seed, k])``; ``jitters``
+    holds (epsilon, skeleton of the jittered scene), with None for a jitter
+    that gives an invalid scene.  The summary is merged with the one of the
+    last, most perturbed scene so the hypotheses cover both.
     """
     if not config.epsilons or not config.lambda_grid or not config.alpha_grid:
         raise InvalidSceneError("%s experiment needs epsilons, lambda, alpha"
@@ -568,31 +571,35 @@ def _jitter_base(config: ExperimentConfig, report: StabilityReport) -> tuple:
     mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
     report.flags.extend(mu_flags)
     summary = reach_summary(profile, mu, alpha, lam)
-    rng_top = np.random.default_rng([config.seed, len(config.epsilons) - 1])
+    jitters = []
+    for k, eps in enumerate(config.epsilons):
+        try:
+            scene_p = _jitter(config.scene, float(eps),
+                              np.random.default_rng([config.seed, k]))
+        except InvalidSceneError:
+            scene_p = None
+        jitters.append((float(eps), None if scene_p is None else build_skeleton(scene_p)))
     try:
-        scene_top = _jitter(config.scene, float(max(config.epsilons)), rng_top)
-        profile_top = _profile_for(scene_top, config)
-        summary = _merge_summaries(
-            summary, reach_summary(profile_top, mu, alpha, lam))
+        top = jitters[-1][1]
+        if top is None:
+            raise InvalidSceneError("the most perturbed scene is invalid")
+        summary = _merge_summaries(summary, reach_summary(
+            _profile_for(top.scene, config, top), mu, alpha, lam))
     except InvalidSceneError:
         report.flags.append("top-epsilon-scene-invalid")
-    return lam, alpha, base_axis, profile, mu, summary
+    return lam, alpha, base_axis, profile, mu, summary, jitters
 
 
-def _jittered_scenes(config: ExperimentConfig, report: StabilityReport):
-    """Yield (k, epsilon, jittered scene) per epsilon.  An epsilon whose
-    jitter gives an invalid scene gets a flagged row and a skipped
+def _valid_jitters(jitters: list, report: StabilityReport):
+    """Yield (k, epsilon, skeleton) per valid jitter.  An epsilon whose
+    jitter gave an invalid scene gets a flagged row and a skipped
     ``<kind>-k`` assertion instead."""
-    for k, eps in enumerate(config.epsilons):
-        eps = float(eps)
-        try:
-            rng = np.random.default_rng([config.seed, k])
-            scene_p = _jitter(config.scene, eps, rng)
-        except InvalidSceneError:
+    for k, (eps, skeleton) in enumerate(jitters):
+        if skeleton is None:
             report.rows.append({"epsilon": eps, "flags": ["invalid-perturbed-scene"]})
             report.add_assertion("%s-%d" % (report.kind, k), True, False)
             continue
-        yield k, eps, scene_p
+        yield k, eps, skeleton
 
 
 def run_perturb(config: ExperimentConfig) -> StabilityReport:
@@ -602,15 +609,15 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
     report = StabilityReport(kind="perturb", seed=config.seed, resolution=res)
     if config.epsilons and max(config.epsilons) < 100.0 * min(config.epsilons):
         report.flags.append("epsilon-span-below-two-decades")
-    lam, alpha, base_axis, _, mu, summary_used = _jitter_base(config, report)
+    lam, alpha, base_axis, _, mu, summary_used, jitters = _jitter_base(config, report)
     report.constants["mu"] = mu
     report.constants["mu_tilde"] = summary_used.mu_tilde
     report.constants["r_max"] = summary_used.r_max
 
     eps_list, dh_list, hyps = [], [], []
-    for k, eps, scene_p in _jittered_scenes(config, report):
-        shift = float(np.linalg.norm(scene_p.sites - scene.sites, axis=1).max())
-        axis_p = filter_axis(build_skeleton(scene_p), lam, alpha)
+    for k, eps, skeleton_p in _valid_jitters(jitters, report):
+        shift = float(np.linalg.norm(skeleton_p.scene.sites - scene.sites, axis=1).max())
+        axis_p = filter_axis(skeleton_p, lam, alpha)
         d_h = hausdorff_distance(base_axis, axis_p, res)
         cons = stability_constants(summary_used, delta=lam / 2.0, epsilon=eps)
         hyp_ok = (cons.hypothesis_flags["mu-tilde-defined"]
@@ -650,7 +657,7 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
     scene = config.scene
     res = config.resolution
     report = StabilityReport(kind="gh", seed=config.seed, resolution=res)
-    lam, alpha, base_axis, profile, mu, summary_used = _jitter_base(config, report)
+    lam, alpha, base_axis, profile, mu, summary_used, jitters = _jitter_base(config, report)
     summary_half = reach_summary(profile, mu, alpha, lam, window_alpha=alpha / 2.0)
 
     base_connected = _connected(base_axis)
@@ -660,8 +667,8 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
     report.constants["mu_tilde"] = summary_used.mu_tilde
     report.constants["gdiam_base"] = gdiam_base
 
-    for k, eps, scene_p in _jittered_scenes(config, report):
-        axis_p = filter_axis(build_skeleton(scene_p), lam, alpha)
+    for k, eps, skeleton_p in _valid_jitters(jitters, report):
+        axis_p = filter_axis(skeleton_p, lam, alpha)
         connected = base_connected and _connected(axis_p)
         if not connected:
             report.rows.append({"epsilon": eps, "flags": ["disconnected-skip"]})

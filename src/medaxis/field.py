@@ -127,6 +127,10 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
 
 # Site distances per query chunk (256 KiB of float64).
 _CHUNK_DISTANCES = 1 << 15
+# March iterations before a level's unbracketed seeds give up.
+_MARCH_ITERS = 200
+# chi below this reads as zero: the weak feature size is its first crossing.
+_CHI_ZERO = 0.05
 
 
 def _row_chunks(scene: SiteScene, n: int) -> list:
@@ -176,8 +180,7 @@ def _sprinkle(scene: SiteScene, t: float, n: int, rng: np.random.Generator) -> n
     return out[inside]
 
 
-def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
-                    max_iters: int = 200):
+def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float):
     """March each seed along +-ascent until the level ``t`` is bracketed,
     then bisect.
 
@@ -207,7 +210,7 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float,
     r_here, d_wall, foot = near.R, near.d_wall, near.nearest_points()
     r_seeds = float(r_here.max(initial=0.0))
     del near
-    for _ in range(max_iters):
+    for _ in range(_MARCH_ITERS):
         if idx.size == 0:
             break
         u = (cur - foot) / r_here[:, None]
@@ -283,12 +286,15 @@ def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.nda
     return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1 (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidSceneError("%s must be an integer >= 1" % name)
+
+
 def _check_sampling(samples_per_level, band_width) -> None:
     """Reject sampler settings that would silently yield no samples."""
-    if (isinstance(samples_per_level, bool)
-            or not isinstance(samples_per_level, numbers.Integral)
-            or samples_per_level < 1):
-        raise InvalidSceneError("samples_per_level must be an integer >= 1")
+    _check_count("samples_per_level", samples_per_level)
     if band_width is not None and not (math.isfinite(band_width) and band_width > 0.0):
         raise InvalidSceneError("band_width must be finite and positive")
 
@@ -411,7 +417,6 @@ def _first_crossing(t_grid: np.ndarray, chi: np.ndarray, level: float,
 
 
 def reach_summary(profile: CriticalProfile, mu: float, alpha: float, lam: float,
-                  chi_zero_threshold: float = 0.05,
                   window_alpha: float | None = None) -> ReachSummary:
     """Reach-scale quantities read off an estimated critical profile.
 
@@ -429,7 +434,7 @@ def reach_summary(profile: CriticalProfile, mu: float, alpha: float, lam: float,
     t_grid = profile.t_grid
     chi = profile.chi
 
-    wfs = _first_crossing(t_grid, chi, chi_zero_threshold, 0.0)
+    wfs = _first_crossing(t_grid, chi, _CHI_ZERO, 0.0)
     if wfs is None:
         wfs = float("nan")
         flags.append("wfs-censored")

@@ -9,10 +9,11 @@ segment plus a shortest path between axis vertices, taken from one all-pairs
 table over the vertices.
 
 Gromov-Hausdorff distances are never computed exactly (that would be a
-global optimization); instead the nearest-neighbor relation at a given
-radius is built, its surjectivity verified, and its metric distortion
-estimated by sampling pairs of related points.  This mirrors how the
-stability bounds are proved: one explicit relation witnesses the bound.
+global optimization); instead the relation of all sample pairs within a
+given radius is formed, its surjectivity verified, and its metric
+distortion (a single float) estimated from pairs of related samples.  This
+mirrors how the stability bounds are proved: one explicit relation
+witnesses the bound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from scipy.spatial import cKDTree
 from .axis import FilteredAxis
 from .field import ReachSummary
 
+# Query points per block of the projection onto an axis's pieces.
+_PROJECT_CHUNK = 512
+# The ambient dimension in the diameter bounds: the axes are planar.
+_DIM = 2
+
 __all__ = [
     "sample_axis_points",
     "hausdorff_distance",
@@ -36,7 +42,6 @@ __all__ = [
     "build_geodesic_graph",
     "geodesic",
     "geodesic_diameter",
-    "Correspondence",
     "SurjectivityError",
     "gh_distortion",
     "StabilityConstants",
@@ -81,7 +86,7 @@ def sample_axis_points(axis: FilteredAxis, spacing: float) -> np.ndarray:
     return _axis_samples(axis, spacing)[0]
 
 
-def _project(points: np.ndarray, axis: FilteredAxis, chunk: int = 512):
+def _project(points: np.ndarray, axis: FilteredAxis):
     """Nearest axis point to each query point: its distance, its piece (an
     index into ``_pieces``) and its parameter t in [0, 1] along the piece."""
     ends, _ = _pieces(axis)
@@ -92,16 +97,17 @@ def _project(points: np.ndarray, axis: FilteredAxis, chunk: int = 512):
     dist = np.empty(len(points))
     piece = np.empty(len(points), int)
     param = np.empty(len(points))
-    for lo in range(0, len(points), chunk):
-        ap = points[lo:lo + chunk, None, :] - a[None, :, :]
+    for lo in range(0, len(points), _PROJECT_CHUNK):
+        hi = lo + _PROJECT_CHUNK
+        ap = points[lo:hi, None, :] - a[None, :, :]
         t = np.clip(np.einsum("ijk,jk->ij", ap, ab) / safe, 0.0, 1.0)
         diff = ap - t[:, :, None] * ab[None, :, :]
         d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         k = d.argmin(axis=1)
         rows = np.arange(len(k))
-        dist[lo:lo + chunk] = d[rows, k]
-        piece[lo:lo + chunk] = k
-        param[lo:lo + chunk] = t[rows, k]
+        dist[lo:hi] = d[rows, k]
+        piece[lo:hi] = k
+        param[lo:hi] = t[rows, k]
     return dist, piece, param
 
 
@@ -126,8 +132,6 @@ def directed_hausdorff(axis_a: FilteredAxis, axis_b: FilteredAxis,
 def hausdorff_distance(axis_a: FilteredAxis, axis_b: FilteredAxis,
                        resolution: float) -> float:
     """Symmetric Hausdorff distance; sampling error <= resolution/2."""
-    if axis_a.is_empty and axis_b.is_empty:
-        return 0.0
     return max(directed_hausdorff(axis_a, axis_b, resolution),
                directed_hausdorff(axis_b, axis_a, resolution))
 
@@ -230,34 +234,23 @@ class SurjectivityError(ValueError):
     """The proximity relation fails to cover one of the axes."""
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    radius: float
-    n_a: int
-    n_b: int
-    n_pairs: int
-    pairs_a: np.ndarray
-    pairs_b: np.ndarray
-    exhaustive: bool
-    flags: tuple = ()
-
-
 def gh_distortion(graph_a: GeodesicGraph, graph_b: GeodesicGraph, radius: float,
                   sample_pairs: int = 2000, resolution: float = 0.01,
-                  seed: int = 0):
+                  seed: int = 0) -> float:
     """Distortion of the all-pairs-within-radius relation between the axes
-    of two geodesic graphs.
+    of two geodesic graphs: the largest |d_A(a, a') - d_B(b, b')| over the
+    4-tuples examined, with exact geodesic distances (0 between two
+    disconnected points), as one float.
 
-    Samples both axes at the resolution, checks the relation is surjective
-    both ways (raising SurjectivityError naming uncovered points otherwise),
-    and estimates sup |d_A(a,a') - d_B(b,b')| over related pairs by sampling
-    4-tuples, with exact geodesic distances; exhaustive when the relation is
-    small enough.
+    Samples both axes at the resolution and checks that the relation is
+    surjective both ways, raising SurjectivityError naming uncovered points
+    otherwise.  When the relation holds at most sqrt(sample_pairs) pairs,
+    every 4-tuple of two related pairs is examined; otherwise sample_pairs
+    4-tuples are drawn, each related pair picked uniformly.
     """
     sa = _axis_samples(graph_a.axis, resolution)
     sb = _axis_samples(graph_b.axis, resolution)
     pts_a, pts_b = sa[0], sb[0]
-    flags = []
     tree_a = cKDTree(pts_a)
     tree_b = cKDTree(pts_b)
 
@@ -275,48 +268,28 @@ def gh_distortion(graph_a: GeodesicGraph, graph_b: GeodesicGraph, radius: float,
                pts_b[uncovered_b[:3]].tolist() if len(uncovered_b) else "-"))
 
     total_pairs = int(cnt_a.sum())
-    rng = np.random.default_rng(seed)
     if total_pairs * total_pairs <= sample_pairs:
-        rows = tree_b.query_ball_point(pts_a, radius)
-        pa, pb = [], []
-        for i, row in enumerate(rows):
-            for j in sorted(row):
-                pa.append(i)
-                pb.append(j)
-        pa = np.array(pa, int)
-        pb = np.array(pb, int)
-        idx1, idx2 = np.meshgrid(np.arange(len(pa)), np.arange(len(pa)),
-                                 indexing="ij")
-        idx1 = idx1.ravel()
-        idx2 = idx2.ravel()
-        exhaustive = True
+        rows = tree_b.query_ball_point(pts_a, radius, return_sorted=True)
+        pa = np.repeat(np.arange(len(pts_a)), cnt_a)
+        pb = np.concatenate([np.empty(0, int), *rows])
+        idx1, idx2 = np.indices((total_pairs, total_pairs)).reshape(2, -1)
     else:
-        prob = cnt_a / total_pairs
-        draws = rng.choice(len(pts_a), size=2 * sample_pairs, p=prob)
-        pa = draws
-        pb = np.empty(2 * sample_pairs, int)
-        for k, i in enumerate(draws):
-            row = tree_b.query_ball_point(pts_a[i], radius)
-            pb[k] = row[rng.integers(0, len(row))]
+        rng = np.random.default_rng(seed)
+        pa = rng.choice(len(pts_a), size=2 * sample_pairs, p=cnt_a / total_pairs)
+        picks = rng.integers(0, cnt_a[pa])
+        # one query per draw: a batch of 2 sample_pairs rows, each holding
+        # every sample of a dense relation, raises the peak memory
+        pb = np.array([tree_b.query_ball_point(pts_a[i], radius)[j]
+                       for i, j in zip(pa.tolist(), picks.tolist())], int)
         idx1 = np.arange(sample_pairs)
         idx2 = np.arange(sample_pairs, 2 * sample_pairs)
-        exhaustive = False
 
     da = _pair_lengths(graph_a, *sa[1:], pa[idx1], pa[idx2])[0]
     db = _pair_lengths(graph_b, *sb[1:], pb[idx1], pb[idx2])[0]
-
-    both_inf = np.isinf(da) & np.isinf(db)
     with np.errstate(invalid="ignore"):
         gaps = np.abs(da - db)
-    gaps[both_inf] = 0.0
-    if np.isinf(gaps).any():
-        flags.append("disconnected-pair")
-    distortion = float(gaps.max()) if len(gaps) else 0.0
-    corr = Correspondence(radius=float(radius), n_a=len(pts_a),
-                          n_b=len(pts_b), n_pairs=total_pairs,
-                          pairs_a=pa, pairs_b=pb, exhaustive=exhaustive,
-                          flags=tuple(flags))
-    return distortion, corr
+    gaps[np.isinf(da) & np.isinf(db)] = 0.0
+    return float(gaps.max()) if len(gaps) else 0.0
 
 
 # --- closed-form stability constants --------------------------------------
@@ -355,8 +328,7 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
                         gdiam_a: float | None = None,
                         gdiam_b: float | None = None,
                         r_bound: float | None = None,
-                        mu_tilde_half: float | None = None,
-                        dim: int = 2) -> StabilityConstants:
+                        mu_tilde_half: float | None = None) -> StabilityConstants:
     """All closed-form constants of the stability theory from one measured
     critical-function summary.
 
@@ -405,14 +377,14 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
         mt_h = mu_tilde_half if mu_tilde_half is not None else mt
         if math.isfinite(mt_h) and mt_h > 0.0 and r_bound is not None:
             l_offset = (alpha / mu
-                        + alpha * ((8.0 * r_bound / alpha) ** dim + 1.0)
+                        + alpha * ((8.0 * r_bound / alpha) ** _DIM + 1.0)
                         * _safe_exp(1.0 / (2.0 * mu)))
             gdiam_bound = (2.0 * r_max / mt_h ** 2
                            + l_offset * _safe_exp(r_max / (alpha * mt_h ** 2)))
         else:
             gdiam_bound = nan
         universal = (2.0 * r_max / mt ** 2
-                     + 2.0 * alpha * ((4.0 * r_max / alpha) ** dim + 1.0 + 2.0 / mu)
+                     + 2.0 * alpha * ((4.0 * r_max / alpha) ** _DIM + 1.0 + 2.0 / mu)
                      * _safe_exp(1.0 / mu + r_max / (alpha * mt ** 2)))
     else:
         t_lambda = t_alpha = c = nan

@@ -157,17 +157,13 @@ def scalar_components(n, pairs):
 
 def scalar_filter_axis(skeleton, lam, alpha):
     """The edge-by-edge filter, reading the skeleton's edge and vertex lists."""
-    points, segments, seg_data, key_of = [], [], [], {}
+    points, segments, key_of = [], [], {}
 
     def vertex(key, point):
         if key not in key_of:
             key_of[key] = len(points)
             points.append(np.asarray(point, float))
         return key_of[key]
-
-    def values(h, s):
-        r_val = math.hypot(h, s)
-        return (r_val, h, (r_val - alpha) / r_val * h)
 
     tol_len = 1e-12 * skeleton.scene.bounding_radius
     flags = list(skeleton.flags)
@@ -186,7 +182,6 @@ def scalar_filter_axis(skeleton, lam, alpha):
             ib = (vertex(("v", v1), skeleton.vertices[v1]) if b == s1
                   else vertex(("c", e_idx, round(b, 12)), mid + b * u))
             segments.append((ia, ib))
-            seg_data.append((values(h, a), values(h, b)))
     isolated = []
     for vid, (R, F) in enumerate(zip(skeleton.R.tolist(), skeleton.F.tolist())):
         if R > alpha and (R - alpha) / R * F >= lam and ("v", vid) not in key_of:
@@ -200,7 +195,6 @@ def scalar_filter_axis(skeleton, lam, alpha):
         lam=float(lam), alpha=float(alpha),
         vertices=np.array(points) if n else np.empty((0, 2)),
         segments=np.array(segments, int) if segments else np.empty((0, 2), int),
-        segment_data=np.array(seg_data) if seg_data else np.empty((0, 2, 3)),
         isolated=np.array(isolated, int), component_ids=scalar_components(n, segments),
         flags=tuple(flags))
 
@@ -218,7 +212,7 @@ def scalar_scene_r_max(scene, skeleton):
 
 
 def assert_same_axis(got, ref):
-    for name in ("vertices", "segments", "segment_data", "isolated", "component_ids"):
+    for name in ("vertices", "segments", "isolated", "component_ids"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -561,16 +555,6 @@ class TestFilteredAxis:
         large = mx.filter_axis(sk, 0.75, 0.5)
         # growing alpha shrinks the surviving set
         assert large.total_length() <= small.total_length() + 1e-12
-
-    def test_segment_endpoint_data_matches_field(self):
-        scene = two_site_scene()
-        sk = mx.build_skeleton(scene)
-        ax = mx.filter_axis(sk, 0.75, 0.5)
-        for seg, data in zip(ax.segments, ax.segment_data):
-            for vid, row in zip(seg, data):
-                p = ax.vertices[vid]
-                s = mx.eval_field(scene, p, alpha=0.5)
-                assert abs(row[0] - s.R) < 1e-9
 
 
 class TestMembership:

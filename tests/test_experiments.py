@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import medaxis as mx
-from medaxis import axis, cli, experiments
+from medaxis import axis, cli, experiments, metrics
 from medaxis.axis import build_skeleton
 from medaxis.cli import main as cli_main
 from medaxis.experiments import (ExperimentConfig, config_from_dict,
-                                 run_axis, run_critfn, run_flow,
-                                 run_sweep_lambda)
+                                 run_axis, run_critfn, run_flow, run_gh,
+                                 run_perturb, run_sweep_lambda)
 
 
 def two_site_scene():
@@ -73,7 +73,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"band_width": float("inf")}, {"samples_per_level": 0},
-        {"samples_per_level": -5}, {"samples_per_level": 2.5}],
+        {"samples_per_level": -5}, {"samples_per_level": 2.5},
+        {"resolution": -0.5}, {"resolution": 0.0}, {"resolution": math.nan},
+        {"resolution": math.inf}, {"sample_pairs": 0}, {"sample_pairs": -3},
+        {"sample_pairs": 2.5}, {"sample_pairs": True}],
         ids=lambda kw: "%s=%s" % next(iter(kw.items())))
     def test_bad_sampling_rejected(self, kwargs):
         with pytest.raises(mx.InvalidSceneError):
@@ -157,6 +160,58 @@ class TestPlanarProfile:
                                lambda_grid=(0.7, 0.75), alpha_grid=(0.5,), gh_variant=False)
         run_sweep_lambda(cfg)
         assert len(built) == 1
+
+
+def near_wall_scene():
+    # the last site is 0.01 from the wall, so a jitter of 0.05 can leave
+    # the ball; at seed 0 the jitter of epsilon 0.05 does, that of 1e-3 not
+    return mx.SiteScene(sites=np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 9.99]]),
+                        bounding_radius=10.0)
+
+
+class TestJitter:
+    @pytest.mark.parametrize("run", [run_perturb, run_gh])
+    def test_invalid_top_jitter_is_flagged(self, run):
+        cfg = ExperimentConfig(scene=near_wall_scene(), lambda_grid=(0.5,),
+                               alpha_grid=(0.4,), epsilons=(1e-3, 0.05), seed=0,
+                               t_count=7, resolution=0.08, sample_pairs=100)
+        report = run(cfg)
+        assert "top-epsilon-scene-invalid" in report.flags
+        assert report.rows[-1] == {"epsilon": 0.05, "flags": ["invalid-perturbed-scene"]}
+        assert report.rows[0]["flags"] != ["invalid-perturbed-scene"]
+        skipped = {"name": "%s-1" % report.kind, "passed": True, "enforced": False}
+        assert skipped in report.assertions
+
+    def test_perturb_builds_each_scene_once(self, monkeypatch):
+        built = []
+
+        def counting(scene):
+            built.append(scene)
+            return build_skeleton(scene)
+
+        monkeypatch.setattr(experiments, "build_skeleton", counting)
+        monkeypatch.setattr(axis, "build_skeleton", counting)
+        cfg = ExperimentConfig(scene=mx.random_scene(12, 10.0, seed=3), lambda_grid=(0.5,),
+                               alpha_grid=(0.4,), epsilons=(1e-4, 1e-3, 1e-2),
+                               t_count=7, resolution=0.08)
+        run_perturb(cfg)
+        assert len(built) == 4
+        assert len({mx.scene_to_json(sc) for sc in built}) == 4
+
+    def test_sweep_measures_each_direction_once(self, monkeypatch):
+        calls = []
+        directed = metrics.directed_hausdorff
+
+        def counting(axis_a, axis_b, resolution):
+            calls.append((axis_a.lam, axis_b.lam))
+            return directed(axis_a, axis_b, resolution)
+
+        monkeypatch.setattr(experiments, "directed_hausdorff", counting)
+        monkeypatch.setattr(metrics, "directed_hausdorff", counting)
+        cfg = ExperimentConfig(scene=two_site_scene(), t_count=12, gh_variant=False,
+                               lambda_grid=(0.7, 0.75, 0.8), alpha_grid=(0.5,))
+        run_sweep_lambda(cfg)
+        assert sorted(calls) == [(0.7, 0.75), (0.75, 0.7), (0.75, 0.8), (0.8, 0.75)]
 
 
 class TestRunFlow:
@@ -256,6 +311,19 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, body)
         assert cli_main([command, "--config", cfg]) == 3
         assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["perturb", "gh", "sweep-lambda"])
+    @pytest.mark.parametrize("key, value", [
+        ("sample_pairs", 0), ("resolution", -0.5), ("resolution", 0.0),
+        ("resolution", math.nan)])
+    def test_bad_metric_setting_exits_three(self, tmp_path, capsys, command, key, value):
+        body = {"scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]], "bounding_radius": 10.0},
+                "lambda_grid": [0.7, 0.75], "alpha_grid": [0.5], "epsilons": [1e-4, 1e-3],
+                "t_count": 7, key: value}
+        cfg = self.write_cfg(tmp_path, body)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_horizon_exits_three(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {

@@ -1,15 +1,21 @@
 """Hausdorff and intrinsic comparisons between filtered axes, plus the
 closed-form constant formulary."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 import medaxis as mx
+from medaxis import experiments
+from medaxis.experiments import ExperimentConfig, run_gh, run_sweep_lambda
 from medaxis.metrics import _axis_samples, _pair_lengths
 
 
@@ -159,7 +165,6 @@ def hand_axis(vertices, segments, isolated=(), components=None):
     if components is None:
         components = np.zeros(len(vertices), int)
     return mx.FilteredAxis(lam=1.0, alpha=0.0, vertices=vertices, segments=segments,
-                           segment_data=np.zeros((len(segments), 2, 3)),
                            isolated=np.array(isolated, int),
                            component_ids=np.array(components, int))
 
@@ -238,14 +243,59 @@ class TestExactGeodesics:
                     pytest.approx(length, abs=1e-9)
 
 
+def per_draw_distortion(graph_a, graph_b, radius, sample_pairs, resolution, seed):
+    """``gh_distortion`` written loop by loop, as its oracle: the exhaustive
+    relation from nested loops over the sorted ball rows, and for a sampled
+    relation one ball query and one ``rng.integers`` call per draw.
+    Returns (distortion, exhaustive)."""
+    sa = _axis_samples(graph_a.axis, resolution)
+    sb = _axis_samples(graph_b.axis, resolution)
+    tree_b = cKDTree(sb[0])
+    cnt_a = tree_b.query_ball_point(sa[0], radius, return_length=True)
+    total = int(cnt_a.sum())
+    rng = np.random.default_rng(seed)
+    exhaustive = total * total <= sample_pairs
+    if exhaustive:
+        pa, pb = [], []
+        for i, row in enumerate(tree_b.query_ball_point(sa[0], radius)):
+            for j in sorted(row):
+                pa.append(i)
+                pb.append(j)
+        pa, pb = np.array(pa, int), np.array(pb, int)
+        i1, i2 = [g.ravel() for g in np.meshgrid(np.arange(total), np.arange(total),
+                                                  indexing="ij")]
+    else:
+        pa = rng.choice(len(sa[0]), size=2 * sample_pairs, p=cnt_a / total)
+        pb = np.empty(2 * sample_pairs, int)
+        for k, i in enumerate(pa):
+            row = tree_b.query_ball_point(sa[0][i], radius)
+            pb[k] = row[rng.integers(0, len(row))]
+        i1, i2 = np.arange(sample_pairs), np.arange(sample_pairs, 2 * sample_pairs)
+    da = _pair_lengths(graph_a, *sa[1:], pa[i1], pa[i2])[0]
+    db = _pair_lengths(graph_b, *sb[1:], pb[i1], pb[i2])[0]
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(da - db)
+    gaps[np.isinf(da) & np.isinf(db)] = 0.0
+    return (float(gaps.max()) if len(gaps) else 0.0), exhaustive
+
+
+def audit_scene():
+    """A scene shaped like the benchmark's stability audit scenes."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("bench_scenes", path)
+    bench_scenes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_scenes)
+    return mx.SiteScene(sites=bench_scenes.audit_sites(np.random.default_rng(2), 12),
+                        bounding_radius=10.0)
+
+
 class TestDistortion:
     def test_self_distortion_bounded_by_radius(self):
         loose, _ = two_site_axes()
         res = 0.01
-        distortion, corr = mx.gh_distortion(*graphs(loose, loose), radius=res,
-                                            resolution=res, seed=0)
-        assert distortion <= 2.0 * res
-        assert corr.n_pairs > 0
+        distortion = mx.gh_distortion(*graphs(loose, loose), radius=res,
+                                      resolution=res, seed=0)
+        assert 0.0 < distortion <= 2.0 * res
 
     def test_radius_below_gap_is_not_surjective(self):
         loose, tight = two_site_axes()
@@ -253,18 +303,72 @@ class TestDistortion:
             mx.gh_distortion(*graphs(loose, tight), radius=1e-4, resolution=0.01, seed=0)
 
     def test_small_graphs_enumerate_all_pairs(self):
+        """A relation of m pairs with m * m <= sample_pairs is enumerated:
+        the distortion is the brute-force maximum over all 4-tuples."""
+        loose, tight = two_site_axes()
+        res, radius = 0.5, 0.45
+        graph_a, graph_b = graphs(loose, tight)
+        sa, sb = _axis_samples(loose, res), _axis_samples(tight, res)
+        related = np.argwhere(cdist(sa[0], sb[0]) <= radius)
+        na, nb = len(sa[0]), len(sb[0])
+        i, j = np.divmod(np.arange(na * na), na)
+        table_a = _pair_lengths(graph_a, *sa[1:], i, j)[0].reshape(na, na)
+        i, j = np.divmod(np.arange(nb * nb), nb)
+        table_b = _pair_lengths(graph_b, *sb[1:], i, j)[0].reshape(nb, nb)
+        brute = 0.0
+        for a, b in related:
+            for a2, b2 in related:
+                da, db = table_a[a, a2], table_b[b, b2]
+                brute = max(brute, 0.0 if math.isinf(da) and math.isinf(db) else abs(da - db))
+        m = len(related)
+        got = mx.gh_distortion(graph_a, graph_b, radius=radius, sample_pairs=m * m,
+                               resolution=res, seed=0)
+        assert got == brute > 0.0
+        assert per_draw_distortion(graph_a, graph_b, radius, m * m, res, 0) == (got, True)
+
+    def test_two_isolated_points_read_zero(self):
         sk = mx.build_skeleton(two_site_scene())
         ax = mx.filter_axis(sk, 1.2, 0.5)   # two isolated points
-        distortion, corr = mx.gh_distortion(*graphs(ax, ax), radius=0.01,
-                                            resolution=0.01, seed=0)
-        assert corr.exhaustive
-        assert distortion == 0.0
+        assert mx.gh_distortion(*graphs(ax, ax), radius=0.01, resolution=0.01,
+                                seed=0) == 0.0
+
+    def test_sampled_relation_matches_per_draw_oracle(self):
+        loose, tight = two_site_axes()
+        for seed in (0, 5):
+            got = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01,
+                                   seed=seed)
+            assert (got, False) == per_draw_distortion(*graphs(loose, tight), 0.5, 2000,
+                                                       0.01, seed)
+
+    def test_audit_scene_matches_per_draw_oracle(self, monkeypatch):
+        """Every relation of a sweep and a GH run on an audit scene, at the
+        benchmark's settings, reads as the per-draw oracle does."""
+        seen = []
+        measure = experiments.gh_distortion
+
+        def checked(graph_a, graph_b, radius, sample_pairs, resolution, seed):
+            got = measure(graph_a, graph_b, radius, sample_pairs=sample_pairs,
+                          resolution=resolution, seed=seed)
+            want, exhaustive = per_draw_distortion(graph_a, graph_b, radius,
+                                                   sample_pairs, resolution, seed)
+            assert got == want
+            seen.append(exhaustive)
+            return got
+
+        monkeypatch.setattr(experiments, "gh_distortion", checked)
+        common = dict(scene=audit_scene(), t_count=7, resolution=0.08, sample_pairs=100,
+                      seed=7)
+        run_sweep_lambda(ExperimentConfig(lambda_grid=(0.60, 0.65, 0.70),
+                                          alpha_grid=(0.6,), **common))
+        run_gh(ExperimentConfig(lambda_grid=(0.5,), alpha_grid=(0.4,),
+                                epsilons=(1e-5, 1e-4, 1e-3), **common))
+        assert len(seen) >= 3 and not all(seen)
 
     def test_deterministic_in_seed(self):
         loose, tight = two_site_axes()
-        d1, _ = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01, seed=5)
-        d2, _ = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01, seed=5)
-        assert d1 == d2
+        d1 = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01, seed=5)
+        d2 = mx.gh_distortion(*graphs(loose, tight), radius=0.5, resolution=0.01, seed=5)
+        assert isinstance(d1, float) and d1 == d2
 
 
 def summary_fixture():
