@@ -13,8 +13,7 @@ import os
 
 import numpy as np
 
-from medaxis import (entered_axis, integrate_flows, radius_certificate,
-                     random_scene, scene_svg)
+from medaxis import integrate_flows, radius_certificate, random_scene, scene_svg
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
@@ -22,14 +21,13 @@ OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 def main():
     scene = random_scene(9, bounding_radius=6.0, seed=21, min_separation=1.0)
     lam, alpha = 0.35, 0.25
-    stop = entered_axis(lam, alpha)
 
     print("flowing 16 seeds, lam=%.2f alpha=%.2f" % (lam, alpha))
     print("%6s %18s %6s %9s %9s %6s" % ("seed", "stop", "nodes",
                                         "R start", "R end", "cert"))
     ang = 2.0 * np.pi * np.arange(16) / 16.0
     starts = 2.2 * np.column_stack([np.cos(ang), np.sin(ang)])
-    trajs = integrate_flows(scene, starts, alpha=alpha, horizon=4.0, stop=stop)
+    trajs = integrate_flows(scene, starts, alpha=alpha, horizon=4.0, lam=lam)
     worst_step = 0.0
     for k, traj in enumerate(trajs):
         steps = np.diff(traj.R)

@@ -34,7 +34,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
-from .field import CriticalProfile, _check_levels, _row_chunks, eval_field, eval_field_batch
+from .field import (CriticalProfile, _check_levels, _f_alpha, _row_chunks, eval_field,
+                    eval_field_batch)
 
 __all__ = [
     "VoronoiSkeleton",
@@ -443,9 +444,7 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     number[order] = np.arange(len(order))
     segments = number[inverse].reshape(-1, 2)
 
-    R, F = skeleton.R, skeleton.F
-    alive = R > alpha
-    alive[alive] = (R[alive] - alpha) / R[alive] * F[alive] >= lam
+    alive = _f_alpha(skeleton.R, skeleton.F, alpha) >= lam
     alive[used[used < n_v]] = False
     lone = np.flatnonzero(alive)
     vertices = np.concatenate([points[first[order]], skeleton.vertices[lone]])

@@ -37,7 +37,7 @@ from .axis import (
     filter_axis,
     scene_r_max,
 )
-from .flow import entered_axis, integrate_flows, radius_certificate, time_exhausted
+from .flow import integrate_flows, radius_certificate
 from .metrics import (
     SurjectivityError,
     build_geodesic_graph,
@@ -397,10 +397,9 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
                              resolution=config.resolution)
     alpha = float(config.alpha_grid[0]) if config.alpha_grid else None
     lam = float(config.lambda_grid[0]) if config.lambda_grid else None
-    stop = entered_axis(lam, alpha) if (lam is not None and alpha is not None) \
-        else time_exhausted()
     trajs = integrate_flows(config.scene, config.starts, alpha=alpha,
-                            horizon=config.horizon, stop=stop)
+                            horizon=config.horizon,
+                            lam=None if alpha is None else lam)
     paths = []
     for k, (start, traj) in enumerate(zip(config.starts, trajs)):
         r_steps = np.diff(traj.R)

@@ -64,14 +64,19 @@ class FieldSample:
     witness_ids: tuple
 
 
+def _f_alpha(R, F, alpha):
+    """F_alpha = (R - alpha)/R * F, NaN where R <= alpha."""
+    return np.where(R > alpha, (R - alpha) / R * F, np.nan)
+
+
 def _offset_rescale(R, F, alpha):
-    """F_alpha = (R - alpha)/R * F, defined only outside the alpha-offset."""
+    """F_alpha, defined only outside the alpha-offset."""
     alpha = float(alpha)
     if alpha < 0.0:
         raise InvalidSceneError("alpha must be nonnegative")
     if np.any(R <= alpha):
         raise OffsetDomainError("point lies within offset distance alpha of the scene")
-    return (R - alpha) / R * F
+    return _f_alpha(R, F, alpha)
 
 
 def eval_field(scene: SiteScene, x, alpha: float | None = None,
@@ -93,7 +98,7 @@ def eval_field(scene: SiteScene, x, alpha: float | None = None,
     theta = near.witnesses(np.zeros(1, int), cols[None])
     centers, F = _seb_stack(theta)  # ``near.balls`` of the row
     R, f_val = float(near.R[0]), float(F[0])
-    f_alpha = None if alpha is None else _offset_rescale(R, f_val, alpha)
+    f_alpha = None if alpha is None else float(_offset_rescale(R, f_val, alpha))
     labels = np.where(cols < len(scene.sites), cols, -1)
     return FieldSample(point=x, R=R, theta=list(theta[0]), F=f_val,
                        grad=(x - centers[0]) / R, F_alpha=f_alpha,

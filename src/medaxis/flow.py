@@ -32,16 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .field import _f_alpha
 from .scene import DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms
 
 __all__ = [
-    "StopCondition",
-    "time_exhausted",
-    "entered_axis",
-    "gradient_below",
     "Trajectory",
     "integrate_flows",
-    "integrate_flow",
     "RadiusCertificate",
     "radius_certificate",
     "PushedPath",
@@ -53,29 +49,11 @@ __all__ = [
 _NODE_CAP = 100000
 _STALL_FRACTION = 1e-12
 _F_BACKSLIDE_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class StopCondition:
-    kind: str
-    lam: float = float("nan")
-    alpha: float | None = None
-    eta: float = float("nan")
-
-
-def time_exhausted() -> StopCondition:
-    """Run until the horizon; no early exit."""
-    return StopCondition(kind="time")
-
-
-def entered_axis(lam: float, alpha: float) -> StopCondition:
-    """Stop once the node's F_alpha value reaches lam."""
-    return StopCondition(kind="axis", lam=float(lam), alpha=float(alpha))
-
-
-def gradient_below(eta: float) -> StopCondition:
-    """Stop once the band-widened gradient norm drops below eta."""
-    return StopCondition(kind="gradient", eta=float(eta))
+# Tolerance of the radius certificate's residuals, per squared bounding radius.
+_CERT_TOL = 1e-6
+# The stop reason of each stop code, in the order the stops are tested.
+_REASONS = ("entered-axis", "time-exhausted", "node-cap", "stalled",
+            "time-exhausted", "stalled")
 
 
 @dataclass(frozen=True)
@@ -201,14 +179,6 @@ def _snap_to_tie(Y: np.ndarray, pts: np.ndarray, cap: np.ndarray):
     return moves & (_row_norms(step) <= cap), Y + step
 
 
-def _f_alpha(R: np.ndarray, F: np.ndarray, alpha: float | None) -> np.ndarray:
-    """F_alpha of nodes: (R - alpha)/R F, NaN where R <= alpha or alpha is
-    None."""
-    if alpha is None:
-        return np.full(len(R), np.nan)
-    return np.where(R > alpha, (R - alpha) / R * F, np.nan)
-
-
 def _grad_norm(R: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Band-widened gradient norm of nodes, sqrt(1 - (F/R)^2) clamped at
     zero; float_power is libm pow, as is Python's float ** 2."""
@@ -216,11 +186,12 @@ def _grad_norm(R: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
-                    horizon: float = 1.0, stop: StopCondition | None = None,
+                    horizon: float = 1.0, lam: float | None = None,
                     max_step: float | None = None,
                     flow_band: float | None = None) -> list[Trajectory]:
     """Integrate the distance gradient flow from each row of X0 up to the
-    time horizon, all rows in lockstep.
+    time horizon, all rows in lockstep.  With ``lam`` (which needs
+    ``alpha``), a row also stops once its node's F_alpha reaches lam.
 
     Acceptance rule per step: R must not decrease, and if the witness set
     changes the band-widened F must not drop by more than a hair.  Rejected
@@ -232,13 +203,17 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     """
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    if stop is not None and stop.alpha is not None:
+    if alpha is not None and not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
+    if lam is not None:
+        if not 0.0 < lam < math.inf:
+            raise ValueError("lam must be finite and positive")
         if alpha is None:
-            alpha = stop.alpha
-        elif alpha != stop.alpha:
-            raise ValueError("alpha differs between flow and stop condition")
+            raise ValueError("lam needs alpha")
     if max_step is None:
         max_step = scene.bounding_radius / 500.0
+    elif not 0.0 < max_step < math.inf:
+        raise ValueError("max_step must be finite and positive")
     if flow_band is None:
         flow_band = max_step
     if not flow_band >= 0.0:
@@ -251,7 +226,6 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
         return []
     if X.ndim != 2 or X.shape[1] != scene.dim:
         raise DomainError("query point has wrong dimension")
-    kind = None if stop is None else stop.kind
     stall_floor = _STALL_FRACTION * scene.bounding_radius
 
     node = _probe(scene, X, flow_band)
@@ -265,7 +239,6 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     done_nodes, done_rejected, done_reason = (np.zeros(n, int) for _ in range(3))
     acc = np.ones(n, bool)  # rows that reached a new node this tick
     moved = True            # acc.all()
-    stalled = False         # rejected rows whose halved step is below the floor
     log = []
     while True:
         # Every row has run since the first tick, so a row's node count is
@@ -274,35 +247,26 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
         log.append((live, acc, t, arc, node.X, node.R, node.F, node.count))
         remaining = horizon - t
         fresh = np.minimum(max_step, remaining)
-        if moved:
-            dt = fresh
-        else:
-            dt = np.where(acc, fresh, 0.5 * dt)
-            stalled = ~acc & (dt < stall_floor)
-        # Stop tests, in order; their codes index ``reasons`` below.
-        # remaining <= stall_floor, within rounding of the horizon, is
-        # implied by t >= horizon and is not a stall; a max_step below the
-        # floor stalls every row at its first node.
-        tests = [False, False, None, False, gnorm == 0.0,
-                 remaining <= stall_floor, max_step < stall_floor]
-        ends = tests[4] | tests[5]
-        if not moved:
-            ends |= stalled
-        if kind == "axis":
-            tests[0] = _f_alpha(node.R, node.F, alpha) >= stop.lam
-            ends |= tests[0]
-        elif kind == "gradient":
-            tests[1] = _grad_norm(node.R, node.F) < stop.eta
-            ends |= tests[1]
+        dt = fresh if moved else np.where(acc, fresh, 0.5 * dt)
+        # The stops, in the order of ``_REASONS``; a row ends on the first
+        # that holds.  t >= horizon implies remaining <= stall_floor, so it
+        # is tested only on ticks where some row ends; remaining within the
+        # floor, by rounding, is not a stall.  A step below the floor is a
+        # stall, and so is a max_step below it, at the first node.
+        entered = capped = False
+        flat, spent, stalled = gnorm == 0.0, remaining <= stall_floor, dt < stall_floor
+        ends = flat | spent | stalled
+        if lam is not None:
+            entered = _f_alpha(node.R, node.F, alpha) >= lam
+            ends |= entered
         if len(log) >= _NODE_CAP:
-            tests[3] = len(log) - rejected >= _NODE_CAP
-            ends |= tests[3]
-        if tests[6] or ends.any():
-            tests[2] = t >= horizon
-            code = np.where(stalled, 4, -1)
-            for k in range(6, -1, -1):
-                code = np.where(tests[k], k, code)
-            ends = code >= 0
+            capped = len(log) - rejected >= _NODE_CAP
+            ends |= capped
+        if ends.any():
+            code = np.where(stalled, 5, -1)
+            for k, stop in ((4, spent), (3, flat), (2, capped), (1, t >= horizon),
+                            (0, entered)):
+                code = np.where(stop, k, code)
             done = live[ends]
             done_reason[done], done_rejected[done] = code[ends], rejected[ends]
             done_nodes[done] = len(log) - rejected[ends]
@@ -336,7 +300,6 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
             t = np.where(dt == remaining, horizon, t + dt)
             node = trial
             grad, gnorm = _steer(scene, trial)
-            stalled = False
             continue
         rejected += ~acc
         arc = np.where(acc, arc + dt * gnorm, arc)
@@ -347,30 +310,19 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
             node = _Probe(*(np.where(acc[:, None] if b.ndim > 1 else acc, a, b)
                             for a, b in zip(trial, node)))
 
-    reasons = ("entered-axis", "gradient-below", "time-exhausted", "node-cap",
-               "stalled", "time-exhausted", "stalled")
     rows, acc, *cols = (np.concatenate(c) for c in zip(*log))
     order = acc.nonzero()[0][np.argsort(rows[acc], kind="stable")]
     times, arcs, points, R, F, counts = (c[order] for c in cols)
-    fa, gn = _f_alpha(R, F, alpha), _grad_norm(R, F)
+    fa = np.full(len(R), np.nan) if alpha is None else _f_alpha(R, F, alpha)
+    gn = _grad_norm(R, F)
     bounds = np.cumsum(done_nodes).tolist()
     return [Trajectory(scene=scene, alpha=alpha, times=times[a:b], arc=arcs[a:b],
                        points=points[a:b], R=R[a:b], F=F[a:b], F_alpha=fa[a:b],
                        grad_norm=gn[a:b], witness_counts=counts[a:b],
-                       stop_reason=reasons[code], flow_band=flow_band,
+                       stop_reason=_REASONS[code], flow_band=flow_band,
                        max_step=max_step, rejected_steps=k)
             for a, b, code, k in zip([0] + bounds[:-1], bounds,
                                      done_reason.tolist(), done_rejected.tolist())]
-
-
-def integrate_flow(scene: SiteScene, x0, alpha: float | None = None,
-                   horizon: float = 1.0, stop: StopCondition | None = None,
-                   max_step: float | None = None,
-                   flow_band: float | None = None) -> Trajectory:
-    """Integrate the distance gradient flow from x0 up to the time horizon:
-    ``integrate_flows`` over a batch of one start."""
-    return integrate_flows(scene, [x0], alpha, horizon, stop, max_step,
-                           flow_band)[0]
 
 
 # --- certified radius growth ---------------------------------------------
@@ -380,15 +332,13 @@ class RadiusCertificate:
     alpha: float
     lam: float
     s0: float
-    node_arc: np.ndarray
     residuals: np.ndarray
     first_inside: int | None
     valid: bool
     flags: tuple
 
 
-def radius_certificate(traj: Trajectory, alpha: float, lam: float,
-                       tol: float | None = None) -> RadiusCertificate:
+def radius_certificate(traj: Trajectory, alpha: float, lam: float) -> RadiusCertificate:
     """Check the certified radius growth along a trajectory.
 
     While the trajectory stays below the axis threshold (F_alpha < lam), the
@@ -401,14 +351,11 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float,
     Nodes from the first one at or above the threshold onward are exempt.
     The certificate only applies when the start satisfies R_0 >= alpha + lam.
     """
-    if tol is None:
-        tol = 1e-6 * traj.scene.bounding_radius ** 2
     flags = []
     r0 = float(traj.R[0])
     gap0 = r0 - alpha
     if r0 <= alpha or gap0 < lam:
         return RadiusCertificate(alpha=alpha, lam=lam, s0=float("nan"),
-                                 node_arc=traj.arc.copy(),
                                  residuals=np.full(len(traj.R), float("nan")),
                                  first_inside=None, valid=False,
                                  flags=("start-inside-offset" if r0 <= alpha
@@ -421,11 +368,11 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float,
 
     residuals = (traj.R - alpha) ** 2 - (s0 + traj.arc) ** 2 - lam ** 2
     checked = residuals[:n_checked]
+    tol = _CERT_TOL * traj.scene.bounding_radius ** 2
     valid = bool((checked >= -tol).all()) if n_checked else True
     if first_inside is None:
         flags.append("never-entered-axis")
-    return RadiusCertificate(alpha=alpha, lam=lam, s0=s0,
-                             node_arc=traj.arc.copy(), residuals=residuals,
+    return RadiusCertificate(alpha=alpha, lam=lam, s0=s0, residuals=residuals,
                              first_inside=first_inside, valid=valid,
                              flags=tuple(flags))
 
@@ -485,8 +432,7 @@ def push_path(scene: SiteScene, base_path, T: float, alpha: float,
     l_base = _polyline_length(base)
     verts = _resample(base, subdiv)
 
-    trajs = integrate_flows(scene, verts, alpha=alpha, horizon=T,
-                            stop=time_exhausted(), max_step=max_step)
+    trajs = integrate_flows(scene, verts, alpha=alpha, horizon=T, max_step=max_step)
     flags = {"flow-" + tr.stop_reason for tr in trajs
              if tr.stop_reason != "time-exhausted"}
     piece_up = trajs[0].points
@@ -517,7 +463,7 @@ def flow_expansion_check(scene: SiteScene, x1, x2, alpha: float, T: float,
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     t1, t2 = integrate_flows(scene, [x1, x2], alpha=alpha, horizon=T,
-                             stop=time_exhausted(), max_step=max_step)
+                             max_step=max_step)
     flags = set()
     for tr in (t1, t2):
         if tr.stop_reason != "time-exhausted":

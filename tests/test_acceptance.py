@@ -25,8 +25,7 @@ from medaxis.axis import (build_skeleton, filter_axis, axis_membership,
                           exact_critical_function, scene_r_max)
 from medaxis.field import (eval_field, eval_field_batch, reach_summary,
                            OffsetDomainError)
-from medaxis.flow import (integrate_flow, integrate_flows, radius_certificate,
-                          push_path, entered_axis)
+from medaxis.flow import integrate_flows, radius_certificate, push_path
 from medaxis.metrics import (hausdorff_distance, build_geodesic_graph,
                              geodesic_diameter, stability_constants)
 from medaxis.experiments import (ExperimentConfig, run_critfn, run_perturb,
@@ -242,14 +241,14 @@ def test_criterion_05_entry_time_bound():
              / ((2.0 * lam - delta) * delta * summary.mu_tilde))
 
     rng = np.random.default_rng(321)
-    worst = 0.0
+    starts = []
     for _ in range(100):
         y = rng.uniform(-4.9, 4.9)
         th = rng.uniform(0.0, 2.0 * np.pi)
-        start = np.array([eps * np.cos(th), y + eps * np.sin(th)])
-        traj = integrate_flow(scene, start, alpha=alpha, horizon=float(bound),
-                              stop=entered_axis(lam - delta, alpha),
-                              max_step=1e-4)
+        starts.append([eps * np.cos(th), y + eps * np.sin(th)])
+    worst = 0.0
+    for traj in integrate_flows(scene, starts, alpha=alpha, horizon=float(bound),
+                                lam=lam - delta, max_step=1e-4):
         assert traj.stop_reason == "entered-axis"
         worst = max(worst, float(traj.times[-1]))
     assert worst <= bound

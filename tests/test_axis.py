@@ -719,8 +719,8 @@ class TestOutputPins:
 
     def test_trajectory_svg(self):
         scene = mx.random_scene(12, bounding_radius=8.0, seed=3, min_separation=0.6)
-        trajs = [mx.integrate_flow(scene, x, horizon=1.0)
-                 for x in ([0.3, 0.2], [-2.0, 1.0], [1.0, -3.0])]
+        trajs = mx.integrate_flows(scene, [[0.3, 0.2], [-2.0, 1.0], [1.0, -3.0]],
+                                   horizon=1.0)
         svg = mx.scene_svg(scene, trajectories=trajs)
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "e49d0ea2432dcd2f5b91b70d8bd403f6d4af3340d4a7823140ee2079fab5d41c")

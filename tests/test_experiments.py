@@ -334,6 +334,18 @@ class TestCli:
         assert cli_main(["flow", "--config", cfg]) == 3
         assert "horizon must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("lambda_grid", -0.75, "lam must be"), ("lambda_grid", 0.0, "lam must be"),
+        ("alpha_grid", -0.5, "alpha must be")])
+    def test_bad_flow_stop_exits_three(self, tmp_path, capsys, key, value, message):
+        body = {"scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]], "bounding_radius": 10.0},
+                "starts": [[0.3, 2.0]], "lambda_grid": [0.75], "alpha_grid": [0.5]}
+        body[key] = [value]
+        cfg = self.write_cfg(tmp_path, body)
+        assert cli_main(["flow", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_without_scene_exits_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"lambda_grid": [0.75],
                                         "alpha_grid": [0.5]})

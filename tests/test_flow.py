@@ -70,7 +70,7 @@ def oracle_snap(y, pts_w, cap):
     return y + step
 
 
-def oracle_flow(scene, x0, alpha=None, horizon=1.0, stop=None, max_step=None,
+def oracle_flow(scene, x0, alpha=None, horizon=1.0, lam=None, max_step=None,
                 flow_band=None, events=None):
     """The flow of one start, node by node and probe by probe.  ``events``,
     a Counter, counts the trials that left the domain ("outside"), the
@@ -78,8 +78,6 @@ def oracle_flow(scene, x0, alpha=None, horizon=1.0, stop=None, max_step=None,
     than the tolerance ("backslides")."""
     if events is None:
         events = collections.Counter()
-    if stop is not None and stop.alpha is not None and alpha is None:
-        alpha = stop.alpha
     if max_step is None:
         max_step = scene.bounding_radius / 500.0
     if flow_band is None:
@@ -99,11 +97,8 @@ def oracle_flow(scene, x0, alpha=None, horizon=1.0, stop=None, max_step=None,
         else:
             fa_wide = float("nan")
         rows.append((t, arc, x.copy(), dmin, f_wide, fa_wide, gn_wide, n_wide))
-        if stop is not None and stop.kind == "axis" and fa_wide >= stop.lam:
+        if lam is not None and fa_wide >= lam:
             reason = "entered-axis"
-            break
-        if stop is not None and stop.kind == "gradient" and gn_wide < stop.eta:
-            reason = "gradient-below"
             break
         if t >= horizon:
             reason = "time-exhausted"
@@ -232,12 +227,9 @@ def _oracle_cases():
     one_site = adversarial_scene("near-wall", 1, 4)
     return {
         "plane-time": (plane, domain_points(plane, 12, 1),
-                       dict(alpha=0.3, horizon=1.0, stop=mx.time_exhausted())),
+                       dict(alpha=0.3, horizon=1.0)),
         "plane-axis-bisectors": (plane, bisector_points(plane, 10, 2),
-                                 dict(horizon=2.0, stop=mx.entered_axis(0.5, 0.3))),
-        "two-site-gradient": (two_site_scene(),
-                              [[0.0, 1.5], [0.3, 4.0], [0.0, 4.0], [-2.0, 0.5]],
-                              dict(alpha=0.5, horizon=20.0, stop=mx.gradient_below(0.5))),
+                                 dict(alpha=0.3, horizon=2.0, lam=0.5)),
         "near-wall": (near_wall, [[9.993, 0.001], [9.992, -0.002], [0.001, 9.988]],
                       dict(alpha=0.001, horizon=0.2, flow_band=1e-4)),
         "critical": (tri, [top, top + [1e-4, 2e-4], [0.5, 0.2], [3.0, -2.0]],
@@ -245,10 +237,10 @@ def _oracle_cases():
         "horizon-zero": (plane, domain_points(plane, 5, 3), dict(horizon=0.0)),
         "step-below-floor": (plane, domain_points(plane, 3, 4), dict(max_step=1e-13)),
         "small-step": (two_site_scene(), [[0.001, 2.0], [-0.3, 1.0]],
-                       dict(horizon=0.01, max_step=1e-4, stop=mx.entered_axis(0.4, 0.2))),
+                       dict(alpha=0.2, horizon=0.01, lam=0.4, max_step=1e-4)),
         # the hysteresis keep-set changes the flow from one of these starts
         "keep-set": (dense, domain_points(dense, 60, 2)[24:30],
-                     dict(horizon=1.0, stop=mx.entered_axis(0.5, 0.3))),
+                     dict(alpha=0.3, horizon=1.0, lam=0.5)),
         # the last step ends the flow at the horizon, where t + (horizon - t)
         # rounds to another value
         "horizon-snap": (near_wall, [[9.994490410408774, -0.0011032339845548293]],
@@ -256,9 +248,9 @@ def _oracle_cases():
         # F drops as the wall point leaves the band, with the same exact
         # witnesses, so the step stands
         "wall-band": (one_site, domain_points(one_site, 10, 4)[6:],
-                      dict(horizon=0.6, stop=mx.gradient_below(0.2))),
+                      dict(horizon=0.6)),
         "space-axis": (space, domain_points(space, 8, 5),
-                       dict(horizon=1.0, stop=mx.entered_axis(0.4, 0.2))),
+                       dict(alpha=0.2, horizon=1.0, lam=0.4)),
         "space-time": (space, domain_points(space, 4, 6), dict(alpha=0.1, horizon=0.5)),
     }
 
@@ -282,8 +274,6 @@ class TestLockstepBatch:
         if name == "plane-axis-bisectors":
             assert events["snaps"] > 0 and "entered-axis" in reasons
             assert any((w.witness_counts == 2).any() for w in want)
-        if name == "two-site-gradient":
-            assert "gradient-below" in reasons
         if name == "critical":
             # at the maximum the steering vanishes; beside it every step
             # lowers R and is halved down to the floor
@@ -313,16 +303,10 @@ class TestLockstepBatch:
                                for w in want)
         assert capped_late > 0
 
-    def test_one_start_is_a_batch_of_one(self):
-        scene, starts, kw = _CASES["plane-axis-bisectors"]
-        for x in starts[:3]:
-            assert_same_trajectory(mx.integrate_flow(scene, x, **kw),
-                                   mx.integrate_flows(scene, [x], **kw)[0])
-
     def test_rows_do_not_depend_on_the_batch(self):
         scene = mx.random_scene(10, bounding_radius=6.0, seed=19)
         starts = np.vstack([domain_points(scene, 6, 7), bisector_points(scene, 6, 8)])
-        kw = dict(horizon=1.5, stop=mx.entered_axis(0.5, 0.3))
+        kw = dict(alpha=0.3, horizon=1.5, lam=0.5)
         full = mx.integrate_flows(scene, starts, **kw)
         perm = np.random.default_rng(9).permutation(len(starts))
         for k, traj in zip(perm, mx.integrate_flows(scene, starts[perm], **kw)):
@@ -374,8 +358,28 @@ class TestLockstepBatch:
     def test_bad_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
             mx.integrate_flows(two_site_scene(), [[0.0, 2.0]], horizon=horizon)
-        with pytest.raises(ValueError, match="horizon"):
-            mx.integrate_flow(two_site_scene(), [0.0, 2.0], horizon=horizon)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(max_step=math.nan, flow_band=0.01), "max_step must be finite and positive"),
+        (dict(max_step=0.0, flow_band=0.01), "max_step must be finite and positive"),
+        (dict(max_step=-0.02, flow_band=0.01), "max_step must be finite and positive"),
+        (dict(max_step=-0.02), "max_step must be finite and positive"),
+        (dict(max_step=math.nan), "max_step must be finite and positive"),
+        (dict(max_step=math.inf), "max_step must be finite and positive"),
+        (dict(alpha=0.5, lam=math.nan), "lam must be finite and positive"),
+        (dict(alpha=0.5, lam=-0.75), "lam must be finite and positive"),
+        (dict(alpha=0.5, lam=0.0), "lam must be finite and positive"),
+        (dict(alpha=math.nan, lam=0.75), "alpha must be finite and nonnegative"),
+        (dict(alpha=-0.5), "alpha must be finite and nonnegative"),
+        (dict(alpha=math.inf), "alpha must be finite and nonnegative"),
+    ])
+    def test_bad_parameters_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            mx.integrate_flows(two_site_scene(), [[0.3, 2.0]], **kw)
+
+    def test_lam_needs_alpha(self):
+        with pytest.raises(ValueError, match="lam needs alpha"):
+            mx.integrate_flows(two_site_scene(), [[0.3, 2.0]], lam=0.75)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["lattice", "polygon", "polygon-center", "row",
@@ -388,7 +392,7 @@ class TestLockstepBatch:
         starts = np.vstack([domain_points(scene, 6, seed),
                             bisector_points(scene, 4, seed)])
         trajs = mx.integrate_flows(scene, starts, horizon=1.0,
-                                   stop=mx.entered_axis(lam, alpha))
+                                   lam=lam, alpha=alpha)
         for traj in trajs:
             assert np.all(np.diff(traj.R) >= 0.0)
             cert = mx.radius_certificate(traj, alpha, lam)
@@ -403,7 +407,7 @@ class TestLockstepBatch:
         10, against a tolerance of 1e-4."""
         scene = adversarial_scene("near-wall", 1, 7178)
         traj, = mx.integrate_flows(scene, [[0.35043833, 4.21981254]], horizon=1.0,
-                                   stop=mx.entered_axis(0.25, 0.0))
+                                   lam=0.25, alpha=0.0)
         assert np.all(np.diff(traj.R) >= 0.0)
         assert mx.radius_certificate(traj, 0.0, 0.25).valid
 
@@ -418,8 +422,7 @@ class TestIntegrateFlow:
             if np.linalg.norm(x0) > 5.5:
                 continue
             try:
-                traj = mx.integrate_flow(scene, x0, alpha=0.3, horizon=1.0,
-                                         stop=mx.time_exhausted())
+                traj = mx.integrate_flows(scene, [x0], alpha=0.3, horizon=1.0)[0]
             except mx.DomainError:
                 continue
             assert np.all(np.diff(traj.R) >= 0.0)
@@ -427,16 +430,15 @@ class TestIntegrateFlow:
 
     def test_filter_value_never_drops_much(self):
         scene = mx.random_scene(10, bounding_radius=6.0, seed=19)
-        traj = mx.integrate_flow(scene, np.array([0.4, -0.9]), alpha=0.3,
-                                 horizon=2.0, stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [[0.4, -0.9]], alpha=0.3, horizon=2.0)[0]
         fa = traj.F_alpha[np.isfinite(traj.F_alpha)]
         if len(fa) > 1:
             assert np.diff(fa).min() >= -1e-7
 
     def test_entered_axis_stop(self):
         scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([0.0, 1.5]), alpha=0.5,
-                                 horizon=20.0, stop=mx.entered_axis(0.75, 0.5))
+        traj = mx.integrate_flows(scene, [[0.0, 1.5]], alpha=0.5,
+                                  horizon=20.0, lam=0.75)[0]
         assert traj.stop_reason == "entered-axis"
         assert traj.F_alpha[-1] >= 0.75 - 1e-9
         # the bisector flow is vertical; entry happens at the hole boundary
@@ -446,29 +448,19 @@ class TestIntegrateFlow:
     def test_critical_point_is_a_fixed_point(self):
         scene = two_site_scene()
         start = np.array([0.0, 4.95])
-        traj = mx.integrate_flow(scene, start, alpha=0.5, horizon=0.5,
-                                 stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [start], alpha=0.5, horizon=0.5)[0]
         assert traj.stop_reason == "time-exhausted"
         assert np.linalg.norm(traj.points[-1] - start) < 1e-9
 
-    def test_gradient_below_stop(self):
-        scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([0.0, 4.0]), alpha=0.5,
-                                 horizon=50.0, stop=mx.gradient_below(0.5))
-        assert traj.stop_reason == "gradient-below"
-        assert traj.grad_norm[-1] < 0.5
-
     def test_time_exhausted_accumulates_horizon(self):
         scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([2.0, 2.0]), alpha=0.3,
-                                 horizon=0.25, stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [[2.0, 2.0]], alpha=0.3, horizon=0.25)[0]
         assert traj.stop_reason == "time-exhausted"
         assert abs(traj.times[-1] - 0.25) < 1e-9
 
     def test_speed_matches_gradient_norm(self):
         scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([0.3, 0.4]), alpha=0.3,
-                                 horizon=0.5, stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [[0.3, 0.4]], alpha=0.3, horizon=0.5)[0]
         ds = np.diff(traj.arc)
         dt = np.diff(traj.times)
         speed = ds[dt > 0] / dt[dt > 0]
@@ -476,8 +468,7 @@ class TestIntegrateFlow:
 
     def test_off_axis_flow_is_radial_from_witness(self):
         scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([0.5, 0.0]), alpha=None,
-                                 horizon=0.3, stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [[0.5, 0.0]], alpha=None, horizon=0.3)[0]
         # single witness at (1,0): motion along -x at unit speed
         assert np.allclose(traj.points[:, 1], 0.0, atol=1e-12)
         assert abs(traj.R[-1] - (0.5 + traj.times[-1])) < 1e-6
@@ -487,8 +478,8 @@ class TestRadiusCertificate:
     def test_radial_two_site_residuals(self):
         scene = two_site_scene()
         alpha, lam = 0.5, 0.75
-        traj = mx.integrate_flow(scene, np.array([0.0, 1.5]), alpha=alpha,
-                                 horizon=20.0, stop=mx.entered_axis(lam, alpha))
+        traj = mx.integrate_flows(scene, [[0.0, 1.5]], alpha=alpha,
+                                  horizon=20.0, lam=lam)[0]
         cert = mx.radius_certificate(traj, alpha=alpha, lam=lam)
         assert cert.valid
         assert cert.first_inside is not None
@@ -497,8 +488,7 @@ class TestRadiusCertificate:
 
     def test_start_inside_offset_flagged(self):
         scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([0.6, 0.0]), alpha=None,
-                                 horizon=0.05, stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [[0.6, 0.0]], alpha=None, horizon=0.05)[0]
         cert = mx.radius_certificate(traj, alpha=0.5, lam=0.75)
         assert not cert.valid
         assert "start-inside-offset" in cert.flags
@@ -506,16 +496,15 @@ class TestRadiusCertificate:
     def test_start_below_certificate_radius_flagged(self):
         scene = two_site_scene()
         # R: sqrt(1.36) = 1.166, so R - alpha = 0.666 < lam
-        traj = mx.integrate_flow(scene, np.array([0.0, 0.6]), alpha=0.5,
-                                 horizon=0.05, stop=mx.time_exhausted())
+        traj = mx.integrate_flows(scene, [[0.0, 0.6]], alpha=0.5, horizon=0.05)[0]
         cert = mx.radius_certificate(traj, alpha=0.5, lam=0.75)
         assert not cert.valid
         assert "start-below-certificate-radius" in cert.flags
 
     def test_never_entering_is_flagged(self):
         scene = two_site_scene()
-        traj = mx.integrate_flow(scene, np.array([0.0, 1.5]), alpha=0.5,
-                                 horizon=0.01, stop=mx.entered_axis(0.75, 0.5))
+        traj = mx.integrate_flows(scene, [[0.0, 1.5]], alpha=0.5,
+                                  horizon=0.01, lam=0.75)[0]
         cert = mx.radius_certificate(traj, alpha=0.5, lam=0.75)
         assert cert.first_inside is None
         assert "never-entered-axis" in cert.flags

@@ -1,4 +1,10 @@
-"""The package namespace: one list of public names, taken from the modules."""
+"""The package namespace: one list of public names, taken from the modules;
+and the README's examples, which use it."""
+
+import contextlib
+import io
+import pathlib
+import re
 
 import medaxis as mx
 from medaxis import axis, experiments, field, flow, metrics, scene, svgout
@@ -19,3 +25,18 @@ def test_each_name_is_the_module_object():
         for name in mod.__all__:
             assert getattr(mx, name) is getattr(mod, name), (mod.__name__, name)
 
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # the blocks share one namespace, in order; the first writes axis.svg
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
+    out, namespace = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, str(readme), "exec"), namespace)
+    printed = out.getvalue().splitlines()
+    assert printed[:2] == ["6.435898384862246", "entered-axis"]
+    assert (tmp_path / "axis.svg").exists()
