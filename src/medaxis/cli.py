@@ -12,6 +12,7 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -43,14 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ex.ExperimentConfig:
-    """The config file with the command-line overrides applied.  A KeyError
-    or TypeError here means a missing or mistyped config entry."""
+    """The config file with the command-line overrides applied, and checked
+    again.  A KeyError or TypeError here means a missing or mistyped config
+    entry."""
     try:
-        config = ex.load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.out is not None:
-            config.out_dir = args.out
+        overrides = {"seed": args.seed, "out_dir": args.out}
+        config = dataclasses.replace(ex.load_config(args.config), **{
+            key: val for key, val in overrides.items() if val is not None})
     except (KeyError, TypeError) as err:
         raise InvalidSceneError("malformed config: %s" % err) from err
     return config

@@ -23,6 +23,7 @@ from .scene import InvalidSceneError, SiteScene, load_scene, scene_from_json
 from .field import (
     CriticalProfile,
     _check_count,
+    _check_real,
     _check_sampling,
     estimate_critical_function,
     profile_to_csv,
@@ -92,10 +93,18 @@ class ExperimentConfig:
                 raise InvalidSceneError("%s must be strictly increasing, without NaN" % name)
         _check_sampling(self.samples_per_level, self.band_width)
         _check_count("sample_pairs", self.sample_pairs)
+        _check_count("t_count", self.t_count)
+        _check_count("seed", self.seed, least=0)
+        _check_real("horizon", self.horizon, positive=False)
+        if not isinstance(self.gh_variant, bool):
+            raise InvalidSceneError("gh_variant must be true or false")
         if self.resolution is None:
             self.resolution = self.scene.bounding_radius / 1000.0
-        elif not (math.isfinite(self.resolution) and self.resolution > 0.0):
-            raise InvalidSceneError("resolution must be finite and positive")
+        _check_real("resolution", self.resolution)
+        for eps in self.epsilons or ():
+            _check_real("epsilons", eps)
+        if self.expect_square_side is not None:
+            _check_real("expect_square_side", self.expect_square_side)
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:

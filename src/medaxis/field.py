@@ -291,17 +291,26 @@ def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.nda
     return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer >= 1 (a bool included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidSceneError("%s must be an integer >= 1" % name)
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least`` (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidSceneError("%s must be an integer >= %d" % (name, least))
+
+
+def _check_real(name: str, value, positive: bool = True) -> None:
+    """Reject all but finite real numbers > 0, or >= 0 unless ``positive``
+    (a bool included)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0.0 or positive and value == 0.0):
+        raise InvalidSceneError("%s must be finite and %s"
+                                % (name, "positive" if positive else "nonnegative"))
 
 
 def _check_sampling(samples_per_level, band_width) -> None:
     """Reject sampler settings that would silently yield no samples."""
     _check_count("samples_per_level", samples_per_level)
-    if band_width is not None and not (math.isfinite(band_width) and band_width > 0.0):
-        raise InvalidSceneError("band_width must be finite and positive")
+    if band_width is not None:
+        _check_real("band_width", band_width)
 
 
 def _check_levels(t_grid, r_max: float | None) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _f_alpha
+from .field import _check_real, _f_alpha
 from .scene import DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms
 
 __all__ = [
@@ -201,19 +201,17 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     query, plus one for the rows whose trial snaps to a tie.  A row's
     trajectory does not depend on the other rows of the batch.
     """
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError("horizon must be finite and nonnegative")
-    if alpha is not None and not 0.0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and nonnegative")
+    _check_real("horizon", horizon, positive=False)
+    if alpha is not None:
+        _check_real("alpha", alpha, positive=False)
     if lam is not None:
-        if not 0.0 < lam < math.inf:
-            raise ValueError("lam must be finite and positive")
+        _check_real("lam", lam)
         if alpha is None:
             raise ValueError("lam needs alpha")
     if max_step is None:
         max_step = scene.bounding_radius / 500.0
-    elif not 0.0 < max_step < math.inf:
-        raise ValueError("max_step must be finite and positive")
+    else:
+        _check_real("max_step", max_step)
     if flow_band is None:
         flow_band = max_step
     if not flow_band >= 0.0:
@@ -424,8 +422,7 @@ def push_path(scene: SiteScene, base_path, T: float, alpha: float,
     because each endpoint trajectory has length at most T and the flow
     expands mutual distances by at most exp(T / alpha).
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_real("alpha", alpha)
     base = np.asarray(base_path, float)
     if base.ndim != 2 or len(base) < 2:
         raise ValueError("base path needs at least two vertices")
@@ -460,8 +457,7 @@ def flow_expansion_check(scene: SiteScene, x1, x2, alpha: float, T: float,
                          max_step: float | None = None) -> ExpansionReport:
     """Flow two points for time T and compare their separation against the
     exponential expansion bound d0 * exp(T / alpha)."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_real("alpha", alpha)
     t1, t2 = integrate_flows(scene, [x1, x2], alpha=alpha, horizon=T,
                              max_step=max_step)
     flags = set()

@@ -35,6 +35,9 @@ __all__ = [
 # Relative slack used when testing ball containment; guards the move-to-front
 # recursion against re-adding a boundary point due to rounding.
 _CONTAINS_EPS = 1e-12
+# Margin, relative to a set's largest gap plus its largest |coordinate|, by
+# which its points must clear its farthest pair's ball to certify a ball.
+_PAIR_SLACK = 1e-9
 
 
 class InvalidSceneError(ValueError):
@@ -153,75 +156,56 @@ def _gram_centers(S: np.ndarray) -> np.ndarray:
     return S[:, 0] + (coef.transpose(0, 2, 1) @ m)[:, 0]
 
 
-def _welzl_three(P: np.ndarray) -> np.ndarray:
-    """Centers of ``_seb_grow(P[i], [], d)`` for a stack of three-point sets:
-    its fixed decision tree, row-wise, with its arithmetic.
-
-    The ball starts as the point p0.  Each containment test below replaces
-    it, in the rows where the tested point lies outside, by the ball of the
-    recursion's next support: a pair, whose 1 x 1 Gram solve gives exactly
-    0.5, or last the three points.
-    """
-    p0, p1, p2 = P[:, 0], P[:, 1], P[:, 2]
-    center, radius = p0, np.zeros(len(P))
-
-    def outside(p):
-        return _row_norms(p - center) > radius * (1.0 + _CONTAINS_EPS)
-
-    def grow(mask, a, b):  # to the ball with support [a, b]
-        c = a + 0.5 * (b - a)
-        r = np.maximum(_row_norms(a - c), _row_norms(b - c))
-        return np.where(mask[:, None], c, center), np.where(mask, r, radius)
-
-    center, radius = grow(outside(p1), p1, p0)
-    regrow = outside(p2)
-    # ``_seb_grow([p0, p1], [p2])``: the ball restarts at the point p2
-    center, radius = np.where(regrow[:, None], p2, center), np.where(regrow, 0.0, radius)
-    center, radius = grow(regrow & outside(p0), p2, p0)
-    regrow &= outside(p1)
-    center, radius = grow(regrow, p2, p1)
-    regrow &= outside(p0)
-    if regrow.any():
-        # Only an acute triangle gets here (each point lies outside the
-        # other two's diameter ball), so no Gram matrix is singular.
-        center[regrow] = _gram_centers(P[regrow][:, ::-1])
-    return center
-
-
 def _seb_stack(P: np.ndarray):
     """Centers (n, d) and radii (n,) of the smallest balls enclosing a stack
     of k-point sets, shaped (n, k, d): the one smallest-enclosing-ball routine.
 
-    One and two points in any dimension, and three in the plane, take closed
-    forms row-wise over the stack.  Other sets follow Welzl's move-to-front
-    recursion (1991): three points in d >= 3 row-wise over the stack
-    (``_welzl_three``), the rest one row at a time (``_seb_grow``).  The
-    radius is tightened to the largest gap.  A row's result does not depend
-    on the stack it is in.
+    One and two points, and three in the plane, take closed forms.  Other
+    sets get the centers of Welzl's move-to-front recursion (1991),
+    ``_seb_grow``, bit for bit: where all other points lie inside the
+    farthest pair's ball by the margin ``_PAIR_SLACK``, that ball is the
+    smallest, and it is built as the recursion builds it; a triangle whose
+    third point lies outside by the margin takes its circumcenter in the
+    recursion's order; the recursion itself serves the rest, rows with tied
+    farthest pairs among them.  The radius is tightened to the largest gap.
+    A row's result does not depend on the stack it is in.
     """
     n, k, dim = P.shape
     if k == 1:
         return P[:, 0].copy(), np.zeros(n)
     if k == 2:
         return 0.5 * (P[:, 0] + P[:, 1]), 0.5 * _row_norms(P[:, 0] - P[:, 1])
-    if k > 3 or dim != 2:
-        centers = (_welzl_three(P) if k == 3 and dim > 2 else
-                   np.array([_seb_grow(pts, [], dim).center for pts in P]))
-        return centers, np.linalg.norm(P - centers[:, None], axis=2).max(axis=1)
-    # Each side's diameter disk (sides ab, ac, bc): the first of the smallest
-    # covering ones, an obtuse triangle's longest side; else the circumcircle.
-    p, q, r = P[:, [[0, 0, 1], [1, 2, 2], [2, 1, 0]]].swapaxes(0, 1)
-    centers, radii = 0.5 * (p + q), 0.5 * _row_norms(p - q)
-    covers = _row_norms(r - centers) <= radii * (1.0 + _CONTAINS_EPS)
-    side = np.where(covers, radii, np.inf).argmin(axis=1)
-    center, radius = centers[np.arange(n), side], radii[np.arange(n), side]
-    acute = np.nonzero(~covers.any(axis=1))[0]
-    if acute.size:
-        # an uncovered triangle is never flat enough for its Gram matrix
-        # to be singular
+    rows = np.arange(n)
+    if k == 3 and dim == 2:
+        # Each side's diameter disk (sides ab, ac, bc): the first of the smallest
+        # covering ones, an obtuse triangle's longest side; else the circumcircle.
+        p, q, r = P[:, [[0, 0, 1], [1, 2, 2], [2, 1, 0]]].swapaxes(0, 1)
+        centers, radii = 0.5 * (p + q), 0.5 * _row_norms(p - q)
+        covers = _row_norms(r - centers) <= radii * (1.0 + _CONTAINS_EPS)
+        side = np.where(covers, radii, np.inf).argmin(axis=1)
+        center, radius = centers[rows, side], radii[rows, side]
+        acute = ~covers.any(axis=1)  # never flat enough for a singular Gram matrix
         center[acute] = _gram_centers(P[acute])
         radius[acute] = _row_norms(P[acute] - center[acute, None]).max(axis=1)
-    return center, radius
+        return center, radius
+    i, j = np.triu_indices(k, 1)
+    gaps = _row_norms(P[:, i] - P[:, j])
+    top = gaps.argmax(axis=1)
+    # the recursion's ball on a pair: its support is [later, earlier]
+    a, b = P[rows, j[top]], P[rows, i[top]]
+    centers = a + 0.5 * (b - a)
+    depth = (np.maximum(_row_norms(a - centers), _row_norms(b - centers))[:, None]
+             - _row_norms(P - centers[:, None]))
+    depth[rows, i[top]] = depth[rows, j[top]] = np.inf
+    depth = depth.min(axis=1)  # the shallowest other point's
+    slack = _PAIR_SLACK * (gaps[rows, top] + np.abs(P).max(axis=(1, 2)))
+    if k == 3:  # an acute triangle: its Gram matrix is regular
+        acute = depth <= -slack
+        centers[acute] = _gram_centers(P[acute][:, ::-1])
+        depth[acute] = slack[acute]
+    for row in np.nonzero(depth < slack)[0]:
+        centers[row] = _seb_grow(P[row], [], dim).center
+    return centers, np.linalg.norm(P - centers[:, None], axis=2).max(axis=1)
 
 
 def smallest_enclosing_ball(points) -> Ball:

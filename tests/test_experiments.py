@@ -1,12 +1,15 @@
 """Experiment configs, report plumbing, and the command line interface."""
 
+import filecmp
 import json
 import math
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import medaxis as mx
 from medaxis import axis, cli, experiments, metrics
@@ -325,6 +328,24 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("critfn", "t_count", 2.5), ("axis", "t_count", True), ("critfn", "t_count", 0),
+        ("perturb", "seed", 1.5), ("gh", "seed", -1), ("perturb", "seed", True),
+        ("flow", "horizon", "x"),
+        ("sweep-lambda", "gh_variant", "no"), ("sweep-lambda", "gh_variant", 1),
+        ("critfn", "expect_square_side", -1.0), ("critfn", "expect_square_side", math.nan),
+        ("perturb", "epsilons", [-1e-3, 1e-3]), ("gh", "epsilons", [0.0, 1e-3]),
+        ("perturb", "epsilons", [1e-3, math.inf])])
+    def test_bad_scalar_exits_three(self, tmp_path, capsys, command, key, value):
+        body = {"scene": {"sites": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5], [0.5, -2.0]],
+                          "bounding_radius": 10.0},
+                "lambda_grid": [0.7, 0.75], "alpha_grid": [0.5], "epsilons": [1e-4, 1e-3],
+                "starts": [[0.3, 2.5]], "t_count": 7, "sample_pairs": 50, key: value}
+        cfg = self.write_cfg(tmp_path, body)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_nan_horizon_exits_three(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {
             "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
@@ -389,3 +410,54 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "o9" / "critfn_report.json").read_text())
         assert report["seed"] == 9
+
+    def test_negative_seed_override_exits_three(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5]],
+                      "bounding_radius": 10.0},
+            "lambda_grid": [0.7], "alpha_grid": [0.5], "epsilons": [1e-4, 1e-3]})
+        assert cli_main(["perturb", "--config", cfg, "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def drawn_configs(draw):
+    """A config body every command can run: a random planar scene of 6 to 12
+    sites, 2 or 3 lambdas and alphas, two epsilons a decade or more apart,
+    two flow starts, and small sampling settings."""
+    n = draw(st.integers(6, 12))
+    scene = mx.random_scene(n, 10.0, seed=draw(st.integers(0, 2 ** 16)))
+
+    def grid(lo, hi):
+        return sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=3, unique=True)))
+
+    eps = 10.0 ** draw(st.floats(-5.0, -3.0))
+    ang = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=2, max_size=2))
+    rad = draw(st.lists(st.floats(1.0, 8.0), min_size=2, max_size=2))
+    return {"scene": json.loads(mx.scene_to_json(scene)),
+            "lambda_grid": grid(0.2, 3.0), "alpha_grid": grid(0.05, 1.5),
+            "epsilons": [eps, eps * 10.0 ** draw(st.floats(1.0, 2.5))],
+            "starts": [[r * math.cos(a), r * math.sin(a)] for a, r in zip(ang, rad)],
+            "seed": draw(st.integers(0, 2 ** 16)), "t_count": 5, "sample_pairs": 20,
+            "resolution": 0.25}
+
+
+class TestDeterminism:
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(body=drawn_configs())
+    def test_every_command_reruns_byte_identical(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w") as fh:
+                json.dump(body, fh)
+            for command in sorted(cli._COMMANDS):
+                a, b = (os.path.join(tmp, command, tag) for tag in "ab")
+                codes = [cli_main([command, "--config", cfg, "--out", out]) for out in (a, b)]
+                assert codes[0] == codes[1] and codes[0] in (0, 2), (command, codes)
+                names = sorted(os.listdir(a))
+                assert names and names == sorted(os.listdir(b)), command
+                for name in names:
+                    assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
+                                       shallow=False), (command, name)

@@ -525,6 +525,15 @@ class TestPushPath:
         pushed = mx.push_path(scene, base, T=0.0, alpha=0.5)
         assert pushed.L_pushed == pytest.approx(pushed.L_base, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_alpha_rejected(self, alpha):
+        base = np.array([[0.0, 1.9], [0.0, 2.1]])
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            mx.push_path(two_site_scene(), base, T=0.2, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            mx.flow_expansion_check(two_site_scene(), np.array([0.1, 2.0]),
+                                    np.array([-0.1, 2.05]), alpha=alpha, T=0.4)
+
 
 class TestExpansionCheck:
     def test_nearby_points_spread_within_bound(self):

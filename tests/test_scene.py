@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import medaxis as mx
+import medaxis.scene as scene_mod
 from medaxis.scene import _nearest, _row_norms, _seb_grow, _seb_stack, _wall_points
 
 
@@ -272,8 +273,9 @@ THREE_POINT_KINDS = ["random", "acute", "obtuse", "right", "equidistant", "colli
 
 
 class TestThreePointBalls:
-    """Three-point sets in d >= 3 are batched; every center and radius must
-    equal the recursion's bit for bit."""
+    """Three-point sets in d >= 3 take their farthest pair's ball or their
+    circumcenter, row-wise, where a margin certifies it, else the recursion;
+    every center and radius must equal the recursion's bit for bit."""
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("kind", THREE_POINT_KINDS)
@@ -308,6 +310,75 @@ class TestThreePointBalls:
         P = three_point_stack(kind, n, dim, np.random.default_rng(seed))
         centers, radii = _seb_stack(P)
         want_c, want_r = welzl_oracle(P)
+        assert centers.tobytes() == want_c.tobytes()
+        assert radii.tobytes() == want_r.tobytes()
+
+
+def many_point_stack(kind, n, k, dim, rng):
+    """n k-point sets in R^dim, shaped (n, k, dim), of one kind, their points
+    in random order; each set is scaled and offset at random (offsets up to
+    1e6).  "polygon": a regular k-gon in a random 2-plane, whose farthest
+    pairs tie; "cospherical" and "random" points; "near": a diametric pair of
+    the unit sphere plus k - 2 points 1e-14 to 1e-10 inside or outside it."""
+    if kind == "polygon":
+        ang = rng.uniform(0.0, 2.0 * np.pi, size=(n, 1)) + 2.0 * np.pi / k * np.arange(k)
+        plane = np.linalg.qr(rng.normal(size=(n, dim, 2)))[0]
+        pts = np.stack([np.cos(ang), np.sin(ang)], axis=2) @ plane.transpose(0, 2, 1)
+    else:
+        pts = rng.normal(size=(n, k, dim))
+        if kind != "random":
+            pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+        if kind == "near":
+            pts[:, 1] = -pts[:, 0]
+            shift = 10.0 ** rng.uniform(-14.0, -10.0, size=(n, k - 2, 1))
+            pts[:, 2:] *= 1.0 + rng.choice([-1.0, 1.0], size=(n, k - 2, 1)) * shift
+    order = rng.random((n, k)).argsort(axis=1)
+    pts = np.take_along_axis(pts, order[:, :, None], axis=1)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1, 1))
+    offset = 10.0 ** rng.uniform(0.0, 6.0, size=(n, 1, 1)) * rng.normal(size=(n, 1, dim))
+    return pts * scale + offset
+
+
+class TestManyPointBalls:
+    """Sets of four or more points take their farthest pair's ball where all
+    other points lie inside it by a margin, else the recursion; every center
+    and radius must equal the recursion's bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["polygon", "cospherical", "random", "near"])
+    def test_stack_equals_recursion(self, kind, dim):
+        rng = np.random.default_rng(12)
+        for k in range(4, 13):
+            P = many_point_stack(kind, 40, k, dim, rng)
+            want_c, want_r = welzl_oracle(P)
+            for n in (1, 7, len(P)):
+                centers, radii = _seb_stack(P[:n])
+                assert centers.tobytes() == want_c[:n].tobytes()
+                assert radii.tobytes() == want_r[:n].tobytes()
+
+    @pytest.mark.parametrize("points, grown", [
+        # a certified pair: (0, 0) and (4, 0) cover the other two
+        ([[0.0, 0.0], [4.0, 0.0], [2.0, 1.5], [1.0, -1.0]], 0),
+        # a tied row: a square's two diagonals
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], 1),
+        # an acute triangle in R^3, which its farthest pair does not cover
+        ([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [1.5, 3.4, 0.2]], 0),
+        # four points that the farthest pair, (4, 0) and (1.5, 3.4), misses
+        ([[0.0, 0.0], [4.0, 0.0], [1.5, 3.4], [2.0, -0.5]], 1),
+    ])
+    def test_each_path_is_taken(self, points, grown, monkeypatch):
+        P = np.array(points)[None]
+        want_c, want_r = welzl_oracle(P)
+        calls = []
+
+        def counted(pts, support, dim):
+            if not support:  # a row's top-level call, not a recursive one
+                calls.append(len(pts))
+            return _seb_grow(pts, support, dim)
+
+        monkeypatch.setattr(scene_mod, "_seb_grow", counted)
+        centers, radii = _seb_stack(P)
+        assert len(calls) == grown
         assert centers.tobytes() == want_c.tobytes()
         assert radii.tobytes() == want_r.tobytes()
 
