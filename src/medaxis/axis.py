@@ -34,8 +34,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
-from .field import (CriticalProfile, _check_levels, _f_alpha, _row_chunks, eval_field,
-                    eval_field_batch)
+from .field import (CriticalProfile, _check_levels, _f_alpha, _grad_norm, _row_chunks,
+                    eval_field, eval_field_batch)
 
 __all__ = [
     "VoronoiSkeleton",
@@ -361,8 +361,7 @@ def exact_critical_function(scene: SiteScene, t_grid,
         met = (lo <= t[rows, None]) & (t[rows, None] <= hi)
         H[rows] = np.where(met, weight, 0.0).max(axis=1, initial=0.0)
         counts[rows] = met.sum(axis=1)
-    ratio = H / t
-    return CriticalProfile(t_grid=t, chi=np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio)),
+    return CriticalProfile(t_grid=t, chi=_grad_norm(H, t),
                            sample_count=counts, band_width=0.0, r_max=r_max)
 
 

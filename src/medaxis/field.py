@@ -284,11 +284,17 @@ def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
                          for table in tables])
 
 
+def _grad_norm(F, R):
+    """|grad| = sqrt(1 - (F/R)^2) of witness balls of radius F at distance
+    R, clamped at zero."""
+    ratio = F / R
+    return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+
+
 def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.ndarray:
     """|grad| with the witness band widened to ``band`` (absolute)."""
     near = _nearest(scene, X)
-    ratio = near.balls(near.cut(band))[1] / near.R
-    return np.sqrt(np.maximum(0.0, 1.0 - ratio * ratio))
+    return _grad_norm(near.balls(near.cut(band))[1], near.R)
 
 
 def _check_count(name: str, value, least: int = 1) -> None:

@@ -2,18 +2,16 @@
 
 The flow follows x' = grad(x), where grad is the distance gradient
 (x - center)/R with center the midpoint of the smallest ball enclosing the
-nearest witnesses.  Steps use the exact witness set: between medial sheets
-the witness is unique and the step is a straight radial segment, so the
-distance to that witness grows by exactly the step length.  Crossing a
-sheet flips the witness and the iterate zigzags along it; the zigzag is
-self-stabilizing because every accepted step must keep R non-decreasing
-exactly.
+witnesses.  The witness set is widened by a band on the scale of the step,
+since a discrete iterate rides a sheet only up to step-size accuracy; the
+exact tie band would report a single witness almost everywhere and hide the
+sheet.  Steps steer by that band-widened ball, and a step is accepted if and
+only if R does not decrease; a rejected step is halved.  Between medial
+sheets the witness is unique and the step is a straight radial segment, so
+the distance to that witness grows by exactly the step length.
 
-Node diagnostics (F, F_alpha, gradient norm) are evaluated with a widened
-witness band on the scale of the step, since a discrete iterate rides a
-sheet only up to step-size accuracy; the exact tie band would report a
-single witness almost everywhere and hide the sheet.  The band-widened
-gradient norm is sqrt(1 - (F/R)^2), clamped at zero.
+Node diagnostics (F, F_alpha, gradient norm) use the same band-widened
+witnesses.  The gradient norm is sqrt(1 - (F/R)^2), clamped at zero.
 
 A step that cannot be accepted at any size down to 1e-12 of the bounding
 radius terminates the trajectory with status "stalled"; this is the normal
@@ -32,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _check_real, _f_alpha
+from .field import _check_real, _f_alpha, _grad_norm
 from .scene import DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
 
 _NODE_CAP = 100000
 _STALL_FRACTION = 1e-12
-_F_BACKSLIDE_TOL = 1e-7
 # Tolerance of the radius certificate's residuals, per squared bounding radius.
 _CERT_TOL = 1e-6
 # The stop reason of each stop code, in the order the stops are tested.
@@ -69,7 +66,6 @@ class Trajectory:
     grad_norm: np.ndarray
     witness_counts: np.ndarray
     stop_reason: str
-    flow_band: float
     max_step: float
     rejected_steps: int
 
@@ -112,22 +108,10 @@ def _with_balls(scene: SiteScene, probe: _Probe) -> _Probe:
     return _Probe(*probe[:7], *_Nearest(scene, *probe[:5]).balls(probe.wide))
 
 
-def _ties(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
-    """Witness mask of the exact witnesses (the relative tie band) of
-    ``rows``."""
-    return _Nearest(scene, *(a[rows] for a in probe[:5])).cut()
-
-
-def _accept(scene: SiteScene, node: _Probe, trial: _Probe) -> np.ndarray:
+def _accept(node: _Probe, trial: _Probe) -> np.ndarray:
     """Rows whose trial is accepted: R must not decrease (a trial outside
-    the domain has R <= 0), and a drop of F by more than a hair rejects the
-    trial only where the exact witnesses changed."""
-    acc = trial.R >= node.R
-    drop = trial.F < node.F - _F_BACKSLIDE_TOL
-    if drop.any():
-        r = drop.nonzero()[0]
-        acc[r] &= ~(_ties(scene, trial, r) != _ties(scene, node, r)).any(axis=1)
-    return acc
+    the domain has R <= 0)."""
+    return trial.R >= node.R
 
 
 def _pairs(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
@@ -138,25 +122,10 @@ def _pairs(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
     return _Nearest(scene, *probe[:5]).witnesses(rows, cols)
 
 
-def _steer(scene: SiteScene, probe: _Probe):
-    """Steering direction and its norm at each row of a probe.
-
-    Steering by the band-widened ball center instead of the razor-thin
-    exact tie set lets a trajectory slide along a bisector smoothly rather
-    than chattering across it with rejected micro-steps; the step-acceptance
-    rule still enforces hard radius monotonicity.
-    """
+def _steer(probe: _Probe):
+    """Steering direction (x - center)/R of each row of a probe, by its
+    band-widened witness ball, and its norm."""
     grad = (probe.X - probe.centers) / probe.R[:, None]
-    two = (probe.count == 2).nonzero()[0]
-    if two.size:
-        # Pure slide direction: remove the component along the witness
-        # pair, which only measures the (band-sized) offset from the
-        # bisector and would otherwise feed back into outward drift.
-        pts = _pairs(scene, probe, two)
-        n = pts[:, 1] - pts[:, 0]
-        n /= _row_norms(n)[:, None]
-        g = grad[two]
-        grad[two] = g - _dot(g, n)[:, None] * n
     return grad, _row_norms(grad)
 
 
@@ -179,23 +148,17 @@ def _snap_to_tie(Y: np.ndarray, pts: np.ndarray, cap: np.ndarray):
     return moves & (_row_norms(step) <= cap), Y + step
 
 
-def _grad_norm(R: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Band-widened gradient norm of nodes, sqrt(1 - (F/R)^2) clamped at
-    zero; float_power is libm pow, as is Python's float ** 2."""
-    return np.sqrt(np.maximum(0.0, 1.0 - np.float_power(F / R, 2.0)))
-
-
 def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
                     horizon: float = 1.0, lam: float | None = None,
-                    max_step: float | None = None,
-                    flow_band: float | None = None) -> list[Trajectory]:
+                    max_step: float | None = None) -> list[Trajectory]:
     """Integrate the distance gradient flow from each row of X0 up to the
     time horizon, all rows in lockstep.  With ``lam`` (which needs
     ``alpha``), a row also stops once its node's F_alpha reaches lam.
 
-    Acceptance rule per step: R must not decrease, and if the witness set
-    changes the band-widened F must not drop by more than a hair.  Rejected
-    steps are halved; exhaustion of step size is reported as "stalled".
+    Each step steers by the band-widened witness ball, with the band equal
+    to ``max_step``, and is accepted if and only if R does not decrease.
+    Rejected steps are halved; exhaustion of step size is reported as
+    "stalled".
 
     Every running row makes one attempt per tick, so a tick is one kernel
     query, plus one for the rows whose trial snaps to a tie.  A row's
@@ -212,10 +175,6 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
         max_step = scene.bounding_radius / 500.0
     else:
         _check_real("max_step", max_step)
-    if flow_band is None:
-        flow_band = max_step
-    if not flow_band >= 0.0:
-        raise ValueError("flow_band must be nonnegative")
     try:
         X = np.array(X0, float)
     except ValueError as err:
@@ -226,11 +185,11 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
         raise DomainError("query point has wrong dimension")
     stall_floor = _STALL_FRACTION * scene.bounding_radius
 
-    node = _probe(scene, X, flow_band)
+    node = _probe(scene, X, max_step)
     if not (node.R > 0.0).all():
         _nearest(scene, X).check()
     node = _with_balls(scene, node)
-    grad, gnorm = _steer(scene, node)
+    grad, gnorm = _steer(node)
     n = len(X)
     live = np.arange(n)  # batch row of each running row
     t, arc, rejected = np.zeros(n), np.zeros(n), np.zeros(n, int)
@@ -275,36 +234,36 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
                 a[go] for a in (live, t, arc, dt, remaining, grad, gnorm, rejected))
             node = _Probe(*(a[go] for a in node))
 
-        trial = _probe(scene, node.X + dt[:, None] * grad, flow_band, node.wide)
+        trial = _probe(scene, node.X + dt[:, None] * grad, max_step, node.wide)
         two = (trial.count == 2).nonzero()[0]
         if two.size:
             two = two[trial.R[two] > 0.0]
-            # The in-band offset can slightly exceed the step size when band
-            # and step are comparable, so the cap allows for both scales.
+            # A kept witness lies up to twice the band (the step size) out,
+            # so the in-band offset can exceed the step; the cap allows both.
             moves, Y = _snap_to_tie(trial.X[two], _pairs(scene, trial, two),
-                                    cap=dt[two] + 2.0 * flow_band)
+                                    cap=dt[two] + 2.0 * max_step)
             rows = two[moves]
             if rows.size == len(live):
-                trial = _probe(scene, Y, flow_band, node.wide)
+                trial = _probe(scene, Y, max_step, node.wide)
             elif rows.size:
-                again = _probe(scene, Y[moves], flow_band, node.wide[rows])
+                again = _probe(scene, Y[moves], max_step, node.wide[rows])
                 for mine, theirs in zip(trial[:7], again[:7]):
                     mine[rows] = theirs
         trial = _with_balls(scene, trial)
-        acc = _accept(scene, node, trial)
+        acc = _accept(node, trial)
         moved = acc.all()
         if moved:
             arc = arc + dt * gnorm
             t = np.where(dt == remaining, horizon, t + dt)
             node = trial
-            grad, gnorm = _steer(scene, trial)
+            grad, gnorm = _steer(trial)
             continue
         rejected += ~acc
         arc = np.where(acc, arc + dt * gnorm, arc)
         t = np.where(acc, np.where(dt == remaining, horizon, t + dt), t)
         pick = acc.nonzero()[0]
         if pick.size:
-            grad[pick], gnorm[pick] = _steer(scene, _Probe(*(a[pick] for a in trial)))
+            grad[pick], gnorm[pick] = _steer(_Probe(*(a[pick] for a in trial)))
             node = _Probe(*(np.where(acc[:, None] if b.ndim > 1 else acc, a, b)
                             for a, b in zip(trial, node)))
 
@@ -312,13 +271,13 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     order = acc.nonzero()[0][np.argsort(rows[acc], kind="stable")]
     times, arcs, points, R, F, counts = (c[order] for c in cols)
     fa = np.full(len(R), np.nan) if alpha is None else _f_alpha(R, F, alpha)
-    gn = _grad_norm(R, F)
+    gn = _grad_norm(F, R)
     bounds = np.cumsum(done_nodes).tolist()
     return [Trajectory(scene=scene, alpha=alpha, times=times[a:b], arc=arcs[a:b],
                        points=points[a:b], R=R[a:b], F=F[a:b], F_alpha=fa[a:b],
                        grad_norm=gn[a:b], witness_counts=counts[a:b],
-                       stop_reason=_REASONS[code], flow_band=flow_band,
-                       max_step=max_step, rejected_steps=k)
+                       stop_reason=_REASONS[code], max_step=max_step,
+                       rejected_steps=k)
             for a, b, code, k in zip([0] + bounds[:-1], bounds,
                                      done_reason.tolist(), done_rejected.tolist())]
 
@@ -349,6 +308,8 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float) -> RadiusCert
     Nodes from the first one at or above the threshold onward are exempt.
     The certificate only applies when the start satisfies R_0 >= alpha + lam.
     """
+    _check_real("alpha", alpha, positive=False)
+    _check_real("lam", lam)
     flags = []
     r0 = float(traj.R[0])
     gap0 = r0 - alpha
@@ -410,7 +371,7 @@ class PushedPath:
 
 
 def push_path(scene: SiteScene, base_path, T: float, alpha: float,
-              subdiv: int = 64, max_step: float | None = None) -> PushedPath:
+              subdiv: int = 64) -> PushedPath:
     """Push a path up the flow: flow the first endpoint for time T, traverse
     the time-T image of the path, then flow back down from the last endpoint.
 
@@ -429,7 +390,7 @@ def push_path(scene: SiteScene, base_path, T: float, alpha: float,
     l_base = _polyline_length(base)
     verts = _resample(base, subdiv)
 
-    trajs = integrate_flows(scene, verts, alpha=alpha, horizon=T, max_step=max_step)
+    trajs = integrate_flows(scene, verts, alpha=alpha, horizon=T)
     flags = {"flow-" + tr.stop_reason for tr in trajs
              if tr.stop_reason != "time-exhausted"}
     piece_up = trajs[0].points
@@ -453,13 +414,12 @@ class ExpansionReport:
     flags: tuple
 
 
-def flow_expansion_check(scene: SiteScene, x1, x2, alpha: float, T: float,
-                         max_step: float | None = None) -> ExpansionReport:
+def flow_expansion_check(scene: SiteScene, x1, x2, alpha: float,
+                         T: float) -> ExpansionReport:
     """Flow two points for time T and compare their separation against the
     exponential expansion bound d0 * exp(T / alpha)."""
     _check_real("alpha", alpha)
-    t1, t2 = integrate_flows(scene, [x1, x2], alpha=alpha, horizon=T,
-                             max_step=max_step)
+    t1, t2 = integrate_flows(scene, [x1, x2], alpha=alpha, horizon=T)
     flags = set()
     for tr in (t1, t2):
         if tr.stop_reason != "time-exhausted":

@@ -11,7 +11,6 @@ from test_scene import _wire_scene
 
 import medaxis as mx
 from medaxis import field
-from medaxis.flow import _probe, _ties
 from medaxis.scene import _nearest, _row_norms, _wall_points
 
 
@@ -158,11 +157,6 @@ class TestBatchEvaluation:
         assert wall_rows >= 30
         ties = [mx.eval_field(scene, x).witness_ids for x in X[:4]]
         assert all(len(ids) == 4 for ids in ties)
-        # the flow's batched probe finds each row's exact witnesses
-        exact = _ties(scene, _probe(scene, X, 0.05), np.arange(len(X)))
-        for k, x in enumerate(X):
-            exact_ids = [j if j < len(lattice) else -1 for j in exact[k].nonzero()[0]]
-            assert tuple(exact_ids) == mx.eval_field(scene, x).witness_ids
 
     def test_r_batch_matches(self):
         scene = mx.random_scene(7, bounding_radius=5.0, seed=3)
