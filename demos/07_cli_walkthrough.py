@@ -3,7 +3,8 @@
 The CLI wraps the same experiment runners used elsewhere in these demos:
 a config file names a scene (inline or by path) plus parameters, and the
 subcommand decides which experiment to run and which report files to
-write.  Everything below goes through subprocess so the output matches
+write.  The last run reads the critical function of a square wire in a
+tilted plane of R^3.  Everything below goes through subprocess so the output matches
 what a shell user would see, including the one-line JSON summary on
 stdout and the report files in --out.
 """
@@ -48,20 +49,43 @@ def main():
     print(json.dumps(config, indent=2))
 
     for sub in ("axis", "sweep-lambda", "critfn"):
-        out_dir = os.path.join(OUT, sub)
-        cmd = axiform_cmd() + [sub, "--config", config_path, "--out", out_dir]
-        shown = [os.path.basename(cmd[0])]
-        shown += [os.path.relpath(c) if c.startswith(OUT) else c
-                  for c in cmd[1:]]
-        print("\n$ %s" % " ".join(shown))
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        sys.stdout.write(proc.stdout)
-        sys.stderr.write(proc.stderr)
-        print("exit code %d, files in %s:" % (proc.returncode,
-                                              os.path.relpath(out_dir)))
-        for name in sorted(os.listdir(out_dir)):
-            size = os.path.getsize(os.path.join(out_dir, name))
-            print("  %-28s %6d bytes" % (name, size))
+        run(sub, config_path, os.path.join(OUT, sub))
+
+    # A square wire of 200 sites, side 2, in a tilted plane of R^3.  Its
+    # sites span a plane through the origin, so critfn reads chi in closed
+    # form, as for a planar scene: 1/sqrt(2) on the plateau, 0 at half the
+    # side.
+    u = [-1.0 + k / 25.0 for k in range(50)]
+    ring = ([(x, -1.0) for x in u] + [(1.0, x) for x in u]
+            + [(-x, 1.0) for x in u] + [(-1.0, -x) for x in u])
+    e1, e2 = (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0), (-2.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0)
+    wire = {
+        "scene": {"sites": [[a * p + b * q for p, q in zip(e1, e2)] for a, b in ring],
+                  "bounding_radius": 4.0},
+        "t_grid": [0.25, 0.4, 0.55, 0.7, 0.85, 1.0, 1.15],
+        "expect_square_side": 2.0,
+    }
+    wire_path = os.path.join(OUT, "wire_config.json")
+    with open(wire_path, "w") as fh:
+        json.dump(wire, fh)
+    print("\nsquare wire config written to %s" % os.path.relpath(wire_path))
+    run("critfn", wire_path, os.path.join(OUT, "critfn-wire"))
+
+
+def run(sub, config_path, out_dir):
+    cmd = axiform_cmd() + [sub, "--config", config_path, "--out", out_dir]
+    shown = [os.path.basename(cmd[0])]
+    shown += [os.path.relpath(c) if c.startswith(OUT) else c
+              for c in cmd[1:]]
+    print("\n$ %s" % " ".join(shown))
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    print("exit code %d, files in %s:" % (proc.returncode,
+                                          os.path.relpath(out_dir)))
+    for name in sorted(os.listdir(out_dir)):
+        size = os.path.getsize(os.path.join(out_dir, name))
+        print("  %-28s %6d bytes" % (name, size))
 
 
 if __name__ == "__main__":

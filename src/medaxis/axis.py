@@ -21,6 +21,10 @@ The pairs are the Delaunay edges of the sites, each bounded by the third
 sites of its (at most two) triangles; collinear sites pair up in order
 along their line.  One rule holds for every site count, so a single site
 has an empty skeleton: its site/wall bisector is not an edge.
+
+The sites of a d >= 3 scene that span a plane through the origin have the
+skeleton of their plane coordinates; ``exact_critical_function`` and
+``scene_r_max`` lift its features off the plane.
 """
 
 from __future__ import annotations
@@ -263,16 +267,71 @@ def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
                            flags=() if len(pairs) else ("empty-skeleton",))
 
 
-def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> float:
-    """Maximum of the distance field over the domain (planar scenes).
+# Largest distance of a site from the plane of a d >= 3 scene, relative to
+# the bounding radius, for the scene to count as coplanar.
+_PLANE_TOL = 1e-12
 
-    Attained either at a skeleton vertex or at a site/wall antipodal point
-    x = -(r - |p|)/2 * p_hat, which is valid only when no other site is closer.
+
+def _plane_basis(scene: SiteScene) -> np.ndarray | None:
+    """Orthonormal rows (3, d) for a d >= 3 scene whose sites span a plane
+    through the origin: two that span it and a normal to it; None for any
+    other d >= 3 scene.
+
+    The first row points at the site farthest from the origin, the second
+    at the rest of the site farthest from that line (Gram-Schmidt), and the
+    normal is the coordinate axis nearest to normal, made normal.  Every
+    site must lie within ``_PLANE_TOL`` r of the plane, and that site
+    farther than that from the line.  Only row products are taken (no
+    LAPACK call), so the basis has the same bits whatever the linear
+    algebra library.
     """
-    if scene.dim != 2:
-        raise InvalidSceneError("exact maximal distance value needs a planar scene")
+    sites, tol = scene.sites, _PLANE_TOL * scene.bounding_radius
+    basis = np.zeros((3, scene.dim))
+    for row in range(2):
+        rest = sites - _dot(sites, basis[0])[:, None] * basis[0]
+        off = _row_norms(rest)
+        if not off.max() > tol:
+            return None
+        basis[row] = rest[np.argmax(off)] / off.max()
+    axis = np.argmin(basis[0] ** 2 + basis[1] ** 2)
+    basis[2, axis] = 1.0
+    basis[2] -= basis[0, axis] * basis[0] + basis[1, axis] * basis[1]
+    basis[2] /= np.sqrt(_dot(basis[2], basis[2]))
+    off = _row_norms(rest - _dot(rest, basis[1])[:, None] * basis[1])
+    return basis if off.max() <= tol else None
+
+
+def _in_plane(scene: SiteScene, skeleton: VoronoiSkeleton | None):
+    """The basis of the sites' plane (``_plane_basis``; None when d = 2) and
+    the skeleton of the sites in its coordinates, at the scene's own
+    radius: the one given, else built."""
+    basis = None if scene.dim == 2 else _plane_basis(scene)
+    if scene.dim > 2 and basis is None:
+        raise InvalidSceneError("the exact path needs a planar scene, or sites that span a "
+                                "plane through the origin within %g r" % _PLANE_TOL)
     if skeleton is None:
-        skeleton = build_skeleton(scene)
+        skeleton = build_skeleton(scene if basis is None else SiteScene(
+            _dot(scene.sites[:, None], basis[:2]), scene.bounding_radius, scene.tie_tolerance))
+    return basis, skeleton
+
+
+def _tops(skeleton: VoronoiSkeleton, lifted: bool) -> np.ndarray:
+    """The largest R on each vertex's feature.  In the plane that is the
+    vertex itself.  Lifted off the plane by z, a vertex v is a line where
+    R^2 = R_v^2 + |z|^2, up to the wall |v|^2 + |z|^2 = (r - R)^2:
+    R = (r^2 - |v|^2 + R_v^2) / (2 r)."""
+    R = skeleton.R
+    if not lifted:
+        return R
+    r = skeleton.scene.bounding_radius
+    v = skeleton.vertices
+    return np.maximum(R, (r * r - _dot(v, v) + R * R) / (2.0 * r))
+
+
+def _r_max(skeleton: VoronoiSkeleton, tops: np.ndarray) -> float:
+    """The largest R: a vertex feature's top, or a site/wall antipodal point
+    x = -(r - |p|)/2 * p_hat where no other site is closer."""
+    scene = skeleton.scene
     r = scene.bounding_radius
     norm = _row_norms(scene.sites)
     cand = 0.5 * (r + norm)
@@ -282,35 +341,91 @@ def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> fl
     valid = np.empty(len(X), bool)
     for rows in _row_chunks(scene, len(X)):
         valid[rows] = _nearest(scene, X[rows]).d_sites.min(axis=1) >= cand[rows] * (1.0 - 1e-12)
-    return max([0.0] + skeleton.R.tolist() + cand[valid].tolist())
+    return max([0.0] + tops.tolist() + cand[valid].tolist())
 
 
-def _site_wall_points(scene: SiteScene, t: np.ndarray):
-    """Points where level t meets the site/wall ellipse of a site p: the at
-    most two intersections of |x| = r - t and |x - p| = t (one where they
-    touch), as rows (N, 2) with their level and site indices.  For a site
-    at the origin the circles meet only at t = r/2, and every level is
-    below that, since R <= r/2 in such a scene."""
-    r = scene.bounding_radius
-    d = _row_norms(scene.sites)
-    site = np.flatnonzero(d > 0.0)
-    d, p = d[site], scene.sites[site]
-    # x = a p/d + b p_perp/d with a^2 + b^2 = (r - t)^2
-    a = (r * (r - 2.0 * t[:, None]) + d * d) / (2.0 * d)
-    b2 = (r - t[:, None]) ** 2 - a * a
-    level, k = np.nonzero(b2 >= 0.0)
-    a, b = a[level, k], np.sqrt(b2[level, k])
-    two = b > 0.0
-    level, k = np.concatenate([level, level[two]]), np.concatenate([k, k[two]])
-    a, b = np.concatenate([a, a[two]]), np.concatenate([b, -b[two]])
-    along, perp = p[k] / d[k, None], np.column_stack([-p[k, 1], p[k, 0]]) / d[k, None]
-    return a[:, None] * along + b[:, None] * perp, level, site[k]
+def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> float:
+    """Maximum of the distance field over the domain, for a planar scene or
+    one whose sites span a plane through the origin (``skeleton`` is that
+    of the sites in the plane's coordinates, built when None).
+
+    Attained either at the top of a skeleton vertex's feature (``_tops``)
+    or at a site/wall antipodal point, which lies in the plane.
+    """
+    basis, skeleton = _in_plane(scene, skeleton)
+    return _r_max(skeleton, _tops(skeleton, basis is not None))
+
+
+def _site_wall_points(skeleton: VoronoiSkeleton, t: np.ndarray, lifted: bool):
+    """Points where level t meets the site/wall set |x| = r - t, |x - p| = t
+    of a site p.  Its projection is the chord y = a p_hat + b p_perp,
+    a = (r (r - 2t) + |p|^2) / (2 |p|), of the disc |y| <= r - t, with
+    |z|^2 = (r - t)^2 - |y|^2 off the plane.  In the plane (z = 0) the
+    chord is its two ends (one where they touch).  Lifted, it is cut to p's
+    cell by the bisectors of p's skeleton edges, and the middle of what is
+    left stands for it (the witness ball radius is constant along it).
+    Returns plane coordinates (N, 2), |z| (N,), level indices, and (p, p)
+    as the sites (N, 2) that must witness each point.  A site at the
+    origin, whose a is not finite, meets the wall only at t = r/2, which is
+    above every level since R <= r/2 in such a scene."""
+    sites = skeleton.scene.sites
+    r = skeleton.scene.bounding_radius
+    d = _row_norms(sites)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = (r * (r - 2.0 * t[:, None]) + d * d) / (2.0 * d)
+        b_hi = np.sqrt((r - t[:, None]) ** 2 - a * a)
+        along, perp = sites / d[:, None], np.column_stack([-sites[:, 1], sites[:, 0]]) / d[:, None]
+    if lifted:
+        b_lo = -b_hi
+        own, other = np.concatenate([skeleton.pairs, skeleton.pairs[:, ::-1]]).T
+        # the bisector half-plane |x - p|^2 <= |x - q|^2 as c b <= e
+        g = sites[other] - sites[own]
+        c = 2.0 * _dot(perp[own], g)
+        e = _dot(sites[other], sites[other]) - d[own] ** 2 - 2.0 * a[:, own] * _dot(along[own], g)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cut = e / c
+        # where c = 0 the bisector is parallel to the chord: all of it or none
+        np.minimum.at(b_hi.T, own, np.where(c > 0.0, cut, np.where((c == 0.0) & (e < 0.0),
+                                                                   -np.inf, np.inf)).T)
+        np.maximum.at(b_lo.T, own, np.where(c < 0.0, cut, -np.inf).T)
+        level, k = np.nonzero(b_lo <= b_hi)
+        a, b = a[level, k], 0.5 * (b_lo[level, k] + b_hi[level, k])
+        zeta = np.sqrt(np.maximum(0.0, (r - t[level]) ** 2 - a * a - b * b))
+    else:
+        level, k = np.nonzero(b_hi >= 0.0)
+        a, b = a[level, k], b_hi[level, k]
+        two = b > 0.0
+        level, k = np.concatenate([level, level[two]]), np.concatenate([k, k[two]])
+        a, b = np.concatenate([a, a[two]]), np.concatenate([b, -b[two]])
+        zeta = np.zeros(len(a))
+    return (a[:, None] * along[k] + b[:, None] * perp[k], zeta, level,
+            np.column_stack([k, k]))
+
+
+def _wall_pair_points(skeleton: VoronoiSkeleton, t: np.ndarray):
+    """Points where level t meets an edge (p, q) lifted off the plane at the
+    wall, where the witnesses are p, q and the wall: at
+    s = (r^2 - |m|^2 + h^2 - 2 r t) / (2 m.u) inside the edge's span, and
+    |z|^2 = t^2 - h^2 - s^2 off the plane (in the plane such a point is a
+    skeleton vertex).  An edge whose bisector is perpendicular to m meets
+    the wall at one level along a whole arc, which is not enumerated.
+    Returns plane coordinates (N, 2), |z| (N,), level indices and pairs."""
+    r = skeleton.scene.bounding_radius
+    m, u, h = skeleton.mid, skeleton.u, skeleton.h
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = (r * r - _dot(m, m) + h * h - 2.0 * r * t[:, None]) / (2.0 * _dot(m, u))
+    level, e = np.nonzero((skeleton.s[:, 0] <= s) & (s <= skeleton.s[:, 1]))
+    s = s[level, e]
+    zeta = np.sqrt(np.maximum(0.0, t[level] ** 2 - h[e] ** 2 - s * s))
+    return m[e] + s[:, None] * u[e], zeta, level, skeleton.pairs[e]
 
 
 def exact_critical_function(scene: SiteScene, t_grid,
                             skeleton: VoronoiSkeleton | None = None) -> CriticalProfile:
-    """The critical function of a planar scene in closed form, read off its
-    skeleton.
+    """The critical function in closed form, read off the skeleton of a
+    planar scene or of a scene whose sites span a plane P through the origin
+    in any dimension (``skeleton`` is that of the sites in P's coordinates,
+    built when None).
 
     The reported quantity is the paper's pointwise infimum
     chi(t) = inf {|grad R(x)| : R(x) = t} at each level t exactly, with
@@ -318,43 +433,60 @@ def exact_critical_function(scene: SiteScene, t_grid,
     (``field.estimate_critical_function`` approximates a band-windowed
     minimum instead: the band-widened norm over |R - t| <= band_width.)
     Off the medial set |grad R| = 1, so chi(t) = sqrt(1 - (H(t)/t)^2), where
-    H(t) is the largest F over the features that level t meets:
+    H(t) is the largest F over the features that level t meets.  Write
+    x = y + z with y in P and z normal to it.  Then |x - p|^2 = |y - p|^2 +
+    |z|^2 for every site p, so the witness sites of x are those of y and
+    R^2 = rho(y)^2 + |z|^2, rho the planar site distance; in the plane
+    z = 0.  The features are:
 
-    - a site/site edge, with F = h on the R-range
-      [sqrt(h^2 + s_near^2), sqrt(h^2 + s_far^2)] of its span s, s_near = 0
-      when the span holds 0;
-    - a site/wall point of site p, where |x| = r - t meets |x - p| = t, kept
-      where the tie band marks both p and the wall, with F its witness ball
-      radius as ``eval_field`` reads it;
-    - a skeleton vertex with R == t.
+    - a site/site edge, with F = h on its R-range: from
+      sqrt(h^2 + s_near^2), s_near = 0 when the span holds 0, up to
+      sqrt(h^2 + s_far^2) in the plane, and lifted up to its ends' tops;
+    - a skeleton vertex with its F, on the R-range from R_v up to its top
+      (``_tops``: R_v itself in the plane), widened at each end by the
+      scene's tie band, tie_tolerance times the end, since a vertex R is
+      rounded;
+    - a site/wall point of site p, where |x| = r - t meets |x - p| = t
+      (``_site_wall_points``);
+    - lifted only, a point where an edge meets the wall
+      (``_wall_pair_points``).
 
-    A level that meets none has chi = 1.  ``sample_count`` counts the
-    features met per level and ``band_width`` is 0.  ``reach_summary`` reads
-    wfs and r_mu off either profile as first crossings on its level grid, so
-    a critical value between two levels shows only through the dip of chi
-    around it.  The levels must be finite, positive, strictly increasing and
-    below ``scene_r_max``.
+    The points are kept where the tie band marks their sites and the wall,
+    with F their witness ball radius as ``eval_field`` reads it.  A level
+    that meets none has chi = 1.  ``sample_count`` counts the features met
+    per level and ``band_width`` is 0.  ``reach_summary`` reads wfs and
+    r_mu off either profile as first crossings on its level grid, so a
+    critical value between two levels shows only through the dip of chi
+    around it.  The levels must be finite, positive, strictly increasing
+    and below ``scene_r_max``.
     """
-    if scene.dim != 2:
-        raise InvalidSceneError("the exact critical function needs a planar scene")
-    if skeleton is None:
-        skeleton = build_skeleton(scene)
-    r_max = scene_r_max(scene, skeleton)
+    basis, skeleton = _in_plane(scene, skeleton)
+    lifted = basis is not None
+    tops = _tops(skeleton, lifted)
+    r_max = _r_max(skeleton, tops)
     t = _check_levels(t_grid, r_max)
-    X, level, site = _site_wall_points(scene, t)
+    found = [_site_wall_points(skeleton, t, lifted)]
+    if lifted:
+        found.append(_wall_pair_points(skeleton, t))
+    y, zeta, level, need = (np.concatenate(parts) for parts in zip(*found))
+    X = y[:, :1] * basis[0] + y[:, 1:] * basis[1] + zeta[:, None] * basis[2] if lifted else y
     F, kept = np.empty(len(X)), np.empty(len(X), bool)
     for rows in _row_chunks(scene, len(X)):
         near = _nearest(scene, X[rows])
         mask = near.cut()
-        kept[rows] = mask[np.arange(len(mask)), site[rows]] & mask[:, -1]
+        at = np.arange(len(mask))
+        kept[rows] = mask[at, need[rows, 0]] & mask[at, need[rows, 1]] & mask[:, -1]
         F[rows] = near.balls(mask)[1]
-    # every feature as an R-range [lo, hi] with its F: edges, vertices and
-    # the kept wall points, each on its own level
+    # every feature as an R-range [lo, hi] with its F: edges, vertices
+    # widened by the tie band, and the kept points, each on its own level
     h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
     s_near = np.maximum(0.0, np.maximum(s0, -s1))
     s_far = np.maximum(-s0, s1)
-    lo = np.concatenate([np.sqrt(h * h + s_near * s_near), skeleton.R, t[level[kept]]])
-    hi = np.concatenate([np.sqrt(h * h + s_far * s_far), skeleton.R, t[level[kept]]])
+    edge_hi = tops[skeleton.edges].max(axis=1) if lifted else np.sqrt(h * h + s_far * s_far)
+    tie = scene.tie_tolerance
+    lo = np.concatenate([np.sqrt(h * h + s_near * s_near), skeleton.R * (1.0 - tie),
+                         t[level[kept]]])
+    hi = np.concatenate([edge_hi, tops * (1.0 + tie), t[level[kept]]])
     weight = np.concatenate([h, skeleton.F, F[kept]])
     H, counts = np.zeros(len(t)), np.zeros(len(t), int)
     for rows in _row_chunks(scene, len(t)):

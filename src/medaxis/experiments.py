@@ -32,6 +32,8 @@ from .field import (
 from .axis import (
     FilteredAxis,
     VoronoiSkeleton,
+    _in_plane,
+    _plane_basis,
     axis_to_json,
     build_skeleton,
     exact_critical_function,
@@ -233,12 +235,12 @@ def _levels(config: ExperimentConfig, r_max: float | None) -> np.ndarray:
 
 def _profile_for(scene: SiteScene, config: ExperimentConfig,
                  skeleton: VoronoiSkeleton | None = None) -> CriticalProfile:
-    """Critical profile for a scene: in closed form from the scene's
-    skeleton (the caller's, when it holds one) for d = 2, sampled for
-    d >= 3."""
-    if scene.dim == 2:
-        if skeleton is None:
-            skeleton = build_skeleton(scene)
+    """Critical profile for a scene: in closed form from the skeleton of
+    its sites in their plane (the caller's, when it holds one) for d = 2 and
+    for sites that span a plane through the origin in any d, sampled for
+    every other d >= 3 scene."""
+    if scene.dim == 2 or _plane_basis(scene) is not None:
+        skeleton = _in_plane(scene, skeleton)[1]
         return exact_critical_function(
             scene, _levels(config, scene_r_max(scene, skeleton)), skeleton)
     return estimate_critical_function(

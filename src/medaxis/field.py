@@ -13,8 +13,9 @@ equidistant, which is the case up to the tie band.  The critical function
 chi(t) = inf {|grad(x)| : R(x) = t} of a scene in any dimension is
 estimated here by sprinkling points, marching them onto the level set along
 the local ascent direction, and taking an ordered minimum of the
-band-widened gradient norm; a planar scene has it in closed form
-(``axis.exact_critical_function``), which the experiments use for d = 2.
+band-widened gradient norm; a planar scene, and one whose sites span a
+plane through the origin, has it in closed form
+(``axis.exact_critical_function``), which the experiments use for both.
 The seeds march one level at a time.  Each march step queries every site;
 the bisection of a bracketed seed queries every site once, then only those
 that can be nearest anywhere in its bracket, with the same R bit for bit.
@@ -352,7 +353,8 @@ def estimate_critical_function(scene: SiteScene, t_grid,
     The estimate approximates the band-windowed minimum of the gradient
     norm over |R - t| <= band_width, not the pointwise chi(t), and it misses
     features that no seed reaches; ``axis.exact_critical_function`` gives
-    the pointwise chi of a planar scene.
+    the pointwise chi of a planar scene, or of coplanar sites through the
+    origin.
     """
     t_grid = _check_levels(t_grid, r_max)
     _check_sampling(samples_per_level, band_width)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from test_scene import _wire_scene
+
 import medaxis as mx
 import medaxis.axis as axis_mod
 
@@ -851,6 +853,171 @@ class TestExactCriticalFunction:
             mx.exact_critical_function(mx.random_scene(4, 5.0, seed=1, dim=3), [0.5])
 
 
+def tilt(dim, seed):
+    """Random orthonormal columns (dim, dim): the first two span a plane
+    through the origin, the others are normal to it."""
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
+
+
+def embedded(planar, q):
+    """A planar scene's sites in the plane of q's first two columns."""
+    return mx.SiteScene(planar.sites @ q[:, :2].T, planar.bounding_radius)
+
+
+def lifted_level_points(planar, skeleton, t, q):
+    """The eval_field samples of every kind of point of the medial set on
+    level t of the planar scene embedded by q, one at a time, lifted off
+    the plane along q[:, 2]:
+
+    - on each edge, the middle of its s-range with s^2 <= t^2 - h^2 and the
+      wall condition |m + s u|^2 + t^2 - h^2 - s^2 <= (r - t)^2, linear in s;
+    - on each vertex line, the point with R^2 = R_v^2 + |z|^2 = t^2, for
+      R_v <= t within the tie band;
+    - on each edge with m.u != 0, where it meets the wall at level t;
+    - on the chord of each site/wall set x.p_hat = a, |x|^2 = (r - t)^2,
+      the middle of its part that no other site's bisector (every site's,
+      not only the skeleton neighbours') cuts away.
+
+    A point that eval_field does not place on level t (past the wall), or
+    whose witnesses lack its sites or the wall, is dropped."""
+    r = planar.bounding_radius
+    plane, normal = q[:, :2].T, q[:, 2]
+    found = []
+    for e in range(len(skeleton.h)):
+        h, m, u = skeleton.h[e], skeleton.mid[e], skeleton.u[e]
+        (s0, s1), beta = skeleton.s[e], float(m @ u)
+        if t < h:
+            continue
+        lo, hi = max(s0, -math.sqrt(t * t - h * h)), min(s1, math.sqrt(t * t - h * h))
+        room = (r - t) ** 2 - float(m @ m) - t * t + h * h  # 2 beta s <= room
+        if beta > 0.0:
+            hi = min(hi, room / (2.0 * beta))
+        elif beta < 0.0:
+            lo = max(lo, room / (2.0 * beta))
+        elif room < 0.0:
+            continue
+        if lo <= hi:
+            s = 0.5 * (lo + hi)
+            found.append((m + s * u, t * t - h * h - s * s, set(skeleton.pairs[e])))
+        if beta != 0.0:
+            s = (r * r - float(m @ m) + h * h - 2.0 * r * t) / (2.0 * beta)
+            if s0 <= s <= s1:
+                found.append((m + s * u, t * t - h * h - s * s, set(skeleton.pairs[e]) | {-1}))
+    for v, R in zip(skeleton.vertices, skeleton.R):
+        if R <= t * (1.0 + planar.tie_tolerance):
+            found.append((v, t * t - R * R, set()))
+    for i, p in enumerate(planar.sites):
+        d = math.hypot(*p)
+        if d == 0.0:
+            continue
+        a = (r * (r - 2.0 * t) + d * d) / (2.0 * d)
+        if a * a > (r - t) ** 2:
+            continue
+        lo, hi = -math.sqrt((r - t) ** 2 - a * a), math.sqrt((r - t) ** 2 - a * a)
+        along, perp = p / d, np.array([-p[1], p[0]]) / d
+        for k, g in enumerate(planar.sites - p):  # c b <= e for each other site
+            if k == i:
+                continue
+            c = 2.0 * float(perp @ g)
+            e = float(planar.sites[k] @ planar.sites[k]) - d * d - 2.0 * a * float(along @ g)
+            if c > 0.0:
+                hi = min(hi, e / c)
+            elif c < 0.0:
+                lo = max(lo, e / c)
+            elif e < 0.0:
+                hi = -math.inf
+        if lo <= hi:
+            b = 0.5 * (lo + hi)
+            found.append((a * along + b * perp, (r - t) ** 2 - a * a - b * b, {i, -1}))
+    scene, points = embedded(planar, q), []
+    for y, z2, need in found:
+        x = y @ plane + math.sqrt(max(0.0, z2)) * normal
+        if np.linalg.norm(x) >= r:
+            continue
+        sample = mx.eval_field(scene, x)
+        if (abs(sample.R - t) <= planar.tie_tolerance * t
+                and need <= set(sample.witness_ids)):
+            points.append(sample)
+    return points
+
+
+def lifted_oracle(planar, skeleton, t_grid, q):
+    """The smallest eval_field |grad| over the lifted level points of each
+    level, 1 where there are none, and the number of points."""
+    levels = [lifted_level_points(planar, skeleton, t, q) for t in t_grid.tolist()]
+    return (np.array([min((np.linalg.norm(x.grad) for x in pts), default=1.0) for pts in levels]),
+            [len(pts) for pts in levels])
+
+
+# planar scenes to embed: random ones, and oracle scenes with a collinear
+# row off the origin, a lattice, a site at the origin and sites near the wall
+_LIFTED_SCENES = {"random-%d" % seed: lambda seed=seed: mx.random_scene(8 + seed % 9, 10.0,
+                                                                      seed=seed)
+                  for seed in (1, 4, 7, 10)}
+_LIFTED_SCENES.update({name: _EXACT_SCENES[name] for name in (
+    "row-4", "lattice-3", "hexagon-center", "near-wall", "two-sites", "three-sites")})
+
+
+# d = 3 sites the exact path rejects (at radius 5): in general position,
+# 1e-10 r off a plane through the origin (the tolerance is 1e-12 r), in a
+# plane that misses the origin, and on a line through the origin (a line
+# that misses it spans a plane through it, as "row-4" above does)
+OFF_PLANE_SITES = {
+    "general": mx.random_scene(4, 5.0, seed=1, dim=3).sites,
+    "plane-1e-10-off": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.5, 5e-10]]),
+    "plane-off-origin": np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0],
+                                  [0.0, -1.0, 1.0]]),
+    "line-through-origin": np.array([[1.0, 1.0, 1.0], [-0.5, -0.5, -0.5], [2.0, 2.0, 2.0]]),
+}
+
+
+class TestLiftedCriticalFunction:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("name", sorted(_LIFTED_SCENES))
+    def test_matches_lifted_level_point_oracle(self, name, dim):
+        """A planar scene in a random plane of R^3 and R^4, on a level grid
+        and at every vertex value below r_max.  Compared in squares, and
+        the features met counted on the grid (at a vertex value, edges and
+        vertex lines end, where rounding decides what each side counts)."""
+        planar = _LIFTED_SCENES[name]()
+        q = tilt(dim, seed=dim)
+        scene = embedded(planar, q)
+        sk = mx.build_skeleton(planar)
+        r_max = mx.scene_r_max(scene)
+        grid = np.linspace(0.02 * r_max, 0.99 * r_max, 15)
+        t = np.unique(np.concatenate([grid, sk.R[sk.R < r_max]]))
+        prof = mx.exact_critical_function(scene, t)
+        chi, counts = lifted_oracle(planar, sk, t, q)
+        np.testing.assert_allclose(prof.chi ** 2, chi ** 2, rtol=0.0, atol=1e-12)
+        on_grid = np.isin(t, grid)
+        assert prof.sample_count[on_grid].tolist() == np.array(counts)[on_grid].tolist()
+        assert prof.flags == () and prof.band_width == 0.0 and prof.r_max == r_max
+
+    @pytest.mark.parametrize("name", sorted(OFF_PLANE_SITES))
+    def test_rejects_sites_off_a_plane_through_the_origin(self, name):
+        scene = mx.SiteScene(OFF_PLANE_SITES[name], 5.0)
+        with pytest.raises(mx.InvalidSceneError, match="plane through the origin"):
+            mx.exact_critical_function(scene, [0.5])
+        with pytest.raises(mx.InvalidSceneError, match="plane through the origin"):
+            mx.scene_r_max(scene)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_center_vertex_met_within_the_tie_band(self, dim):
+        """A square wire's center vertex, where four sites tie, meets the
+        levels one ulp below, at and one ulp above its R (F = R there, so
+        chi reads below 1e-7); 1e-8 of R off it, it does not (chi reads
+        above sqrt(2e-8)).  Rotated into a plane of R^3, the center's R is
+        rounded out of the rotated coordinates."""
+        planar = mx.SiteScene(_wire_scene().sites[:, :2], 4.0)
+        scene = planar if dim == 2 else embedded(planar, tilt(3, seed=5))
+        sk = axis_mod._in_plane(scene, None)[1]
+        R = sk.R[np.argmin(np.linalg.norm(sk.vertices, axis=1))]
+        t = np.array([R * (1.0 - 1e-8), np.nextafter(R, 0.0), R, np.nextafter(R, 2.0 * R),
+                      R * (1.0 + 1e-8)])
+        chi = mx.exact_critical_function(scene, t).chi
+        assert np.all(chi[1:4] < 1e-7) and np.all(chi[[0, 4]] > 1e-4)
+
+
 class TestSceneRMax:
     def test_two_site_depth_at_wall_vertex(self):
         assert abs(mx.scene_r_max(two_site_scene()) - 5.05) < 1e-9
@@ -867,3 +1034,22 @@ class TestSceneRMax:
         pts = pts[np.linalg.norm(pts, axis=1) < 5.999]
         r = mx.r_batch(scene, pts)
         assert r.max() <= r_max + 1e-9
+
+    def test_two_sites_in_a_tilted_plane(self):
+        """Sites (-1, 1) and (1, 1): off the plane the bisector rises no
+        higher than at its wall vertex (0, -49/11), where R = 61/11."""
+        planar = mx.SiteScene(np.array([[-1.0, 1.0], [1.0, 1.0]]), 10.0)
+        assert abs(mx.scene_r_max(embedded(planar, tilt(3, seed=2))) - 61.0 / 11.0) < 1e-9
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_lifted_dominates_random_probes(self, dim):
+        """No probe of the lifted domain reads above r_max, which is at
+        least the planar r_max and is reached off the plane."""
+        planar = mx.random_scene(10, bounding_radius=6.0, seed=31)
+        scene = embedded(planar, tilt(dim, seed=dim))
+        r_max = mx.scene_r_max(scene)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-6.0, 6.0, size=(40000, dim))
+        pts = pts[np.linalg.norm(pts, axis=1) < 5.999]
+        assert mx.r_batch(scene, pts).max() <= r_max + 1e-9
+        assert r_max > mx.scene_r_max(planar)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_axis import OFF_PLANE_SITES, embedded, tilt
+
 import medaxis as mx
 from medaxis import axis, cli, experiments, metrics
 from medaxis.axis import build_skeleton
@@ -148,6 +150,31 @@ class TestPlanarProfile:
         profile = experiments._profile_for(cfg.scene, cfg)
         assert profile.band_width == 0.0 and profile.r_max == 5.05
         assert run_critfn(cfg).passed and run_sweep_lambda(cfg).passed
+
+    def test_tilted_plane_takes_the_exact_path(self, monkeypatch):
+        """Sites that span a plane through the origin of R^3 never sample."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran on a coplanar scene")
+
+        monkeypatch.setattr(experiments, "estimate_critical_function", refuse)
+        scene = embedded(mx.random_scene(8, 10.0, seed=3), tilt(3, seed=1))
+        cfg = ExperimentConfig(scene=scene, t_count=6)
+        profile = experiments._profile_for(scene, cfg)
+        assert profile.band_width == 0.0 and profile.r_max == mx.scene_r_max(scene)
+
+    @pytest.mark.parametrize("name", sorted(OFF_PLANE_SITES))
+    def test_other_3d_scenes_sample(self, name, monkeypatch):
+        sampled = []
+
+        def spy(scene, *args, **kwargs):
+            sampled.append(scene)
+            return mx.estimate_critical_function(scene, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_critical_function", spy)
+        scene = mx.SiteScene(OFF_PLANE_SITES[name], 5.0)
+        cfg = ExperimentConfig(scene=scene, t_grid=(0.3, 0.6), samples_per_level=20)
+        profile = experiments._profile_for(scene, cfg)
+        assert sampled == [scene] and "r-max-sampled" in profile.flags
 
     def test_sweep_builds_one_skeleton(self, monkeypatch):
         """The profile reads the sweep's own skeleton."""
@@ -385,19 +412,23 @@ class TestCli:
         with pytest.raises(TypeError, match="internal bug"):
             cli_main(["axis", "--config", cfg])
 
-    @pytest.mark.parametrize("command", ["axis", "sweep-lambda", "critfn"])
-    def test_reports_match_tracked_demo_output(self, tmp_path, command):
+    @pytest.mark.parametrize("run", ["axis", "sweep-lambda", "critfn", "critfn-wire"])
+    def test_reports_match_tracked_demo_output(self, tmp_path, run):
+        """Demo 07's runs: three commands on a two-site scene, and critfn on
+        a square wire in a tilted plane of R^3 (the exact lifted path)."""
         demo = os.path.join(os.path.dirname(__file__), os.pardir,
                             "demos", "out", "cli")
-        for name in ("config.json", "scene.json"):
+        for name in ("config.json", "scene.json", "wire_config.json"):
             shutil.copy(os.path.join(demo, name), tmp_path / name)
-        out = tmp_path / command
-        assert cli_main([command, "--config", str(tmp_path / "config.json"),
+        command, config = ("critfn", "wire_config.json") if run == "critfn-wire" else (
+            run, "config.json")
+        out = tmp_path / run
+        assert cli_main([command, "--config", str(tmp_path / config),
                          "--out", str(out)]) == 0
-        tracked = sorted(os.listdir(os.path.join(demo, command)))
+        tracked = sorted(os.listdir(os.path.join(demo, run)))
         assert sorted(os.listdir(out)) == tracked
         for name in tracked:
-            with open(os.path.join(demo, command, name), "rb") as fh:
+            with open(os.path.join(demo, run, name), "rb") as fh:
                 assert (out / name).read_bytes() == fh.read(), name
 
     def test_seed_override(self, tmp_path, capsys):
@@ -423,12 +454,18 @@ class TestCli:
 
 
 @st.composite
-def drawn_configs(draw):
+def drawn_configs(draw, tilted=False):
     """A config body every command can run: a random planar scene of 6 to 12
     sites, 2 or 3 lambdas and alphas, two epsilons a decade or more apart,
-    two flow starts, and small sampling settings."""
+    two flow starts, and small sampling settings.  ``tilted`` puts the scene
+    and the starts in a random plane through the origin of R^3, where only
+    the commands for d >= 3 (``critfn`` and ``flow``) run."""
     n = draw(st.integers(6, 12))
     scene = mx.random_scene(n, 10.0, seed=draw(st.integers(0, 2 ** 16)))
+    plane = np.eye(2)
+    if tilted:
+        plane = tilt(3, seed=draw(st.integers(0, 2 ** 16)))[:, :2].T
+        scene = embedded(scene, plane.T)
 
     def grid(lo, hi):
         return sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=3, unique=True)))
@@ -439,25 +476,41 @@ def drawn_configs(draw):
     return {"scene": json.loads(mx.scene_to_json(scene)),
             "lambda_grid": grid(0.2, 3.0), "alpha_grid": grid(0.05, 1.5),
             "epsilons": [eps, eps * 10.0 ** draw(st.floats(1.0, 2.5))],
-            "starts": [[r * math.cos(a), r * math.sin(a)] for a, r in zip(ang, rad)],
+            "starts": [(np.array([r * math.cos(a), r * math.sin(a)]) @ plane).tolist()
+                       for a, r in zip(ang, rad)],
             "seed": draw(st.integers(0, 2 ** 16)), "t_count": 5, "sample_pairs": 20,
             "resolution": 0.25}
+
+
+def rerun(body, commands):
+    """Run each command twice on the config body; every output file must
+    match byte for byte.  Returns the first run's critfn report, if any."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(body, fh)
+        for command in commands:
+            a, b = (os.path.join(tmp, command, tag) for tag in "ab")
+            codes = [cli_main([command, "--config", cfg, "--out", out]) for out in (a, b)]
+            assert codes[0] == codes[1] and codes[0] in (0, 2), (command, codes)
+            names = sorted(os.listdir(a))
+            assert names and names == sorted(os.listdir(b)), command
+            for name in names:
+                assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
+                                   shallow=False), (command, name)
+        with open(os.path.join(tmp, "critfn", "a", "critfn_report.json")) as fh:
+            return json.load(fh)
 
 
 class TestDeterminism:
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(body=drawn_configs())
     def test_every_command_reruns_byte_identical(self, body):
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = os.path.join(tmp, "cfg.json")
-            with open(cfg, "w") as fh:
-                json.dump(body, fh)
-            for command in sorted(cli._COMMANDS):
-                a, b = (os.path.join(tmp, command, tag) for tag in "ab")
-                codes = [cli_main([command, "--config", cfg, "--out", out]) for out in (a, b)]
-                assert codes[0] == codes[1] and codes[0] in (0, 2), (command, codes)
-                names = sorted(os.listdir(a))
-                assert names and names == sorted(os.listdir(b)), command
-                for name in names:
-                    assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
-                                       shallow=False), (command, name)
+        rerun(body, sorted(cli._COMMANDS))
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(body=drawn_configs(tilted=True))
+    def test_tilted_scene_reruns_byte_identical(self, body):
+        """critfn on the exact lifted path (the sampler would flag
+        "r-max-sampled"), and flow."""
+        assert "r-max-sampled" not in rerun(body, ["critfn", "flow"])["flags"]

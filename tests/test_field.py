@@ -246,6 +246,18 @@ class TestCriticalFunction:
         assert prof.flags == ("r-max-sampled",)
         assert prof.r_max == 2.9
 
+    def test_sampler_matches_exact_chi_on_coplanar_wire(self):
+        """The sampler's d >= 3 march over the cocircular witness sets of a
+        small square wire in the plane z = 0 (four sites tie at its center,
+        at t = 1) reads within 1e-3 of the exact chi of the same scene."""
+        scene = _wire_scene()
+        t = np.array([0.3, 0.5, 0.7, 0.9, 1.0, 1.1])
+        exact = mx.exact_critical_function(scene, t)
+        sampled = mx.estimate_critical_function(scene, t, samples_per_level=400,
+                                                band_width=1e-4, seed=3, r_max=exact.r_max)
+        np.testing.assert_allclose(sampled.chi, exact.chi, rtol=0.0, atol=1e-3)
+        assert exact.chi[4] < 1e-7 and sampled.sample_count.tolist() == [400] * 6
+
     def test_planar_profile_is_pinned(self):
         scene, t_grid, r_max = _planar_with_r_max()
         prof = mx.estimate_critical_function(scene, t_grid, samples_per_level=300,
