@@ -3,8 +3,9 @@
 The CLI wraps the same experiment runners used elsewhere in these demos:
 a config file names a scene (inline or by path) plus parameters, and the
 subcommand decides which experiment to run and which report files to
-write.  The last run reads the critical function of a square wire in a
-tilted plane of R^3.  Everything below goes through subprocess so the output matches
+write.  A flow run follows the distance's gradient from a few starts, and
+the last run reads the critical function of a square wire in a tilted
+plane of R^3.  Everything below goes through subprocess so the output matches
 what a shell user would see, including the one-line JSON summary on
 stdout and the report files in --out.
 """
@@ -50,6 +51,22 @@ def main():
 
     for sub in ("axis", "sweep-lambda", "critfn"):
         run(sub, config_path, os.path.join(OUT, sub))
+
+    # The gradient flow of the distance from four starts on the same scene,
+    # stopped where F_alpha reaches lambda.  Every node of every start goes
+    # to one trajectories.csv, its start column indexing the report's rows.
+    flow = {
+        "scene": "scene.json",
+        "starts": [[0.0, 1.5], [0.3, 0.9], [-2.0, -3.0], [4.0, 0.5]],
+        "lambda_grid": [0.75],
+        "alpha_grid": [0.5],
+        "horizon": 20.0,
+    }
+    flow_path = os.path.join(OUT, "flow_config.json")
+    with open(flow_path, "w") as fh:
+        json.dump(flow, fh, indent=2)
+    print("\nflow config written to %s" % os.path.relpath(flow_path))
+    run("flow", flow_path, os.path.join(OUT, "flow"))
 
     # A square wire of 200 sites, side 2, in a tilted plane of R^3.  Its
     # sites span a plane through the origin, so critfn reads chi in closed

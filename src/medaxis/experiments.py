@@ -50,7 +50,7 @@ from .metrics import (
     hausdorff_distance,
     stability_constants,
 )
-from .svgout import profile_svg, scene_svg
+from .svgout import _elements, profile_svg, scene_svg
 
 __all__ = [
     "ExperimentConfig",
@@ -388,14 +388,18 @@ def run_critfn(config: ExperimentConfig) -> StabilityReport:
     return report
 
 
-def _trajectory_csv(traj) -> str:
-    cols = ["t", "s"] + ["x%d" % k for k in range(traj.points.shape[1])] + \
-        ["R", "F", "F_alpha", "grad_norm"]
-    lines = [",".join(cols)]
-    for k in range(len(traj)):
-        vals = [traj.times[k], traj.arc[k], *traj.points[k], traj.R[k],
-                traj.F[k], traj.F_alpha[k], traj.grad_norm[k]]
-        lines.append(",".join("%.17g" % v for v in vals))
+def _trajectories_csv(trajs) -> str:
+    """Every trajectory's nodes in one table, in start order; ``start`` is
+    the index into the starts and the report's rows.  Each trajectory is
+    filled by its own format: one format over all of them would hold a
+    string per value of every node at once."""
+    d = trajs[0].points.shape[1]
+    row = ",".join(["%.17g"] * (d + 6))
+    lines = [",".join(["start", "t", "s"] + ["x%d" % k for k in range(d)]
+                      + ["R", "F", "F_alpha", "grad_norm"])]
+    for k, tr in enumerate(trajs):
+        lines.append(_elements("%d,%s" % (k, row), np.column_stack(
+            [tr.times, tr.arc, tr.points, tr.R, tr.F, tr.F_alpha, tr.grad_norm])))
     return "\n".join(lines) + "\n"
 
 
@@ -432,8 +436,7 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
             report.add_assertion("certificate-%d" % k,
                                  cert.valid if applicable else True, applicable)
         report.rows.append(row)
-        _write(config.out_dir, "trajectory_%02d.csv" % k,
-               _trajectory_csv(traj), paths)
+    _write(config.out_dir, "trajectories.csv", _trajectories_csv(trajs), paths)
     _write(config.out_dir, "flow.svg",
            scene_svg(config.scene, trajectories=trajs), paths)
     _write(config.out_dir, "flow_report.json", report.to_json(), paths)

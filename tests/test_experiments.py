@@ -259,7 +259,52 @@ class TestRunFlow:
         assert report.passed
         names = [a["name"] for a in report.assertions]
         assert any(n.startswith("R-monotone") for n in names)
-        assert (tmp_path / "trajectory_00.csv").exists()
+        assert sorted(os.listdir(tmp_path)) == ["flow.svg", "flow_report.json",
+                                                "trajectories.csv"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trajectories_table_round_trips(self, tmp_path, monkeypatch, dim):
+        """trajectories.csv holds every node of every start, in start order,
+        and each "%.17g" value reads back as the Trajectory's float."""
+        if dim == 2:
+            cfg = ExperimentConfig(scene=two_site_scene(), lambda_grid=(0.75,),
+                                   alpha_grid=(0.5,), horizon=20.0,
+                                   starts=((0.0, 1.5), (0.3, 0.9), (-2.0, -3.0)),
+                                   out_dir=str(tmp_path))
+        else:
+            cfg = ExperimentConfig(scene=mx.random_scene(8, bounding_radius=5.0,
+                                                         seed=4, dim=3),
+                                   starts=((0.5, 0.2, -0.3), (-1.0, 1.0, 0.7)),
+                                   horizon=0.5, out_dir=str(tmp_path))
+        got = []
+        flows = experiments.integrate_flows
+
+        def recording(*args, **kwargs):
+            trajs = flows(*args, **kwargs)
+            got.extend(trajs)
+            return trajs
+
+        monkeypatch.setattr(experiments, "integrate_flows", recording)
+        report = run_flow(cfg)
+        lines = (tmp_path / "trajectories.csv").read_text().splitlines()
+        assert lines[0].split(",") == (["start", "t", "s"]
+                                       + ["x%d" % k for k in range(dim)]
+                                       + ["R", "F", "F_alpha", "grad_norm"])
+        rows = [line.split(",") for line in lines[1:]]
+        start = np.array([int(row[0]) for row in rows])
+        table = np.array([[float(v) for v in row[1:]] for row in rows])
+        assert (np.diff(start) >= 0).all()
+        assert np.bincount(start).tolist() == [row["nodes"] for row in report.rows]
+        want = np.concatenate([np.column_stack([tr.times, tr.arc, tr.points, tr.R,
+                                                tr.F, tr.F_alpha, tr.grad_norm])
+                               for tr in got])
+        assert table.shape == want.shape
+        fa = dim + 4
+        if dim == 3:
+            assert all(row[fa + 1] == "nan" for row in rows)
+            assert np.isnan(want[:, fa]).all()
+            table, want = np.delete(table, fa, 1), np.delete(want, fa, 1)
+        assert table.tobytes() == want.tobytes()
 
 
 class TestRunSweep:
@@ -412,16 +457,19 @@ class TestCli:
         with pytest.raises(TypeError, match="internal bug"):
             cli_main(["axis", "--config", cfg])
 
-    @pytest.mark.parametrize("run", ["axis", "sweep-lambda", "critfn", "critfn-wire"])
+    @pytest.mark.parametrize("run", ["axis", "sweep-lambda", "critfn", "flow",
+                                     "critfn-wire"])
     def test_reports_match_tracked_demo_output(self, tmp_path, run):
-        """Demo 07's runs: three commands on a two-site scene, and critfn on
+        """Demo 07's runs: four commands on a two-site scene, and critfn on
         a square wire in a tilted plane of R^3 (the exact lifted path)."""
         demo = os.path.join(os.path.dirname(__file__), os.pardir,
                             "demos", "out", "cli")
-        for name in ("config.json", "scene.json", "wire_config.json"):
+        for name in ("config.json", "scene.json", "flow_config.json",
+                     "wire_config.json"):
             shutil.copy(os.path.join(demo, name), tmp_path / name)
-        command, config = ("critfn", "wire_config.json") if run == "critfn-wire" else (
-            run, "config.json")
+        command, config = {"flow": ("flow", "flow_config.json"),
+                           "critfn-wire": ("critfn", "wire_config.json")}.get(
+                               run, (run, "config.json"))
         out = tmp_path / run
         assert cli_main([command, "--config", str(tmp_path / config),
                          "--out", str(out)]) == 0
