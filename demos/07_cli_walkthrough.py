@@ -4,8 +4,9 @@ The CLI wraps the same experiment runners used elsewhere in these demos:
 a config file names a scene (inline or by path) plus parameters, and the
 subcommand decides which experiment to run and which report files to
 write.  A flow run follows the distance's gradient from a few starts, and
-the last run reads the critical function of a square wire in a tilted
-plane of R^3.  Everything below goes through subprocess so the output matches
+the last two runs read the critical function in closed form: of a square
+wire in a tilted plane of R^3, and of a 10 x 10 lattice, whose ties are
+exact.  Everything below goes through subprocess so the output matches
 what a shell user would see, including the one-line JSON summary on
 stdout and the report files in --out.
 """
@@ -87,6 +88,22 @@ def main():
         json.dump(wire, fh)
     print("\nsquare wire config written to %s" % os.path.relpath(wire_path))
     run("critfn", wire_path, os.path.join(OUT, "critfn-wire"))
+
+    # A 10 x 10 lattice of spacing 1.5: many sites tie on its square
+    # centers and where its bisectors meet the wall, and chi is still read
+    # in closed form off the skeleton.
+    lattice = {
+        "scene": {"sites": [[1.5 * i - 6.75, 1.5 * j - 6.75]
+                            for i in range(10) for j in range(10)],
+                  "bounding_radius": 10.0},
+        "lambda_grid": [0.5],
+        "alpha_grid": [0.3],
+    }
+    lattice_path = os.path.join(OUT, "lattice_config.json")
+    with open(lattice_path, "w") as fh:
+        json.dump(lattice, fh)
+    print("\nlattice config written to %s" % os.path.relpath(lattice_path))
+    run("critfn", lattice_path, os.path.join(OUT, "critfn-lattice"))
 
 
 def run(sub, config_path, out_dir):

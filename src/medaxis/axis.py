@@ -37,7 +37,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .scene import InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms
+from .scene import (InvalidSceneError, OffsetDomainError, SiteScene, _dot, _row_norms, _seb_stack,
+                    _wall_points)
 from .field import (CriticalProfile, _check_levels, _f_alpha, _grad_norm, _row_chunks,
                     eval_field, eval_field_batch)
 
@@ -328,20 +329,48 @@ def _tops(skeleton: VoronoiSkeleton, lifted: bool) -> np.ndarray:
     return np.maximum(R, (r * r - _dot(v, v) + R * R) / (2.0 * r))
 
 
+def _frames(sites: np.ndarray):
+    """|p|, p_hat and p_perp (p_hat turned a quarter) of planar sites; (1, 0), (0, 1) for p = 0."""
+    d = _row_norms(sites)
+    along = np.divide(sites, d[:, None], out=np.tile([1.0, 0.0], (len(d), 1)),
+                      where=d[:, None] > 0.0)
+    return d, along, np.column_stack([-along[:, 1], along[:, 0]])
+
+
+def _cell_cut(skeleton: VoronoiSkeleton, a: np.ndarray, b: np.ndarray):
+    """The part [lo, hi] in p's cell (none where lo > hi) of each chord
+    a p_hat + beta p_perp, |beta| <= b, of the site p of its column (a, b:
+    (T, m), b NaN where there is none): the half-plane |x - p|^2 <= |x - q|^2
+    of each skeleton edge (p, q), as c beta <= e, cuts it.  These are enough:
+    a point nearer p than the wall, or as near, that leaves p's cell crosses
+    one of p's skeleton edges on the way from p (inside |x - p| + |x| < r)."""
+    sites = skeleton.scene.sites
+    d, along, perp = _frames(sites)
+    own, other = np.concatenate([skeleton.pairs, skeleton.pairs[:, ::-1]]).T
+    level, edge = np.nonzero(b[:, own] >= 0.0)  # where the chord of the edge's site exists
+    own, other = own[edge], other[edge]
+    g = sites[other] - sites[own]
+    c = 2.0 * _dot(perp[own], g)
+    e = _dot(sites[other], sites[other]) - d[own] ** 2 - 2.0 * a[level, own] * _dot(along[own], g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cut = e / c
+    lo, hi = -b, b.copy()
+    at = level * b.shape[1] + own
+    # where c = 0 the bisector is parallel to the chord: all of it or none
+    np.minimum.at(hi.ravel(), at, np.where(c > 0.0, cut, np.where((c == 0.0) & (e < 0.0),
+                                                                 -np.inf, np.inf)))
+    np.maximum.at(lo.ravel(), at, np.where(c < 0.0, cut, -np.inf))
+    return lo, hi
+
+
 def _r_max(skeleton: VoronoiSkeleton, tops: np.ndarray) -> float:
     """The largest R: a vertex feature's top, or a site/wall antipodal point
-    x = -(r - |p|)/2 * p_hat where no other site is closer."""
-    scene = skeleton.scene
-    r = scene.bounding_radius
-    norm = _row_norms(scene.sites)
-    cand = 0.5 * (r + norm)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        X = -scene.sites * (0.5 * (r - norm) / norm)[:, None]
-    X[norm == 0.0] = (-0.5 * r, 0.0)
-    valid = np.empty(len(X), bool)
-    for rows in _row_chunks(scene, len(X)):
-        valid[rows] = _nearest(scene, X[rows]).d_sites.min(axis=1) >= cand[rows] * (1.0 - 1e-12)
-    return max([0.0] + tops.tolist() + cand[valid].tolist())
+    x = -(r - |p|)/2 p_hat at R = (r + |p|)/2, where p's chord shrinks to
+    a point, if it lies in p's cell (``_cell_cut``)."""
+    r = skeleton.scene.bounding_radius
+    d = _row_norms(skeleton.scene.sites)
+    lo, hi = _cell_cut(skeleton, 0.5 * (d - r)[None], np.zeros((1, len(d))))
+    return max([0.0] + tops.tolist() + (0.5 * (r + d))[lo[0] <= hi[0]].tolist())
 
 
 def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> float:
@@ -358,48 +387,25 @@ def scene_r_max(scene: SiteScene, skeleton: VoronoiSkeleton | None = None) -> fl
 
 def _site_wall_points(skeleton: VoronoiSkeleton, t: np.ndarray, lifted: bool):
     """Points where level t meets the site/wall set |x| = r - t, |x - p| = t
-    of a site p.  Its projection is the chord y = a p_hat + b p_perp,
-    a = (r (r - 2t) + |p|^2) / (2 |p|), of the disc |y| <= r - t, with
-    |z|^2 = (r - t)^2 - |y|^2 off the plane.  In the plane (z = 0) the
-    chord is its two ends (one where they touch).  Lifted, it is cut to p's
-    cell by the bisectors of p's skeleton edges, and the middle of what is
-    left stands for it (the witness ball radius is constant along it).
-    Returns plane coordinates (N, 2), |z| (N,), level indices, and (p, p)
-    as the sites (N, 2) that must witness each point.  A site at the
-    origin, whose a is not finite, meets the wall only at t = r/2, which is
-    above every level since R <= r/2 in such a scene."""
-    sites = skeleton.scene.sites
+    of a site p: on the chord y = a p_hat + b p_perp, a = (r (r - 2t) +
+    |p|^2) / (2 |p|), of the disc |y| <= r - t, |z|^2 = (r - t)^2 - |y|^2
+    off the plane, cut to p's cell (``_cell_cut``).  In the plane (z = 0)
+    its ends (one where they touch) are kept where the cut leaves them;
+    lifted, the cut's middle stands for it (the witness ball radius is
+    constant along it).  Returns plane coordinates (N, 2), |z| (N,), level
+    indices and the sites (N, 1).  A site at the origin (a not finite) meets
+    the wall only at t = r/2, above every level: R <= r/2 in such a scene."""
     r = skeleton.scene.bounding_radius
-    d = _row_norms(sites)
+    d, along, perp = _frames(skeleton.scene.sites)
     with np.errstate(invalid="ignore", divide="ignore"):
         a = (r * (r - 2.0 * t[:, None]) + d * d) / (2.0 * d)
-        b_hi = np.sqrt((r - t[:, None]) ** 2 - a * a)
-        along, perp = sites / d[:, None], np.column_stack([-sites[:, 1], sites[:, 0]]) / d[:, None]
-    if lifted:
-        b_lo = -b_hi
-        own, other = np.concatenate([skeleton.pairs, skeleton.pairs[:, ::-1]]).T
-        # the bisector half-plane |x - p|^2 <= |x - q|^2 as c b <= e
-        g = sites[other] - sites[own]
-        c = 2.0 * _dot(perp[own], g)
-        e = _dot(sites[other], sites[other]) - d[own] ** 2 - 2.0 * a[:, own] * _dot(along[own], g)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cut = e / c
-        # where c = 0 the bisector is parallel to the chord: all of it or none
-        np.minimum.at(b_hi.T, own, np.where(c > 0.0, cut, np.where((c == 0.0) & (e < 0.0),
-                                                                   -np.inf, np.inf)).T)
-        np.maximum.at(b_lo.T, own, np.where(c < 0.0, cut, -np.inf).T)
-        level, k = np.nonzero(b_lo <= b_hi)
-        a, b = a[level, k], 0.5 * (b_lo[level, k] + b_hi[level, k])
-        zeta = np.sqrt(np.maximum(0.0, (r - t[level]) ** 2 - a * a - b * b))
-    else:
-        level, k = np.nonzero(b_hi >= 0.0)
-        a, b = a[level, k], b_hi[level, k]
-        two = b > 0.0
-        level, k = np.concatenate([level, level[two]]), np.concatenate([k, k[two]])
-        a, b = np.concatenate([a, a[two]]), np.concatenate([b, -b[two]])
-        zeta = np.zeros(len(a))
-    return (a[:, None] * along[k] + b[:, None] * perp[k], zeta, level,
-            np.column_stack([k, k]))
+        b = np.sqrt((r - t[:, None]) ** 2 - a * a)
+    lo, hi = _cell_cut(skeleton, a, b)
+    b = 0.5 * (lo + hi)[None] if lifted else np.stack([b, np.where(b > 0.0, -b, np.nan)])
+    end, level, k = np.nonzero((lo <= b) & (b <= hi))
+    a, b = a[level, k], b[end, level, k]
+    zeta = np.sqrt(np.maximum(0.0, (r - t[level]) ** 2 - a * a - b * b)) if lifted else 0.0 * a
+    return a[:, None] * along[k] + b[:, None] * perp[k], zeta, level, k[:, None]
 
 
 def _wall_pair_points(skeleton: VoronoiSkeleton, t: np.ndarray):
@@ -446,13 +452,13 @@ def exact_critical_function(scene: SiteScene, t_grid,
       (``_tops``: R_v itself in the plane), widened at each end by the
       scene's tie band, tie_tolerance times the end, since a vertex R is
       rounded;
-    - a site/wall point of site p, where |x| = r - t meets |x - p| = t
-      (``_site_wall_points``);
+    - a site/wall point of site p in p's cell, where |x| = r - t meets
+      |x - p| = t (``_site_wall_points``);
     - lifted only, a point where an edge meets the wall
       (``_wall_pair_points``).
 
-    The points are kept where the tie band marks their sites and the wall,
-    with F their witness ball radius as ``eval_field`` reads it.  A level
+    A point's F is the radius of the ball of its known witnesses, its sites
+    and then its wall point, stacked as ``eval_field`` stacks them.  A level
     that meets none has chi = 1.  ``sample_count`` counts the features met
     per level and ``band_width`` is 0.  ``reach_summary`` reads wfs and
     r_mu off either profile as first crossings on its level grid, so a
@@ -466,28 +472,23 @@ def exact_critical_function(scene: SiteScene, t_grid,
     r_max = _r_max(skeleton, tops)
     t = _check_levels(t_grid, r_max)
     found = [_site_wall_points(skeleton, t, lifted)]
-    if lifted:
-        found.append(_wall_pair_points(skeleton, t))
-    y, zeta, level, need = (np.concatenate(parts) for parts in zip(*found))
-    X = y[:, :1] * basis[0] + y[:, 1:] * basis[1] + zeta[:, None] * basis[2] if lifted else y
-    F, kept = np.empty(len(X)), np.empty(len(X), bool)
-    for rows in _row_chunks(scene, len(X)):
-        near = _nearest(scene, X[rows])
-        mask = near.cut()
-        at = np.arange(len(mask))
-        kept[rows] = mask[at, need[rows, 0]] & mask[at, need[rows, 1]] & mask[:, -1]
-        F[rows] = near.balls(mask)[1]
+    found += [_wall_pair_points(skeleton, t)] if lifted else []
+    F = []
+    for y, zeta, _, ids in found:
+        X = y[:, :1] * basis[0] + y[:, 1:] * basis[1] + zeta[:, None] * basis[2] if lifted else y
+        wall = _wall_points(scene, X, _row_norms(X))
+        F.append(_seb_stack(np.concatenate([scene.sites[ids], wall[:, None]], axis=1))[1])
+    level, F = np.concatenate([part[2] for part in found]), np.concatenate(F)
     # every feature as an R-range [lo, hi] with its F: edges, vertices
-    # widened by the tie band, and the kept points, each on its own level
+    # widened by the tie band, and the points, each on its own level
     h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
     s_near = np.maximum(0.0, np.maximum(s0, -s1))
     s_far = np.maximum(-s0, s1)
     edge_hi = tops[skeleton.edges].max(axis=1) if lifted else np.sqrt(h * h + s_far * s_far)
     tie = scene.tie_tolerance
-    lo = np.concatenate([np.sqrt(h * h + s_near * s_near), skeleton.R * (1.0 - tie),
-                         t[level[kept]]])
-    hi = np.concatenate([edge_hi, tops * (1.0 + tie), t[level[kept]]])
-    weight = np.concatenate([h, skeleton.F, F[kept]])
+    lo = np.concatenate([np.sqrt(h * h + s_near * s_near), skeleton.R * (1.0 - tie), t[level]])
+    hi = np.concatenate([edge_hi, tops * (1.0 + tie), t[level]])
+    weight = np.concatenate([h, skeleton.F, F])
     H, counts = np.zeros(len(t)), np.zeros(len(t), int)
     for rows in _row_chunks(scene, len(t)):
         met = (lo <= t[rows, None]) & (t[rows, None] <= hi)

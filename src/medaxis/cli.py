@@ -7,6 +7,9 @@ assertion fails, 3 on bad input (missing file, malformed config, bad scene,
 invalid parameter).  A KeyError or TypeError counts as bad input only while
 the config loads; raised by an experiment, it is a program error and
 propagates with its traceback.
+
+A run writes only its own files into ``--out`` and removes none, and the
+``files`` of ``axis_report.json`` lists this run's files only.
 """
 
 from __future__ import annotations

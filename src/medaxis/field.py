@@ -80,22 +80,18 @@ def _offset_rescale(R, F, alpha):
     return _f_alpha(R, F, alpha)
 
 
-def eval_field(scene: SiteScene, x, alpha: float | None = None,
-               witness_band: float | None = None) -> FieldSample:
+def eval_field(scene: SiteScene, x, alpha: float | None = None) -> FieldSample:
     """Evaluate the distance field at one point: ``eval_field_batch``'s
     path on one row, with the witness labels (site indices, then -1 for
-    the wall) and points read off the row's witness mask.
-
-    ``witness_band`` widens the witness band to an absolute length (the
-    default is the scene's relative tie band); integrators use a band at
-    their step scale so that sheet contact is observable.
+    the wall) and points read off the row's witness mask, whose band is
+    the scene's relative tie band.
     """
     x = np.asarray(x, float)
     if x.shape != (scene.dim,):
         raise DomainError("query point has wrong dimension")
     near = _nearest(scene, x[None])
     near.check()
-    cols = near.cut(witness_band).nonzero()[1]
+    cols = near.cut().nonzero()[1]
     theta = near.witnesses(np.zeros(1, int), cols[None])
     centers, F = _seb_stack(theta)  # ``near.balls`` of the row
     R, f_val = float(near.R[0]), float(F[0])
@@ -110,8 +106,7 @@ def r_batch(scene: SiteScene, X) -> np.ndarray:
     return _nearest(scene, np.atleast_2d(np.asarray(X, float))).R
 
 
-def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
-                     witness_band: float | None = None):
+def eval_field_batch(scene: SiteScene, X, alpha: float | None = None):
     """Vectorized field evaluation; returns dict of arrays.
 
     Row for row equal to ``eval_field``: the witness balls of rows with the
@@ -120,7 +115,7 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None,
     X = np.atleast_2d(np.asarray(X, float))
     near = _nearest(scene, X)
     near.check()
-    mask = near.cut(witness_band)
+    mask = near.cut()
     centers, F = near.balls(mask)
     out = {"R": near.R, "F": F, "grad": (X - centers) / near.R[:, None],
            "witness_count": mask.sum(axis=1)}

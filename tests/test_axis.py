@@ -15,6 +15,11 @@ from test_scene import _wire_scene
 
 import medaxis as mx
 import medaxis.axis as axis_mod
+import medaxis.field as field_mod
+import medaxis.flow as flow_mod
+import medaxis.scene as scene_mod
+from medaxis.field import _grad_norm
+from medaxis.scene import _nearest, _row_norms, _seb_stack
 
 
 def two_site_scene():
@@ -773,6 +778,76 @@ _EXACT_SCENES.update({"random-%d" % seed: lambda seed=seed: mx.random_scene(8 + 
 _EXACT_SCENES["seed-26"] = lambda: mx.random_scene(14, 6.0, min_separation=1.0, seed=26)
 
 
+def cell_rule_points(scene, skeleton, t):
+    """The site/wall points of the exact path (and lifted, its wall-pair
+    points) as it enumerates them: points (N, d), level indices and the
+    sites (N, k) that witness each with the wall."""
+    basis = None if scene.dim == 2 else axis_mod._plane_basis(scene)
+    found = [axis_mod._site_wall_points(skeleton, t, basis is not None)]
+    if basis is not None:
+        found.append(axis_mod._wall_pair_points(skeleton, t))
+    return [(y if basis is None else
+             y[:, :1] * basis[0] + y[:, 1:] * basis[1] + zeta[:, None] * basis[2], level, ids)
+            for y, zeta, level, ids in found]
+
+
+def kernel_check(scene, skeleton, t):
+    """The exact path's former check of its points by the distance kernel,
+    kept as an oracle for the cell rule.  The candidates are every end of
+    every site/wall chord in the plane, and the cell rule's points lifted.
+    A candidate is kept where the scene's tie band marks its sites and the
+    wall, with F its kernel witness ball radius, and chi is read off the
+    kept points and the skeleton's edges and vertices.  Returns the kept
+    points as sorted (level, coordinates..., F) rows, chi and the counts."""
+    lifted = scene.dim > 2
+    if lifted:
+        found = cell_rule_points(scene, skeleton, t)
+    else:
+        r, sites = scene.bounding_radius, scene.sites
+        d = _row_norms(sites)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = (r * (r - 2.0 * t[:, None]) + d * d) / (2.0 * d)
+            b = np.sqrt((r - t[:, None]) ** 2 - a * a)
+            along = sites / d[:, None]
+            perp = np.column_stack([-sites[:, 1], sites[:, 0]]) / d[:, None]
+        level, k = np.nonzero(b >= 0.0)
+        b = b[level, k]
+        two = b > 0.0  # both ends, or the one where they touch
+        level, k = np.concatenate([level, level[two]]), np.concatenate([k, k[two]])
+        b = np.concatenate([b, -b[two]])
+        found = [(a[level, k, None] * along[k] + b[:, None] * perp[k], level, k[:, None])]
+    rows, lo, weight = [], [], []
+    for X, level, ids in found:
+        near = _nearest(scene, X)
+        mask = near.cut()
+        kept = mask[np.arange(len(X))[:, None], ids].all(axis=1) & mask[:, -1]
+        F = near.balls(mask)[1]
+        rows += [(i,) + tuple(x) + (f,) for i, x, f in zip(level[kept].tolist(),
+                                                           X[kept].tolist(), F[kept].tolist())]
+        lo.append(t[level[kept]])
+        weight.append(F[kept])
+    tops = axis_mod._tops(skeleton, lifted)
+    h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
+    s_near = np.maximum(0.0, np.maximum(s0, -s1))
+    s_far = np.maximum(-s0, s1)
+    edge_hi = tops[skeleton.edges].max(axis=1) if lifted else np.sqrt(h * h + s_far * s_far)
+    tie = scene.tie_tolerance
+    hi = np.concatenate([edge_hi, tops * (1.0 + tie)] + lo)
+    lo = np.concatenate([np.sqrt(h * h + s_near * s_near), skeleton.R * (1.0 - tie)] + lo)
+    weight = np.concatenate([h, skeleton.F] + weight)
+    met = (lo <= t[:, None]) & (t[:, None] <= hi)
+    H = np.where(met, weight, 0.0).max(axis=1, initial=0.0)
+    return sorted(rows), _grad_norm(H, t), met.sum(axis=1)
+
+
+# the exact scenes in the plane, and tilted into R^3 (but for the row
+# through the origin, which the exact path rejects there), and 150 sites
+_KERNEL_SCENES = dict(_EXACT_SCENES, **{
+    "random-150": lambda: mx.random_scene(150, 10.0, seed=1, min_separation=0.1)})
+_KERNEL_CASES = [(name, dim) for name in sorted(_KERNEL_SCENES) for dim in (2, 3)
+                 if (name, dim) != ("diagonal-3", 3)]
+
+
 class TestExactCriticalFunction:
     @pytest.mark.parametrize("name", sorted(_EXACT_SCENES))
     def test_matches_level_point_oracle(self, name):
@@ -791,6 +866,58 @@ class TestExactCriticalFunction:
         again = mx.exact_critical_function(scene, t)
         assert again.chi.tobytes() == prof.chi.tobytes()
         assert again.sample_count.tolist() == prof.sample_count.tolist()
+
+    @pytest.mark.parametrize("name, dim", _KERNEL_CASES)
+    def test_cell_rule_matches_kernel_oracle(self, monkeypatch, name, dim):
+        """On a level grid the cell rule keeps the points the distance
+        kernel's tie band kept, with their F bit for bit, and chi and the
+        counts keep their bits.  At the R of a (site, site, wall) vertex a
+        chord end is that vertex, which the vertex row already counts (the
+        kernel kept it with the third site's F): chi moves there within
+        1e-12 in squares."""
+        planar = _KERNEL_SCENES[name]()
+        scene = planar if dim == 2 else embedded(planar, tilt(3, seed=3))
+        sk = axis_mod._in_plane(scene, None)[1]
+        r_max = mx.scene_r_max(scene, sk)
+        grid = np.linspace(0.02 * r_max, 0.99 * r_max, 15)
+        wall_R = sk.R[np.unique(sk.edges[sk.bound < 0])]
+        t = np.unique(np.concatenate([grid, wall_R[wall_R < r_max]]))
+        radii = []
+
+        def seb_stack(P):  # records the F of each point the exact path keeps
+            centers, F = _seb_stack(P)
+            radii.append(F)
+            return centers, F
+
+        monkeypatch.setattr(axis_mod, "_seb_stack", seb_stack)
+        prof = mx.exact_critical_function(scene, t, sk)
+        on = np.isin(t, grid)
+        got = [(i,) + tuple(x) + (f,) for (X, level, _), F in zip(
+            cell_rule_points(scene, sk, t), radii)
+            for i, x, f in zip(level.tolist(), X.tolist(), F.tolist())]
+        rows, chi, counts = kernel_check(scene, sk, t)
+        assert [row for row in sorted(got) if on[row[0]]] == [row for row in rows if on[row[0]]]
+        assert prof.chi[on].tobytes() == chi[on].tobytes()
+        assert prof.sample_count[on].tolist() == counts[on].tolist()
+        np.testing.assert_allclose(prof.chi ** 2, chi ** 2, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reads_no_distance_kernel(self, monkeypatch, dim):
+        """With the skeleton built, chi and r_max come from it alone: every
+        binding of the distance kernel raises."""
+        planar = mx.random_scene(12, 10.0, seed=4)
+        scene = planar if dim == 2 else embedded(planar, tilt(3, seed=3))
+        sk = axis_mod._in_plane(scene, None)[1]
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the exact path called the distance kernel")
+
+        for module in (scene_mod, field_mod, flow_mod):
+            monkeypatch.setattr(module, "_nearest", kernel)
+        monkeypatch.setattr(axis_mod, "_nearest", kernel, raising=False)
+        r_max = mx.scene_r_max(scene, sk)
+        prof = mx.exact_critical_function(scene, np.linspace(0.02, 0.99, 25) * r_max, sk)
+        assert prof.sample_count.sum() > 0 and prof.chi.min() < 1.0
 
     @pytest.mark.parametrize("name, misses", [
         ("pinned", [5]), ("seed-26", [4]), ("random-10", [2])])

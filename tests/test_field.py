@@ -140,20 +140,19 @@ class TestBatchEvaluation:
         near = _nearest(scene, X)
         wall = _wall_points(scene, X, near.norm)
         wall_rows = 0
-        for band in (None, 0.05):
-            out = mx.eval_field_batch(scene, X, alpha=alpha, witness_band=band)
-            mask = near.cut(band)
-            for k, x in enumerate(X):
-                s = mx.eval_field(scene, x, alpha=alpha, witness_band=band)
-                assert out["R"][k] == s.R
-                assert out["F"][k] == s.F
-                assert out["F_alpha"][k] == s.F_alpha
-                assert np.array_equal(out["grad"][k], s.grad)
-                assert out["witness_count"][k] == len(s.witness_ids)
-                theta = [lattice[j] for j in mask[k, :-1].nonzero()[0]]
-                theta += [wall[k]] * bool(mask[k, -1])
-                assert np.array(s.theta).tobytes() == np.array(theta).tobytes()
-                wall_rows += s.witness_ids == (-1,)
+        out = mx.eval_field_batch(scene, X, alpha=alpha)
+        mask = near.cut()
+        for k, x in enumerate(X):
+            s = mx.eval_field(scene, x, alpha=alpha)
+            assert out["R"][k] == s.R
+            assert out["F"][k] == s.F
+            assert out["F_alpha"][k] == s.F_alpha
+            assert np.array_equal(out["grad"][k], s.grad)
+            assert out["witness_count"][k] == len(s.witness_ids)
+            theta = [lattice[j] for j in mask[k, :-1].nonzero()[0]]
+            theta += [wall[k]] * bool(mask[k, -1])
+            assert np.array(s.theta).tobytes() == np.array(theta).tobytes()
+            wall_rows += s.witness_ids == (-1,)
         assert wall_rows >= 30
         ties = [mx.eval_field(scene, x).witness_ids for x in X[:4]]
         assert all(len(ids) == 4 for ids in ties)
