@@ -4,9 +4,10 @@ The CLI wraps the same experiment runners used elsewhere in these demos:
 a config file names a scene (inline or by path) plus parameters, and the
 subcommand decides which experiment to run and which report files to
 write.  A flow run follows the distance's gradient from a few starts, and
-the last two runs read the critical function in closed form: of a square
+the next two runs read the critical function in closed form: of a square
 wire in a tilted plane of R^3, and of a 10 x 10 lattice, whose ties are
-exact.  Everything below goes through subprocess so the output matches
+exact.  The last run filters that lattice's axis where exact ties decide
+which vertices stay.  Everything below goes through subprocess so the output matches
 what a shell user would see, including the one-line JSON summary on
 stdout and the report files in --out.
 """
@@ -104,6 +105,17 @@ def main():
         json.dump(lattice, fh)
     print("\nlattice config written to %s" % os.path.relpath(lattice_path))
     run("critfn", lattice_path, os.path.join(OUT, "critfn-lattice"))
+
+    # The same lattice's axis at lambda 0.75, its half gap, and 1.0, where
+    # no edge stays: each vertex stays or goes on its own R and F, which
+    # exact ties decide, four sites at a square's center and two sites and
+    # the wall at the rim.
+    lattice.update(lambda_grid=[0.75, 1.0], alpha_grid=[0.3])
+    axis_lattice_path = os.path.join(OUT, "axis_lattice_config.json")
+    with open(axis_lattice_path, "w") as fh:
+        json.dump(lattice, fh)
+    print("\nlattice axis config written to %s" % os.path.relpath(axis_lattice_path))
+    run("axis", axis_lattice_path, os.path.join(OUT, "axis-lattice"))
 
 
 def run(sub, config_path, out_dir):

@@ -37,10 +37,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .scene import (InvalidSceneError, OffsetDomainError, SiteScene, _dot, _row_norms, _seb_stack,
-                    _wall_points)
-from .field import (CriticalProfile, _check_levels, _f_alpha, _grad_norm, _row_chunks,
-                    eval_field, eval_field_batch)
+from .scene import (InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms,
+                    _seb_stack, _wall_points)
+from .field import CriticalProfile, _check_levels, _check_real, _f_alpha, _grad_norm, eval_field
 
 __all__ = [
     "VoronoiSkeleton",
@@ -246,23 +245,44 @@ def _endpoint_vertices(points: np.ndarray, tol: float):
     return points[np.unique(label, return_index=True)[1]], label
 
 
+def _vertex_sites(n: int, m: int, ids: np.ndarray, pairs: np.ndarray,
+                  bound: np.ndarray) -> np.ndarray:
+    """Table (n, k) of each vertex's known witness sites, ascending and
+    padded with the row's last: the sites of the edges that end at it and
+    those edges' bounding sites at that end (``ids`` (2E,) is each end's
+    vertex, of m sites).  A Voronoi vertex's nearest sites are those of its
+    Delaunay triangles (the empty-circle property), and a wall-clipped
+    end's are its edge's pair."""
+    sites = np.column_stack([np.repeat(pairs, 2, axis=0), bound.ravel()])
+    keys = np.unique((ids[:, None] * m + sites)[sites >= 0])
+    row, site = keys // m, keys % m
+    counts = np.bincount(row, minlength=n)
+    first = np.cumsum(counts) - counts
+    table = np.repeat(site[first + counts - 1][:, None], counts.max(initial=1), axis=1)
+    table[row, np.arange(len(keys)) - first[row]] = site
+    return table
+
+
 def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
     """Medial skeleton of the scene: Voronoi edges between sites, wall-clipped.
 
     Every edge is a site/site bisector interval; the wall only clips it
     (wall as clipping locus), for every site count.  Site/wall ties carry
     no edge, so a single-site scene has an empty skeleton, flagged
-    ``empty-skeleton``.
+    ``empty-skeleton``.  Each vertex's R and F are the kernel's, within the
+    scene's tie band, from its own witnesses (``_vertex_sites``) and the
+    wall alone, with the same bits as a query of every site.
     """
     if scene.dim != 2:
         raise InvalidSceneError("skeleton construction is planar (d = 2)")
     pairs, mid, u, h, s, bound = _pair_edges(scene, *_delaunay_edges(scene))
     ends = (mid[:, None] + s[:, :, None] * u[:, None]).reshape(-1, 2)
     vertices, ids = _endpoint_vertices(ends, 1e-9 * scene.bounding_radius)
-    R, F = np.empty(len(vertices)), np.empty(len(vertices))
-    for rows in _row_chunks(scene, len(vertices)):
-        got = eval_field_batch(scene, vertices[rows])
-        R[rows], F[rows] = got["R"], got["F"]
+    cand = _vertex_sites(len(vertices), len(scene.sites), ids, pairs, bound)
+    near = _nearest(scene, vertices, cand)
+    mask = near.cut()
+    mask[:, 1:-1] &= cand[:, 1:] != cand[:, :-1]  # the padding repeats a site
+    R, F = near.R, near.balls(mask)[1]
     return VoronoiSkeleton(scene=scene, vertices=vertices, R=R, F=F, edges=ids.reshape(-1, 2),
                            pairs=pairs, h=h, mid=mid, u=u, s=s, bound=bound,
                            flags=() if len(pairs) else ("empty-skeleton",))
@@ -426,6 +446,19 @@ def _wall_pair_points(skeleton: VoronoiSkeleton, t: np.ndarray):
     return m[e] + s[:, None] * u[e], zeta, level, skeleton.pairs[e]
 
 
+# Sites times levels per chunk of the critical function's feature masks.
+_CHUNK_DISTANCES = 1 << 15
+
+
+def _row_chunks(scene: SiteScene, n: int) -> list:
+    """Slices of n levels, each of at most ``_CHUNK_DISTANCES`` // m levels
+    of an m-site scene (and at least one): a planar skeleton has about
+    three edges and two vertices per site, so a chunk's level x feature
+    masks stay near 5 ``_CHUNK_DISTANCES`` cells, whatever the grid."""
+    step = max(1, _CHUNK_DISTANCES // len(scene.sites))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
 def exact_critical_function(scene: SiteScene, t_grid,
                             skeleton: VoronoiSkeleton | None = None) -> CriticalProfile:
     """The critical function in closed form, read off the skeleton of a
@@ -538,10 +571,8 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     point (edge, s rounded to 12 places); surviving skeleton vertices on no
     segment follow as isolated points.
     """
-    if not lam > 0.0:
-        raise InvalidSceneError("lambda must be positive")
-    if not alpha >= 0.0:
-        raise InvalidSceneError("alpha must be nonnegative")
+    _check_real("lam", lam)
+    _check_real("alpha", alpha, positive=False)
     n_v = len(skeleton.vertices)
     h, s0, s1 = skeleton.h, skeleton.s[:, 0], skeleton.s[:, 1]
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -16,9 +16,8 @@ the local ascent direction, and taking an ordered minimum of the
 band-widened gradient norm; a planar scene, and one whose sites span a
 plane through the origin, has it in closed form
 (``axis.exact_critical_function``), which the experiments use for both.
-The seeds march one level at a time.  Each march step queries every site;
-the bisection of a bracketed seed queries every site once, then only those
-that can be nearest anywhere in its bracket, with the same R bit for bit.
+The seeds march one level at a time, and every march step and every
+halving of a bracketed seed's bisection queries every site.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .scene import (
     OffsetDomainError,
     SiteScene,
     _nearest,
-    _row_norms,
     _seb_stack,
 )
 
@@ -72,9 +70,7 @@ def _f_alpha(R, F, alpha):
 
 def _offset_rescale(R, F, alpha):
     """F_alpha, defined only outside the alpha-offset."""
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise InvalidSceneError("alpha must be nonnegative")
+    _check_real("alpha", alpha, positive=False)
     if np.any(R <= alpha):
         raise OffsetDomainError("point lies within offset distance alpha of the scene")
     return _f_alpha(R, F, alpha)
@@ -126,21 +122,10 @@ def eval_field_batch(scene: SiteScene, X, alpha: float | None = None):
 
 # --- critical function -------------------------------------------------
 
-# Site distances per query chunk (256 KiB of float64).
-_CHUNK_DISTANCES = 1 << 15
 # March iterations before a level's unbracketed seeds give up.
 _MARCH_ITERS = 200
 # chi below this reads as zero: the weak feature size is its first crossing.
 _CHI_ZERO = 0.05
-
-
-def _row_chunks(scene: SiteScene, n: int) -> list:
-    """Slices of n query rows, each holding at most ``_CHUNK_DISTANCES``
-    site distances (and at least one row): larger chunks raised the peak
-    memory of a 2000-site axis run by 7 MiB (freed blocks stay in the
-    heap)."""
-    step = max(1, _CHUNK_DISTANCES // len(scene.sites))
-    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -188,13 +173,8 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float):
     Every step is row-wise, so a seed's result does not depend on which
     seeds march with it.  Each march iteration makes one kernel query: the
     trial query's R, wall distance and nearest witness of the seeds that
-    stay active are their current values in the next iteration.  These
-    queries and the final check write their site distances into one
-    seeds x sites buffer, so that no freed distance matrix of the march is
-    left in the heap to raise the peak memory.  The first halving of the
-    brackets queries every site, in row chunks, and keeps each seed's
-    candidate sites (``_bracket_candidates``); later halvings measure only
-    those, which gives the same R bit for bit.  Returns the kept points,
+    stay active are their current values in the next iteration.  Each
+    halving of the brackets makes one more.  Returns the kept points,
     which satisfy |R - t| <= band: bracketed seeds, bisected down to
     rounding, in seed order, then stalled seeds that already sit in the
     band, in seed order; and the largest R of the seeds (0 when there are
@@ -206,11 +186,9 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float):
     bracketed = np.zeros(len(X), bool)
     idx = np.arange(len(X))
     cur = X
-    buf = np.empty((len(X), len(scene.sites)))
-    near = _nearest(scene, cur, out=buf)
+    near = _nearest(scene, cur)
     r_here, d_wall, foot = near.R, near.d_wall, near.nearest_points()
     r_seeds = float(r_here.max(initial=0.0))
-    del near
     for _ in range(_MARCH_ITERS):
         if idx.size == 0:
             break
@@ -220,7 +198,7 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float):
         # never step through the wall
         step = np.minimum(step, 0.5 * d_wall)
         trial = cur + np.sign(gap)[:, None] * step[:, None] * u
-        near = _nearest(scene, trial, out=buf[:len(trial)])
+        near = _nearest(scene, trial)
         crossed = (r_here - t) * (near.R - t) <= 0.0
         sel = idx[crossed]
         above = (r_here[crossed] - t > 0.0)[:, None]
@@ -231,53 +209,25 @@ def _march_to_level(scene: SiteScene, X: np.ndarray, t: float, band: float):
         idx, cur = idx[stay], trial[stay]
         r_here, d_wall = near.R[stay], near.d_wall[stay]
         foot = near.nearest_points()[stay]
-        del near
     rows = np.nonzero(bracketed)[0]
     a, b = lo[rows], hi[rows]
     # A row whose (a, b) an iteration leaves bitwise unchanged would repeat
     # that iteration forever, so it leaves the bisection early.
     live = np.arange(len(rows))
-    for halving in range(60):
+    for _ in range(60):
         if live.size == 0:
             break
         mid = 0.5 * (a[live] + b[live])
-        if halving == 0:
-            R, cand = _bracket_candidates(scene, mid, _row_norms(b - a))
-        else:
-            R = _nearest(scene, mid, cand[live], out=buf[:len(mid)]).R
-        neg = (R - t) < 0.0
+        neg = (_nearest(scene, mid).R - t) < 0.0
         old = np.where(neg[:, None], a[live], b[live])
         moved = (old.view(np.int64) != mid.view(np.int64)).any(axis=1)
         a[live[neg]] = mid[neg]
         b[live[~neg]] = mid[~neg]
         live = live[moved]
     pts = np.vstack([0.5 * (a + b), cur[np.abs(r_here - t) <= band]])
-    near = _nearest(scene, pts, out=buf[:len(pts)])
+    near = _nearest(scene, pts)
     keep = (near.norm < r_bound * (1.0 - 1e-15)) & (np.abs(near.R - t) <= band)
     return pts[keep], r_seeds
-
-
-def _bracket_candidates(scene: SiteScene, mid: np.ndarray, width: np.ndarray):
-    """R at the midpoints of brackets of lengths ``width``, and each row's
-    candidate sites: those within (Rs + 2 width)(1 + 1e-9) of its midpoint,
-    Rs the nearest site distance there.
-
-    Every later midpoint y of a bracket lies in the box spanned by its ends,
-    so |y - mid| <= width, and a site nearest to y is within
-    Rs + 2 |y - mid| of mid (two triangle inequalities).  The factor
-    covers rounding.  The rows are queried in chunks, and each chunk's
-    table is padded to the widest one by repeating its last column.
-    """
-    R = np.empty(len(mid))
-    tables = []
-    for rows in _row_chunks(scene, len(mid)):
-        near = _nearest(scene, mid[rows])
-        R[rows] = near.R
-        reach = (near.d_sites.min(axis=1) + 2.0 * width[rows]) * (1.0 + 1e-9)
-        tables.append(near.candidates(reach))
-    k = max(table.shape[1] for table in tables)
-    return R, np.vstack([np.pad(table, ((0, 0), (0, k - table.shape[1])), mode="edge")
-                         for table in tables])
 
 
 def _grad_norm(F, R):
@@ -443,10 +393,11 @@ def reach_summary(profile: CriticalProfile, mu: float, alpha: float, lam: float,
     """
     if not (0.0 < mu <= 1.0):
         raise InvalidSceneError("mu must lie in (0, 1]")
-    if alpha < 0.0 or lam <= 0.0:
-        raise InvalidSceneError("need alpha >= 0 and lambda > 0")
+    _check_real("alpha", alpha, positive=False)
+    _check_real("lam", lam)
     if window_alpha is None:
         window_alpha = alpha
+    _check_real("window_alpha", window_alpha, positive=False)
     flags = list(profile.flags)
     t_grid = profile.t_grid
     chi = profile.chi

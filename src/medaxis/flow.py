@@ -100,7 +100,7 @@ def _probe(scene: SiteScene, X: np.ndarray, band: float,
     cut does not flicker in and out between nodes."""
     near = _nearest(scene, X)
     wide = near.cut(band, keep)
-    return _Probe(*near[1:], wide, wide.sum(axis=1))
+    return _Probe(near.X, near.norm, near.d_sites, near.d_wall, near.R, wide, wide.sum(axis=1))
 
 
 def _with_balls(scene: SiteScene, probe: _Probe) -> _Probe:

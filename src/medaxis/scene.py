@@ -240,9 +240,10 @@ class _Nearest(NamedTuple):
     scene: SiteScene
     X: np.ndarray        # (n, d) query rows
     norm: np.ndarray     # (n,) |x|
-    d_sites: np.ndarray  # (n, m) site distances, or (n, k) to candidates
+    d_sites: np.ndarray  # (n, m) site distances, or (n, k) to ``cand``'s sites
     d_wall: np.ndarray   # (n,) wall distances r - |x|
     R: np.ndarray        # (n,) distance to the scene set
+    cand: np.ndarray | None = None  # (n, k) site of each column, None: column j is site j
 
     def check(self) -> None:
         """Raise DomainError unless every row lies in the open domain."""
@@ -255,7 +256,7 @@ class _Nearest(NamedTuple):
 
     def cut(self, band: float | None = None, keep: np.ndarray | None = None) -> np.ndarray:
         """Witness mask (n, m + 1) of the witnesses within a cut: column j < m
-        is site j and column m the wall.
+        is ``d_sites``' column j and column m the wall.
 
         The cut is the scene's relative tie band when ``band`` is None and
         the absolute band R + ``band`` (``band`` >= 0) otherwise.  ``keep``,
@@ -281,25 +282,13 @@ class _Nearest(NamedTuple):
         np.less_equal(self.d_wall, bound[:, -1], out=mask[:, -1])
         return mask
 
-    def candidates(self, reach: np.ndarray) -> np.ndarray:
-        """Table (n, k) of each row's sites within ``reach`` (n,) of it, in
-        ascending order, padded with the row's first one; k is the largest
-        count.  Every reach must be at least the row's nearest site
-        distance, so that no row is empty."""
-        within = self.d_sites <= reach[:, None]
-        counts = within.sum(axis=1)
-        rows, cols = within.nonzero()
-        first = np.cumsum(counts) - counts
-        table = np.repeat(cols[first][:, None], counts.max(), axis=1)
-        table[rows, np.arange(len(cols)) - first[rows]] = cols
-        return table
-
     def nearest_points(self) -> np.ndarray:
         """Each row's nearest witness: a site, which wins a distance tie
         with the wall, or else the row's wall projection."""
+        rows = np.arange(len(self.R))
         j = self.d_sites.argmin(axis=1)
-        pts = self.scene.sites[j]
-        on_wall = self.d_wall < self.d_sites[np.arange(len(j)), j]
+        pts = self.scene.sites[j if self.cand is None else self.cand[rows, j]]
+        on_wall = self.d_wall < self.d_sites[rows, j]
         pts[on_wall] = _wall_points(self.scene, self.X[on_wall], self.norm[on_wall])
         return pts
 
@@ -326,8 +315,9 @@ class _Nearest(NamedTuple):
         """The witness stack (len(rows), k, d) of ``rows`` whose witness
         mask columns are ``cols`` (len(rows), k), ascending: sites, then
         the row's wall projection where its last column is the wall's."""
-        m = len(self.scene.sites)
-        pts = self.scene.sites[np.minimum(cols, m - 1)]
+        m = self.d_sites.shape[1]
+        ids = np.minimum(cols, m - 1)
+        pts = self.scene.sites[ids if self.cand is None else self.cand[rows[:, None], ids]]
         wall = (cols[:, -1] == m).nonzero()[0]
         if wall.size:
             pts[wall, -1] = _wall_points(self.scene, self.X[rows[wall]],
@@ -335,22 +325,21 @@ class _Nearest(NamedTuple):
         return pts
 
 
-def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None,
-             out: np.ndarray | None = None) -> _Nearest:
+def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None) -> _Nearest:
     """The distance kernel: distances from the rows of a 2-d array to the
     scene set.
 
     Every site and wall distance of a query point is computed here, so one
     point gets the same R and witnesses whichever path asks for it.  Site
     distances are ``cdist``'s and |x| is ``_row_norms``'.  A table ``cand``
-    (n, k) of site indices (``_Nearest.candidates``) restricts each row to
-    its own sites: ``d_sites`` then holds those k distances, which equal
-    ``cdist``'s bit for bit.  Without ``cand``, a C-contiguous (n, m) array
-    ``out`` receives the site distances.  Rows are not checked against the
-    domain; see ``_Nearest.check``.
+    (n, k) of site indices, ascending along each row, restricts each row to
+    its own sites, such as a skeleton vertex's known witnesses:
+    ``d_sites`` then holds those k distances, which equal ``cdist``'s bit
+    for bit.  Rows are not checked against the domain; see
+    ``_Nearest.check``.
     """
     if cand is None:
-        d_sites = cdist(X, scene.sites, out=out)
+        d_sites = cdist(X, scene.sites)
     else:  # squares summed coordinate by coordinate, as cdist does
         diff = X[:, None] - scene.sites[cand]
         d_sites = diff[..., 0] * diff[..., 0]
@@ -360,7 +349,7 @@ def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None,
     norm = _row_norms(X)
     d_wall = scene.bounding_radius - norm
     R = d_sites.min(axis=1)
-    return _Nearest(scene, X, norm, d_sites, d_wall, np.minimum(R, d_wall, out=R))
+    return _Nearest(scene, X, norm, d_sites, d_wall, np.minimum(R, d_wall, out=R), cand)
 
 
 # --- JSON round trip (17 significant digits: exact float round trip) ---

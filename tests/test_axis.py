@@ -489,6 +489,86 @@ class TestSkeleton:
         assert hashlib.sha256(sk.R.tobytes() + sk.F.tobytes()).hexdigest() == digest
 
 
+def assert_vertex_field_is_kernels(scene, sample=None, chunk=500):
+    """The skeleton's vertex R and F equal ``eval_field_batch``'s, which
+    measures every site, bit for bit: at every vertex, or at a fixed
+    ``sample`` of them."""
+    sk = mx.build_skeleton(scene)
+    rows = np.arange(len(sk.vertices))
+    if sample is not None:
+        rows = np.random.default_rng(0).choice(rows, sample, replace=False)
+    for k in range(0, len(rows), chunk):
+        at = rows[k:k + chunk]
+        got = mx.eval_field_batch(scene, sk.vertices[at])
+        assert sk.R[at].tobytes() == got["R"].tobytes()
+        assert sk.F[at].tobytes() == got["F"].tobytes()
+
+
+class TestVertexWitnesses:
+    """Each vertex's R and F come from its own witnesses: the sites of the
+    edges that end at it, their bounding sites there, and the wall."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_SCENES))
+    def test_equals_kernel_on_oracle_scenes(self, name):
+        assert_vertex_field_is_kernels(
+            mx.SiteScene(sites=_ORACLE_SCENES[name](), bounding_radius=10.0))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(kind=_AXIS_DRAWS["kind"], size=_AXIS_DRAWS["size"], seed=_AXIS_DRAWS["seed"])
+    def test_equals_kernel_on_adversarial_draws(self, kind, size, seed):
+        assert_vertex_field_is_kernels(adversarial_scene(kind, size, seed))
+
+    def test_equals_kernel_on_nearly_collinear_rows(self, monkeypatch):
+        """Rows lifted off their line by 1e-15 to 1e-6: some take Qhull's
+        joggled retriangulation, some the sorted-line path."""
+        paths = []
+        delaunay, line_edges = axis_mod.Delaunay, axis_mod._line_edges
+
+        def joggled(sites, qhull_options=None):
+            paths.append(qhull_options)
+            return delaunay(sites, qhull_options=qhull_options)
+
+        def line(sites):
+            paths.append("line")
+            return line_edges(sites)
+
+        monkeypatch.setattr(axis_mod, "Delaunay", joggled)
+        monkeypatch.setattr(axis_mod, "_line_edges", line)
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            k = int(rng.integers(3, 9))
+            direction = rng.normal(size=2)
+            t = np.linspace(-4.0, 4.0, k)[:, None] * direction / np.linalg.norm(direction)
+            noise = 10.0 ** rng.uniform(-15.0, -6.0)
+            sites = t + rng.uniform(-1.0, 1.0, size=2) + noise * rng.standard_normal((k, 2))
+            assert_vertex_field_is_kernels(mx.SiteScene(sites=sites, bounding_radius=10.0))
+        assert "QJ" in paths and "line" in paths
+
+    def test_equals_kernel_on_a_lattice_in_a_far_wall(self):
+        # every inner vertex is a four-way tie of a square
+        assert_vertex_field_is_kernels(mx.SiteScene(sites=lattice(41), bounding_radius=4000.0))
+
+    def test_equals_kernel_on_20000_jittered_sites(self):
+        rng = np.random.default_rng(3)
+        g = np.arange(142) - 70.5
+        sites = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        sites += rng.uniform(-0.3, 0.3, size=sites.shape)
+        assert_vertex_field_is_kernels(mx.SiteScene(sites=sites, bounding_radius=110.0),
+                                       sample=500, chunk=50)
+
+    def test_build_measures_no_site_but_the_vertex_witnesses(self, monkeypatch):
+        """No all-sites kernel pass: ``cdist``, which measures every site,
+        raises, and the build still runs."""
+        def cdist_all(*args, **kwargs):
+            raise AssertionError("the build measured every site")
+
+        monkeypatch.setattr(scene_mod, "cdist", cdist_all)
+        for scene in (mx.random_scene(40, 8.0), two_site_scene(),
+                      mx.SiteScene(sites=lattice(4), bounding_radius=10.0)):
+            sk = mx.build_skeleton(scene)
+            assert len(sk.vertices) and (sk.R > 0.0).all() and (sk.F > 0.0).all()
+
+
 class TestFilteredAxis:
     def test_survivor_interval_closed_form(self):
         sk = mx.build_skeleton(two_site_scene())
@@ -550,10 +630,12 @@ class TestFilteredAxis:
         with pytest.raises(mx.InvalidSceneError):
             mx.filter_axis(sk, 0.0, 0.5)
 
-    @pytest.mark.parametrize("lam, alpha", [(math.nan, 0.5), (0.5, math.nan)])
+    @pytest.mark.parametrize("lam, alpha", [(math.nan, 0.5), (0.5, math.nan),
+                                            (math.inf, 0.5), (0.5, math.inf)])
     def test_nan_parameters_rejected(self, lam, alpha):
+        """NaN, and inf too, which would empty the axis."""
         sk = mx.build_skeleton(two_site_scene())
-        with pytest.raises(mx.InvalidSceneError):
+        with pytest.raises(mx.InvalidSceneError, match="finite"):
             mx.filter_axis(sk, lam, alpha)
 
     def test_alpha_monotonicity_nested(self):
@@ -866,6 +948,29 @@ class TestExactCriticalFunction:
         again = mx.exact_critical_function(scene, t)
         assert again.chi.tobytes() == prof.chi.tobytes()
         assert again.sample_count.tolist() == prof.sample_count.tolist()
+
+    @pytest.mark.parametrize("case", ["planar-r-max", "lattice", "3d"])
+    @pytest.mark.parametrize("cap", [1, 2500, 1 << 40])
+    def test_chunk_cap_keeps_chi_bytes(self, case, cap, monkeypatch):
+        """``cap`` sites x levels per chunk of the feature masks: one level
+        per chunk, two to four chunks, or every level in one chunk (as by
+        default)."""
+        if case == "lattice":
+            scene = mx.SiteScene(sites=lattice(10), bounding_radius=10.0)
+        else:
+            scene = mx.random_scene(40, 8.0)
+            scene = embedded(scene, tilt(3, seed=2)) if case == "3d" else scene
+        t = np.linspace(0.02, 0.99, 80) * mx.scene_r_max(scene)
+
+        def run():
+            return mx.exact_critical_function(scene, t)
+
+        ref = run()
+        monkeypatch.setattr(axis_mod, "_CHUNK_DISTANCES", cap)
+        got = run()
+        assert got.chi.tobytes() == ref.chi.tobytes()
+        assert got.sample_count.tolist() == ref.sample_count.tolist()
+        assert ref.chi.min() < 1.0
 
     @pytest.mark.parametrize("name, dim", _KERNEL_CASES)
     def test_cell_rule_matches_kernel_oracle(self, monkeypatch, name, dim):

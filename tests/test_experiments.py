@@ -458,19 +458,21 @@ class TestCli:
             cli_main(["axis", "--config", cfg])
 
     @pytest.mark.parametrize("run", ["axis", "sweep-lambda", "critfn", "flow",
-                                     "critfn-wire", "critfn-lattice"])
+                                     "critfn-wire", "critfn-lattice", "axis-lattice"])
     def test_reports_match_tracked_demo_output(self, tmp_path, run):
-        """Demo 07's runs: four commands on a two-site scene, and critfn on
-        a square wire in a tilted plane of R^3 (the exact lifted path) and
-        on a 10 x 10 lattice (the exact planar path, with exact ties)."""
+        """Demo 07's runs: four commands on a two-site scene, critfn on a
+        square wire in a tilted plane of R^3 (the exact lifted path) and on
+        a 10 x 10 lattice (the exact planar path, with exact ties), and that
+        lattice's axis, whose vertices exact ties keep or drop."""
         demo = os.path.join(os.path.dirname(__file__), os.pardir,
                             "demos", "out", "cli")
         for name in ("config.json", "scene.json", "flow_config.json",
-                     "wire_config.json", "lattice_config.json"):
+                     "wire_config.json", "lattice_config.json", "axis_lattice_config.json"):
             shutil.copy(os.path.join(demo, name), tmp_path / name)
         command, config = {"flow": ("flow", "flow_config.json"),
                            "critfn-wire": ("critfn", "wire_config.json"),
-                           "critfn-lattice": ("critfn", "lattice_config.json")}.get(
+                           "critfn-lattice": ("critfn", "lattice_config.json"),
+                           "axis-lattice": ("axis", "axis_lattice_config.json")}.get(
                                run, (run, "config.json"))
         out = tmp_path / run
         assert cli_main([command, "--config", str(tmp_path / config),

@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 from test_scene import _wire_scene
 
 import medaxis as mx
 from medaxis import field
-from medaxis.scene import _nearest, _row_norms, _wall_points
+from medaxis.scene import _nearest, _wall_points
 
 
 def two_site_scene():
@@ -75,6 +74,14 @@ class TestEvalField:
         # the same point is fine without an offset
         s = mx.eval_field(scene, [0.55, 0.0])
         assert abs(s.R - 0.45) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+    def test_bad_alpha_rejected(self, alpha):
+        scene = two_site_scene()
+        with pytest.raises(mx.InvalidSceneError, match="alpha"):
+            mx.eval_field(scene, [0.0, 2.0], alpha=alpha)
+        with pytest.raises(mx.InvalidSceneError, match="alpha"):
+            mx.eval_field_batch(scene, [[0.0, 2.0]], alpha=alpha)
 
     def test_gradient_norm_identity_pointwise(self):
         scene = mx.random_scene(9, bounding_radius=8.0, seed=21)
@@ -276,36 +283,8 @@ def _planar_with_r_max():
 
 
 class TestBatchedMarch:
-    """The seeds of a level march as one batch, and the bisection's full
-    query runs in row chunks; neither schedule may change any result."""
-
-    @pytest.mark.parametrize("case", ["planar-r-max", "empty-band", "3d"])
-    @pytest.mark.parametrize("cap", [1, 2500, 1 << 40])
-    def test_batch_schedule_does_not_change_results(self, case, cap,
-                                                     monkeypatch):
-        """``cap`` site distances per row chunk: one row per chunk, 200 to
-        500 rows (the default's chunk holds every row of a level), or all
-        of them in one chunk."""
-        if case == "planar-r-max":
-            scene, t_grid, r_max = _planar_with_r_max()
-        elif case == "empty-band":
-            scene, t_grid, r_max = (mx.random_scene(5, 5.0, seed=1),
-                                    np.array([0.1, 1.0, 4.9]), None)
-        else:
-            scene, t_grid, r_max = (mx.random_scene(6, 5.0, seed=2, dim=3),
-                                    np.linspace(0.3, 3.0, 4), None)
-
-        def run():
-            return mx.estimate_critical_function(scene, t_grid, samples_per_level=1000,
-                                                 seed=6, r_max=r_max)
-
-        ref = run()
-        monkeypatch.setattr(field, "_CHUNK_DISTANCES", cap)
-        got = run()
-        assert got.chi.tobytes() == ref.chi.tobytes()
-        assert got.sample_count.tolist() == ref.sample_count.tolist()
-        assert got.flags == ref.flags
-        assert got.r_max == ref.r_max
+    """The seeds of a level march as one batch, which may not change any
+    seed's result."""
 
     def test_rows_march_independently(self):
         scene, _, _ = _planar_with_r_max()
@@ -325,12 +304,12 @@ class TestBatchedMarch:
             assert rows(pts) == rows(np.vstack(alone))
 
 
-# --- the full-scan oracle: every halving queries every site ---------------
+# --- the full-scan oracle: every step and halving queries every site ------
 
 def oracle_march(scene, X, t, band, max_iters=200):
-    """``field._march_to_level`` with a full kernel query at every halving.
-    Returns the kept points and the ends (lo, hi) of every bracketed
-    seed's bracket, in seed order."""
+    """``field._march_to_level``, written out with a full kernel query at
+    every march step and halving.  Returns the kept points and the ends
+    (lo, hi) of every bracketed seed's bracket, in seed order."""
     r_bound = scene.bounding_radius
     lo = np.empty_like(X)
     hi = np.empty_like(X)
@@ -410,29 +389,12 @@ def _march_case(case):
 
 
 class TestCandidateBisection:
-    """Later halvings measure each seed's candidate sites only; every kept
-    point must equal the full-scan oracle's bit for bit."""
+    """Every kept point of the march and its bisection must equal the
+    full-scan oracle's bit for bit."""
 
-    @pytest.mark.parametrize("setting", ["default", "candidates", "small-chunks"])
     @pytest.mark.parametrize("case", ["wire-3d", "planar-r-max", "lattice",
                                       "two-site", "switch"])
-    def test_equals_full_scan_oracle(self, case, setting, monkeypatch):
-        """``candidates`` widens every table to all sites, so the result may
-        depend on a table only through the sites it holds; ``small-chunks``
-        queries the first halving in chunks of 62 // m rows, some of one."""
-        if setting == "small-chunks":
-            monkeypatch.setattr(field, "_CHUNK_DISTANCES", 62)
-        tables = []
-        bracket_candidates = field._bracket_candidates
-
-        def spy(scene, mid, width):
-            R, cand = bracket_candidates(scene, mid, width)
-            if setting == "candidates":
-                cand = np.tile(np.arange(len(scene.sites)), (len(mid), 1))
-            tables.append(cand)
-            return R, cand
-
-        monkeypatch.setattr(field, "_bracket_candidates", spy)
+    def test_equals_full_scan_oracle(self, case):
         scene, band, levels = _march_case(case)
         marched = []
         for X, t in levels:
@@ -445,41 +407,9 @@ class TestCandidateBisection:
                 assert np.count_nonzero(ends[0] != ends[1]) > 0.5 * len(X)
         pts = np.vstack(marched)
         assert len(pts) > 0.5 * sum(len(X) for X, _ in levels)
-        assert len(tables) == len(levels)
-        if case == "wire-3d" and setting != "candidates":
-            assert max(cand.shape[1] for cand in tables) < len(scene.sites)
         if case == "lattice":  # bisected onto the four-way ties
             R = mx.r_batch(scene, pts)
             assert np.any(np.abs(R - math.sqrt(0.5)) < 1e-12)
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(kind=st.sampled_from(["random-2d", "random-3d", "lattice", "wire-3d"]),
-           seed=st.integers(0, 2 ** 16), log_width=st.floats(-9.0, 0.5))
-    def test_candidates_hold_every_nearest_site(self, kind, seed, log_width):
-        rng = np.random.default_rng(seed)
-        if kind == "lattice":
-            scene = _lattice_scene()
-            # near the cells' centers, where four sites tie
-            a = rng.integers(-1, 1, size=(40, 2)) + 0.5 + rng.normal(size=(40, 2)) * 1e-3
-        elif kind == "wire-3d":
-            scene = _wire_scene()
-            a = rng.uniform(-1.2, 1.2, size=(40, 3))
-        else:
-            dim = 2 if kind == "random-2d" else 3
-            scene = mx.random_scene(int(rng.integers(1, 30)), 5.0, seed=seed, dim=dim)
-            a = rng.uniform(-3.0, 3.0, size=(40, dim))
-        step = rng.normal(size=a.shape)
-        b = a + 10.0 ** log_width * step / np.linalg.norm(step, axis=1, keepdims=True)
-        mid = 0.5 * (a + b)
-        R, cand = field._bracket_candidates(scene, mid, _row_norms(b - a))
-        assert R.tobytes() == _nearest(scene, mid).R.tobytes()
-        # points on each bracket and in the box its ends span
-        for y in [a, b, a + rng.uniform(size=(40, 1)) * (b - a),
-                  a + rng.uniform(size=a.shape) * (b - a)]:
-            d = cdist(y, scene.sites)
-            for i, row in enumerate(d):
-                assert set(np.flatnonzero(row == row.min())) <= set(cand[i])
-            assert np.all(_nearest(scene, y, cand).d_sites.min(axis=1) == d.min(axis=1))
 
 
 def synthetic_profile():
@@ -493,6 +423,14 @@ def synthetic_profile():
 
 
 class TestReachSummary:
+    @pytest.mark.parametrize("alpha, lam, window", [
+        (math.nan, 0.5, None), (math.inf, 0.5, None), (0.25, math.nan, None),
+        (0.25, math.inf, None), (0.25, 0.5, math.nan), (0.25, 0.5, math.inf)])
+    def test_non_finite_parameters_rejected(self, alpha, lam, window):
+        with pytest.raises(mx.InvalidSceneError, match="finite"):
+            mx.reach_summary(synthetic_profile(), mu=0.5, alpha=alpha, lam=lam,
+                             window_alpha=window)
+
     def test_crossings_interpolate(self):
         prof = synthetic_profile()
         summary = mx.reach_summary(prof, mu=0.5, alpha=0.25, lam=0.5)

@@ -454,21 +454,25 @@ class TestNearestBalls:
 class TestCandidateTable:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_candidate_distances_equal_cdist_bits(self, dim):
+        """Any ascending table: its distances are cdist's, and the sites a
+        row names are read through it."""
         rng = np.random.default_rng(dim)
         scene = mx.random_scene(50, 10.0, seed=dim, dim=dim)
         X = rng.uniform(-7.0, 7.0, size=(20000, dim))
-        cand = rng.integers(0, 50, size=(len(X), 6))
+        cand = np.sort(rng.integers(0, 50, size=(len(X), 6)), axis=1)
         full = _nearest(scene, X)
         near = _nearest(scene, X, cand)
         assert near.d_sites.tobytes() == np.take_along_axis(full.d_sites, cand, 1).tobytes()
         assert near.d_wall.tobytes() == full.d_wall.tobytes()
-
-    def test_table_rows_are_padded_with_their_first_site(self):
-        scene = mx.SiteScene(sites=[[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]],
-                             bounding_radius=5.0)
-        near = _nearest(scene, np.array([[0.4, 0.0], [2.5, 0.0], [1.5, 0.0]]))
-        table = near.candidates(np.array([0.7, 0.6, 2.0]))
-        assert table.tolist() == [[0, 1, 0], [2, 2, 2], [0, 1, 2]]
+        rows = np.arange(len(X))
+        nearest = cand[rows, near.d_sites.argmin(axis=1)]
+        on_wall = near.d_wall < near.d_sites.min(axis=1)
+        want = np.where(on_wall[:, None], wall_points(scene, X), scene.sites[nearest])
+        assert near.nearest_points().tobytes() == want.tobytes()
+        cols = np.tile([1, 4, 6], (len(X), 1))
+        want = np.concatenate([scene.sites[cand[:, [1, 4]]], wall_points(scene, X)[:, None]],
+                              axis=1)
+        assert near.witnesses(rows, cols).tobytes() == want.tobytes()
 
 
 class TestWallWitness:
