@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -245,22 +246,31 @@ def _endpoint_vertices(points: np.ndarray, tol: float):
     return points[np.unique(label, return_index=True)[1]], label
 
 
-def _vertex_sites(n: int, m: int, ids: np.ndarray, pairs: np.ndarray,
-                  bound: np.ndarray) -> np.ndarray:
-    """Table (n, k) of each vertex's known witness sites, ascending and
-    padded with the row's last: the sites of the edges that end at it and
-    those edges' bounding sites at that end (``ids`` (2E,) is each end's
-    vertex, of m sites).  A Voronoi vertex's nearest sites are those of its
-    Delaunay triangles (the empty-circle property), and a wall-clipped
-    end's are its edge's pair."""
-    sites = np.column_stack([np.repeat(pairs, 2, axis=0), bound.ravel()])
-    keys = np.unique((ids[:, None] * m + sites)[sites >= 0])
-    row, site = keys // m, keys % m
-    counts = np.bincount(row, minlength=n)
+def _vertex_field(scene: SiteScene, vertices: np.ndarray, rho: np.ndarray):
+    """R and F (n,) of the vertices, of which ``rho`` (n,) are distances to
+    a site each, as the kernel gives them from every site within its cut.
+
+    R <= rho, so the cut R (1 + tie) lies within rho (1 + tie): the KD-tree
+    ball of that radius, a hair wider for the tree's rounding, holds every
+    site in the cut and the nearest one.  Each row is measured against its
+    ball's sites, ascending and padded with the last to a power of two (at
+    least 4), one group per width: the usual 2 to 4 sites take one group,
+    and memory stays within twice the balls' total size."""
+    reach = rho * ((1.0 + scene.tie_tolerance) * (1.0 + 1e-12))
+    found = cKDTree(scene.sites).query_ball_point(vertices, reach, return_sorted=True)
+    counts = np.fromiter(map(len, found), np.intp, len(found))
+    sites = np.fromiter(chain.from_iterable(found), np.intp, counts.sum())
     first = np.cumsum(counts) - counts
-    table = np.repeat(site[first + counts - 1][:, None], counts.max(initial=1), axis=1)
-    table[row, np.arange(len(keys)) - first[row]] = site
-    return table
+    width = (2.0 ** np.ceil(np.log2(np.maximum(counts, 4)))).astype(np.intp)
+    R, F = np.empty(len(vertices)), np.empty(len(vertices))
+    for k in np.unique(width).tolist():
+        rows = np.flatnonzero(width == k)
+        cand = sites[first[rows, None] + np.minimum(np.arange(k), counts[rows, None] - 1)]
+        near = _nearest(scene, vertices[rows], cand)
+        mask = near.cut()
+        mask[:, 1:-1] &= cand[:, 1:] != cand[:, :-1]  # the padding repeats a site
+        R[rows], F[rows] = near.R, near.balls(mask)[1]
+    return R, F
 
 
 def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
@@ -270,19 +280,17 @@ def build_skeleton(scene: SiteScene) -> VoronoiSkeleton:
     (wall as clipping locus), for every site count.  Site/wall ties carry
     no edge, so a single-site scene has an empty skeleton, flagged
     ``empty-skeleton``.  Each vertex's R and F are the kernel's, within the
-    scene's tie band, from its own witnesses (``_vertex_sites``) and the
-    wall alone, with the same bits as a query of every site.
+    scene's tie band, from the sites near it (``_vertex_field``) and the
+    wall, with the same bits as a query of every site.
     """
     if scene.dim != 2:
         raise InvalidSceneError("skeleton construction is planar (d = 2)")
     pairs, mid, u, h, s, bound = _pair_edges(scene, *_delaunay_edges(scene))
     ends = (mid[:, None] + s[:, :, None] * u[:, None]).reshape(-1, 2)
     vertices, ids = _endpoint_vertices(ends, 1e-9 * scene.bounding_radius)
-    cand = _vertex_sites(len(vertices), len(scene.sites), ids, pairs, bound)
-    near = _nearest(scene, vertices, cand)
-    mask = near.cut()
-    mask[:, 1:-1] &= cand[:, 1:] != cand[:, :-1]  # the padding repeats a site
-    R, F = near.R, near.balls(mask)[1]
+    # each vertex's distance to a site of the edge of its first end
+    site = pairs[np.unique(ids, return_index=True)[1] // 2, 0]
+    R, F = _vertex_field(scene, vertices, _row_norms(vertices - scene.sites[site]))
     return VoronoiSkeleton(scene=scene, vertices=vertices, R=R, F=F, edges=ids.reshape(-1, 2),
                            pairs=pairs, h=h, mid=mid, u=u, s=s, bound=bound,
                            flags=() if len(pairs) else ("empty-skeleton",))

@@ -333,7 +333,7 @@ def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None) ->
     point gets the same R and witnesses whichever path asks for it.  Site
     distances are ``cdist``'s and |x| is ``_row_norms``'.  A table ``cand``
     (n, k) of site indices, ascending along each row, restricts each row to
-    its own sites, such as a skeleton vertex's known witnesses:
+    its own sites, such as those near a skeleton vertex:
     ``d_sites`` then holds those k distances, which equal ``cdist``'s bit
     for bit.  Rows are not checked against the domain; see
     ``_Nearest.check``.

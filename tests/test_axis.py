@@ -504,9 +504,29 @@ def assert_vertex_field_is_kernels(scene, sample=None, chunk=500):
         assert sk.F[at].tobytes() == got["F"].tobytes()
 
 
+# Vertices whose cut holds sites off their Delaunay triangles: in a tie band
+# of 1e-3, (0, -1.0005) is a witness at (0, 0) though outside the circle of
+# its triangle, and so are a jittered lattice's fourth sites, in and out of
+# the band; every site is a witness at a regular polygon's center.
+_WIDE_BALL_SCENES = {
+    "tie-band-4": lambda: mx.SiteScene(
+        sites=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0005]],
+        bounding_radius=10.0, tie_tolerance=1e-3),
+    "tie-band-lattice": lambda: mx.SiteScene(
+        sites=lattice(10, spacing=1.0) + np.random.default_rng(4).uniform(-3e-4, 3e-4, (100, 2)),
+        bounding_radius=10.0, tie_tolerance=1e-3),
+    "600-gon": lambda: mx.SiteScene(sites=polygon(600, radius=7.0), bounding_radius=10.0),
+    "600-gon-center": lambda: mx.SiteScene(sites=polygon(600, radius=7.0, center=True),
+                                           bounding_radius=10.0),
+    "600-gon-lattice": lambda: mx.SiteScene(
+        sites=np.vstack([polygon(600, radius=7.0), lattice(4, spacing=0.8) + [0.1, 0.2]]),
+        bounding_radius=10.0),
+}
+
+
 class TestVertexWitnesses:
-    """Each vertex's R and F come from its own witnesses: the sites of the
-    edges that end at it, their bounding sites there, and the wall."""
+    """Each vertex's R and F come from the sites near it, within a bound on
+    the kernel's cut, and the wall."""
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_SCENES))
     def test_equals_kernel_on_oracle_scenes(self, name):
@@ -555,6 +575,10 @@ class TestVertexWitnesses:
         sites += rng.uniform(-0.3, 0.3, size=sites.shape)
         assert_vertex_field_is_kernels(mx.SiteScene(sites=sites, bounding_radius=110.0),
                                        sample=500, chunk=50)
+
+    @pytest.mark.parametrize("name", sorted(_WIDE_BALL_SCENES))
+    def test_equals_kernel_where_the_cut_leaves_the_triangles(self, name):
+        assert_vertex_field_is_kernels(_WIDE_BALL_SCENES[name]())
 
     def test_build_measures_no_site_but_the_vertex_witnesses(self, monkeypatch):
         """No all-sites kernel pass: ``cdist``, which measures every site,
