@@ -271,9 +271,7 @@ def _resolve_mu(config: ExperimentConfig, profile: CriticalProfile,
 
 
 def _connected(axis: FilteredAxis) -> bool:
-    if axis.is_empty:
-        return False
-    return len(set(int(c) for c in axis.component_ids)) == 1
+    return not axis.is_empty and np.unique(axis.component_ids).size == 1
 
 
 def _jitter(scene: SiteScene, eps: float, rng) -> SiteScene:
@@ -313,7 +311,7 @@ def run_axis(config: ExperimentConfig) -> StabilityReport:
     paths = []
     for lam, alpha in points:
         axis = filter_axis(skeleton, lam, alpha)
-        n_comp = len(set(int(c) for c in axis.component_ids))
+        n_comp = np.unique(axis.component_ids).size
         row = {
             "lambda": lam,
             "alpha": alpha,

@@ -8,12 +8,12 @@ distance between two axis points is an offset to an end of each point's
 segment plus a shortest path between axis vertices, taken from one all-pairs
 table over the vertices.
 
-Gromov-Hausdorff distances are never computed exactly (that would be a
-global optimization); instead the relation of all sample pairs within a
-given radius is formed, its surjectivity verified, and its metric
-distortion (a single float) estimated from pairs of related samples.  This
-mirrors how the stability bounds are proved: one explicit relation
-witnesses the bound.
+Gromov-Hausdorff distances are never computed exactly (a global
+optimization); the relation of all sample pairs within a given radius is
+formed, its surjectivity verified, and its metric distortion (one float)
+estimated from related pairs, a draw taking the j-th related sample in the
+KD-tree's order, read from the tree's ``indices`` when its ball holds every
+sample.  As in the proofs, one explicit relation witnesses the bound.
 """
 
 from __future__ import annotations
@@ -90,19 +90,19 @@ def _project(points: np.ndarray, axis: FilteredAxis):
     """Nearest axis point to each query point: its distance, its piece (an
     index into ``_pieces``) and its parameter t in [0, 1] along the piece."""
     ends, _ = _pieces(axis)
-    a = axis.vertices[ends[:, 0]]
-    ab = axis.vertices[ends[:, 1]] - a
-    ab2 = np.einsum("ij,ij->i", ab, ab)
+    ax, ay = axis.vertices[ends[:, 0]].T
+    abx, aby = (axis.vertices[ends[:, 1]] - axis.vertices[ends[:, 0]]).T
+    ab2 = abx * abx + aby * aby
     safe = np.where(ab2 > 0.0, ab2, 1.0)
     dist = np.empty(len(points))
     piece = np.empty(len(points), int)
     param = np.empty(len(points))
     for lo in range(0, len(points), _PROJECT_CHUNK):
         hi = lo + _PROJECT_CHUNK
-        ap = points[lo:hi, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("ijk,jk->ij", ap, ab) / safe, 0.0, 1.0)
-        diff = ap - t[:, :, None] * ab[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        px, py = points[lo:hi, :1] - ax, points[lo:hi, 1:] - ay
+        t = np.clip((px * abx + py * aby) / safe, 0.0, 1.0)
+        dx, dy = px - t * abx, py - t * aby
+        d = np.sqrt(dx * dx + dy * dy)
         k = d.argmin(axis=1)
         rows = np.arange(len(k))
         dist[lo:hi] = d[rows, k]
@@ -246,7 +246,9 @@ def gh_distortion(graph_a: GeodesicGraph, graph_b: GeodesicGraph, radius: float,
     surjective both ways, raising SurjectivityError naming uncovered points
     otherwise.  When the relation holds at most sqrt(sample_pairs) pairs,
     every 4-tuple of two related pairs is examined; otherwise sample_pairs
-    4-tuples are drawn, each related pair picked uniformly.
+    4-tuples are drawn, each related pair (a, b) picked uniformly: b is the
+    j-th hit of a's ball in the KD-tree's order, read from ``tree_b.indices``
+    when the ball holds every sample.
     """
     sa = _axis_samples(graph_a.axis, resolution)
     sb = _axis_samples(graph_b.axis, resolution)
@@ -277,10 +279,10 @@ def gh_distortion(graph_a: GeodesicGraph, graph_b: GeodesicGraph, radius: float,
         rng = np.random.default_rng(seed)
         pa = rng.choice(len(pts_a), size=2 * sample_pairs, p=cnt_a / total_pairs)
         picks = rng.integers(0, cnt_a[pa])
-        # one query per draw: a batch of 2 sample_pairs rows, each holding
-        # every sample of a dense relation, raises the peak memory
-        pb = np.array([tree_b.query_ball_point(pts_a[i], radius)[j]
-                       for i, j in zip(pa.tolist(), picks.tolist())], int)
+        # partial balls are queried one at a time: a batch raises the peak memory
+        pb = tree_b.indices[picks]
+        for k in np.nonzero(cnt_a[pa] < len(pts_b))[0].tolist():
+            pb[k] = tree_b.query_ball_point(pts_a[pa[k]], radius)[picks[k]]
         idx1 = np.arange(sample_pairs)
         idx2 = np.arange(sample_pairs, 2 * sample_pairs)
 

@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 import medaxis as mx
 from medaxis import experiments
 from medaxis.experiments import ExperimentConfig, run_gh, run_sweep_lambda
-from medaxis.metrics import _axis_samples, _pair_lengths
+from medaxis.metrics import _PROJECT_CHUNK, _axis_samples, _pair_lengths, _pieces, _project
 
 
 def two_site_scene():
@@ -243,11 +243,73 @@ class TestExactGeodesics:
                     pytest.approx(length, abs=1e-9)
 
 
-def per_draw_distortion(graph_a, graph_b, radius, sample_pairs, resolution, seed):
+def einsum_project(points, axis):
+    """``_project`` in its first form, over (n, m, 2) blocks with einsum, as
+    its bit-for-bit reference."""
+    ends, _ = _pieces(axis)
+    a = axis.vertices[ends[:, 0]]
+    ab = axis.vertices[ends[:, 1]] - a
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    safe = np.where(ab2 > 0.0, ab2, 1.0)
+    ap = points[:, None, :] - a[None, :, :]
+    t = np.clip(np.einsum("ijk,jk->ij", ap, ab) / safe, 0.0, 1.0)
+    diff = ap - t[:, :, None] * ab[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    k = d.argmin(axis=1)
+    rows = np.arange(len(k))
+    return d[rows, k], k, t[rows, k]
+
+
+class TestProjection:
+    def test_matches_einsum_form_bit_for_bit(self):
+        """Random axes with isolated points and the nested two-site axes,
+        queried at their own samples (ties between pieces that share a
+        vertex) and at uniform points, across a chunk boundary."""
+        rng = np.random.default_rng(11)
+        loose, tight = two_site_axes()
+        axes = [mx.filter_axis(mx.build_skeleton(mx.random_scene(
+            30, 10.0, seed=seed, min_separation=0.8)), 1.5, 0.3) for seed in (1, 2, 3)]
+        assert all(len(axis.isolated) for axis in axes)
+        cases = [(axis, axis) for axis in axes] + [(loose, tight), (tight, loose)]
+        for sampled, target in cases:
+            points = np.vstack([mx.sample_axis_points(sampled, 0.2),
+                                rng.uniform(-10.0, 10.0, size=(1100, 2))])
+            assert len(points) > 2 * _PROJECT_CHUNK and len(points) % _PROJECT_CHUNK
+            got, want = _project(points, target), einsum_project(points, target)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestTreeOrder:
+    """``gh_distortion`` reads a draw from a ball holding every sample off
+    ``tree.indices``: an unsorted one-point ball lists its hits in that order."""
+
+    def test_one_point_balls_follow_tree_indices(self):
+        rng = np.random.default_rng(5)
+        clouds = [rng.uniform(-1.0, 1.0, size=(n, 2)) for n in (1, 9, 700)]
+        clouds.append(mx.sample_axis_points(random_axis(1), 0.08))
+        partial = 0
+        for pts in clouds:
+            tree = cKDTree(pts)
+            position = np.empty(len(pts), int)
+            position[tree.indices] = np.arange(len(pts))
+            for x in rng.uniform(-2.0, 2.0, size=(20, 2)):
+                far = float(np.linalg.norm(pts - x, axis=1).max())
+                for radius in (far * (1.0 + 1e-9), 2.0 * far + 1.0):
+                    assert tree.query_ball_point(x, radius) == tree.indices.tolist()
+                hits = tree.query_ball_point(x, 0.3 * far)
+                assert np.all(np.diff(position[hits]) > 0)
+                partial += 1 < len(hits) < len(pts)
+        assert partial >= 20
+
+
+def per_draw_distortion(graph_a, graph_b, radius, sample_pairs, resolution, seed,
+                        full_rows=None):
     """``gh_distortion`` written loop by loop, as its oracle: the exhaustive
     relation from nested loops over the sorted ball rows, and for a sampled
     relation one ball query and one ``rng.integers`` call per draw.
-    Returns (distortion, exhaustive)."""
+    Returns (distortion, exhaustive); a list given as ``full_rows`` gets,
+    per draw, whether its ball held every sample."""
     sa = _axis_samples(graph_a.axis, resolution)
     sb = _axis_samples(graph_b.axis, resolution)
     tree_b = cKDTree(sb[0])
@@ -270,6 +332,8 @@ def per_draw_distortion(graph_a, graph_b, radius, sample_pairs, resolution, seed
         for k, i in enumerate(pa):
             row = tree_b.query_ball_point(sa[0][i], radius)
             pb[k] = row[rng.integers(0, len(row))]
+            if full_rows is not None:
+                full_rows.append(len(row) == len(sb[0]))
         i1, i2 = np.arange(sample_pairs), np.arange(sample_pairs, 2 * sample_pairs)
     da = _pair_lengths(graph_a, *sa[1:], pa[i1], pa[i2])[0]
     db = _pair_lengths(graph_b, *sb[1:], pb[i1], pb[i2])[0]
@@ -342,15 +406,17 @@ class TestDistortion:
 
     def test_audit_scene_matches_per_draw_oracle(self, monkeypatch):
         """Every relation of a sweep and a GH run on an audit scene, at the
-        benchmark's settings, reads as the per-draw oracle does."""
-        seen = []
+        benchmark's settings, reads as the per-draw oracle does, with draws
+        from balls that hold every sample and from balls that do not."""
+        seen, full_rows = [], []
         measure = experiments.gh_distortion
 
         def checked(graph_a, graph_b, radius, sample_pairs, resolution, seed):
             got = measure(graph_a, graph_b, radius, sample_pairs=sample_pairs,
                           resolution=resolution, seed=seed)
             want, exhaustive = per_draw_distortion(graph_a, graph_b, radius,
-                                                   sample_pairs, resolution, seed)
+                                                   sample_pairs, resolution, seed,
+                                                   full_rows)
             assert got == want
             seen.append(exhaustive)
             return got
@@ -363,6 +429,7 @@ class TestDistortion:
         run_gh(ExperimentConfig(lambda_grid=(0.5,), alpha_grid=(0.4,),
                                 epsilons=(1e-5, 1e-4, 1e-3), **common))
         assert len(seen) >= 3 and not all(seen)
+        assert True in full_rows and False in full_rows
 
     def test_deterministic_in_seed(self):
         loose, tight = two_site_axes()
