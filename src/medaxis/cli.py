@@ -8,8 +8,11 @@ invalid parameter).  A KeyError or TypeError counts as bad input only while
 the config loads; raised by an experiment, it is a program error and
 propagates with its traceback.
 
-A run writes only its own files into ``--out`` and removes none, and the
-``files`` of ``axis_report.json`` lists this run's files only.
+A run writes its own files into ``--out`` and removes only the files of its
+own kind that an earlier run left and it does not write: ``axis`` the
+``axis_lam*_alp*.json`` and ``.svg`` files off its grid, ``flow`` the
+``trajectory_NN.csv`` tables that ``trajectories.csv`` replaced.  So the
+``files`` of ``axis_report.json`` lists every axis file in ``--out``.
 """
 
 from __future__ import annotations

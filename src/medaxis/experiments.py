@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -50,7 +51,7 @@ from .metrics import (
     hausdorff_distance,
     stability_constants,
 )
-from .svgout import _elements, profile_svg, scene_svg
+from .svgout import _elements, _scene_picture, profile_svg, scene_svg
 
 __all__ = [
     "ExperimentConfig",
@@ -211,6 +212,19 @@ def _write(out_dir: str | None, name: str, text: str, paths: list) -> None:
     paths.append(path)
 
 
+def _remove_stale(out_dir: str | None, pattern: str, keep=()) -> None:
+    """Remove the files in out_dir whose names match the regular expression
+    pattern in full and are not in keep: files of the runner's own kind that
+    an earlier run left and this run does not write.  Nothing else is
+    removed, and a missing out_dir is no error."""
+    if out_dir is None or not os.path.isdir(out_dir):
+        return
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if re.fullmatch(pattern, name) and name not in keep and os.path.isfile(path):
+            os.remove(path)
+
+
 def _slope_fit(eps, vals):
     pts = [(e, v) for e, v in zip(eps, vals) if v > 0.0 and math.isfinite(v)]
     if len(pts) < 2:
@@ -308,8 +322,12 @@ def run_axis(config: ExperimentConfig) -> StabilityReport:
     report = StabilityReport(kind="axis", seed=config.seed,
                              resolution=config.resolution)
     skeleton = build_skeleton(config.scene)
+    draw = _scene_picture(config.scene, skeleton)
+    stems = ["axis_lam%g_alp%g" % point for point in points]
+    _remove_stale(config.out_dir, r"axis_lam.*_alp.*\.(json|svg)",
+                  {stem + ext for stem in stems for ext in (".json", ".svg")})
     paths = []
-    for lam, alpha in points:
+    for (lam, alpha), stem in zip(points, stems):
         axis = filter_axis(skeleton, lam, alpha)
         n_comp = np.unique(axis.component_ids).size
         row = {
@@ -323,10 +341,8 @@ def run_axis(config: ExperimentConfig) -> StabilityReport:
             "flags": list(axis.flags),
         }
         report.rows.append(row)
-        stem = "axis_lam%g_alp%g" % (lam, alpha)
         _write(config.out_dir, stem + ".json", axis_to_json(axis) + "\n", paths)
-        _write(config.out_dir, stem + ".svg",
-               scene_svg(config.scene, axis=axis, skeleton=skeleton), paths)
+        _write(config.out_dir, stem + ".svg", draw(axis), paths)
     report.constants["files"] = [os.path.basename(p) for p in paths]
     _write(config.out_dir, "axis_report.json", report.to_json(), paths)
     return report
@@ -413,6 +429,8 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
     trajs = integrate_flows(config.scene, config.starts, alpha=alpha,
                             horizon=config.horizon,
                             lam=None if alpha is None else lam)
+    # the one-file-per-start tables that trajectories.csv replaced
+    _remove_stale(config.out_dir, r"trajectory_[0-9]{2,}\.csv")
     paths = []
     for k, (start, traj) in enumerate(zip(config.starts, trajs)):
         r_steps = np.diff(traj.R)

@@ -46,36 +46,51 @@ def _circles(scale: float, C, r_px: float, color: str, fill: str = "none") -> st
                      'stroke-width="1"/>' % (_fmt(r_px), color, fill), _canvas(scale, C))
 
 
+def _skeleton_lines(scale: float, skeleton: VoronoiSkeleton) -> str:
+    ends = skeleton.mid[:, None] + skeleton.s[:, :, None] * skeleton.u[:, None]
+    return _lines(scale, ends[:, 0], ends[:, 1], "#bbbbbb", "1")
+
+
+def _scene_picture(scene: SiteScene, skeleton: VoronoiSkeleton | None):
+    """``scene_svg`` of this scene and skeleton as a function of the axis and
+    the trajectories.  The layers that depend on the scene and the skeleton
+    alone (the header, the wall circle, the skeleton and the sites) are
+    formatted here, once for every picture drawn from the function."""
+    scale = (_SIZE / 2 - _MARGIN) / scene.bounding_radius
+    head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+            'viewBox="0 0 %d %d">\n<rect width="%d" height="%d" fill="white"/>\n'
+            % (_SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE)
+            + _circles(scale, np.zeros((1, 2)), scale * scene.bounding_radius, "#888888"))
+    skeleton_lines = "" if skeleton is None else _skeleton_lines(scale, skeleton)
+    tail = _circles(scale, scene.sites, 3.0, "#cc2222", fill="#cc2222") + "\n</svg>\n"
+
+    def draw(axis: FilteredAxis | None, trajectories=None) -> str:
+        parts = [head, skeleton_lines]
+        if axis is not None:
+            V, seg = axis.vertices, axis.segments
+            parts.append(_lines(scale, V[seg[:, 0]], V[seg[:, 1]], "#2266cc", "2.5"))
+            # a cross per isolated point: its horizontal arm, then its vertical one
+            P = axis.isolated_points[:, None]
+            arms = (4.0 / scale) * np.eye(2)
+            parts.append(_lines(scale, P - arms, P + arms, "#2266cc", "2.5"))
+        if trajectories is not None:
+            for traj in trajectories:
+                parts.append('<polyline points="%s" stroke="#ee8833" fill="none" '
+                             'stroke-width="1.5"/>'
+                             % _elements("%.3f,%.3f", _canvas(scale, traj.points), " "))
+                parts.append(_circles(scale, traj.points[:1], 2.5, "#ee8833", fill="#ee8833"))
+        parts.append(tail)
+        return "\n".join(part for part in parts if part)
+
+    return draw
+
+
 def scene_svg(scene: SiteScene, axis: FilteredAxis | None = None,
               skeleton: VoronoiSkeleton | None = None,
               trajectories=None) -> str:
     """Scene with optional skeleton (gray), filtered axis (blue), isolated
     axis points (blue crosses), and trajectories (orange).  Planar scenes."""
-    scale = (_SIZE / 2 - _MARGIN) / scene.bounding_radius
-    parts = [_circles(scale, np.zeros((1, 2)), scale * scene.bounding_radius, "#888888")]
-
-    if skeleton is not None:
-        ends = skeleton.mid[:, None] + skeleton.s[:, :, None] * skeleton.u[:, None]
-        parts.append(_lines(scale, ends[:, 0], ends[:, 1], "#bbbbbb", "1"))
-    if axis is not None:
-        V, seg = axis.vertices, axis.segments
-        parts.append(_lines(scale, V[seg[:, 0]], V[seg[:, 1]], "#2266cc", "2.5"))
-        # a cross per isolated point: its horizontal arm, then its vertical one
-        P = axis.isolated_points[:, None]
-        arms = (4.0 / scale) * np.eye(2)
-        parts.append(_lines(scale, P - arms, P + arms, "#2266cc", "2.5"))
-    if trajectories is not None:
-        for traj in trajectories:
-            parts.append('<polyline points="%s" stroke="#ee8833" fill="none" '
-                         'stroke-width="1.5"/>'
-                         % _elements("%.3f,%.3f", _canvas(scale, traj.points), " "))
-            parts.append(_circles(scale, traj.points[:1], 2.5, "#ee8833", fill="#ee8833"))
-    parts.append(_circles(scale, scene.sites, 3.0, "#cc2222", fill="#cc2222"))
-
-    body = "\n".join(part for part in parts if part)
-    return ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-            'viewBox="0 0 %d %d">\n<rect width="%d" height="%d" fill="white"/>\n'
-            "%s\n</svg>\n" % (_SIZE, _SIZE, _SIZE, _SIZE, _SIZE, _SIZE, body))
+    return _scene_picture(scene, skeleton)(axis, trajectories)
 
 
 def profile_svg(profile: CriticalProfile, marks: dict | None = None) -> str:

@@ -795,6 +795,11 @@ class TestAxisJson:
 _NEAR_WALL_PIN = np.vstack([_NEAR_WALL, [[0.5, -0.2], [-3.0, 1.0], [3.5, 2.5], [0.0, -4.0]]])
 # whole edges at alpha = 0, isolated vertices, two spans on an edge, empty
 _PIN_GRID = [(0.5, 0.0), (0.75, 0.5), (0.3, 0.5), (1.5, 0.5), (6.0, 0.5)]
+PIN_SCENES = {
+    "lattice-plus": lambda: mx.SiteScene(np.vstack([lattice(3), [[0.4, 2.9]]]), 10.0),
+    "random-60": lambda: mx.random_scene(60, bounding_radius=10.0, seed=5),
+    "near-wall": lambda: mx.SiteScene(_NEAR_WALL_PIN, 10.0),
+}
 
 
 def output_digests(scene):
@@ -823,12 +828,7 @@ class TestOutputPins:
          "5a87945bab348dcea1539986575a98773d4b5e7ff7f521c3a22fbcc4be21283a",
          "31b66abf568b80d61ebdbf8faaa64c82f5c64ab0c0f1b3d8b82c75d41c5ab950")])
     def test_axis_json_and_svg(self, name, json_digest, svg_digest):
-        scene = {
-            "lattice-plus": lambda: mx.SiteScene(np.vstack([lattice(3), [[0.4, 2.9]]]), 10.0),
-            "random-60": lambda: mx.random_scene(60, bounding_radius=10.0, seed=5),
-            "near-wall": lambda: mx.SiteScene(_NEAR_WALL_PIN, 10.0),
-        }[name]()
-        assert output_digests(scene) == (json_digest, svg_digest)
+        assert output_digests(PIN_SCENES[name]()) == (json_digest, svg_digest)
 
     def test_trajectory_svg(self):
         scene = mx.random_scene(12, bounding_radius=8.0, seed=3, min_separation=0.6)

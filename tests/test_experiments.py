@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_axis import OFF_PLANE_SITES, embedded, tilt
+from test_axis import _PIN_GRID, OFF_PLANE_SITES, PIN_SCENES, embedded, tilt
 
 import medaxis as mx
-from medaxis import axis, cli, experiments, metrics
+from medaxis import axis, cli, experiments, metrics, svgout
 from medaxis.axis import build_skeleton
 from medaxis.cli import main as cli_main
 from medaxis.experiments import (ExperimentConfig, config_from_dict,
@@ -110,6 +110,62 @@ class TestRunAxis:
         row = report.rows[0]
         assert row["total_length"] == pytest.approx(
             2.0 * (4.95 - math.sqrt(3.0)), abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(PIN_SCENES) + ["single-site"])
+    def test_svg_files_equal_scene_svg(self, tmp_path, name):
+        """Each axis_lam*_alp*.svg holds the bytes of scene_svg of its axis:
+        the layers drawn once per run join the axis layers by scene_svg's
+        separator rule, also where the skeleton or the axis is empty."""
+        scene = (mx.SiteScene([[0.5, -0.2]], 10.0) if name == "single-site"
+                 else PIN_SCENES[name]())
+        lams = sorted({lam for lam, _ in _PIN_GRID})
+        alphas = sorted({alpha for _, alpha in _PIN_GRID})
+        run_axis(ExperimentConfig(scene=scene, lambda_grid=lams, alpha_grid=alphas,
+                                  out_dir=str(tmp_path)))
+        sk = build_skeleton(scene)
+        assert (len(sk.s) == 0) == (name == "single-site")
+        empty = 0
+        for lam in lams:
+            for alpha in alphas:
+                ax = mx.filter_axis(sk, lam, alpha)
+                empty += ax.is_empty
+                data = (tmp_path / ("axis_lam%g_alp%g.svg" % (lam, alpha))).read_bytes()
+                assert data == mx.scene_svg(scene, axis=ax, skeleton=sk).encode()
+                assert b"\n\n" not in data
+        assert 0 < empty < len(lams) * len(alphas) or name == "single-site"
+
+    @pytest.mark.parametrize("lams, alphas", [((0.75,), (0.5,)),
+                                              ((0.5, 0.75, 1.5), (0.0, 0.5))])
+    def test_skeleton_layer_drawn_once_per_run(self, tmp_path, monkeypatch,
+                                               lams, alphas):
+        drawn = []
+        layer = svgout._skeleton_lines
+
+        def counted(*args):
+            drawn.append(args)
+            return layer(*args)
+
+        monkeypatch.setattr(svgout, "_skeleton_lines", counted)
+        report = run_axis(ExperimentConfig(
+            scene=PIN_SCENES["random-60"](), lambda_grid=lams, alpha_grid=alphas,
+            out_dir=str(tmp_path)))
+        assert len(report.rows) == len(lams) * len(alphas)
+        assert len(drawn) == 1
+
+    def test_rerun_leaves_only_its_own_files(self, tmp_path):
+        """A run removes the axis files of an earlier run that it does not
+        write, and no other file; a missing output directory is made."""
+        out = tmp_path / "new" / "out"
+        others = ["notes.txt", "axis_lam0.7_alp0.5.csv", "trajectory_00.csv"]
+        for lam in (0.7, 0.75):
+            report = run_axis(ExperimentConfig(scene=two_site_scene(), lambda_grid=(lam,),
+                                               alpha_grid=(0.5,), out_dir=str(out)))
+            for name in others:
+                (out / name).write_text("kept\n")
+        assert report.constants["files"] == ["axis_lam0.75_alp0.5.json",
+                                             "axis_lam0.75_alp0.5.svg"]
+        assert sorted(os.listdir(out)) == sorted(
+            report.constants["files"] + ["axis_report.json"] + others)
 
 
 class TestRunCritfn:
@@ -261,6 +317,17 @@ class TestRunFlow:
         assert any(n.startswith("R-monotone") for n in names)
         assert sorted(os.listdir(tmp_path)) == ["flow.svg", "flow_report.json",
                                                 "trajectories.csv"]
+
+    def test_removes_legacy_trajectory_files(self, tmp_path):
+        """The one-file-per-start tables go, and no other file."""
+        for name in ("trajectory_00.csv", "trajectory_117.csv",
+                     "trajectory_notes.csv", "axis_lam0.7_alp0.5.svg"):
+            (tmp_path / name).write_text("old\n")
+        run_flow(ExperimentConfig(scene=two_site_scene(), starts=((0.0, 1.5),),
+                                  horizon=1.0, out_dir=str(tmp_path)))
+        assert sorted(os.listdir(tmp_path)) == [
+            "axis_lam0.7_alp0.5.svg", "flow.svg", "flow_report.json",
+            "trajectories.csv", "trajectory_notes.csv"]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_trajectories_table_round_trips(self, tmp_path, monkeypatch, dim):
