@@ -7,7 +7,8 @@ write.  A flow run follows the distance's gradient from a few starts, and
 the next two runs read the critical function in closed form: of a square
 wire in a tilted plane of R^3, and of a 10 x 10 lattice, whose ties are
 exact.  The last run filters that lattice's axis where exact ties decide
-which vertices stay.  Everything below goes through subprocess so the output matches
+which vertices stay, and an alpha sweep checks the Lipschitz and GH
+bounds on six sites.  Everything below goes through subprocess so the output matches
 what a shell user would see, including the one-line JSON summary on
 stdout and the report files in --out.
 """
@@ -116,6 +117,26 @@ def main():
         json.dump(lattice, fh)
     print("\nlattice axis config written to %s" % os.path.relpath(axis_lattice_path))
     run("axis", axis_lattice_path, os.path.join(OUT, "axis-lattice"))
+
+    # An alpha sweep with the GH variant on six sites.  Its first step lies
+    # inside the reach hypothesis, so its Lipschitz and GH checks are
+    # enforced; the last two lie outside it and are recorded as skipped.
+    sweep = {
+        "scene": {"sites": [[-2.9, -2.23], [-3.62, -0.94], [-7.64, -0.62],
+                            [-4.04, 3.77], [2.44, 3.54], [6.52, -0.45]],
+                  "bounding_radius": 10.0},
+        "lambda_grid": [0.6],
+        "alpha_grid": [0.2, 0.3, 0.4, 0.5],
+        "t_count": 20,
+        "sample_pairs": 100,
+        "seed": 5,
+        "gh_variant": True,
+    }
+    sweep_path = os.path.join(OUT, "sweep_alpha_config.json")
+    with open(sweep_path, "w") as fh:
+        json.dump(sweep, fh)
+    print("\nalpha sweep config written to %s" % os.path.relpath(sweep_path))
+    run("sweep-alpha", sweep_path, os.path.join(OUT, "sweep-alpha"))
 
 
 def run(sub, config_path, out_dir):

@@ -4,9 +4,10 @@ Usage: axiform <command> --config cfg.json [--seed N] [--out DIR]
 
 Exit codes: 0 when every enforced assertion passes, 2 when an enforced
 assertion fails, 3 on bad input (missing file, malformed config, bad scene,
-invalid parameter).  A KeyError or TypeError counts as bad input only while
-the config loads; raised by an experiment, it is a program error and
-propagates with its traceback.
+invalid parameter, or a start or query point outside the scene's domain).
+A KeyError, TypeError or ValueError counts as bad input only while the
+config loads; raised by an experiment, it is a program error and propagates
+with its traceback.
 
 A run writes its own files into ``--out`` and removes only the files of its
 own kind that an earlier run left and it does not write: ``axis`` the
@@ -22,7 +23,7 @@ import dataclasses
 import json
 import sys
 
-from .scene import InvalidSceneError
+from .scene import DomainError, InvalidSceneError
 from . import experiments as ex
 
 _COMMANDS = {
@@ -51,13 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ex.ExperimentConfig:
     """The config file with the command-line overrides applied, and checked
-    again.  A KeyError or TypeError here means a missing or mistyped config
-    entry."""
+    again.  A KeyError, TypeError or other ValueError here means a missing,
+    mistyped or unreadable config entry (bad JSON, ragged sites)."""
     try:
         overrides = {"seed": args.seed, "out_dir": args.out}
         config = dataclasses.replace(ex.load_config(args.config), **{
             key: val for key, val in overrides.items() if val is not None})
-    except (KeyError, TypeError) as err:
+    except InvalidSceneError:
+        raise
+    except (KeyError, TypeError, ValueError) as err:
         raise InvalidSceneError("malformed config: %s" % err) from err
     return config
 
@@ -66,8 +69,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = _COMMANDS[args.command](_load_config(args))
-    except (InvalidSceneError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as err:
+    except (InvalidSceneError, DomainError, FileNotFoundError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 3
     summary = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -94,6 +95,14 @@ class ExperimentConfig:
             # NaN compares false both ways, so a sortedness test passes it
             if any(v != v for v in vals) or any(not a < b for a, b in zip(vals, vals[1:])):
                 raise InvalidSceneError("%s must be strictly increasing, without NaN" % name)
+        for name, key, positive in (("lam", "lambda_grid", True), ("alpha", "alpha_grid", False),
+                                    ("epsilons", "epsilons", True), ("t_grid", "t_grid", True)):
+            for val in getattr(self, key) or ():
+                _check_real(name, val, positive)
+        mu = self.mu
+        if mu != "auto" and (isinstance(mu, bool) or not isinstance(mu, numbers.Real)
+                             or not 0.0 < mu <= 1.0):
+            raise InvalidSceneError('mu must be "auto" or a real number in (0, 1]')
         _check_sampling(self.samples_per_level, self.band_width)
         _check_count("sample_pairs", self.sample_pairs)
         _check_count("t_count", self.t_count)
@@ -104,8 +113,6 @@ class ExperimentConfig:
         if self.resolution is None:
             self.resolution = self.scene.bounding_radius / 1000.0
         _check_real("resolution", self.resolution)
-        for eps in self.epsilons or ():
-            _check_real("epsilons", eps)
         if self.expect_square_side is not None:
             _check_real("expect_square_side", self.expect_square_side)
 
@@ -172,8 +179,9 @@ class StabilityReport:
     slope_residual: float = float("nan")
     n_samples: int = 0
 
-    def add_assertion(self, name: str, passed: bool, enforced: bool) -> None:
-        self.assertions.append({"name": name, "passed": bool(passed),
+    def add_assertion(self, name: str, passed: bool, enforced: bool = True) -> None:
+        """Record a check; one that is not enforced is recorded as passed."""
+        self.assertions.append({"name": name, "passed": bool(passed or not enforced),
                                 "enforced": bool(enforced)})
 
     @property
@@ -185,31 +193,24 @@ class StabilityReport:
         return sum(1 for a in self.assertions if not a["enforced"])
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "resolution": self.resolution,
-            "rows": self.rows,
-            "assertions": self.assertions,
-            "constants": self.constants,
-            "flags": self.flags,
-            "slope": self.slope,
-            "slope_residual": self.slope_residual,
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-            "skipped_assertions": self.skipped_count,
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload.update(passed=self.passed, skipped_assertions=self.skipped_count)
         return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _write(out_dir: str | None, name: str, text: str, paths: list) -> None:
+def _write(out_dir: str | None, name: str, text: str) -> None:
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
-    paths.append(path)
+
+
+def _finish(config: ExperimentConfig, report: StabilityReport) -> StabilityReport:
+    """Write the report as ``<kind, "-" as "_">_report.json`` and return it."""
+    _write(config.out_dir, report.kind.replace("-", "_") + "_report.json",
+           report.to_json())
+    return report
 
 
 def _remove_stale(out_dir: str | None, pattern: str, keep=()) -> None:
@@ -309,24 +310,18 @@ def _merge_summaries(a, b):
 
 # --- experiments ------------------------------------------------------------
 
-def _grid_points(config: ExperimentConfig) -> list:
-    return [(float(l), float(a)) for l in config.lambda_grid
-            for a in config.alpha_grid]
-
-
 def run_axis(config: ExperimentConfig) -> StabilityReport:
     """Build and write the filtered axis at every (lambda, alpha) grid point."""
-    points = _grid_points(config)
+    points = [(float(l), float(a)) for l in config.lambda_grid
+              for a in config.alpha_grid]
     if not points:
         raise InvalidSceneError("axis experiment needs a (lambda, alpha) grid")
-    report = StabilityReport(kind="axis", seed=config.seed,
-                             resolution=config.resolution)
+    report = StabilityReport("axis", config.seed, config.resolution)
     skeleton = build_skeleton(config.scene)
     draw = _scene_picture(config.scene, skeleton)
     stems = ["axis_lam%g_alp%g" % point for point in points]
-    _remove_stale(config.out_dir, r"axis_lam.*_alp.*\.(json|svg)",
-                  {stem + ext for stem in stems for ext in (".json", ".svg")})
-    paths = []
+    files = [stem + ext for stem in stems for ext in (".json", ".svg")]
+    _remove_stale(config.out_dir, r"axis_lam.*_alp.*\.(json|svg)", files)
     for (lam, alpha), stem in zip(points, stems):
         axis = filter_axis(skeleton, lam, alpha)
         n_comp = np.unique(axis.component_ids).size
@@ -341,18 +336,16 @@ def run_axis(config: ExperimentConfig) -> StabilityReport:
             "flags": list(axis.flags),
         }
         report.rows.append(row)
-        _write(config.out_dir, stem + ".json", axis_to_json(axis) + "\n", paths)
-        _write(config.out_dir, stem + ".svg", draw(axis), paths)
-    report.constants["files"] = [os.path.basename(p) for p in paths]
-    _write(config.out_dir, "axis_report.json", report.to_json(), paths)
-    return report
+        _write(config.out_dir, stem + ".json", axis_to_json(axis) + "\n")
+        _write(config.out_dir, stem + ".svg", draw(axis))
+    report.constants["files"] = files if config.out_dir is not None else []
+    return _finish(config, report)
 
 
 def run_critfn(config: ExperimentConfig) -> StabilityReport:
     """Estimate the critical function; optionally check the square-scene
     signature (median plateau at 1/sqrt(2), zero crossing at half the side)."""
-    report = StabilityReport(kind="critfn", seed=config.seed,
-                             resolution=config.resolution)
+    report = StabilityReport("critfn", config.seed, config.resolution)
     profile = _profile_for(config.scene, config)
     report.rows = [{"t": float(t), "chi": float(c)}
                    for t, c in zip(profile.t_grid, profile.chi)]
@@ -388,18 +381,15 @@ def run_critfn(config: ExperimentConfig) -> StabilityReport:
         report.constants["crossing"] = crossing
         target = 1.0 / math.sqrt(2.0)
         report.add_assertion("plateau-median-near-invsqrt2",
-                             target - 0.05 <= plateau <= target + 0.02, True)
-        report.add_assertion("chi-small-at-t-crit", chi_at_crit <= 0.1, True)
+                             target - 0.05 <= plateau <= target + 0.02)
+        report.add_assertion("chi-small-at-t-crit", chi_at_crit <= 0.1)
         report.add_assertion("crossing-near-t-crit",
-                             math.isfinite(crossing)
-                             and abs(crossing - t_crit) <= 0.05 * t_crit, True)
+                             abs(crossing - t_crit) <= 0.05 * t_crit)
         marks["t_crit"] = t_crit
 
-    paths = []
-    _write(config.out_dir, "critfn.csv", profile_to_csv(profile), paths)
-    _write(config.out_dir, "critfn.svg", profile_svg(profile, marks), paths)
-    _write(config.out_dir, "critfn_report.json", report.to_json(), paths)
-    return report
+    _write(config.out_dir, "critfn.csv", profile_to_csv(profile))
+    _write(config.out_dir, "critfn.svg", profile_svg(profile, marks))
+    return _finish(config, report)
 
 
 def _trajectories_csv(trajs) -> str:
@@ -422,8 +412,7 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
     monotonicity and the radius-growth certificate where it applies."""
     if not config.starts:
         raise InvalidSceneError("flow experiment needs starts")
-    report = StabilityReport(kind="flow", seed=config.seed,
-                             resolution=config.resolution)
+    report = StabilityReport("flow", config.seed, config.resolution)
     alpha = float(config.alpha_grid[0]) if config.alpha_grid else None
     lam = float(config.lambda_grid[0]) if config.lambda_grid else None
     trajs = integrate_flows(config.scene, config.starts, alpha=alpha,
@@ -431,7 +420,6 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
                             lam=None if alpha is None else lam)
     # the one-file-per-start tables that trajectories.csv replaced
     _remove_stale(config.out_dir, r"trajectory_[0-9]{2,}\.csv")
-    paths = []
     for k, (start, traj) in enumerate(zip(config.starts, trajs)):
         r_steps = np.diff(traj.R)
         row = {
@@ -442,21 +430,17 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
             "min_R_step": float(r_steps.min()) if len(r_steps) else 0.0,
             "flags": [],
         }
-        report.add_assertion("R-monotone-%d" % k,
-                             row["min_R_step"] >= 0.0, True)
+        report.add_assertion("R-monotone-%d" % k, row["min_R_step"] >= 0.0)
         if lam is not None and alpha is not None:
             cert = radius_certificate(traj, alpha, lam)
             row["certificate_valid"] = cert.valid
             row["certificate_flags"] = list(cert.flags)
             applicable = not any(f.startswith("start-") for f in cert.flags)
-            report.add_assertion("certificate-%d" % k,
-                                 cert.valid if applicable else True, applicable)
+            report.add_assertion("certificate-%d" % k, cert.valid, applicable)
         report.rows.append(row)
-    _write(config.out_dir, "trajectories.csv", _trajectories_csv(trajs), paths)
-    _write(config.out_dir, "flow.svg",
-           scene_svg(config.scene, trajectories=trajs), paths)
-    _write(config.out_dir, "flow_report.json", report.to_json(), paths)
-    return report
+    _write(config.out_dir, "trajectories.csv", _trajectories_csv(trajs))
+    _write(config.out_dir, "flow.svg", scene_svg(config.scene, trajectories=trajs))
+    return _finish(config, report)
 
 
 class _SweepDirection(NamedTuple):
@@ -496,8 +480,7 @@ def _gh_measure(config: ExperimentConfig, graph_a, graph_b, radius: float):
 def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     scene = config.scene
     res = config.resolution
-    report = StabilityReport(kind="sweep-" + which, seed=config.seed,
-                             resolution=res)
+    report = StabilityReport("sweep-" + which, config.seed, res)
     way = _SWEEPS[which]
     grid = [float(v) for v in getattr(config, way.grid)]
     fixed = getattr(config, way.fixed)
@@ -523,9 +506,7 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
                                 window_alpha=way.window(lo))
         lip = (way.lip(profile.r_max, lo, alpha, summary.mu_tilde)
                if math.isfinite(summary.mu_tilde) else float("nan"))
-        hyp_ok = (math.isfinite(summary.mu_tilde)
-                  and math.isfinite(summary.r_mu_alpha)
-                  and summary.r_mu_alpha > alpha + lam)
+        hyp_ok = summary.reach_holds
         back = directed_hausdorff(axis_hi, axis_lo, res)
         d_h = max(directed_hausdorff(axis_lo, axis_hi, res), back)
         bound = lip * delta + res
@@ -539,9 +520,8 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
         if math.isfinite(lip) and d_h > 10.0 * max(bound, res):
             row["flags"].append("discontinuity")
         report.add_assertion("nested-%s-%d" % (which, i),
-                             back <= 1e-11 * scene.bounding_radius, True)
-        report.add_assertion("lipschitz-%s-%d" % (which, i),
-                             (d_h <= bound) if hyp_ok else True, hyp_ok)
+                             back <= 1e-11 * scene.bounding_radius)
+        report.add_assertion("lipschitz-%s-%d" % (which, i), d_h <= bound, hyp_ok)
 
         if config.gh_variant:
             connected = _connected(axis_lo) and _connected(axis_hi)
@@ -558,15 +538,12 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
                 row["gh_bound"] = gh_bound
                 row["gdiam"] = diam
                 report.add_assertion("gh-variant-%s-%d" % (which, i),
-                                     gh_ok and distortion <= gh_bound, True)
+                                     gh_ok and distortion <= gh_bound)
             else:
                 row["flags"].append("gh-variant-skipped")
                 report.add_assertion("gh-variant-%s-%d" % (which, i), True, False)
         report.rows.append(row)
-
-    paths = []
-    _write(config.out_dir, "sweep_%s_report.json" % which, report.to_json(), paths)
-    return report
+    return _finish(config, report)
 
 
 def run_sweep_lambda(config: ExperimentConfig) -> StabilityReport:
@@ -635,7 +612,7 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
     """Hausdorff stability under site jitter: d_H(axes) <= C sqrt(eps)."""
     scene = config.scene
     res = config.resolution
-    report = StabilityReport(kind="perturb", seed=config.seed, resolution=res)
+    report = StabilityReport("perturb", config.seed, res)
     if config.epsilons and max(config.epsilons) < 100.0 * min(config.epsilons):
         report.flags.append("epsilon-span-below-two-decades")
     lam, alpha, base_axis, _, mu, summary_used, jitters = _jitter_base(config, report)
@@ -649,8 +626,7 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
         axis_p = filter_axis(skeleton_p, lam, alpha)
         d_h = hausdorff_distance(base_axis, axis_p, res)
         cons = stability_constants(summary_used, delta=lam / 2.0, epsilon=eps)
-        hyp_ok = (cons.hypothesis_flags["mu-tilde-defined"]
-                  and cons.hypothesis_flags["reach-exceeds-filter"]
+        hyp_ok = (summary_used.reach_holds
                   and cons.hypothesis_flags["perturb-epsilon-small"])
         row = {
             "epsilon": eps, "d_H": d_h, "site_shift": shift,
@@ -659,10 +635,8 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
             "flags": [] if hyp_ok else ["outside-hypothesis"],
         }
         report.rows.append(row)
-        report.add_assertion("site-shift-%d" % k, shift <= eps, True)
-        report.add_assertion("perturb-%d" % k,
-                             (d_h <= cons.hausdorff_bound) if hyp_ok else True,
-                             hyp_ok)
+        report.add_assertion("site-shift-%d" % k, shift <= eps)
+        report.add_assertion("perturb-%d" % k, d_h <= cons.hausdorff_bound, hyp_ok)
         hyps.append(hyp_ok)
         eps_list.append(eps)
         dh_list.append(d_h)
@@ -673,11 +647,8 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
     report.slope_residual = rms
     report.n_samples = n
     enforce_slope = all_hyp and n >= 4
-    report.add_assertion("slope-at-least-0.4",
-                         (slope >= 0.4) if enforce_slope else True, enforce_slope)
-    paths = []
-    _write(config.out_dir, "perturb_report.json", report.to_json(), paths)
-    return report
+    report.add_assertion("slope-at-least-0.4", slope >= 0.4, enforce_slope)
+    return _finish(config, report)
 
 
 def run_gh(config: ExperimentConfig) -> StabilityReport:
@@ -685,7 +656,7 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
     radius-C*sqrt(eps) relation against the three-term bound."""
     scene = config.scene
     res = config.resolution
-    report = StabilityReport(kind="gh", seed=config.seed, resolution=res)
+    report = StabilityReport("gh", config.seed, res)
     lam, alpha, base_axis, profile, mu, summary_used, jitters = _jitter_base(config, report)
     summary_half = reach_summary(profile, mu, alpha, lam, window_alpha=alpha / 2.0)
 
@@ -715,11 +686,8 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
                      4.0 * scene.bounding_radius)
         d_h = hausdorff_distance(base_axis, axis_p, res)
         distortion, surjective = _gh_measure(config, base_graph, graph_p, radius)
-        hyp_ok = (cons.hypothesis_flags["mu-tilde-defined"]
-                  and cons.hypothesis_flags["reach-exceeds-filter"]
-                  and cons.hypothesis_flags["gh-epsilon-small"])
-        diam_hyp = (cons.hypothesis_flags["mu-tilde-defined"]
-                    and cons.hypothesis_flags["reach-exceeds-filter"])
+        diam_hyp = summary_used.reach_holds
+        hyp_ok = diam_hyp and cons.hypothesis_flags["gh-epsilon-small"]
         row = {
             "epsilon": eps, "d_H": d_h, "gh_distortion": distortion,
             "radius": radius, "gdiam": gdiam_p,
@@ -736,14 +704,8 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
             "flags": [] if hyp_ok else ["outside-hypothesis"],
         }
         report.rows.append(row)
-        report.add_assertion("gh-surjective-%d" % k, surjective, True)
-        report.add_assertion("gh-%d" % k,
-                             (distortion <= cons.gh_bound) if hyp_ok else True,
-                             hyp_ok)
-        report.add_assertion(
-            "gdiam-bound-%d" % k,
-            (max(gdiam_base, gdiam_p) <= cons.gdiam_bound) if diam_hyp else True,
-            diam_hyp)
-    paths = []
-    _write(config.out_dir, "gh_report.json", report.to_json(), paths)
-    return report
+        report.add_assertion("gh-surjective-%d" % k, surjective)
+        report.add_assertion("gh-%d" % k, distortion <= cons.gh_bound, hyp_ok)
+        report.add_assertion("gdiam-bound-%d" % k,
+                             max(gdiam_base, gdiam_p) <= cons.gdiam_bound, diam_hyp)
+    return _finish(config, report)

@@ -366,6 +366,13 @@ class ReachSummary:
     mu_tilde: float
     flags: tuple = ()
 
+    @property
+    def reach_holds(self) -> bool:
+        """The reach hypothesis of the stability bounds: mu_tilde is defined
+        and r_mu_alpha exceeds alpha + lam."""
+        return (math.isfinite(self.mu_tilde) and math.isfinite(self.r_mu_alpha)
+                and self.r_mu_alpha > self.alpha + self.lam)
+
 
 def _first_crossing(t_grid: np.ndarray, chi: np.ndarray, level: float,
                     t_min: float) -> float | None:

@@ -305,8 +305,6 @@ class StabilityConstants:
     lam: float
     delta: float
     epsilon: float
-    t_lambda: float
-    t_alpha: float
     c: float
     gh_term_flow: float
     gh_term_near: float
@@ -316,7 +314,6 @@ class StabilityConstants:
     hausdorff_bound: float
     gdiam_bound: float
     universal_gdiam_bound: float
-    diam_used: float
     hypothesis_flags: dict = field(default_factory=dict)
 
 
@@ -334,14 +331,15 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
     """All closed-form constants of the stability theory from one measured
     critical-function summary.
 
-    T_lambda = R_max^2 d / (a l mt^2) and T_alpha = R_max d / (a mt^2) are
-    the flow times that absorb a filter shift of d; C = (22/3) R_max^2 /
-    (a^(1/2) mt^(3/2) l) drives the Holder-1/2 Hausdorff and Holder-1/4 GH
-    bounds.  Diameter-dependent bounds use the measured diameters passed in;
-    the universal (dimension-dependent) diameter bound is reported alongside
-    but is too pessimistic to assert.  Hypothesis flags record each
-    smallness precondition; bounds are only meaningful where they pass.
-    The filter sweeps form their Lipschitz rates and GH bounds themselves
+    C = (22/3) R_max^2 / (a^(1/2) mt^(3/2) l) drives the Holder-1/2
+    Hausdorff and Holder-1/4 GH bounds; the entry bound is the time a flow
+    from within epsilon of the axis takes to enter the (l - delta)-filtered
+    axis.  The GH diameter term uses the larger of the measured diameters
+    passed in; the universal (dimension-dependent) diameter bound is
+    reported alongside but is too pessimistic to assert.  Hypothesis flags
+    record the reach hypothesis and each smallness precondition; every bound
+    is NaN and every smallness flag False unless mu_tilde is defined.  The
+    filter sweeps form their Lipschitz rates and GH bounds themselves
     (``experiments._SWEEPS``), from the lower grid value.
     """
     r_max = summary.r_max
@@ -351,21 +349,23 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
     lam = summary.lam
     nan = float("nan")
 
-    diams = [g for g in (gdiam_a, gdiam_b) if g is not None]
-    diam = max(diams) if diams else nan
-
-    flags = {}
-    flags["mu-tilde-defined"] = bool(math.isfinite(mt)) and mt > 0.0
-    flags["reach-exceeds-filter"] = bool(math.isfinite(summary.r_mu_alpha)
-                                         and summary.r_mu_alpha > alpha + lam)
-    flags["reach-exceeds-filter-plus-delta"] = bool(
-        math.isfinite(summary.r_mu_alpha)
-        and summary.r_mu_alpha > alpha + lam + delta)
-    flags["delta-below-lambda"] = bool(delta < lam)
+    flags = {
+        "mu-tilde-defined": bool(math.isfinite(mt)) and mt > 0.0,
+        "reach-exceeds-filter": bool(math.isfinite(summary.r_mu_alpha)
+                                     and summary.r_mu_alpha > alpha + lam),
+        "reach-exceeds-filter-plus-delta": bool(
+            math.isfinite(summary.r_mu_alpha)
+            and summary.r_mu_alpha > alpha + lam + delta),
+        "delta-below-lambda": bool(delta < lam),
+        "perturb-epsilon-small": False,
+        "entry-epsilon-small": False,
+        "gh-epsilon-small": False,
+    }
+    c = entry_bound = hausdorff_bound = nan
+    gh_term_flow = gh_term_near = gh_term_diam = gh_bound = nan
+    gdiam_bound = universal = nan
 
     if flags["mu-tilde-defined"]:
-        t_lambda = r_max ** 2 * delta / (alpha * lam * mt ** 2)
-        t_alpha = r_max * delta / (alpha * mt ** 2)
         c = (22.0 / 3.0) * r_max ** 2 / (alpha ** 0.5 * mt ** 1.5 * lam)
         entry_bound = 8.0 * r_max ** 2 * epsilon / ((2.0 * lam - delta) * delta * mt)
         hausdorff_bound = c * math.sqrt(epsilon)
@@ -373,7 +373,8 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
         growth = _safe_exp(t_gh / alpha)
         gh_term_flow = 2.0 * t_gh
         gh_term_near = 2.0 * c * math.sqrt(epsilon) * growth
-        gh_term_diam = diam * (growth - 1.0)
+        diams = [g for g in (gdiam_a, gdiam_b) if g is not None]
+        gh_term_diam = (max(diams) if diams else nan) * (growth - 1.0)
         gh_bound = gh_term_flow + gh_term_near + gh_term_diam
 
         mt_h = mu_tilde_half if mu_tilde_half is not None else mt
@@ -383,18 +384,10 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
                         * _safe_exp(1.0 / (2.0 * mu)))
             gdiam_bound = (2.0 * r_max / mt_h ** 2
                            + l_offset * _safe_exp(r_max / (alpha * mt_h ** 2)))
-        else:
-            gdiam_bound = nan
         universal = (2.0 * r_max / mt ** 2
                      + 2.0 * alpha * ((4.0 * r_max / alpha) ** _DIM + 1.0 + 2.0 / mu)
                      * _safe_exp(1.0 / mu + r_max / (alpha * mt ** 2)))
-    else:
-        t_lambda = t_alpha = c = nan
-        entry_bound = hausdorff_bound = nan
-        gh_term_flow = gh_term_near = gh_term_diam = gh_bound = nan
-        gdiam_bound = universal = nan
 
-    if flags["mu-tilde-defined"]:
         delta_star = 2.0 * math.sqrt(alpha * mt * epsilon)
         flags["perturb-epsilon-small"] = bool(
             delta_star < lam
@@ -412,17 +405,12 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
                   (lam ** 2 * alpha * mt / (16.0 * r_max ** 2 * c)) ** 2,
                   (lam ** 2 / (16.0 * alpha * mt * c)) ** 2)
         flags["gh-epsilon-small"] = bool(epsilon < six)
-    else:
-        flags["perturb-epsilon-small"] = False
-        flags["entry-epsilon-small"] = False
-        flags["gh-epsilon-small"] = False
 
     return StabilityConstants(
         r_max=r_max, mu=mu, mu_tilde=mt, alpha=alpha, lam=lam,
-        delta=float(delta), epsilon=float(epsilon),
-        t_lambda=t_lambda, t_alpha=t_alpha, c=c,
+        delta=float(delta), epsilon=float(epsilon), c=c,
         gh_term_flow=gh_term_flow, gh_term_near=gh_term_near,
         gh_term_diam=gh_term_diam, gh_bound=gh_bound,
         entry_bound=entry_bound, hausdorff_bound=hausdorff_bound,
         gdiam_bound=gdiam_bound, universal_gdiam_bound=universal,
-        diam_used=diam, hypothesis_flags=flags)
+        hypothesis_flags=flags)

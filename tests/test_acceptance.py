@@ -235,10 +235,10 @@ def test_criterion_05_entry_time_bound():
     lam, alpha, delta, eps = 0.5, 0.25, 0.2, 1e-3
     profile = exact_critical_function(scene, np.linspace(0.3, 5.0, 60))
     summary = reach_summary(profile, mu=0.5, alpha=alpha, lam=lam)
-    assert math.isfinite(summary.mu_tilde)
-    assert summary.r_mu_alpha > alpha + lam
-    bound = (8.0 * summary.r_max ** 2 * eps
-             / ((2.0 * lam - delta) * delta * summary.mu_tilde))
+    assert summary.reach_holds
+    constants = stability_constants(summary, delta=delta, epsilon=eps)
+    assert constants.hypothesis_flags["entry-epsilon-small"]
+    bound = constants.entry_bound
 
     rng = np.random.default_rng(321)
     starts = []

@@ -1,6 +1,7 @@
 """Experiment configs, report plumbing, and the command line interface."""
 
 import filecmp
+import importlib.util
 import json
 import math
 import os
@@ -474,7 +475,9 @@ class TestCli:
         ("sweep-lambda", "gh_variant", "no"), ("sweep-lambda", "gh_variant", 1),
         ("critfn", "expect_square_side", -1.0), ("critfn", "expect_square_side", math.nan),
         ("perturb", "epsilons", [-1e-3, 1e-3]), ("gh", "epsilons", [0.0, 1e-3]),
-        ("perturb", "epsilons", [1e-3, math.inf])])
+        ("perturb", "epsilons", [1e-3, math.inf]),
+        ("critfn", "mu", [0.5]), ("critfn", "mu", True), ("critfn", "mu", 0),
+        ("critfn", "mu", 1.5), ("critfn", "mu", "x"), ("critfn", "t_grid", ["a", "b"])])
     def test_bad_scalar_exits_three(self, tmp_path, capsys, command, key, value):
         body = {"scene": {"sites": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5], [0.5, -2.0]],
                           "bounding_radius": 10.0},
@@ -506,6 +509,16 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["critfn", "axis"])
+    def test_nested_lambda_grid_exits_three(self, tmp_path, capsys, command):
+        body = {"scene": {"sites": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5]],
+                          "bounding_radius": 10.0},
+                "lambda_grid": [[0.3]], "alpha_grid": [0.5], "t_count": 7}
+        cfg = self.write_cfg(tmp_path, body)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "lam must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_without_scene_exits_three(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"lambda_grid": [0.75],
                                         "alpha_grid": [0.5]})
@@ -524,30 +537,77 @@ class TestCli:
         with pytest.raises(TypeError, match="internal bug"):
             cli_main(["axis", "--config", cfg])
 
+    def test_value_error_in_experiment_propagates(self, tmp_path, monkeypatch):
+        """Only a config that fails to load is bad input: a ValueError raised
+        by an experiment is a program error."""
+        def broken(config):
+            raise ValueError("internal bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "axis", broken)
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]],
+                      "bounding_radius": 10.0},
+            "lambda_grid": [0.75], "alpha_grid": [0.5]})
+        with pytest.raises(ValueError, match="internal bug"):
+            cli_main(["axis", "--config", cfg])
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_each_command_writes_its_own_report(self, tmp_path, capsys, command):
+        """The report-name contract: a command writes exactly one report,
+        ``<command with "-" as "_">_report.json``, whose kind is the
+        command."""
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5], [0.5, -2.0]],
+                      "bounding_radius": 10.0},
+            "lambda_grid": [0.7, 0.75], "alpha_grid": [0.5, 0.55], "epsilons": [1e-4, 1e-3],
+            "starts": [[0.3, 2.5]], "t_count": 7, "sample_pairs": 50})
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) in (0, 2)
+        name = command.replace("-", "_") + "_report.json"
+        assert [n for n in os.listdir(out) if n.endswith("_report.json")] == [name]
+        assert json.loads((out / name).read_text())["kind"] == command
+
     @pytest.mark.parametrize("run", ["axis", "sweep-lambda", "critfn", "flow",
-                                     "critfn-wire", "critfn-lattice", "axis-lattice"])
-    def test_reports_match_tracked_demo_output(self, tmp_path, run):
+                                     "critfn-wire", "critfn-lattice", "axis-lattice",
+                                     "sweep-alpha", "perturb", "gh"])
+    def test_reports_match_tracked_demo_output(self, tmp_path, capsys, run):
         """Demo 07's runs: four commands on a two-site scene, critfn on a
         square wire in a tilted plane of R^3 (the exact lifted path) and on
-        a 10 x 10 lattice (the exact planar path, with exact ties), and that
-        lattice's axis, whose vertices exact ties keep or drop."""
-        demo = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "demos", "out", "cli")
-        for name in ("config.json", "scene.json", "flow_config.json",
-                     "wire_config.json", "lattice_config.json", "axis_lattice_config.json"):
-            shutil.copy(os.path.join(demo, name), tmp_path / name)
-        command, config = {"flow": ("flow", "flow_config.json"),
-                           "critfn-wire": ("critfn", "wire_config.json"),
-                           "critfn-lattice": ("critfn", "lattice_config.json"),
-                           "axis-lattice": ("axis", "axis_lattice_config.json")}.get(
-                               run, (run, "config.json"))
+        a 10 x 10 lattice (the exact planar path, with exact ties), that
+        lattice's axis, whose vertices exact ties keep or drop, and an alpha
+        sweep with enforced and skipped Lipschitz and GH checks.  Demos 05
+        and 06 build their perturb and gh configs in Python; they rerun with
+        their output directory moved."""
+        demos = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+        if run in ("perturb", "gh"):
+            name = {"perturb": "05_perturbation_bound", "gh": "06_gh_audit"}[run]
+            spec = importlib.util.spec_from_file_location(
+                name, os.path.join(demos, name + ".py"))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module.OUT = str(tmp_path)
+            module.main()
+            tracked_dir = os.path.join(demos, "out", run)
+        else:
+            demo = os.path.join(demos, "out", "cli")
+            for name in ("config.json", "scene.json", "flow_config.json",
+                         "wire_config.json", "lattice_config.json",
+                         "axis_lattice_config.json", "sweep_alpha_config.json"):
+                shutil.copy(os.path.join(demo, name), tmp_path / name)
+            command, config = {"flow": ("flow", "flow_config.json"),
+                               "critfn-wire": ("critfn", "wire_config.json"),
+                               "critfn-lattice": ("critfn", "lattice_config.json"),
+                               "axis-lattice": ("axis", "axis_lattice_config.json"),
+                               "sweep-alpha": ("sweep-alpha", "sweep_alpha_config.json")}.get(
+                                   run, (run, "config.json"))
+            assert cli_main([command, "--config", str(tmp_path / config),
+                             "--out", str(tmp_path / run)]) == 0
+            tracked_dir = os.path.join(demo, run)
         out = tmp_path / run
-        assert cli_main([command, "--config", str(tmp_path / config),
-                         "--out", str(out)]) == 0
-        tracked = sorted(os.listdir(os.path.join(demo, run)))
+        tracked = sorted(os.listdir(tracked_dir))
         assert sorted(os.listdir(out)) == tracked
         for name in tracked:
-            with open(os.path.join(demo, run, name), "rb") as fh:
+            with open(os.path.join(tracked_dir, name), "rb") as fh:
                 assert (out / name).read_bytes() == fh.read(), name
 
     def test_seed_override(self, tmp_path, capsys):

@@ -448,8 +448,6 @@ class TestStabilityConstants:
         s = summary_fixture()
         cons = mx.stability_constants(s, delta=0.1, epsilon=1e-3)
         r, a, l, mt, d = s.r_max, s.alpha, s.lam, s.mu_tilde, 0.1
-        assert cons.t_lambda == pytest.approx(r * r * d / (a * l * mt * mt))
-        assert cons.t_alpha == pytest.approx(r * d / (a * mt * mt))
         assert cons.c == pytest.approx((22.0 / 3.0) * r * r / (a ** 0.5 * mt ** 1.5 * l))
         assert cons.hausdorff_bound == pytest.approx(cons.c * math.sqrt(1e-3))
         assert cons.entry_bound == pytest.approx(
@@ -462,7 +460,15 @@ class TestStabilityConstants:
         assert cons.gh_bound == pytest.approx(
             cons.gh_term_flow + cons.gh_term_near + cons.gh_term_diam)
         assert cons.gh_term_flow == pytest.approx(2.0 * cons.c ** 1.5 * 1e-3 ** 0.25)
-        assert cons.diam_used == 4.0
+        # the diameter term takes the larger diameter, in either order
+        finite = mx.ReachSummary(mu=0.9, alpha=0.5, lam=0.5, r_mu_alpha=2.0,
+                                 wfs=2.0, r_max=1.0, mu_tilde=0.9)
+        for a, b in ((4.0, 3.0), (3.0, 4.0)):
+            small = mx.stability_constants(finite, delta=0.1, epsilon=1e-8,
+                                           gdiam_a=a, gdiam_b=b)
+            assert math.isfinite(small.gh_term_diam)
+            assert small.gh_term_diam == pytest.approx(
+                4.0 * math.expm1(small.gh_term_flow / (2.0 * finite.alpha)))
 
     def test_undefined_mu_tilde_disables_bounds(self):
         s = mx.ReachSummary(mu=0.5, alpha=0.25, lam=0.5, r_mu_alpha=float("nan"),
@@ -489,3 +495,14 @@ class TestStabilityConstants:
                                 wfs=0.7, r_max=5.05, mu_tilde=0.5)
         cons2 = mx.stability_constants(tight, delta=0.1, epsilon=1e-3)
         assert not cons2.hypothesis_flags["reach-exceeds-filter"]
+
+    @pytest.mark.parametrize("r_mu_alpha, mu_tilde", [
+        (1.0, 0.5), (0.7, 0.5), (1.0, float("nan")), (float("nan"), 0.5),
+        (0.75, 0.5), (float("inf"), 0.5)])
+    def test_reach_holds_is_both_reach_flags(self, r_mu_alpha, mu_tilde):
+        s = mx.ReachSummary(mu=0.5, alpha=0.25, lam=0.5, r_mu_alpha=r_mu_alpha,
+                            wfs=1.0, r_max=5.05, mu_tilde=mu_tilde)
+        flags = mx.stability_constants(s, delta=0.1, epsilon=1e-3).hypothesis_flags
+        assert s.reach_holds is (flags["mu-tilde-defined"]
+                                 and flags["reach-exceeds-filter"])
+        assert s.reach_holds is (r_mu_alpha == 1.0 and mu_tilde == 0.5)
