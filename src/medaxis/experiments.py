@@ -42,7 +42,7 @@ from .axis import (
     filter_axis,
     scene_r_max,
 )
-from .flow import integrate_flows, radius_certificate
+from .flow import _certificates, integrate_flows
 from .metrics import (
     SurjectivityError,
     build_geodesic_graph,
@@ -110,6 +110,8 @@ class ExperimentConfig:
         _check_real("horizon", self.horizon, positive=False)
         if not isinstance(self.gh_variant, bool):
             raise InvalidSceneError("gh_variant must be true or false")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise InvalidSceneError("out_dir must be a path string")
         if self.resolution is None:
             self.resolution = self.scene.bounding_radius / 1000.0
         _check_real("resolution", self.resolution)
@@ -147,6 +149,21 @@ def load_config(path: str) -> ExperimentConfig:
 # --- reports ---------------------------------------------------------------
 
 def _plain(obj):
+    # the exact built-in types first; subclasses such as np.float64 take
+    # the isinstance chain below
+    kind = type(obj)
+    if kind is str or kind is bool or kind is int:
+        return obj
+    if kind is float:
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
+    if kind is dict:
+        return {k: _plain(v) for k, v in obj.items()}
+    if kind is list:
+        return [_plain(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -298,13 +315,20 @@ def _jitter(scene: SiteScene, eps: float, rng) -> SiteScene:
                      tie_tolerance=scene.tie_tolerance)
 
 
+def _nan_or(pick, a, b):
+    """pick(a, b), or NaN where either is NaN: Python's min and max keep
+    their first argument against a NaN, so they depend on the order."""
+    return math.nan if math.isnan(a) or math.isnan(b) else pick(a, b)
+
+
 def _merge_summaries(a, b):
-    """Two-scene summary: largest r_max, smallest mu_tilde and reach."""
+    """Two-scene summary: largest r_max, smallest mu_tilde and reach, each
+    NaN where either scene's is."""
     return dataclasses.replace(
         a,
-        r_max=max(a.r_max, b.r_max),
-        r_mu_alpha=min(a.r_mu_alpha, b.r_mu_alpha),
-        mu_tilde=min(a.mu_tilde, b.mu_tilde),
+        r_max=_nan_or(max, a.r_max, b.r_max),
+        r_mu_alpha=_nan_or(min, a.r_mu_alpha, b.r_mu_alpha),
+        mu_tilde=_nan_or(min, a.mu_tilde, b.mu_tilde),
         flags=tuple(sorted(set(a.flags) | set(b.flags))))
 
 
@@ -420,19 +444,29 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
                             lam=None if alpha is None else lam)
     # the one-file-per-start tables that trajectories.csv replaced
     _remove_stale(config.out_dir, r"trajectory_[0-9]{2,}\.csv")
+    # each trajectory's R steps, the steps across two trajectories masked
+    first = np.cumsum([0] + [len(traj) for traj in trajs[:-1]])
+    R = np.concatenate([traj.R for traj in trajs])
+    steps = np.append(np.diff(R), np.inf)
+    steps[first[1:] - 1] = np.inf
+    min_steps = np.minimum.reduceat(steps, first)
+    min_steps[np.isinf(min_steps)] = 0.0  # one node: no step
+    if lam is not None and alpha is not None:
+        certs = _certificates(R, np.concatenate([traj.F for traj in trajs]),
+                              np.concatenate([traj.arc for traj in trajs]), first,
+                              alpha, lam, config.scene.bounding_radius)
     for k, (start, traj) in enumerate(zip(config.starts, trajs)):
-        r_steps = np.diff(traj.R)
         row = {
             "start": [float(v) for v in start],
             "stop_reason": traj.stop_reason,
             "nodes": len(traj),
             "final_R": float(traj.R[-1]),
-            "min_R_step": float(r_steps.min()) if len(r_steps) else 0.0,
+            "min_R_step": float(min_steps[k]),
             "flags": [],
         }
         report.add_assertion("R-monotone-%d" % k, row["min_R_step"] >= 0.0)
         if lam is not None and alpha is not None:
-            cert = radius_certificate(traj, alpha, lam)
+            cert = certs[k]
             row["certificate_valid"] = cert.valid
             row["certificate_flags"] = list(cert.flags)
             applicable = not any(f.startswith("start-") for f in cert.flags)

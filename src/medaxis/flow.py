@@ -103,9 +103,20 @@ def _probe(scene: SiteScene, X: np.ndarray, band: float,
     return _Probe(near.X, near.norm, near.d_sites, near.d_wall, near.R, wide, wide.sum(axis=1))
 
 
-def _with_balls(scene: SiteScene, probe: _Probe) -> _Probe:
-    """The probe with its wide witness balls."""
-    return _Probe(*probe[:7], *_Nearest(scene, *probe[:5]).balls(probe.wide))
+def _with_balls(scene: SiteScene, probe: _Probe, node: _Probe | None = None) -> _Probe:
+    """The probe with its wide witness balls.  Given the node each row of
+    the probe steps from, a row whose wide set is its node's and holds no
+    wall point keeps the node's ball: a ball of sites depends on those
+    sites alone, and ``_seb_stack`` gives a row the same bits in any
+    stack."""
+    if node is None:
+        return _Probe(*probe[:7], *_Nearest(scene, *probe[:5]).balls(probe.wide))
+    new = ((probe.wide != node.wide).any(axis=1) | node.wide[:, -1]).nonzero()[0]
+    centers, F = node.centers.copy(), node.F.copy()
+    if new.size:
+        centers[new], F[new] = _Nearest(scene, *(a[new] for a in probe[:5])).balls(
+            probe.wide[new])
+    return _Probe(*probe[:7], centers, F)
 
 
 def _accept(node: _Probe, trial: _Probe) -> np.ndarray:
@@ -249,7 +260,7 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
                 again = _probe(scene, Y[moves], max_step, node.wide[rows])
                 for mine, theirs in zip(trial[:7], again[:7]):
                     mine[rows] = theirs
-        trial = _with_balls(scene, trial)
+        trial = _with_balls(scene, trial, node)
         acc = _accept(node, trial)
         moved = acc.all()
         if moved:
@@ -308,32 +319,46 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float) -> RadiusCert
     Nodes from the first one at or above the threshold onward are exempt.
     The certificate only applies when the start satisfies R_0 >= alpha + lam.
     """
+    return _certificates(traj.R, traj.F, traj.arc, np.zeros(1, int), alpha, lam,
+                         traj.scene.bounding_radius)[0]
+
+
+def _certificates(R: np.ndarray, F: np.ndarray, arc: np.ndarray, first: np.ndarray,
+                  alpha: float, lam: float, radius: float) -> list[RadiusCertificate]:
+    """``radius_certificate`` of each trajectory of a scene of bounding
+    radius ``radius``, in one array pass over their concatenated nodes;
+    ``first`` (ascending, from 0) is the index of each trajectory's first
+    node."""
     _check_real("alpha", alpha, positive=False)
     _check_real("lam", lam)
-    flags = []
-    r0 = float(traj.R[0])
+    of = np.repeat(np.arange(len(first)), np.diff(first, append=len(R)))  # node's trajectory
+    r0 = R[first]
     gap0 = r0 - alpha
-    if r0 <= alpha or gap0 < lam:
-        return RadiusCertificate(alpha=alpha, lam=lam, s0=float("nan"),
-                                 residuals=np.full(len(traj.R), float("nan")),
-                                 first_inside=None, valid=False,
-                                 flags=("start-inside-offset" if r0 <= alpha
-                                        else "start-below-certificate-radius",))
-    s0 = math.sqrt(gap0 * gap0 - lam * lam)
-
-    inside = _f_alpha(traj.R, traj.F, alpha) >= lam
-    first_inside = int(np.argmax(inside)) if bool(inside.any()) else None
-    n_checked = first_inside if first_inside is not None else len(traj.R)
-
-    residuals = (traj.R - alpha) ** 2 - (s0 + traj.arc) ** 2 - lam ** 2
-    checked = residuals[:n_checked]
-    tol = _CERT_TOL * traj.scene.bounding_radius ** 2
-    valid = bool((checked >= -tol).all()) if n_checked else True
-    if first_inside is None:
-        flags.append("never-entered-axis")
-    return RadiusCertificate(alpha=alpha, lam=lam, s0=s0, residuals=residuals,
-                             first_inside=first_inside, valid=valid,
-                             flags=tuple(flags))
+    applies = (r0 > alpha) & (gap0 >= lam)
+    s0 = np.full(len(first), np.nan)
+    s0[applies] = np.sqrt(gap0[applies] * gap0[applies] - lam * lam)
+    residuals = (R - alpha) ** 2 - (s0[of] + arc) ** 2 - lam ** 2
+    residuals[~applies[of]] = np.nan
+    # each node's index in its trajectory, and the first inside one (len(R) if none)
+    local = np.arange(len(R)) - first[of]
+    inside = _f_alpha(R, F, alpha) >= lam
+    first_inside = np.minimum.reduceat(np.where(inside, local, len(R)), first)
+    entered = first_inside < len(R)
+    tol = _CERT_TOL * radius ** 2
+    failed = ~(residuals >= -tol) & (local < first_inside[of])
+    valid = applies & ~np.logical_or.reduceat(failed, first)
+    certs = []
+    for k, res in enumerate(np.split(residuals, first[1:])):
+        if not applies[k]:
+            flags = ("start-inside-offset" if r0[k] <= alpha
+                     else "start-below-certificate-radius",)
+        else:
+            flags = () if entered[k] else ("never-entered-axis",)
+        certs.append(RadiusCertificate(
+            alpha=alpha, lam=lam, s0=float(s0[k]), residuals=res,
+            first_inside=int(first_inside[k]) if applies[k] and entered[k] else None,
+            valid=bool(valid[k]), flags=flags))
+    return certs
 
 
 # --- pushing a path up the flow ------------------------------------------

@@ -73,12 +73,16 @@ def _scene_picture(scene: SiteScene, skeleton: VoronoiSkeleton | None):
             P = axis.isolated_points[:, None]
             arms = (4.0 / scale) * np.eye(2)
             parts.append(_lines(scale, P - arms, P + arms, "#2266cc", "2.5"))
-        if trajectories is not None:
-            for traj in trajectories:
+        trajectories = list(trajectories or ())  # read twice below
+        if trajectories:
+            # each trajectory's polyline, then the circle at its start
+            starts = _circles(scale, np.array([traj.points[0] for traj in trajectories]),
+                              2.5, "#ee8833", fill="#ee8833").split("\n")
+            for traj, start in zip(trajectories, starts):
                 parts.append('<polyline points="%s" stroke="#ee8833" fill="none" '
                              'stroke-width="1.5"/>'
                              % _elements("%.3f,%.3f", _canvas(scale, traj.points), " "))
-                parts.append(_circles(scale, traj.points[:1], 2.5, "#ee8833", fill="#ee8833"))
+                parts.append(start)
         parts.append(tail)
         return "\n".join(part for part in parts if part)
 

@@ -1,5 +1,6 @@
 """Experiment configs, report plumbing, and the command line interface."""
 
+import dataclasses
 import filecmp
 import importlib.util
 import json
@@ -301,6 +302,56 @@ class TestJitter:
         assert sorted(calls) == [(0.7, 0.75), (0.75, 0.7), (0.75, 0.8), (0.8, 0.75)]
 
 
+def plain_by_isinstance(obj):
+    """The report values' JSON form, by one isinstance test per kind."""
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [plain_by_isinstance(v) for v in obj.tolist()]
+    if isinstance(obj, dict):
+        return {k: plain_by_isinstance(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain_by_isinstance(v) for v in obj]
+    if isinstance(obj, float) and math.isnan(obj):
+        return "nan"
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
+class TestReportValues:
+    def test_plain_matches_isinstance_chain(self):
+        payload = {
+            "floats": [0.1, -0.0, math.nan, math.inf, -math.inf, 1e308],
+            "numpy": [np.float64(0.25), np.float64(math.nan), np.float32(1.5),
+                      np.int64(7), np.int32(-3), np.bool_(True), np.bool_(False)],
+            "tuples": (1, (2.5, "x"), (math.inf,)),
+            "array": np.array([[0.5, math.nan], [math.inf, -2.0]]),
+            "bools": [True, False], "ints": [0, -1, 2 ** 70], "text": "nan",
+            "nested": {"a": {"b": [{"c": (np.float64(-math.inf), None)}]}},
+        }
+        want = json.dumps(plain_by_isinstance(payload), sort_keys=True, indent=2)
+        assert json.dumps(experiments._plain(payload), sort_keys=True, indent=2) == want
+
+    @pytest.mark.parametrize("field, pick", [("r_max", max), ("mu_tilde", min),
+                                             ("r_mu_alpha", min)])
+    def test_merge_is_symmetric_with_nan(self, field, pick):
+        base = mx.ReachSummary(mu=0.5, alpha=0.3, lam=0.5, r_mu_alpha=1.2, wfs=0.8,
+                               r_max=4.0, mu_tilde=0.4, flags=("a",))
+        other = dataclasses.replace(base, **{field: math.nan}, flags=("b",))
+        for a, b in ((base, other), (other, base)):
+            merged = experiments._merge_summaries(a, b)
+            assert math.isnan(getattr(merged, field)) and merged.flags == ("a", "b")
+        finite = dataclasses.replace(base, **{field: 0.7})
+        for a, b in ((base, finite), (finite, base)):
+            assert getattr(experiments._merge_summaries(a, b), field) == pick(
+                getattr(base, field), 0.7)
+
+
 class TestRunFlow:
     def test_requires_starts(self):
         cfg = ExperimentConfig(scene=two_site_scene())
@@ -318,6 +369,23 @@ class TestRunFlow:
         assert any(n.startswith("R-monotone") for n in names)
         assert sorted(os.listdir(tmp_path)) == ["flow.svg", "flow_report.json",
                                                 "trajectories.csv"]
+
+    @pytest.mark.parametrize("horizon", [0.0, 2.0])
+    def test_rows_match_each_trajectory(self, horizon):
+        """min_R_step and the certificate fields of each row are those of
+        its own trajectory (0.0 for a one-node trajectory)."""
+        starts = ((0.0, 1.5), (0.3, 0.9), (0.6, 0.0), (-2.0, -3.0), (0.0, 3.0))
+        report = run_flow(ExperimentConfig(scene=two_site_scene(), lambda_grid=(0.75,),
+                                           alpha_grid=(0.5,), starts=starts,
+                                           horizon=horizon))
+        trajs = mx.integrate_flows(two_site_scene(), starts, alpha=0.5, horizon=horizon,
+                                   lam=0.75)
+        for row, tr in zip(report.rows, trajs):
+            steps = np.diff(tr.R)
+            assert row["min_R_step"] == (float(steps.min()) if len(steps) else 0.0)
+            cert = mx.radius_certificate(tr, 0.5, 0.75)
+            assert (row["certificate_valid"], row["certificate_flags"]) == (
+                cert.valid, list(cert.flags))
 
     def test_removes_legacy_trajectory_files(self, tmp_path):
         """The one-file-per-start tables go, and no other file."""
@@ -487,6 +555,16 @@ class TestCli:
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [5, ["out"], True])
+    def test_bad_out_dir_exits_three(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write_cfg(tmp_path, {
+            "scene": {"sites": [[-1.0, 0.0], [1.0, 0.0]], "bounding_radius": 10.0},
+            "lambda_grid": [0.75], "alpha_grid": [0.5], "out_dir": value})
+        assert cli_main(["axis", "--config", cfg]) == 3
+        assert "out_dir" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_nan_horizon_exits_three(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, {

@@ -1,6 +1,8 @@
 """Gradient flow integration, its stopping rules, and the growth certificates."""
 
 import collections
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ from test_axis import adversarial_scene
 
 import medaxis as mx
 import medaxis.flow as flow_mod
+from medaxis import svgout
 from medaxis.flow import _STALL_FRACTION, _accept, _probe, _with_balls
 from medaxis.scene import _nearest, _seb_stack, _wall_points
 
@@ -415,6 +418,51 @@ class TestLockstepBatch:
         assert np.diff(fa).min() >= -1e-7
 
 
+def _pinned_draws():
+    """Flows that meet the wall, 3- and 4-witness balls, rejected steps and
+    stalls: (scene, starts, keyword arguments) per call."""
+    tri = acute_triangle()
+    top = mx.smallest_enclosing_ball(tri.sites).center
+    wall = adversarial_scene("near-wall", 15, 12)
+    lat = adversarial_scene("lattice", 2, 0)
+    poly = adversarial_scene("polygon-center", 5, 3)
+    dense = separated_scene(50, 1)
+    return [
+        (wall, np.vstack([domain_points(wall, 6, 12), bisector_points(wall, 4, 12),
+                          [[-0.22070603558518975, 1.5197787874615964]]]),
+         dict(alpha=0.2, horizon=2.0, lam=0.8)),
+        (lat, np.vstack([domain_points(lat, 6, 1), bisector_points(lat, 6, 1)]),
+         dict(alpha=0.1, horizon=1.5)),
+        (poly, np.vstack([domain_points(poly, 4, 2), bisector_points(poly, 4, 2)]),
+         dict(alpha=0.1, horizon=1.5, lam=0.6)),
+        (tri, [top, top + [1e-4, 2e-4], [0.5, 0.2]], dict(alpha=0.2, horizon=0.05)),
+        (dense, domain_points(dense, 20, 1), dict(alpha=0.3, horizon=1.0, lam=0.5)),
+    ]
+
+
+class TestBitIdentityPin:
+    def test_trajectories_keep_their_bits(self):
+        """The SHA-256 of every trajectory's arrays and stop data on draws
+        that reach each path of the integrator, recorded before the flow
+        reused its nodes' witness balls."""
+        digest = hashlib.sha256()
+        seen = collections.Counter()
+        for scene, starts, kw in _pinned_draws():
+            for tr in mx.integrate_flows(scene, starts, **kw):
+                for name in ("times", "points", "R", "F", "witness_counts"):
+                    digest.update(getattr(tr, name).tobytes())
+                digest.update(("%s,%d;" % (tr.stop_reason, tr.rejected_steps)).encode())
+                seen.update(tr.witness_counts.tolist())
+                seen[tr.stop_reason] += 1
+                seen["rejected"] += tr.rejected_steps
+                # the wall is within the band, so it is a wide witness
+                seen["wall"] += int((scene.bounding_radius - np.linalg.norm(tr.points, axis=1)
+                                     <= tr.R + tr.max_step).sum())
+        assert seen[3] and seen[4] and seen["stalled"] and seen["rejected"] and seen["wall"]
+        assert digest.hexdigest() == (
+            "bb9dc2e5502ee7c87cbec886c62876768e8b77501a31b2831a472116bcb2a83c")
+
+
 class TestIntegrateFlow:
     def test_radius_never_decreases(self):
         scene = mx.random_scene(10, bounding_radius=6.0, seed=19)
@@ -523,6 +571,94 @@ class TestRadiusCertificate:
         cert = mx.radius_certificate(traj, alpha=0.5, lam=0.75)
         assert cert.first_inside is None
         assert "never-entered-axis" in cert.flags
+
+
+def oracle_certificate(traj, alpha, lam):
+    """The certificate of one trajectory on its own: (s0, residuals,
+    first_inside, valid, flags)."""
+    r0 = float(traj.R[0])
+    if r0 <= alpha or r0 - alpha < lam:
+        return (math.nan, np.full(len(traj.R), math.nan), None, False,
+                ("start-inside-offset" if r0 <= alpha else "start-below-certificate-radius",))
+    s0 = math.sqrt((r0 - alpha) ** 2 - lam * lam)
+    residuals = (traj.R - alpha) ** 2 - (s0 + traj.arc) ** 2 - lam ** 2
+    inside = [k for k in range(len(traj.R))
+              if traj.R[k] > alpha and (traj.R[k] - alpha) / traj.R[k] * traj.F[k] >= lam]
+    first_inside = inside[0] if inside else None
+    checked = residuals[:len(traj.R) if first_inside is None else first_inside]
+    valid = all(v >= -1e-6 * traj.scene.bounding_radius ** 2 for v in checked)
+    return s0, residuals, first_inside, valid, () if inside else ("never-entered-axis",)
+
+
+class TestBatchedCertificates:
+    def certificate_draws(self):
+        scene = two_site_scene()
+        alpha, lam = 0.5, 0.75
+        starts = [[0.0, 1.5], [0.0, 3.0], [0.6, 0.0], [0.0, 0.6], [2.0, 2.0]]
+        trajs = mx.integrate_flows(scene, starts, alpha=alpha, horizon=0.5)
+        trajs += mx.integrate_flows(scene, starts[:3], alpha=alpha, horizon=0.0)
+        trajs += mx.integrate_flows(scene, [[0.0, 1.5]], alpha=alpha, horizon=0.01)
+        dense = separated_scene(50, 1)
+        trajs += mx.integrate_flows(dense, domain_points(dense, 12, 3), alpha=alpha,
+                                    horizon=1.0, lam=lam)
+        # R that does not grow: node 1 fails the certificate unless it is
+        # inside (F_alpha 1.125 >= lam), and so exempt
+        for F in ([0.0, 1.5, 0.0], [0.0, 0.0, 1.5]):
+            trajs.append(dataclasses.replace(
+                trajs[0], times=np.array([0.0, 0.5, 1.0]), arc=np.array([0.0, 0.5, 1.0]),
+                R=np.full(3, 2.0), F=np.array(F)))
+        return trajs, alpha, lam
+
+    def test_core_matches_each_trajectory_alone(self):
+        trajs, alpha, lam = self.certificate_draws()
+        first = np.cumsum([0] + [len(tr) for tr in trajs[:-1]])
+        batch = flow_mod._certificates(
+            np.concatenate([tr.R for tr in trajs]), np.concatenate([tr.F for tr in trajs]),
+            np.concatenate([tr.arc for tr in trajs]), first, alpha, lam, 10.0)
+        seen = collections.Counter()
+        for tr, got in zip(trajs, batch):
+            for cert in (got, mx.radius_certificate(tr, alpha, lam)):
+                s0, residuals, first_inside, valid, flags = oracle_certificate(tr, alpha, lam)
+                assert cert.alpha == alpha and cert.lam == lam
+                assert np.array_equal(cert.s0, s0, equal_nan=True)
+                assert cert.residuals.tobytes() == residuals.tobytes()
+                assert (cert.first_inside, cert.valid, cert.flags) == (first_inside, valid, flags)
+            seen.update(got.flags)
+            seen["one-node"] += len(tr) == 1
+            seen["inside-at-start"] += got.first_inside == 0
+            seen["inside-later"] += bool(got.first_inside)
+            seen["invalid"] += "start-" not in str(got.flags) and not got.valid
+        assert all(seen[k] for k in ("one-node", "inside-at-start", "inside-later", "invalid",
+                                     "start-inside-offset", "start-below-certificate-radius",
+                                     "never-entered-axis"))
+
+
+def per_trajectory_svg(scene, trajs):
+    """scene_svg of the trajectories with each polyline and each start
+    circle formatted on its own, after the polyline."""
+    scale = (svgout._SIZE / 2 - svgout._MARGIN) / scene.bounding_radius
+    layer = []
+    for traj in trajs:
+        layer.append('<polyline points="%s" stroke="#ee8833" fill="none" stroke-width="1.5"/>'
+                     % svgout._elements("%.3f,%.3f", svgout._canvas(scale, traj.points), " "))
+        layer.append(svgout._circles(scale, traj.points[:1], 2.5, "#ee8833", fill="#ee8833"))
+    lines = mx.scene_svg(scene).split("\n")
+    sites = next(k for k, line in enumerate(lines) if 'fill="#cc2222"' in line)
+    return "\n".join(lines[:sites] + layer + lines[sites:])
+
+
+class TestTrajectorySvg:
+    @pytest.mark.parametrize("case", ["empty", "one-node", "flow-field"])
+    def test_equals_per_trajectory_form(self, case):
+        scene = separated_scene(50, 1)
+        if case == "empty":
+            trajs = []
+        elif case == "one-node":
+            trajs = mx.integrate_flows(scene, domain_points(scene, 1, 2), horizon=0.0)
+        else:
+            trajs = mx.integrate_flows(scene, domain_points(scene, 30, 2), alpha=0.3,
+                                       horizon=1.0, lam=0.5)
+        assert mx.scene_svg(scene, trajectories=trajs) == per_trajectory_svg(scene, trajs)
 
 
 class TestPushPath:
