@@ -149,37 +149,28 @@ def load_config(path: str) -> ExperimentConfig:
 # --- reports ---------------------------------------------------------------
 
 def _plain(obj):
-    # the exact built-in types first; subclasses such as np.float64 take
-    # the isinstance chain below
-    kind = type(obj)
-    if kind is str or kind is bool or kind is int:
+    # built-in types first; np.float64 is a float, but stays a number
+    # when it is NaN or inf
+    if isinstance(obj, (str, int)):
         return obj
-    if kind is float:
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, float):
         if math.isnan(obj):
             return "nan"
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if kind is dict:
-        return {k: _plain(v) for k, v in obj.items()}
-    if kind is list:
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
     return obj
 
 
@@ -444,24 +435,16 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
                             lam=None if alpha is None else lam)
     # the one-file-per-start tables that trajectories.csv replaced
     _remove_stale(config.out_dir, r"trajectory_[0-9]{2,}\.csv")
-    # each trajectory's R steps, the steps across two trajectories masked
-    first = np.cumsum([0] + [len(traj) for traj in trajs[:-1]])
-    R = np.concatenate([traj.R for traj in trajs])
-    steps = np.append(np.diff(R), np.inf)
-    steps[first[1:] - 1] = np.inf
-    min_steps = np.minimum.reduceat(steps, first)
-    min_steps[np.isinf(min_steps)] = 0.0  # one node: no step
     if lam is not None and alpha is not None:
-        certs = _certificates(R, np.concatenate([traj.F for traj in trajs]),
-                              np.concatenate([traj.arc for traj in trajs]), first,
-                              alpha, lam, config.scene.bounding_radius)
+        certs = _certificates(trajs, alpha, lam)
     for k, (start, traj) in enumerate(zip(config.starts, trajs)):
+        r_steps = np.diff(traj.R)
         row = {
             "start": [float(v) for v in start],
             "stop_reason": traj.stop_reason,
             "nodes": len(traj),
             "final_R": float(traj.R[-1]),
-            "min_R_step": float(min_steps[k]),
+            "min_R_step": float(r_steps.min()) if len(r_steps) else 0.0,
             "flags": [],
         }
         report.add_assertion("R-monotone-%d" % k, row["min_R_step"] >= 0.0)

@@ -108,12 +108,15 @@ def _with_balls(scene: SiteScene, probe: _Probe, node: _Probe | None = None) -> 
     the probe steps from, a row whose wide set is its node's and holds no
     wall point keeps the node's ball: a ball of sites depends on those
     sites alone, and ``_seb_stack`` gives a row the same bits in any
-    stack."""
-    if node is None:
+    stack.  When no row keeps its ball (as when every node holds the
+    wall), the probe goes to the kernel whole."""
+    new = None if node is None or node.wide[:, -1].all() else (
+        (probe.wide != node.wide).any(axis=1) | node.wide[:, -1]).nonzero()[0]
+    if new is None or new.size == len(probe.R):
         return _Probe(*probe[:7], *_Nearest(scene, *probe[:5]).balls(probe.wide))
-    new = ((probe.wide != node.wide).any(axis=1) | node.wide[:, -1]).nonzero()[0]
-    centers, F = node.centers.copy(), node.F.copy()
+    centers, F = node.centers, node.F
     if new.size:
+        centers, F = centers.copy(), F.copy()
         centers[new], F[new] = _Nearest(scene, *(a[new] for a in probe[:5])).balls(
             probe.wide[new])
     return _Probe(*probe[:7], centers, F)
@@ -319,18 +322,18 @@ def radius_certificate(traj: Trajectory, alpha: float, lam: float) -> RadiusCert
     Nodes from the first one at or above the threshold onward are exempt.
     The certificate only applies when the start satisfies R_0 >= alpha + lam.
     """
-    return _certificates(traj.R, traj.F, traj.arc, np.zeros(1, int), alpha, lam,
-                         traj.scene.bounding_radius)[0]
+    return _certificates([traj], alpha, lam)[0]
 
 
-def _certificates(R: np.ndarray, F: np.ndarray, arc: np.ndarray, first: np.ndarray,
-                  alpha: float, lam: float, radius: float) -> list[RadiusCertificate]:
-    """``radius_certificate`` of each trajectory of a scene of bounding
-    radius ``radius``, in one array pass over their concatenated nodes;
-    ``first`` (ascending, from 0) is the index of each trajectory's first
-    node."""
+def _certificates(trajs: list[Trajectory], alpha: float,
+                  lam: float) -> list[RadiusCertificate]:
+    """``radius_certificate`` of each of some trajectories of one scene, in
+    one array pass over their concatenated nodes."""
     _check_real("alpha", alpha, positive=False)
     _check_real("lam", lam)
+    first = np.cumsum([0] + [len(traj) for traj in trajs[:-1]])
+    R, F, arc = (np.concatenate([getattr(traj, name) for traj in trajs])
+                 for name in ("R", "F", "arc"))
     of = np.repeat(np.arange(len(first)), np.diff(first, append=len(R)))  # node's trajectory
     r0 = R[first]
     gap0 = r0 - alpha
@@ -344,7 +347,7 @@ def _certificates(R: np.ndarray, F: np.ndarray, arc: np.ndarray, first: np.ndarr
     inside = _f_alpha(R, F, alpha) >= lam
     first_inside = np.minimum.reduceat(np.where(inside, local, len(R)), first)
     entered = first_inside < len(R)
-    tol = _CERT_TOL * radius ** 2
+    tol = _CERT_TOL * trajs[0].scene.bounding_radius ** 2
     failed = ~(residuals >= -tol) & (local < first_inside[of])
     valid = applies & ~np.logical_or.reduceat(failed, first)
     certs = []

@@ -611,10 +611,14 @@ class TestBatchedCertificates:
 
     def test_core_matches_each_trajectory_alone(self):
         trajs, alpha, lam = self.certificate_draws()
-        first = np.cumsum([0] + [len(tr) for tr in trajs[:-1]])
-        batch = flow_mod._certificates(
-            np.concatenate([tr.R for tr in trajs]), np.concatenate([tr.F for tr in trajs]),
-            np.concatenate([tr.arc for tr in trajs]), first, alpha, lam, 10.0)
+        # the core takes the trajectories of one scene at a time
+        groups = {}
+        for tr in trajs:
+            groups.setdefault(id(tr.scene), []).append(tr)
+        assert len(groups) == 2
+        trajs = [tr for group in groups.values() for tr in group]
+        batch = [cert for group in groups.values()
+                 for cert in flow_mod._certificates(group, alpha, lam)]
         seen = collections.Counter()
         for tr, got in zip(trajs, batch):
             for cert in (got, mx.radius_certificate(tr, alpha, lam)):
