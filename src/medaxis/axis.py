@@ -38,9 +38,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .scene import (InvalidSceneError, OffsetDomainError, SiteScene, _dot, _nearest, _row_norms,
-                    _seb_stack, _wall_points)
-from .field import CriticalProfile, _check_levels, _check_real, _f_alpha, _grad_norm, eval_field
+from .scene import (InvalidSceneError, OffsetDomainError, SiteScene, _check_real, _dot, _nearest,
+                    _row_norms, _seb_stack, _wall_points)
+from .field import CriticalProfile, _check_levels, _f_alpha, _grad_norm, eval_field
 
 __all__ = [
     "VoronoiSkeleton",

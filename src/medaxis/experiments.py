@@ -21,11 +21,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .scene import InvalidSceneError, SiteScene, load_scene, scene_from_json
+from .scene import (InvalidSceneError, SiteScene, _check_count, _check_real, load_scene,
+                    scene_from_json)
 from .field import (
     CriticalProfile,
-    _check_count,
-    _check_real,
     _check_sampling,
     estimate_critical_function,
     profile_to_csv,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,8 @@ from .scene import (
     InvalidSceneError,
     OffsetDomainError,
     SiteScene,
+    _check_count,
+    _check_real,
     _nearest,
     _seb_stack,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "CriticalProfile",
     "estimate_critical_function",
     "profile_to_csv",
-    "profile_from_csv",
     "ReachSummary",
     "reach_summary",
 ]
@@ -99,7 +99,11 @@ def eval_field(scene: SiteScene, x, alpha: float | None = None) -> FieldSample:
 
 
 def r_batch(scene: SiteScene, X) -> np.ndarray:
-    return _nearest(scene, np.atleast_2d(np.asarray(X, float))).R
+    """Distance R to the scene set of each row of X, which must lie in
+    the open domain."""
+    near = _nearest(scene, np.atleast_2d(np.asarray(X, float)))
+    near.check()
+    return near.R
 
 
 def eval_field_batch(scene: SiteScene, X, alpha: float | None = None):
@@ -243,21 +247,6 @@ def _band_gradient_norms(scene: SiteScene, X: np.ndarray, band: float) -> np.nda
     return _grad_norm(near.balls(near.cut(band))[1], near.R)
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Reject a count that is not an integer >= ``least`` (a bool included)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise InvalidSceneError("%s must be an integer >= %d" % (name, least))
-
-
-def _check_real(name: str, value, positive: bool = True) -> None:
-    """Reject all but finite real numbers > 0, or >= 0 unless ``positive``
-    (a bool included)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0.0 or positive and value == 0.0):
-        raise InvalidSceneError("%s must be finite and %s"
-                                % (name, "positive" if positive else "nonnegative"))
-
-
 def _check_sampling(samples_per_level, band_width) -> None:
     """Reject sampler settings that would silently yield no samples."""
     _check_count("samples_per_level", samples_per_level)
@@ -333,24 +322,6 @@ def profile_to_csv(profile: CriticalProfile) -> str:
     for t, c in zip(profile.t_grid, profile.chi):
         buf.write(f"{t:.17g},{c:.17g}\n")
     return buf.getvalue()
-
-
-def profile_from_csv(text: str, band_width: float = float("nan"),
-                     r_max: float = float("nan")) -> CriticalProfile:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != "t,chi":
-        raise InvalidSceneError("profile CSV must start with header 't,chi'")
-    ts, cs = [], []
-    for ln in lines[1:]:
-        a, b = ln.split(",")
-        ts.append(float(a))
-        cs.append(float(b))
-    t_grid = np.asarray(ts)
-    chi = np.asarray(cs)
-    return CriticalProfile(t_grid=t_grid, chi=chi,
-                           sample_count=np.zeros(len(t_grid), int),
-                           band_width=band_width, r_max=r_max,
-                           flags=("from-csv",))
 
 
 # --- reach summary ------------------------------------------------------

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _check_real, _f_alpha, _grad_norm
-from .scene import DomainError, SiteScene, _dot, _nearest, _Nearest, _row_norms
+from .field import _f_alpha, _grad_norm
+from .scene import DomainError, SiteScene, _check_real, _dot, _nearest, _Nearest, _row_norms
 
 __all__ = [
     "Trajectory",
@@ -203,22 +203,20 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     if not (node.R > 0.0).all():
         _nearest(scene, X).check()
     node = _with_balls(scene, node)
-    grad, gnorm = _steer(node)
     n = len(X)
     live = np.arange(n)  # batch row of each running row
-    t, arc, rejected = np.zeros(n), np.zeros(n), np.zeros(n, int)
-    done_nodes, done_rejected, done_reason = (np.zeros(n, int) for _ in range(3))
+    t, arc, dt, rejected = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n, int)
+    done_reason = np.zeros(n, int)
     acc = np.ones(n, bool)  # rows that reached a new node this tick
-    moved = True            # acc.all()
     log = []
     while True:
         # Every row has run since the first tick, so a row's node count is
         # the tick count less its rejected steps.  A row that did not move
         # tests its node again, which passed, so only its step can end it.
         log.append((live, acc, t, arc, node.X, node.R, node.F, node.count))
+        grad, gnorm = _steer(node)
         remaining = horizon - t
-        fresh = np.minimum(max_step, remaining)
-        dt = fresh if moved else np.where(acc, fresh, 0.5 * dt)
+        dt = np.where(acc, np.minimum(max_step, remaining), 0.5 * dt)
         # The stops, in the order of ``_REASONS``; a row ends on the first
         # that holds.  t >= horizon implies remaining <= stall_floor, so it
         # is tested only on ticks where some row ends; remaining within the
@@ -238,9 +236,7 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
             for k, stop in ((4, spent), (3, flat), (2, capped), (1, t >= horizon),
                             (0, entered)):
                 code = np.where(stop, k, code)
-            done = live[ends]
-            done_reason[done], done_rejected[done] = code[ends], rejected[ends]
-            done_nodes[done] = len(log) - rejected[ends]
+            done_reason[live[ends]] = code[ends]
             go = ~ends
             if not go.any():
                 break
@@ -257,43 +253,32 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
             moves, Y = _snap_to_tie(trial.X[two], _pairs(scene, trial, two),
                                     cap=dt[two] + 2.0 * max_step)
             rows = two[moves]
-            if rows.size == len(live):
-                trial = _probe(scene, Y, max_step, node.wide)
-            elif rows.size:
+            if rows.size:
                 again = _probe(scene, Y[moves], max_step, node.wide[rows])
                 for mine, theirs in zip(trial[:7], again[:7]):
                     mine[rows] = theirs
         trial = _with_balls(scene, trial, node)
         acc = _accept(node, trial)
-        moved = acc.all()
-        if moved:
-            arc = arc + dt * gnorm
-            t = np.where(dt == remaining, horizon, t + dt)
-            node = trial
-            grad, gnorm = _steer(trial)
-            continue
         rejected += ~acc
         arc = np.where(acc, arc + dt * gnorm, arc)
         t = np.where(acc, np.where(dt == remaining, horizon, t + dt), t)
-        pick = acc.nonzero()[0]
-        if pick.size:
-            grad[pick], gnorm[pick] = _steer(_Probe(*(a[pick] for a in trial)))
-            node = _Probe(*(np.where(acc[:, None] if b.ndim > 1 else acc, a, b)
-                            for a, b in zip(trial, node)))
+        node = trial if acc.all() else _Probe(
+            *(np.where(acc[:, None] if b.ndim > 1 else acc, a, b) for a, b in zip(trial, node)))
 
     rows, acc, *cols = (np.concatenate(c) for c in zip(*log))
+    nodes, rejected = (np.bincount(rows[a], minlength=n).tolist() for a in (acc, ~acc))
     order = acc.nonzero()[0][np.argsort(rows[acc], kind="stable")]
     times, arcs, points, R, F, counts = (c[order] for c in cols)
     fa = np.full(len(R), np.nan) if alpha is None else _f_alpha(R, F, alpha)
     gn = _grad_norm(F, R)
-    bounds = np.cumsum(done_nodes).tolist()
+    bounds = np.cumsum(nodes).tolist()
     return [Trajectory(scene=scene, alpha=alpha, times=times[a:b], arc=arcs[a:b],
                        points=points[a:b], R=R[a:b], F=F[a:b], F_alpha=fa[a:b],
                        grad_norm=gn[a:b], witness_counts=counts[a:b],
                        stop_reason=_REASONS[code], max_step=max_step,
                        rejected_steps=k)
             for a, b, code, k in zip([0] + bounds[:-1], bounds,
-                                     done_reason.tolist(), done_rejected.tolist())]
+                                     done_reason.tolist(), rejected)]
 
 
 # --- certified radius growth ---------------------------------------------

@@ -28,6 +28,7 @@ from scipy.spatial import cKDTree
 
 from .axis import FilteredAxis
 from .field import ReachSummary
+from .scene import _check_count, _check_real
 
 # Query points per block of the projection onto an axis's pieces.
 _PROJECT_CHUNK = 512
@@ -65,6 +66,7 @@ def _axis_samples(axis: FilteredAxis, spacing: float):
     (u, v) of its segment, its distances (du, dv) to them and the segment id,
     which is -1 for a vertex (then u = v and du = dv = 0).
     """
+    _check_real("resolution", spacing)
     ends, length = _pieces(axis)  # an isolated point has no interior
     a, b = axis.vertices[ends[:, 0]], axis.vertices[ends[:, 1]]
     pieces = np.maximum(np.ceil(length / spacing).astype(int), 1)
@@ -250,6 +252,8 @@ def gh_distortion(graph_a: GeodesicGraph, graph_b: GeodesicGraph, radius: float,
     j-th hit of a's ball in the KD-tree's order, read from ``tree_b.indices``
     when the ball holds every sample.
     """
+    _check_real("radius", radius)
+    _check_count("sample_pairs", sample_pairs)
     sa = _axis_samples(graph_a.axis, resolution)
     sb = _axis_samples(graph_b.axis, resolution)
     pts_a, pts_b = sa[0], sb[0]

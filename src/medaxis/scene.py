@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +51,21 @@ class DomainError(ValueError):
 
 class OffsetDomainError(DomainError):
     """Query point is within offset distance alpha of the scene set."""
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Reject a count that is not an integer >= ``least`` (a bool included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidSceneError("%s must be an integer >= %d" % (name, least))
+
+
+def _check_real(name: str, value, positive: bool = True) -> None:
+    """Reject all but finite real numbers > 0, or >= 0 unless ``positive``
+    (a bool included)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0.0 or positive and value == 0.0):
+        raise InvalidSceneError("%s must be finite and %s"
+                                % (name, "positive" if positive else "nonnegative"))
 
 
 @dataclass(frozen=True)
@@ -299,13 +315,9 @@ class _Nearest(NamedTuple):
         stack."""
         counts = mask.sum(axis=1)
         cols = mask.nonzero()[1]  # row by row, each row's columns ascending
-        groups = np.bincount(counts).nonzero()[0].tolist()
-        if len(groups) == 1:  # one group: every row, in order
-            return _seb_stack(self.witnesses(np.arange(len(counts)),
-                                             cols.reshape(len(counts), groups[0])))
         first = np.cumsum(counts) - counts
         centers, F = np.empty_like(self.X), np.empty(len(self.X))
-        for k in groups:
+        for k in np.bincount(counts).nonzero()[0].tolist():
             rows = np.nonzero(counts == k)[0]
             centers[rows], F[rows] = _seb_stack(self.witnesses(
                 rows, cols[first[rows, None] + np.arange(k)]))
@@ -352,47 +364,44 @@ def _nearest(scene: SiteScene, X: np.ndarray, cand: np.ndarray | None = None) ->
     return _Nearest(scene, X, norm, d_sites, d_wall, np.minimum(R, d_wall, out=R), cand)
 
 
-# --- JSON round trip (17 significant digits: exact float round trip) ---
-
-def _fmt(v: float) -> float:
-    return float(f"{float(v):.17g}")
-
+# --- JSON round trip (Python's float repr round-trips every finite double) ---
 
 def scene_to_json(scene: SiteScene) -> str:
     payload = {
-        "sites": [[_fmt(c) for c in row] for row in scene.sites],
-        "bounding_radius": _fmt(scene.bounding_radius),
-        "tie_tolerance": _fmt(scene.tie_tolerance),
+        "sites": scene.sites.tolist(),
+        "bounding_radius": scene.bounding_radius,
+        "tie_tolerance": float(scene.tie_tolerance),
     }
     return json.dumps(payload)
 
 
 def scene_from_json(text: str) -> SiteScene:
-    try:
+    try:  # a JSON decoding error is a ValueError
         payload = json.loads(text)
-        sites = payload["sites"]
-        radius = payload["bounding_radius"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        sites = np.asarray(payload["sites"], float)
+        radius = float(payload["bounding_radius"])
+        tie = float(payload.get("tie_tolerance", 1e-9))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSceneError(f"malformed scene JSON: {exc}") from exc
-    tie = payload.get("tie_tolerance", 1e-9)
-    return SiteScene(np.asarray(sites, float), float(radius), float(tie))
+    return SiteScene(sites, radius, tie)
 
 
 def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
-                 dim: int = 2, margin: float = 0.85,
-                 min_separation: float | None = None) -> SiteScene:
-    """Seeded scene with sites drawn uniformly in a shrunken ball.
+                 dim: int = 2, min_separation: float | None = None) -> SiteScene:
+    """Seeded scene with sites drawn uniformly in the ball of 0.85 times
+    the bounding radius.
 
     Draws are rejected until all pairwise separations exceed
     ``min_separation`` (default: 2% of the bounding radius).
     """
+    _check_count("n_sites", n_sites)
     if min_separation is None:
         min_separation = 0.02 * bounding_radius
     rng = np.random.default_rng(seed)
     for _ in range(500):
         raw = rng.normal(size=(n_sites, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = margin * bounding_radius * rng.uniform(size=(n_sites, 1)) ** (1.0 / dim)
+        radii = 0.85 * bounding_radius * rng.uniform(size=(n_sites, 1)) ** (1.0 / dim)
         sites = raw * radii
         diff = sites[:, None, :] - sites[None, :, :]
         gaps = np.sqrt((diff ** 2).sum(-1)) + np.eye(n_sites) * bounding_radius

@@ -171,6 +171,15 @@ class TestBatchEvaluation:
         out = mx.eval_field_batch(scene, X)
         assert np.allclose(r, out["R"], atol=1e-14)
 
+    @pytest.mark.parametrize("x, reason", [
+        ([10.0, 0.0], "outside the open bounding ball"),
+        ([0.0, 0.0], "coincides with a site"),
+        ([math.nan, 0.0], "must be finite")], ids=["outside", "site", "nan"])
+    def test_r_batch_rejects_points_off_the_domain(self, x, reason):
+        scene = mx.SiteScene(sites=[[0.0, 0.0], [1.0, 0.0]], bounding_radius=5.0)
+        with pytest.raises(mx.DomainError, match=reason):
+            mx.r_batch(scene, [[0.5, 0.5], x])
+
     def test_batch_rejects_points_inside_offset(self):
         scene = two_site_scene()
         with pytest.raises(mx.OffsetDomainError):
@@ -212,9 +221,10 @@ class TestCriticalFunction:
         prof = mx.estimate_critical_function(scene, np.linspace(0.5, 3.0, 5),
                                              samples_per_level=200, seed=2)
         text = mx.profile_to_csv(prof)
-        back = mx.profile_from_csv(text)
-        assert np.array_equal(prof.t_grid, back.t_grid)
-        assert np.array_equal(prof.chi, back.chi)
+        header, *lines = text.splitlines()
+        assert header == "t,chi" and text.endswith("\n")
+        back = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+        assert np.array_equal(back, np.column_stack([prof.t_grid, prof.chi]))
 
     @pytest.mark.parametrize("kwargs", [
         {"band_width": -0.01}, {"band_width": 0.0}, {"band_width": float("nan")},

@@ -438,6 +438,31 @@ class TestDistortion:
         assert isinstance(d1, float) and d1 == d2
 
 
+def filtered_pair():
+    sk = mx.build_skeleton(mx.random_scene(8, 6.0, seed=3, min_separation=1.0))
+    return mx.filter_axis(sk, 0.2, 0.1), mx.filter_axis(sk, 0.25, 0.1)
+
+
+class TestBadScalars:
+    """A bad resolution, radius or pair count is rejected as bad input
+    instead of reading as a distance."""
+
+    @pytest.mark.parametrize("resolution", [-1.0, math.nan, 0.0])
+    def test_hausdorff_rejects_resolution(self, resolution):
+        with pytest.raises(mx.InvalidSceneError, match="resolution"):
+            mx.hausdorff_distance(*filtered_pair(), resolution)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"radius": -1.0}, {"radius": math.nan}, {"radius": math.inf},
+        {"resolution": -1.0}, {"sample_pairs": 0}, {"sample_pairs": 2.5}],
+        ids=lambda kw: "%s=%s" % next(iter(kw.items())))
+    def test_gh_distortion_rejects(self, kwargs):
+        kw = dict(radius=0.5, sample_pairs=100, resolution=0.05, seed=0)
+        kw.update(kwargs)
+        with pytest.raises(mx.InvalidSceneError, match=next(iter(kwargs))):
+            mx.gh_distortion(*graphs(*filtered_pair()), **kw)
+
+
 def summary_fixture():
     return mx.ReachSummary(mu=0.5, alpha=0.25, lam=0.5, r_mu_alpha=1.0,
                            wfs=1.0, r_max=5.05, mu_tilde=0.5)

@@ -510,6 +510,11 @@ class TestRandomScene:
         scene = mx.random_scene(6, seed=1, dim=3)
         assert scene.sites.shape == (6, 3)
 
+    @pytest.mark.parametrize("n_sites", [0, -1, 2.5, True])
+    def test_rejects_bad_site_count(self, n_sites):
+        with pytest.raises(mx.InvalidSceneError, match="n_sites"):
+            mx.random_scene(n_sites)
+
 
 class TestSerialization:
     def test_json_round_trip(self):
@@ -522,6 +527,25 @@ class TestSerialization:
     def test_json_is_stable(self):
         scene = two_site_scene()
         assert mx.scene_to_json(scene) == mx.scene_to_json(scene)
+
+    def test_json_bytes_pinned(self):
+        """Signed zero, a subnormal and doubles that need 16 or 17 digits
+        keep their exact text; an int tie tolerance is written as a float."""
+        scene = mx.SiteScene(sites=[[-0.0, 5e-324], [1 / 3, 0.1 + 0.2]],
+                             bounding_radius=2.0, tie_tolerance=0)
+        assert mx.scene_to_json(scene) == (
+            '{"sites": [[-0.0, 5e-324], [0.3333333333333333, 0.30000000000000004]], '
+            '"bounding_radius": 2.0, "tie_tolerance": 0.0}')
+
+    @pytest.mark.parametrize("text", [
+        '{"sites": [[0.0, 1.0]], "bounding_radius": null}',
+        '{"sites": [[0.0, 1.0]], "bounding_radius": "x"}',
+        '{"sites": [[0.0, 1.0]], "bounding_radius": 5.0, "tie_tolerance": "x"}',
+        '{"sites": [[0.0, 1.0], [2.0]], "bounding_radius": 5.0}'],
+        ids=["null-radius", "text-radius", "text-tie", "ragged-sites"])
+    def test_bad_values_read_as_malformed(self, text):
+        with pytest.raises(mx.InvalidSceneError, match="malformed scene JSON"):
+            mx.scene_from_json(text)
 
     def test_file_round_trip(self, tmp_path):
         scene = mx.random_scene(5, seed=2)
