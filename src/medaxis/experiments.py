@@ -17,12 +17,10 @@ import numbers
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
-
 import numpy as np
 
-from .scene import (InvalidSceneError, SiteScene, _check_count, _check_real, load_scene,
-                    scene_from_json)
+from .scene import (InvalidSceneError, SiteScene, _check_count, _check_real, _in_ball,
+                    load_scene, scene_from_json)
 from .field import (
     CriticalProfile,
     _check_sampling,
@@ -270,26 +268,27 @@ def _profile_for(scene: SiteScene, config: ExperimentConfig,
         band_width=config.band_width, seed=config.seed)
 
 
-def _resolve_mu(config: ExperimentConfig, profile: CriticalProfile,
-                alpha: float, lam: float) -> tuple:
-    """Config mu, or 0.95 of the smallest chi value just past the filter.
+def _resolve_mu(config: ExperimentConfig, report: StabilityReport,
+                profile: CriticalProfile, alpha: float, lam: float) -> float:
+    """Config mu, or 0.95 of the smallest chi value just past the filter;
+    a fallback of the latter adds its ``mu-auto-*`` flag to the report.
 
     The window stops a bit beyond alpha + lam: the stability bounds only
     need the reach to clear that radius, and scenes generically have
     critical values further out that would drive a global minimum to zero.
     """
     if config.mu != "auto":
-        return float(config.mu), []
+        return float(config.mu)
     top = min(1.25 * (alpha + lam), 0.9 * profile.r_max)
     window = (profile.t_grid > alpha) & (profile.t_grid <= top)
     if not window.any():
-        return 0.5, ["mu-auto-empty-window"]
+        report.flags.append("mu-auto-empty-window")
+        return 0.5
     mu = 0.95 * float(profile.chi[window].min())
-    flags = []
     if mu <= 0.0:
-        mu = 1e-6
-        flags.append("mu-auto-chi-zero")
-    return min(mu, 1.0), flags
+        report.flags.append("mu-auto-chi-zero")
+        return 1e-6
+    return min(mu, 1.0)
 
 
 def _connected(axis: FilteredAxis) -> bool:
@@ -297,10 +296,7 @@ def _connected(axis: FilteredAxis) -> bool:
 
 
 def _jitter(scene: SiteScene, eps: float, rng) -> SiteScene:
-    dirs = rng.normal(size=scene.sites.shape)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = eps * rng.uniform(size=(len(scene.sites), 1)) ** (1.0 / scene.dim)
-    return SiteScene(sites=scene.sites + dirs * radii,
+    return SiteScene(sites=scene.sites + _in_ball(rng, len(scene.sites), scene.dim, eps),
                      bounding_radius=scene.bounding_radius,
                      tie_tolerance=scene.tie_tolerance)
 
@@ -370,8 +366,7 @@ def run_critfn(config: ExperimentConfig) -> StabilityReport:
     if config.alpha_grid and config.lambda_grid:
         alpha = float(config.alpha_grid[0])
         lam = float(config.lambda_grid[0])
-        mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
-        report.flags.extend(mu_flags)
+        mu = _resolve_mu(config, report, profile, alpha, lam)
         summary = reach_summary(profile, mu, alpha, lam)
         report.constants = {
             "mu": summary.mu, "alpha": alpha, "lambda": lam,
@@ -459,57 +454,25 @@ def run_flow(config: ExperimentConfig) -> StabilityReport:
     return _finish(config, report)
 
 
-class _SweepDirection(NamedTuple):
-    grid: str        # config grid that is swept
-    fixed: str       # config grid whose first value is held
-    need: str        # what a sweep in this direction needs
-    point: Callable  # (grid value, fixed value) -> (lambda, alpha)
-    mu_at: int       # grid index whose (lambda, alpha) sets the mu window
-    window: Callable  # lower grid value -> reach-summary window (None: alpha)
-    lip: Callable    # (r_max, lower grid value, alpha, mu_tilde) -> constant
-
-
-_SWEEPS = {
-    "lambda": _SweepDirection(
-        "lambda_grid", "alpha_grid", ">= 2 lambdas and an alpha",
-        lambda v, fixed: (v, fixed), -1, lambda lo: None,
-        lambda r_max, lo, alpha, mt: r_max ** 2 / (alpha * lo * mt ** 2)),
-    "alpha": _SweepDirection(
-        "alpha_grid", "lambda_grid", ">= 2 alphas and a lambda",
-        lambda v, fixed: (fixed, v), 0, lambda lo: lo,
-        lambda r_max, lo, alpha, mt: r_max / (lo * mt ** 2)),
-}
-
-
-def _gh_measure(config: ExperimentConfig, graph_a, graph_b, radius: float):
-    """(distortion, surjective) of the radius relation between two geodesic
-    graphs; a relation that is not surjective has infinite distortion."""
-    try:
-        distortion = gh_distortion(graph_a, graph_b, radius,
-                                   sample_pairs=config.sample_pairs,
-                                   resolution=config.resolution, seed=config.seed)
-    except SurjectivityError:
-        return float("inf"), False
-    return distortion, True
-
-
 def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     scene = config.scene
     res = config.resolution
     report = StabilityReport("sweep-" + which, config.seed, res)
-    way = _SWEEPS[which]
-    grid = [float(v) for v in getattr(config, way.grid)]
-    fixed = getattr(config, way.fixed)
+    by_lam = which == "lambda"
+    grid, fixed = ((config.lambda_grid, config.alpha_grid) if by_lam
+                   else (config.alpha_grid, config.lambda_grid))
+    grid = [float(v) for v in grid]
     if len(grid) < 2 or not fixed:
-        raise InvalidSceneError("%s sweep needs %s" % (which, way.need))
-    points = [way.point(v, float(fixed[0])) for v in grid]
+        raise InvalidSceneError("%s sweep needs %s" % (
+            which, ">= 2 lambdas and an alpha" if by_lam else ">= 2 alphas and a lambda"))
+    fixed = float(fixed[0])
+    points = [(v, fixed) if by_lam else (fixed, v) for v in grid]
 
     skeleton = build_skeleton(scene)
     profile = _profile_for(scene, config, skeleton)
     axes = [filter_axis(skeleton, lam, alpha) for lam, alpha in points]
-    lam_mu, alpha_mu = points[way.mu_at]
-    mu, mu_flags = _resolve_mu(config, profile, alpha_mu, lam_mu)
-    report.flags.extend(mu_flags)
+    lam_mu, alpha_mu = points[-1] if by_lam else points[0]
+    mu = _resolve_mu(config, report, profile, alpha_mu, lam_mu)
     report.constants["mu"] = mu
     report.constants["r_max"] = profile.r_max
 
@@ -519,9 +482,12 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
         axis_lo, axis_hi = axes[i], axes[i + 1]
         lam, alpha = points[i + 1]
         summary = reach_summary(profile, mu, alpha, lam,
-                                window_alpha=way.window(lo))
-        lip = (way.lip(profile.r_max, lo, alpha, summary.mu_tilde)
-               if math.isfinite(summary.mu_tilde) else float("nan"))
+                                window_alpha=None if by_lam else lo)
+        mt = summary.mu_tilde
+        lip = float("nan")
+        if math.isfinite(mt):
+            lip = (profile.r_max ** 2 / (alpha * lo * mt ** 2) if by_lam
+                   else profile.r_max / (lo * mt ** 2))
         hyp_ok = summary.reach_holds
         back = directed_hausdorff(axis_hi, axis_lo, res)
         d_h = max(directed_hausdorff(axis_lo, axis_hi, res), back)
@@ -529,7 +495,7 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
         row = {
             "lo": lo, "hi": hi, "delta": delta, "d_H": d_h,
             "directed_back": back, "lip": lip, "bound": bound,
-            "mu_tilde": summary.mu_tilde, "flags": [],
+            "mu_tilde": mt, "flags": [],
         }
         if not hyp_ok:
             row["flags"].append("outside-hypothesis")
@@ -545,16 +511,19 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
                 t_flow = lip * delta
                 graph_lo = build_geodesic_graph(axis_lo)
                 diam = geodesic_diameter(graph_lo)
-                radius = max(t_flow, d_h + 2.0 * res)
-                distortion, gh_ok = _gh_measure(
-                    config, graph_lo, build_geodesic_graph(axis_hi), radius)
+                # each sample lies within d_H of the other axis and within
+                # res/2 of one of its samples, so this radius covers both
+                # axes: a SurjectivityError here is a program error
+                distortion = gh_distortion(
+                    graph_lo, build_geodesic_graph(axis_hi), max(t_flow, d_h + 2.0 * res),
+                    sample_pairs=config.sample_pairs, resolution=res, seed=config.seed)
                 gh_bound = (2.0 * t_flow + diam * math.expm1(t_flow / alpha)
                             if t_flow / alpha < 700.0 else float("inf"))
                 row["gh_distortion"] = distortion
                 row["gh_bound"] = gh_bound
                 row["gdiam"] = diam
                 report.add_assertion("gh-variant-%s-%d" % (which, i),
-                                     gh_ok and distortion <= gh_bound)
+                                     distortion <= gh_bound)
             else:
                 row["flags"].append("gh-variant-skipped")
                 report.add_assertion("gh-variant-%s-%d" % (which, i), True, False)
@@ -590,8 +559,7 @@ def _jitter_base(config: ExperimentConfig, report: StabilityReport) -> tuple:
     skeleton = build_skeleton(config.scene)
     base_axis = filter_axis(skeleton, lam, alpha)
     profile = _profile_for(config.scene, config, skeleton)
-    mu, mu_flags = _resolve_mu(config, profile, alpha, lam)
-    report.flags.extend(mu_flags)
+    mu = _resolve_mu(config, report, profile, alpha, lam)
     summary = reach_summary(profile, mu, alpha, lam)
     jitters = []
     for k, eps in enumerate(config.epsilons):
@@ -701,7 +669,13 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
         radius = min(max(res, cons.hausdorff_bound),
                      4.0 * scene.bounding_radius)
         d_h = hausdorff_distance(base_axis, axis_p, res)
-        distortion, surjective = _gh_measure(config, base_graph, graph_p, radius)
+        try:
+            distortion = gh_distortion(base_graph, graph_p, radius,
+                                       sample_pairs=config.sample_pairs,
+                                       resolution=res, seed=config.seed)
+            surjective = True
+        except SurjectivityError:
+            distortion, surjective = float("inf"), False
         diam_hyp = summary_used.reach_holds
         hyp_ok = diam_hyp and cons.hypothesis_flags["gh-epsilon-small"]
         row = {

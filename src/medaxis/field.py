@@ -35,6 +35,7 @@ from .scene import (
     SiteScene,
     _check_count,
     _check_real,
+    _in_ball,
     _nearest,
     _seb_stack,
 )
@@ -160,12 +161,7 @@ def _sprinkle(scene: SiteScene, t: float, n: int, rng: np.random.Generator) -> n
     if np.any(wall_mask):
         pts[wall_mask] = (r_bound - radii[wall_mask])[:, None] * dirs[wall_mask]
 
-    free_dirs = rng.standard_normal((n_free, dim))
-    free_dirs /= np.linalg.norm(free_dirs, axis=1, keepdims=True)
-    free_r = r_bound * 0.999 * rng.random(n_free) ** (1.0 / dim)
-    free = free_r[:, None] * free_dirs
-
-    out = np.vstack([pts, free])
+    out = np.vstack([pts, _in_ball(rng, n_free, dim, r_bound * 0.999)])
     inside = np.linalg.norm(out, axis=1) < r_bound * (1.0 - 1e-12)
     return out[inside]
 

@@ -344,7 +344,7 @@ def stability_constants(summary: ReachSummary, delta: float, epsilon: float,
     record the reach hypothesis and each smallness precondition; every bound
     is NaN and every smallness flag False unless mu_tilde is defined.  The
     filter sweeps form their Lipschitz rates and GH bounds themselves
-    (``experiments._SWEEPS``), from the lower grid value.
+    (``experiments._sweep``), from the lower grid value.
     """
     r_max = summary.r_max
     mu = summary.mu

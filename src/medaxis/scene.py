@@ -386,6 +386,14 @@ def scene_from_json(text: str) -> SiteScene:
     return SiteScene(sites, radius, tie)
 
 
+def _in_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+    """n seeded points drawn uniformly in the centered ball of the radius: a
+    normal direction, normalised, times radius * u ** (1 / dim)."""
+    dirs = rng.normal(size=(n, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs * (radius * rng.uniform(size=(n, 1)) ** (1.0 / dim))
+
+
 def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
                  dim: int = 2, min_separation: float | None = None) -> SiteScene:
     """Seeded scene with sites drawn uniformly in the ball of 0.85 times
@@ -399,10 +407,7 @@ def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
         min_separation = 0.02 * bounding_radius
     rng = np.random.default_rng(seed)
     for _ in range(500):
-        raw = rng.normal(size=(n_sites, dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = 0.85 * bounding_radius * rng.uniform(size=(n_sites, 1)) ** (1.0 / dim)
-        sites = raw * radii
+        sites = _in_ball(rng, n_sites, dim, 0.85 * bounding_radius)
         diff = sites[:, None, :] - sites[None, :, :]
         gaps = np.sqrt((diff ** 2).sum(-1)) + np.eye(n_sites) * bounding_radius
         if gaps.min() > min_separation:

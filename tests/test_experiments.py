@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import hashlib
 import importlib.util
 import json
 import math
@@ -708,6 +709,57 @@ class TestCli:
                          "--out", str(tmp_path / "out")]) == 3
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# SHA-256 over the names and bytes of every file each runner writes on one
+# three-site scene, recorded before the sweeps lost their direction table.
+_PINNED_RUNS = {
+    "axis":
+        "46f4b67781f95747d7e32401e900fb6cf6fa8b75649981cf1cc5c8a78c30653f",
+    "critfn":
+        "f2b5f7584e3f198053e7c6b859a1899a4c2c878b441d8fbe7dd1d3e229929cf9",
+    "flow":
+        "a449faa71e83507dfb3e7fb312bfe348943fabf99cde1299f8e2a35096f1e30c",
+    "gh":
+        "26fde20b6203eb2be4926b7a084fbb0cf4ba0638ab9651fad4dc7943e2c00582",
+    "perturb":
+        "b9f67e056f59751a16f786d85b7f6073eb58e94e3005bf797e62d8b9b8fa7b2e",
+    "sweep-alpha":
+        "ccf1709f150f24952b7b5a053615fa9d6a876647b1317f0cd39971df1e9b0754",
+    "sweep-lambda":
+        "d3cbf6452a1244c2a7cf8760e112024d54543a099c9476f49b46687395a2bb6a",
+}
+
+
+class TestReportBytesPin:
+    @pytest.mark.parametrize("command", sorted(_PINNED_RUNS))
+    def test_runner_files_keep_their_bytes(self, tmp_path, capsys, command):
+        """Every gh row of this scene compares connected axes with a defined
+        mu_tilde and a finite diameter bound, and the lambda sweep enforces
+        its GH variant, so each check's enforced path is pinned."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scene": {"sites": [[-1.5, -1.0], [1.5, -1.0], [0.0, 1.6]],
+                      "bounding_radius": 6.0},
+            "lambda_grid": [0.5, 0.6], "alpha_grid": [0.3, 0.35],
+            "epsilons": [1e-5, 1e-4, 1e-3], "starts": [[0.3, 2.5], [-2.0, -3.0]],
+            "t_count": 9, "sample_pairs": 50, "resolution": 0.05}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / (command.replace("-", "_") + "_report.json")).read_text())
+        enforced = {a["name"] for a in report["assertions"] if a["enforced"]}
+        if command == "gh":
+            assert len(report["rows"]) == 3
+            for k, row in enumerate(report["rows"]):
+                assert row["hypothesis_flags"]["mu-tilde-defined"]
+                assert math.isfinite(row["constants"]["gdiam_bound"])
+                assert {"gh-surjective-%d" % k, "gdiam-bound-%d" % k} <= enforced
+        if command == "sweep-lambda":
+            assert "gh-variant-lambda-0" in enforced
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(out)):
+            digest.update(name.encode() + b"\0" + (out / name).read_bytes())
+        assert digest.hexdigest() == _PINNED_RUNS[command]
 
 
 @st.composite
