@@ -13,8 +13,8 @@ Fair warning about the ceiling: its growth factor is exponential in a
 power of epsilon over alpha, so at any epsilon worth simulating it
 overflows to infinity and the distortion comparison holds vacuously.
 The printout says so when it happens.  The surjectivity requirement on
-the matched samples is checked for real at every epsilon, as is the
-geodesic diameter bound.
+the matched samples is checked for real at every epsilon where mu_tilde
+is defined, and the geodesic diameter bound wherever it is finite.
 """
 
 import math

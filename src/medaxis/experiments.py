@@ -17,6 +17,7 @@ import numbers
 import os
 import re
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .scene import (InvalidSceneError, SiteScene, _check_count, _check_real, _in_ball,
@@ -665,7 +666,9 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
                                    gdiam_a=gdiam_base, gdiam_b=gdiam_p,
                                    r_bound=scene.bounding_radius,
                                    mu_tilde_half=summary_half.mu_tilde)
-        # max(res, nan) is res; the cap keeps an infinite bound queryable
+        # max(res, nan) is res, a radius no bound backs, so surjectivity is
+        # enforced only where mu_tilde is defined; the cap keeps an infinite
+        # bound queryable
         radius = min(max(res, cons.hausdorff_bound),
                      4.0 * scene.bounding_radius)
         d_h = hausdorff_distance(base_axis, axis_p, res)
@@ -694,8 +697,10 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
             "flags": [] if hyp_ok else ["outside-hypothesis"],
         }
         report.rows.append(row)
-        report.add_assertion("gh-surjective-%d" % k, surjective)
+        report.add_assertion("gh-surjective-%d" % k, surjective,
+                             cons.hypothesis_flags["mu-tilde-defined"])
         report.add_assertion("gh-%d" % k, distortion <= cons.gh_bound, hyp_ok)
         report.add_assertion("gdiam-bound-%d" % k,
-                             max(gdiam_base, gdiam_p) <= cons.gdiam_bound, diam_hyp)
+                             max(gdiam_base, gdiam_p) <= cons.gdiam_bound,
+                             diam_hyp and math.isfinite(cons.gdiam_bound))
     return _finish(config, report)

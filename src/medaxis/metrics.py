@@ -121,6 +121,7 @@ def directed_hausdorff(axis_a: FilteredAxis, axis_b: FilteredAxis,
     (for example a more aggressively filtered axis of the same scene) reads
     as exactly 0 rather than as projection round-off.
     """
+    _check_real("resolution", resolution)  # before an empty axis returns
     if axis_a.is_empty:
         return 0.0
     if axis_b.is_empty:

@@ -457,6 +457,109 @@ class TestRunSweep:
         assert row["directed_back"] == 0.0
 
 
+def run_cli(tmp_path, command, body):
+    """Exit code and report (None when none is written) of one command."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    code = cli_main([command, "--config", str(cfg), "--out", str(out)])
+    path = out / (command.replace("-", "_") + "_report.json")
+    return code, json.loads(path.read_text()) if path.exists() else None
+
+
+TWO_SITES = {"sites": [[-1.0, 0.0], [1.0, 0.0]], "bounding_radius": 10.0}
+
+
+class TestRunGh:
+    @pytest.mark.parametrize("sites, alpha, skipped", [
+        ([[-0.85, -0.65], [-0.7, -3.6]], 0.5, ("gh-surjective", "gdiam-bound")),
+        ([[2.0, -1.0], [-1.6, 2.5]], 1.2, ("gdiam-bound",))])
+    def test_checks_without_a_bound_are_skipped(self, tmp_path, capsys, sites, alpha,
+                                                skipped):
+        """Where mu_tilde is undefined the surjectivity radius falls back to
+        the resolution, which no bound backs; where the alpha/2 window's
+        mu_tilde is undefined the diameter bound is NaN.  Neither check is
+        enforced there."""
+        code, report = run_cli(tmp_path, "gh", {
+            "scene": {"sites": sites, "bounding_radius": 5.0}, "lambda_grid": [0.8],
+            "alpha_grid": [alpha], "epsilons": [0.01, 0.1], "resolution": 0.01})
+        assert code == 0 and report["passed"]
+        assert "FAILED" not in capsys.readouterr().err
+        checks = {a["name"]: a for a in report["assertions"]}
+        for k, row in enumerate(report["rows"]):
+            assert row["constants"]["gdiam_bound"] == "nan"
+            assert row["hypothesis_flags"]["mu-tilde-defined"] == ("gh-surjective" not in skipped)
+            for name in ("gh-surjective", "gdiam-bound"):
+                assert checks["%s-%d" % (name, k)]["enforced"] == (name not in skipped)
+
+
+class TestAuditPaths:
+    """Branches of the runners that no other test reaches."""
+
+    @pytest.mark.parametrize("mu, flags, want", [(0.4, [], 0.4),
+                                                 ("auto", ["mu-auto-chi-zero"], 1e-6)])
+    def test_mu_from_config_and_chi_zero_fallback(self, tmp_path, capsys, mu, flags, want):
+        """chi is 0 on the whole mu window of the two-site scene, so the auto
+        mu falls back to 1e-6 and says so."""
+        code, report = run_cli(tmp_path, "critfn", {
+            "scene": TWO_SITES, "t_grid": [0.5, 1.0, 1.5], "lambda_grid": [0.5],
+            "alpha_grid": [0.5], "mu": mu})
+        assert code == 0
+        assert report["constants"]["mu"] == want
+        assert report["flags"] == flags
+
+    def test_non_planar_scene_needs_t_grid(self, tmp_path, capsys):
+        code, report = run_cli(tmp_path, "critfn", {"scene": {
+            "sites": [[0.5, 0.1, 0.2], [-0.3, 0.6, -0.4], [0.1, -0.7, 0.3], [0.2, 0.2, 0.8]],
+            "bounding_radius": 3.0}})
+        assert code == 3 and report is None
+        assert "t_grid required for non-planar scenes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, grids, message", [
+        ("axis", {"lambda_grid": [0.5]}, "axis experiment needs a (lambda, alpha) grid"),
+        ("sweep-lambda", {"lambda_grid": [0.5], "alpha_grid": [0.3]},
+         "lambda sweep needs >= 2 lambdas and an alpha"),
+        ("sweep-lambda", {"lambda_grid": [0.5, 0.6]},
+         "lambda sweep needs >= 2 lambdas and an alpha"),
+        ("sweep-alpha", {"lambda_grid": [0.5], "alpha_grid": [0.3]},
+         "alpha sweep needs >= 2 alphas and a lambda"),
+        ("sweep-alpha", {"alpha_grid": [0.3, 0.4]},
+         "alpha sweep needs >= 2 alphas and a lambda"),
+        ("perturb", {"lambda_grid": [0.5], "alpha_grid": [0.3]},
+         "perturb experiment needs epsilons, lambda, alpha"),
+        ("gh", {"epsilons": [1e-4], "alpha_grid": [0.3]},
+         "gh experiment needs epsilons, lambda, alpha")])
+    def test_missing_grid_exits_three(self, tmp_path, capsys, command, grids, message):
+        code, report = run_cli(tmp_path, command, dict(grids, scene=TWO_SITES, t_count=7))
+        assert code == 3 and report is None
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_flags_discontinuity(self, tmp_path, capsys):
+        """The axis at lambda = 1.53 is empty while the reach hypothesis
+        holds, so d_H is infinite against a finite Lipschitz bound.  Whether
+        the true filtered axis empties too, or the axis lacks its site/wall
+        arcs, is open."""
+        code, report = run_cli(tmp_path, "sweep-lambda", {
+            "scene": {"sites": [[-1.23, -3.52], [-0.77, -0.34], [-2.86, -2.69]],
+                      "bounding_radius": 5.0},
+            "lambda_grid": [1.18, 1.53, 2.0], "alpha_grid": [1.16], "resolution": 0.01,
+            "gh_variant": False})
+        assert code == 2
+        row = report["rows"][0]
+        assert row["d_H"] == "inf" and math.isfinite(row["lip"])
+        assert row["flags"] == ["discontinuity"]
+        assert capsys.readouterr().err == "FAILED: lipschitz-lambda-0\n"
+
+    def test_failed_checks_are_named_on_exit_two(self, tmp_path, capsys):
+        code, report = run_cli(tmp_path, "critfn", {"scene": TWO_SITES,
+                                                    "expect_square_side": 2.0})
+        assert code == 2 and not report["passed"]
+        assert capsys.readouterr().err.splitlines() == [
+            "FAILED: plateau-median-near-invsqrt2", "FAILED: chi-small-at-t-crit",
+            "FAILED: crossing-near-t-crit"]
+
+
 class TestCli:
     def write_cfg(self, tmp_path, body):
         path = tmp_path / "cfg.json"

@@ -452,6 +452,15 @@ class TestBadScalars:
         with pytest.raises(mx.InvalidSceneError, match="resolution"):
             mx.hausdorff_distance(*filtered_pair(), resolution)
 
+    @pytest.mark.parametrize("resolution", [-1.0, math.nan])
+    @pytest.mark.parametrize("pair", [(0.2, 50.0), (50.0, 50.0)], ids=["one-empty", "both-empty"])
+    def test_hausdorff_rejects_resolution_on_empty_axes(self, resolution, pair):
+        sk = mx.build_skeleton(mx.random_scene(8, 6.0, seed=3, min_separation=1.0))
+        a, b = (mx.filter_axis(sk, lam, 0.1) for lam in pair)
+        assert b.is_empty and a.is_empty == (pair[0] == 50.0)
+        with pytest.raises(mx.InvalidSceneError, match="resolution"):
+            mx.hausdorff_distance(a, b, resolution)
+
     @pytest.mark.parametrize("kwargs", [
         {"radius": -1.0}, {"radius": math.nan}, {"radius": math.inf},
         {"resolution": -1.0}, {"sample_pairs": 0}, {"sample_pairs": 2.5}],
