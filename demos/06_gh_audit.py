@@ -14,7 +14,7 @@ power of epsilon over alpha, so at any epsilon worth simulating it
 overflows to infinity and the distortion comparison holds vacuously.
 The printout says so when it happens.  The surjectivity requirement on
 the matched samples is checked for real at every epsilon where mu_tilde
-is defined, and the geodesic diameter bound wherever it is finite.
+is defined, and the geodesic diameter bound wherever it is defined.
 """
 
 import math

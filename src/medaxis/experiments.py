@@ -702,5 +702,5 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
         report.add_assertion("gh-%d" % k, distortion <= cons.gh_bound, hyp_ok)
         report.add_assertion("gdiam-bound-%d" % k,
                              max(gdiam_base, gdiam_p) <= cons.gdiam_bound,
-                             diam_hyp and math.isfinite(cons.gdiam_bound))
+                             diam_hyp and not math.isnan(cons.gdiam_bound))
     return _finish(config, report)
