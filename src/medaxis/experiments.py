@@ -638,7 +638,8 @@ def run_perturb(config: ExperimentConfig) -> StabilityReport:
 
 def run_gh(config: ExperimentConfig) -> StabilityReport:
     """Gromov-Hausdorff stability under site jitter: distortion of the
-    radius-C*sqrt(eps) relation against the three-term bound."""
+    radius-C*sqrt(eps) relation against the three-term bound, measured only
+    where mu_tilde is defined (elsewhere the row reads NaN for both)."""
     scene = config.scene
     res = config.resolution
     report = StabilityReport("gh", config.seed, res)
@@ -666,19 +667,20 @@ def run_gh(config: ExperimentConfig) -> StabilityReport:
                                    gdiam_a=gdiam_base, gdiam_b=gdiam_p,
                                    r_bound=scene.bounding_radius,
                                    mu_tilde_half=summary_half.mu_tilde)
-        # max(res, nan) is res, a radius no bound backs, so surjectivity is
-        # enforced only where mu_tilde is defined; the cap keeps an infinite
-        # bound queryable
-        radius = min(max(res, cons.hausdorff_bound),
-                     4.0 * scene.bounding_radius)
         d_h = hausdorff_distance(base_axis, axis_p, res)
-        try:
-            distortion = gh_distortion(base_graph, graph_p, radius,
-                                       sample_pairs=config.sample_pairs,
-                                       resolution=res, seed=config.seed)
-            surjective = True
-        except SurjectivityError:
-            distortion, surjective = float("inf"), False
+        # without mu_tilde no bound backs a radius and no check reads a
+        # distortion (gh-epsilon-small is False), so neither is measured; the
+        # cap keeps an infinite bound queryable
+        radius = distortion = float("nan")
+        surjective = True
+        if cons.hypothesis_flags["mu-tilde-defined"]:
+            radius = min(max(res, cons.hausdorff_bound), 4.0 * scene.bounding_radius)
+            try:
+                distortion = gh_distortion(base_graph, graph_p, radius,
+                                           sample_pairs=config.sample_pairs,
+                                           resolution=res, seed=config.seed)
+            except SurjectivityError:
+                distortion, surjective = float("inf"), False
         diam_hyp = summary_used.reach_holds
         hyp_ok = diam_hyp and cons.hypothesis_flags["gh-epsilon-small"]
         row = {

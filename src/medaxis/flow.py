@@ -6,7 +6,7 @@ witnesses.  The witness set is widened by a band on the scale of the step,
 since a discrete iterate rides a sheet only up to step-size accuracy; the
 exact tie band would report a single witness almost everywhere and hide the
 sheet.  Steps steer by that band-widened ball, and a step is accepted if and
-only if R does not decrease; a rejected step is halved.  Between medial
+only if R increases; a rejected step is halved.  Between medial
 sheets the witness is unique and the step is a straight radial segment, so
 the distance to that witness grows by exactly the step length.
 
@@ -123,9 +123,10 @@ def _with_balls(scene: SiteScene, probe: _Probe, node: _Probe | None = None) -> 
 
 
 def _accept(node: _Probe, trial: _Probe) -> np.ndarray:
-    """Rows whose trial is accepted: R must not decrease (a trial outside
-    the domain has R <= 0)."""
-    return trial.R >= node.R
+    """Rows whose trial is accepted: R must increase (a trial outside the
+    domain has R <= 0), so a flow at a local maximum of R stalls rather
+    than crawls through steps that leave R equal."""
+    return trial.R > node.R
 
 
 def _pairs(scene: SiteScene, probe: _Probe, rows: np.ndarray) -> np.ndarray:
@@ -170,7 +171,7 @@ def integrate_flows(scene: SiteScene, X0, alpha: float | None = None,
     ``alpha``), a row also stops once its node's F_alpha reaches lam.
 
     Each step steers by the band-widened witness ball, with the band equal
-    to ``max_step``, and is accepted if and only if R does not decrease.
+    to ``max_step``, and is accepted if and only if R increases.
     Rejected steps are halved; exhaustion of step size is reported as
     "stalled".
 

@@ -476,10 +476,9 @@ class TestRunGh:
         ([[2.0, -1.0], [-1.6, 2.5]], 1.2, ("gdiam-bound",))])
     def test_checks_without_a_bound_are_skipped(self, tmp_path, capsys, sites, alpha,
                                                 skipped):
-        """Where mu_tilde is undefined the surjectivity radius falls back to
-        the resolution, which no bound backs; where the alpha/2 window's
-        mu_tilde is undefined the diameter bound is NaN.  Neither check is
-        enforced there."""
+        """Where mu_tilde is undefined no bound backs a surjectivity radius;
+        where the alpha/2 window's mu_tilde is undefined the diameter bound
+        is NaN.  Neither check is enforced there."""
         code, report = run_cli(tmp_path, "gh", {
             "scene": {"sites": sites, "bounding_radius": 5.0}, "lambda_grid": [0.8],
             "alpha_grid": [alpha], "epsilons": [0.01, 0.1], "resolution": 0.01})
@@ -491,6 +490,29 @@ class TestRunGh:
             assert row["hypothesis_flags"]["mu-tilde-defined"] == ("gh-surjective" not in skipped)
             for name in ("gh-surjective", "gdiam-bound"):
                 assert checks["%s-%d" % (name, k)]["enforced"] == (name not in skipped)
+
+    def test_no_distortion_without_mu_tilde(self, tmp_path, monkeypatch):
+        """Without mu_tilde no check reads a distortion, so none is measured:
+        each row reads NaN for it and for its radius, keeps d_H and gdiam,
+        and skips both GH checks."""
+        def unread(*args, **kwargs):
+            raise AssertionError("gh_distortion called where mu_tilde is undefined")
+
+        monkeypatch.setattr(experiments, "gh_distortion", unread)
+        code, report = run_cli(tmp_path, "gh", {
+            "scene": {"sites": [[-0.85, -0.65], [-0.7, -3.6]], "bounding_radius": 5.0},
+            "lambda_grid": [0.8], "alpha_grid": [0.5], "epsilons": [0.01, 0.1],
+            "resolution": 0.01})
+        assert code == 0 and report["passed"]
+        checks = {a["name"]: a for a in report["assertions"]}
+        assert len(report["rows"]) == 2
+        for k, row in enumerate(report["rows"]):
+            assert not row["hypothesis_flags"]["mu-tilde-defined"]
+            assert row["gh_distortion"] == row["radius"] == "nan"
+            assert isinstance(row["d_H"], float) and isinstance(row["gdiam"], float)
+            for name in ("gh-surjective", "gh"):
+                assert checks["%s-%d" % (name, k)] == {
+                    "name": "%s-%d" % (name, k), "passed": True, "enforced": False}
 
 
 class TestAuditPaths:

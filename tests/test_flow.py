@@ -120,7 +120,7 @@ def oracle_flow(scene, x0, alpha=None, horizon=1.0, lam=None, max_step=None,
             except mx.DomainError:
                 events["outside"] += 1
                 trial = None
-            if trial is not None and trial[0] >= dmin:
+            if trial is not None and trial[0] > dmin:
                 break
             dt *= 0.5
             rejected += 1
@@ -234,7 +234,7 @@ def _oracle_cases():
         "horizon-snap": (near_wall, [[9.996328903094296, -0.0012490025964095434]],
                          dict(horizon=0.0258)),
         # F drops as the wall point leaves the band; the step stands, as R
-        # does not decrease
+        # increases
         "wall-band": (one_site, domain_points(one_site, 10, 4)[6:],
                       dict(horizon=0.6)),
         "space-axis": (space, domain_points(space, 8, 5),
@@ -500,8 +500,22 @@ class TestIntegrateFlow:
         scene = two_site_scene()
         start = np.array([0.0, 4.95])
         traj = mx.integrate_flows(scene, [start], alpha=0.5, horizon=0.5)[0]
-        assert traj.stop_reason == "time-exhausted"
+        # no step increases R here, so the flow stalls where it started
+        assert traj.stop_reason == "stalled"
         assert np.linalg.norm(traj.points[-1] - start) < 1e-9
+
+    @pytest.mark.parametrize("offset", [[1e-7, 0.0], [0.0, -1e-7], [-1e-6, 0.0],
+                                        [-6e-7, 5e-7]])
+    def test_start_beside_a_maximum_stalls_at_once(self, offset):
+        """Beside the circumcenter, a local maximum of R, every step that
+        leaves R equal is rejected, so the flow stalls within a few dozen
+        probes; were such steps accepted, three of these starts would crawl
+        by steps of about 1e-10 toward the 100,000-node cap."""
+        tri = acute_triangle()
+        start = mx.smallest_enclosing_ball(tri.sites).center + offset
+        traj = mx.integrate_flows(tri, [start], alpha=0.2, horizon=0.001)[0]
+        assert traj.stop_reason == "stalled"
+        assert len(traj) + traj.rejected_steps <= 40
 
     def test_time_exhausted_accumulates_horizon(self):
         scene = two_site_scene()

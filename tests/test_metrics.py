@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
@@ -16,7 +17,8 @@ from scipy.spatial.distance import cdist
 import medaxis as mx
 from medaxis import experiments
 from medaxis.experiments import ExperimentConfig, run_gh, run_sweep_lambda
-from medaxis.metrics import _PROJECT_CHUNK, _axis_samples, _pair_lengths, _pieces, _project
+from medaxis.metrics import (_PROJECT_CHUNK, _axis_samples, _ball_counts, _pair_lengths,
+                             _pieces, _project)
 
 
 def two_site_scene():
@@ -303,6 +305,50 @@ class TestTreeOrder:
         assert partial >= 20
 
 
+@st.composite
+def sample_clouds(draw):
+    """1 to 30 samples scattered in a square or on a horizontal or vertical
+    line (a box of zero width), and 12 query points in and around them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.uniform(-3.0, 3.0, size=(draw(st.integers(1, 30)), 2))
+    line = draw(st.sampled_from([None, 0, 1]))
+    if line is not None:
+        pts[:, line] = pts[0, line]
+    queries = np.vstack([rng.uniform(-6.0, 6.0, size=(10, 2)), pts[:2]])
+    return pts, queries
+
+
+class TestBallCounts:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(cloud=sample_clouds())
+    def test_counts_match_the_tree_walk(self, cloud):
+        """At each query point's farthest-corner distance, just below and
+        just above it, and well past it, the counts equal the tree's walk."""
+        pts, queries = cloud
+        tree = cKDTree(pts)
+        far = np.linalg.norm(np.maximum(np.abs(queries - tree.mins),
+                                        np.abs(queries - tree.maxes)), axis=1)
+        for factor in (0.5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9,
+                       1.0 + 2e-9, 2.0):
+            for radius in far * factor:
+                got = _ball_counts(tree, queries, radius)
+                want = tree.query_ball_point(queries, radius, return_length=True)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_only_partial_balls_are_walked(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])  # a box of zero width
+        queries = np.array([[0.5, 0.0], [3.0, 0.0], [0.5, 0.8]])
+        walked = []
+
+        class Tree(cKDTree):
+            def query_ball_point(self, x, *args, **kwargs):
+                walked.append(np.array(x))
+                return super().query_ball_point(x, *args, **kwargs)
+
+        assert _ball_counts(Tree(pts), queries, 1.0).tolist() == [3, 0, 3]
+        assert len(walked) == 1 and walked[0].tolist() == [[3.0, 0.0]]
+
+
 def per_draw_distortion(graph_a, graph_b, radius, sample_pairs, resolution, seed,
                         full_rows=None):
     """``gh_distortion`` written loop by loop, as its oracle: the exhaustive
@@ -426,7 +472,8 @@ class TestDistortion:
                       seed=7)
         run_sweep_lambda(ExperimentConfig(lambda_grid=(0.60, 0.65, 0.70),
                                           alpha_grid=(0.6,), **common))
-        run_gh(ExperimentConfig(lambda_grid=(0.5,), alpha_grid=(0.4,),
+        # mu_tilde is defined at alpha 0.2, so gh measures all three relations
+        run_gh(ExperimentConfig(lambda_grid=(0.5,), alpha_grid=(0.2,),
                                 epsilons=(1e-5, 1e-4, 1e-3), **common))
         assert len(seen) >= 3 and not all(seen)
         assert True in full_rows and False in full_rows
