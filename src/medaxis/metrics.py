@@ -2,11 +2,18 @@
 
 Hausdorff distances are computed by sampling one axis at a fixed spacing and
 measuring exact point-to-segment distances against the other, so the result
-carries an error of at most half the sampling resolution.  The intrinsic
-(geodesic) metric is exact: the axis is a graph of straight segments, so the
-distance between two axis points is an offset to an end of each point's
-segment plus a shortest path between axis vertices, taken from one all-pairs
-table over the vertices.
+carries an error of at most half the sampling resolution.  Only the samples
+that can raise the maximum are measured: the distance to a segment is convex
+along a segment, so a segment (u, v) lies within min over pieces p of
+max(d(u, p), d(v, p)) of the other axis.  The segment ends are measured
+first, and a segment whose bound does not exceed their largest distance is
+dropped; when every bound lies within the zero collapse, no sample is taken.
+One kernel, ``_to_pieces``, measures points against pieces in blocks of
+``_PROJECT_CHUNK`` points, for these distances and for projections.  The
+intrinsic (geodesic) metric is exact: the axis is a graph of straight
+segments, so the distance between two axis points is an offset to an end of
+each point's segment plus a shortest path between axis vertices, taken from
+one all-pairs table over the vertices.
 
 Gromov-Hausdorff distances are never computed exactly (a global
 optimization); the relation of all sample pairs within a given radius is
@@ -60,6 +67,18 @@ def _pieces(axis: FilteredAxis):
     return ends, np.linalg.norm(b - a, axis=1)
 
 
+def _interior(a: np.ndarray, b: np.ndarray, length: np.ndarray, spacing: float):
+    """The interior points of the segments a -> b at spacing <= the given
+    value: each segment of length L in max(ceil(L / spacing), 1) equal steps,
+    point j at t = j / steps.  Returns (points, seg, t)."""
+    pieces = np.maximum(np.ceil(length / spacing).astype(int), 1)
+    inner = pieces - 1
+    seg = np.repeat(np.arange(len(length)), inner)
+    j = np.arange(len(seg)) - np.repeat(np.cumsum(inner) - inner, inner) + 1
+    t = j / pieces[seg]
+    return a[seg] + t[:, None] * (b[seg] - a[seg]), seg, t
+
+
 def _axis_samples(axis: FilteredAxis, spacing: float):
     """Every vertex, then the interior points of each segment at spacing <=
     the given value.
@@ -70,17 +89,13 @@ def _axis_samples(axis: FilteredAxis, spacing: float):
     """
     _check_real("resolution", spacing)
     ends, length = _pieces(axis)  # an isolated point has no interior
-    a, b = axis.vertices[ends[:, 0]], axis.vertices[ends[:, 1]]
-    pieces = np.maximum(np.ceil(length / spacing).astype(int), 1)
-    inner = pieces - 1
-    seg = np.repeat(np.arange(len(ends)), inner)
-    j = np.arange(len(seg)) - np.repeat(np.cumsum(inner) - inner, inner) + 1
-    t = j / pieces[seg]
+    inner, seg, t = _interior(axis.vertices[ends[:, 0]], axis.vertices[ends[:, 1]],
+                              length, spacing)
     verts = np.arange(len(axis.vertices))
-    points = np.vstack([axis.vertices, a[seg] + t[:, None] * (b[seg] - a[seg])])
     offsets = np.vstack([np.zeros((len(verts), 2)),
                          np.stack([t * length[seg], (1.0 - t) * length[seg]], axis=1)])
-    return (points, np.vstack([np.stack([verts, verts], axis=1), ends[seg]]),
+    return (np.vstack([axis.vertices, inner]),
+            np.vstack([np.stack([verts, verts], axis=1), ends[seg]]),
             offsets, np.concatenate([np.full(len(verts), -1), seg]))
 
 
@@ -90,47 +105,88 @@ def sample_axis_points(axis: FilteredAxis, spacing: float) -> np.ndarray:
     return _axis_samples(axis, spacing)[0]
 
 
-def _project(points: np.ndarray, axis: FilteredAxis):
-    """Nearest axis point to each query point: its distance, its piece (an
-    index into ``_pieces``) and its parameter t in [0, 1] along the piece."""
+def _to_pieces(points: np.ndarray, axis: FilteredAxis):
+    """Distances from the query points to every piece of the axis (an index
+    into ``_pieces``), in blocks of ``_PROJECT_CHUNK`` points: yields
+    (lo, d, t) with d[i, k] the distance from point lo + i to piece k and
+    t[i, k] the parameter in [0, 1] of its nearest point on the piece."""
     ends, _ = _pieces(axis)
     ax, ay = axis.vertices[ends[:, 0]].T
     abx, aby = (axis.vertices[ends[:, 1]] - axis.vertices[ends[:, 0]]).T
     ab2 = abx * abx + aby * aby
     safe = np.where(ab2 > 0.0, ab2, 1.0)
+    for lo in range(0, len(points), _PROJECT_CHUNK):
+        px = points[lo:lo + _PROJECT_CHUNK, :1] - ax
+        py = points[lo:lo + _PROJECT_CHUNK, 1:] - ay
+        t = np.clip((px * abx + py * aby) / safe, 0.0, 1.0)
+        px -= t * abx
+        py -= t * aby
+        yield lo, np.sqrt(px * px + py * py), t
+
+
+def _project(points: np.ndarray, axis: FilteredAxis):
+    """Nearest axis point to each query point: its distance, its piece (an
+    index into ``_pieces``) and its parameter t in [0, 1] along the piece."""
     dist = np.empty(len(points))
     piece = np.empty(len(points), int)
     param = np.empty(len(points))
-    for lo in range(0, len(points), _PROJECT_CHUNK):
-        hi = lo + _PROJECT_CHUNK
-        px, py = points[lo:hi, :1] - ax, points[lo:hi, 1:] - ay
-        t = np.clip((px * abx + py * aby) / safe, 0.0, 1.0)
-        dx, dy = px - t * abx, py - t * aby
-        d = np.sqrt(dx * dx + dy * dy)
+    for lo, d, t in _to_pieces(points, axis):
         k = d.argmin(axis=1)
         rows = np.arange(len(k))
-        dist[lo:hi] = d[rows, k]
-        piece[lo:hi] = k
-        param[lo:hi] = t[rows, k]
+        dist[lo:lo + len(k)] = d[rows, k]
+        piece[lo:lo + len(k)] = k
+        param[lo:lo + len(k)] = t[rows, k]
     return dist, piece, param
 
 
 def directed_hausdorff(axis_a: FilteredAxis, axis_b: FilteredAxis,
                        resolution: float) -> float:
-    """sup over axis_a of the distance to axis_b, sampled at the resolution.
+    """sup over axis_a of the distance to axis_b, sampled at the resolution:
+    the largest distance from a sample of ``sample_axis_points`` to its
+    nearest piece of axis_b.
 
-    Values below 1e-12 of the coordinate scale collapse to zero, so a subset
-    (for example a more aggressively filtered axis of the same scene) reads
-    as exactly 0 rather than as projection round-off.
+    Values below 1e-12 of the coordinate scale (the largest |coordinate| of a
+    sample) collapse to zero, so a subset (for example a more aggressively
+    filtered axis of the same scene) reads as exactly 0 rather than as
+    projection round-off.
+
+    Bound and prune, with the bits of measuring every sample: the distance
+    to a piece is convex along a segment, so segment (u, v) of axis_a lies
+    within min over pieces p of max(d(u, p), d(v, p)) of axis_b.  The
+    vertices are measured first, and a segment whose bound does not exceed
+    their maximum by 1e-13 of the scale (far above the rounding of either
+    side) is neither sampled nor measured.  When the vertices and every
+    bound lie within the collapse, the result is 0 unsampled.  The scale is
+    read off the vertices, which an interior sample exceeds by an ulp at
+    most, and off every sample only for a value within a relative 1e-12
+    above the collapse.
     """
     _check_real("resolution", resolution)  # before an empty axis returns
     if axis_a.is_empty:
         return 0.0
     if axis_b.is_empty:
         return math.inf
-    samples = sample_axis_points(axis_a, resolution)
-    value = float(_project(samples, axis_b)[0].max())
-    scale = max(float(np.abs(samples).max()), 1.0)
+    ends, length = _pieces(axis_a)
+    # both ends of each piece, as rows u0, v0, u1, v1, ...: a block of
+    # _PROJECT_CHUNK (even) rows holds whole pieces
+    value = 0.0
+    bound = np.empty(len(ends))
+    for lo, d, _ in _to_pieces(axis_a.vertices[ends].reshape(-1, 2), axis_b):
+        value = max(value, float(d.min(axis=1).max()))
+        pairs = d.reshape(-1, 2, d.shape[1])
+        bound[lo // 2:(lo + len(d)) // 2] = pairs.max(axis=1).min(axis=1)
+    scale = max(float(np.abs(axis_a.vertices).max()), 1.0)
+    tau = 1e-13 * scale
+    if value <= 1e-12 * scale and float(bound.max()) + tau <= 1e-12 * scale:
+        return 0.0
+    live = bound > value - tau
+    samples = _interior(axis_a.vertices[ends[live, 0]], axis_a.vertices[ends[live, 1]],
+                        length[live], resolution)[0]
+    for _, d, _ in _to_pieces(samples, axis_b):
+        value = max(value, float(d.min(axis=1).max()))
+    if 1e-12 * scale < value <= 1e-12 * scale * (1.0 + 1e-12):
+        # an interior sample can exceed the vertices by an ulp
+        scale = max(float(np.abs(sample_axis_points(axis_a, resolution)).max()), 1.0)
     return value if value > 1e-12 * scale else 0.0
 
 

@@ -400,7 +400,9 @@ def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
     the bounding radius.
 
     Draws are rejected until all pairwise separations exceed
-    ``min_separation`` (default: 2% of the bounding radius).
+    ``min_separation`` (default: 2% of the bounding radius), and none is
+    accepted unless the bounding radius exceeds it too.  Only the pairs a
+    KD-tree finds within ``min_separation * (1 + 1e-6)`` are measured.
     """
     _check_count("n_sites", n_sites)
     if min_separation is None:
@@ -408,10 +410,12 @@ def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
     rng = np.random.default_rng(seed)
     for _ in range(500):
         sites = _in_ball(rng, n_sites, dim, 0.85 * bounding_radius)
-        diff = sites[:, None, :] - sites[None, :, :]
-        gaps = np.sqrt((diff ** 2).sum(-1)) + np.eye(n_sites) * bounding_radius
-        if gaps.min() > min_separation:
-            return SiteScene(sites=sites, bounding_radius=bounding_radius)
+        if bounding_radius > min_separation:
+            pairs = cKDTree(sites).query_pairs(min_separation * (1.0 + 1e-6),
+                                               output_type="ndarray")
+            diff = sites[pairs[:, 0]] - sites[pairs[:, 1]]
+            if not (np.sqrt((diff ** 2).sum(-1)) <= min_separation).any():
+                return SiteScene(sites=sites, bounding_radius=bounding_radius)
     raise InvalidSceneError("could not place %d separated sites" % n_sites)
 
 

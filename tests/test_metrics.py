@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import medaxis as mx
-from medaxis import experiments
+from medaxis import experiments, metrics
 from medaxis.experiments import ExperimentConfig, run_gh, run_sweep_lambda
 from medaxis.metrics import (_PROJECT_CHUNK, _axis_samples, _ball_counts, _pair_lengths,
                              _pieces, _project)
@@ -280,6 +280,127 @@ class TestProjection:
             got, want = _project(points, target), einsum_project(points, target)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def sampled_hausdorff(axis_a, axis_b, resolution):
+    """``directed_hausdorff`` in its first form, as its bit-for-bit
+    reference: every sample of axis_a projected onto axis_b, then values
+    within 1e-12 of the samples' coordinate scale collapse to 0."""
+    if axis_a.is_empty:
+        return 0.0
+    if axis_b.is_empty:
+        return math.inf
+    samples = mx.sample_axis_points(axis_a, resolution)
+    value = float(einsum_project(samples, axis_b)[0].max())
+    scale = max(float(np.abs(samples).max()), 1.0)
+    return value if value > 1e-12 * scale else 0.0
+
+
+@st.composite
+def axis_pairs(draw):
+    """Two axes of a ``random_scene`` skeleton at random (lambda, alpha):
+    nested (the second at a larger lambda), jittered (the second of the
+    scene jittered as ``run_perturb`` jitters it), identical, isolated
+    points only (the segments dropped), or with the second empty."""
+    seed = draw(st.integers(0, 2 ** 16))
+    scene = mx.random_scene(draw(st.integers(2, 14)), 10.0, seed=seed, min_separation=1.0)
+    skeleton = mx.build_skeleton(scene)
+    lam = draw(st.floats(0.05, 3.0))
+    alpha = draw(st.floats(0.0, 1.5))
+    first = mx.filter_axis(skeleton, lam, alpha)
+    kind = draw(st.sampled_from(["nested", "jittered", "identical", "isolated", "empty"]))
+    if kind == "nested":
+        second = mx.filter_axis(skeleton, lam + draw(st.floats(0.0, 1.0)), alpha)
+    elif kind == "jittered":
+        eps = draw(st.sampled_from([1e-9, 1e-5, 1e-3, 0.05, 0.3]))
+        try:
+            moved = experiments._jitter(scene, eps, np.random.default_rng([seed, 0]))
+        except mx.InvalidSceneError:
+            moved = scene
+        second = mx.filter_axis(mx.build_skeleton(moved), lam, alpha)
+    elif kind == "identical":
+        second = mx.filter_axis(skeleton, lam, alpha)
+    elif kind == "isolated":
+        first = hand_axis(first.vertices, [], isolated=np.arange(len(first.vertices)))
+        second = mx.filter_axis(skeleton, lam * draw(st.floats(0.5, 2.0)), alpha)
+    else:
+        second = mx.filter_axis(skeleton, 1e3, alpha)
+    return first, second, draw(st.sampled_from([0.003, 0.01, 0.05, 0.4, 20.0]))
+
+
+class TestPrunedHausdorff:
+    """``directed_hausdorff`` samples only the segments whose end bound can
+    raise the vertices' maximum, with the bits of sampling them all."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(pair=axis_pairs())
+    def test_matches_every_sample_bit_for_bit(self, pair):
+        first, second, resolution = pair
+        for a, b in ((first, second), (second, first)):
+            got = mx.directed_hausdorff(a, b, resolution)
+            assert type(got) is float and got == sampled_hausdorff(a, b, resolution)
+
+    def test_prune_samples_few_segments_of_a_jittered_pair(self, monkeypatch):
+        """On a jittered pair every segment end lies near the other axis,
+        so most segments are neither sampled nor measured."""
+        scene = mx.random_scene(14, 10.0, seed=3, min_separation=1.0)
+        moved = experiments._jitter(scene, 1e-3, np.random.default_rng([3, 0]))
+        a, b = (mx.filter_axis(mx.build_skeleton(s), 0.3, 0.2) for s in (scene, moved))
+        want = sampled_hausdorff(a, b, 0.01)
+        sampled = []
+        interior = metrics._interior
+
+        def counted(start, end, length, spacing):
+            sampled.append(len(length))
+            return interior(start, end, length, spacing)
+
+        monkeypatch.setattr(metrics, "_interior", counted)
+        assert mx.directed_hausdorff(a, b, 0.01) == want > 0.0
+        assert len(sampled) == 1 and sampled[0] <= len(a.segments) // 4
+
+    def test_maximum_inside_a_segment(self):
+        """A straight axis over a V whose arms end at its ends: both ends
+        lie on the V, and the farthest sample is the middle one."""
+        straight = hand_axis([[-1, 1], [1, 1]], [[0, 1]])
+        vee = hand_axis([[-1, 1], [0, 0], [1, 1]], [[0, 1], [1, 2]])
+        got = mx.directed_hausdorff(straight, vee, 0.01)
+        assert got == sampled_hausdorff(straight, vee, 0.01)
+        assert got == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert mx.directed_hausdorff(vee, straight, 0.01) == 1.0
+
+    def test_scale_near_the_collapse_is_read_off_every_sample(self, monkeypatch):
+        """Two parallel unit segments one ulp over 1e-12 apart: the value
+        lies just above the collapse of the unit scale, so the scale is
+        read off every sample, and a larger one collapses the value."""
+        gap = np.nextafter(1e-12, 1.0)
+        upper = hand_axis([[0, gap], [1, gap]], [[0, 1]])
+        lower = hand_axis([[0, 0], [1, 0]], [[0, 1]])
+        sample = metrics.sample_axis_points
+        read = []
+
+        def spy(axis, spacing):
+            read.append(axis)
+            return sample(axis, spacing)
+
+        monkeypatch.setattr(metrics, "sample_axis_points", spy)
+        assert mx.directed_hausdorff(upper, lower, 0.1) == gap == \
+            sampled_hausdorff(upper, lower, 0.1)
+        assert read == [upper]
+
+        def wider(axis, spacing):
+            return np.vstack([sample(axis, spacing), [[1.5, 0.0]]])
+
+        monkeypatch.setattr(metrics, "sample_axis_points", wider)
+        assert mx.directed_hausdorff(upper, lower, 0.1) == 0.0  # gap <= 1e-12 * 1.5
+        assert mx.directed_hausdorff(lower, upper, 0.1) == 0.0
+
+    def test_everything_within_the_collapse_is_not_sampled(self, monkeypatch):
+        """A nested direction returns 0 off the vertices and the bounds."""
+        loose, tight = two_site_axes()
+        monkeypatch.setattr(metrics, "_interior", None)
+        monkeypatch.setattr(metrics, "sample_axis_points", None)
+        assert mx.directed_hausdorff(tight, loose, 0.01) == 0.0
+        assert mx.directed_hausdorff(loose, loose, 0.01) == 0.0
 
 
 class TestTreeOrder:

@@ -515,6 +515,41 @@ class TestRandomScene:
         with pytest.raises(mx.InvalidSceneError, match="n_sites"):
             mx.random_scene(n_sites)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_the_dense_separation_check(self, dim):
+        """The same scene, or the same failure, as the check over all
+        (n, n, d) differences with the bounding radius on the diagonal:
+        one site, separations at and above the radius, and separations that
+        take many redraws or never succeed."""
+        cases = [(1, 0.5), (1, 6.0), (1, 6.5), (2, 6.0), (2, 7.0), (5, None),
+                 (8, 1.0), (12, 1.5), (14, 2.0), (20, 2.5)]
+        failures = 0
+        for (n, sep), seed in itertools.product(cases, range(4)):
+            want = dense_random_sites(n, 6.0, seed, dim, sep)
+            if want is None:
+                failures += 1
+                with pytest.raises(mx.InvalidSceneError, match="could not place"):
+                    mx.random_scene(n, 6.0, seed=seed, dim=dim, min_separation=sep)
+            else:
+                got = mx.random_scene(n, 6.0, seed=seed, dim=dim, min_separation=sep)
+                assert got.sites.tobytes() == want.tobytes()
+        assert 12 <= failures < len(cases) * 4
+
+
+def dense_random_sites(n, bounding_radius, seed, dim, min_separation):
+    """``random_scene``'s sites by its first separation check, over the
+    (n, n, d) array of all differences; None where it gives up."""
+    if min_separation is None:
+        min_separation = 0.02 * bounding_radius
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        sites = scene_mod._in_ball(rng, n, dim, 0.85 * bounding_radius)
+        diff = sites[:, None, :] - sites[None, :, :]
+        gaps = np.sqrt((diff ** 2).sum(-1)) + np.eye(n) * bounding_radius
+        if gaps.min() > min_separation:
+            return sites
+    return None
+
 
 class TestSerialization:
     def test_json_round_trip(self):
