@@ -30,7 +30,8 @@ skeleton of their plane coordinates; ``exact_critical_function`` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -81,6 +82,37 @@ class VoronoiSkeleton:
     s: np.ndarray         # (E, 2) parameters of the ends
     bound: np.ndarray     # (E, 2) bounding site of each end, -1 at the wall
     flags: tuple = ()
+
+    @cached_property
+    def _vertex_json(self) -> _RowText:
+        """The JSON text of the vertices, shared by every axis filtered from
+        the skeleton (``axis_to_json``)."""
+        return _RowText(self.vertices, _json_rows)
+
+
+class _RowText:
+    """The text of each row of ``points``, made by ``fmt`` (rows (m, 2) to a
+    list of m strings) when it is first asked for, and never again."""
+
+    def __init__(self, points: np.ndarray, fmt):
+        self.points, self.fmt = points, fmt
+        self.text = np.empty(len(points), object)
+        self.made = np.zeros(len(points), bool)
+
+    def gather(self, points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """The text (m,) of the rows of ``points`` (m, 2): row i is row ids[i]
+        of ``self.points`` where ids[i] >= 0, and takes its text; ``fmt``
+        makes the text of the others."""
+        hit = ids >= 0
+        new = np.zeros(len(self.points), bool)
+        new[ids[hit]] = True
+        new = np.flatnonzero(new & ~self.made)  # each row once, if ids repeat
+        self.text[new] = self.fmt(self.points[new])
+        self.made[new] = True
+        text = np.empty(len(points), object)
+        text[hit] = self.text[ids[hit]]
+        text[~hit] = self.fmt(points[~hit])
+        return text
 
 
 def _wall_intervals(scene: SiteScene, m: np.ndarray, u: np.ndarray, h: np.ndarray):
@@ -543,6 +575,13 @@ def exact_critical_function(scene: SiteScene, t_grid,
 
 @dataclass(frozen=True)
 class FilteredAxis:
+    """A filtered axis: vertices (V, 2), segments (S, 2) and isolated points
+    (vertex ids), and the component of each vertex.  ``filter_axis`` sets
+    ``skeleton``, the skeleton it cut the axis from, and ``skeleton_ids``
+    (V,), which vertex of it each vertex is (-1 for a cut point); the
+    writers take those vertices' text from the skeleton.  An axis built by
+    hand leaves both None."""
+
     lam: float
     alpha: float
     vertices: np.ndarray
@@ -550,6 +589,8 @@ class FilteredAxis:
     isolated: np.ndarray
     component_ids: np.ndarray
     flags: tuple = ()
+    skeleton: VoronoiSkeleton | None = field(default=None, repr=False, compare=False)
+    skeleton_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def isolated_points(self) -> np.ndarray:
@@ -619,6 +660,8 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
     alive[used[used < n_v]] = False
     lone = np.flatnonzero(alive)
     vertices = np.concatenate([points[first[order]], skeleton.vertices[lone]])
+    reached = used[order]
+    skeleton_ids = np.concatenate([np.where(reached < n_v, reached, -1), lone])
     isolated = np.arange(len(order), len(vertices))
 
     comp = _components(len(vertices), segments)
@@ -630,7 +673,8 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
         flags.append("empty-axis")
     return FilteredAxis(lam=float(lam), alpha=float(alpha), vertices=vertices,
                         segments=segments, isolated=isolated,
-                        component_ids=comp, flags=tuple(flags))
+                        component_ids=comp, flags=tuple(flags),
+                        skeleton=skeleton, skeleton_ids=skeleton_ids)
 
 
 def axis_membership(scene: SiteScene, x, lam: float, alpha: float) -> bool:
@@ -642,15 +686,25 @@ def axis_membership(scene: SiteScene, x, lam: float, alpha: float) -> bool:
     return sample.F_alpha >= lam
 
 
+def _json_rows(P: np.ndarray) -> list:
+    """The rows (m, 2) as ``json.dumps`` writes them, "[x, y]": by the repr
+    of each float, which JSON spells otherwise only for nan and inf."""
+    if not np.isfinite(P).all():
+        return [json.dumps(row) for row in P.tolist()]
+    return ("[%r, %r]\n" * len(P) % tuple(P.ravel().tolist())).split("\n")[:-1]
+
+
 def axis_to_json(axis: FilteredAxis) -> str:
-    # ``tolist`` floats repr with 17 significant digits at most: exact round trip
-    payload = {
-        "lambda": axis.lam,
-        "alpha": axis.alpha,
-        "vertices": axis.vertices.tolist(),
-        "segments": axis.segments.tolist(),
-        "isolated": axis.isolated_points.tolist(),
-        "components": axis.component_ids.tolist(),
-        "flags": list(axis.flags),
-    }
-    return json.dumps(payload)
+    """``json.dumps`` of the axis's lambda, alpha, vertices, segments,
+    isolated points, components and flags.  A vertex of the axis's skeleton
+    takes its text from the skeleton, made once for every axis filtered
+    from it; only the cut points are formatted per axis."""
+    V, seg = axis.vertices, axis.segments
+    text = np.array(_json_rows(V) if axis.skeleton is None
+                    else axis.skeleton._vertex_json.gather(V, axis.skeleton_ids), object)
+    return ('{"lambda": %s, "alpha": %s, "vertices": [%s], "segments": [%s], '
+            '"isolated": [%s], "components": %s, "flags": %s}' % (
+                json.dumps(axis.lam), json.dumps(axis.alpha), ", ".join(text.tolist()),
+                ", ".join(["[%r, %r]"] * len(seg)) % tuple(seg.ravel().tolist()),
+                ", ".join(text[axis.isolated].tolist() if len(axis.isolated) else []),
+                json.dumps(axis.component_ids.tolist()), json.dumps(list(axis.flags))))

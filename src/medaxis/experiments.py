@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scene import (InvalidSceneError, SiteScene, _check_count, _check_real, _in_ball,
-                    load_scene, scene_from_json)
+                    _scene_from_payload, load_scene)
 from .field import (
     CriticalProfile,
     _check_sampling,
@@ -124,7 +124,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         path = scene_spec if os.path.isabs(scene_spec) else os.path.join(base_dir, scene_spec)
         scene = load_scene(path)
     else:
-        scene = scene_from_json(json.dumps(scene_spec))
+        scene = _scene_from_payload(scene_spec)
     kwargs = {"scene": scene}
     for key in ("lambda_grid", "alpha_grid", "epsilons", "starts", "t_grid"):
         if key in raw:
@@ -472,6 +472,13 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
     skeleton = build_skeleton(scene)
     profile = _profile_for(scene, config, skeleton)
     axes = [filter_axis(skeleton, lam, alpha) for lam, alpha in points]
+    graphs = {}  # step i's upper axis is step i + 1's lower: one graph each
+
+    def graph(k):
+        if k not in graphs:
+            graphs[k] = build_geodesic_graph(axes[k])
+        return graphs[k]
+
     lam_mu, alpha_mu = points[-1] if by_lam else points[0]
     mu = _resolve_mu(config, report, profile, alpha_mu, lam_mu)
     report.constants["mu"] = mu
@@ -510,13 +517,12 @@ def _sweep(config: ExperimentConfig, which: str) -> StabilityReport:
             connected = _connected(axis_lo) and _connected(axis_hi)
             if connected and hyp_ok:
                 t_flow = lip * delta
-                graph_lo = build_geodesic_graph(axis_lo)
-                diam = geodesic_diameter(graph_lo)
+                diam = geodesic_diameter(graph(i))
                 # each sample lies within d_H of the other axis and within
                 # res/2 of one of its samples, so this radius covers both
                 # axes: a SurjectivityError here is a program error
                 distortion = gh_distortion(
-                    graph_lo, build_geodesic_graph(axis_hi), max(t_flow, d_h + 2.0 * res),
+                    graph(i), graph(i + 1), max(t_flow, d_h + 2.0 * res),
                     sample_pairs=config.sample_pairs, resolution=res, seed=config.seed)
                 gh_bound = (2.0 * t_flow + diam * math.expm1(t_flow / alpha)
                             if t_flow / alpha < 700.0 else float("inf"))

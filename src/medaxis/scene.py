@@ -378,6 +378,16 @@ def scene_to_json(scene: SiteScene) -> str:
 def scene_from_json(text: str) -> SiteScene:
     try:  # a JSON decoding error is a ValueError
         payload = json.loads(text)
+    except ValueError as exc:
+        raise InvalidSceneError(f"malformed scene JSON: {exc}") from exc
+    return _scene_from_payload(payload)
+
+
+def _scene_from_payload(payload) -> SiteScene:
+    """The scene of a parsed scene JSON payload (``scene_to_json``'s keys,
+    ``tie_tolerance`` optional), as ``scene_from_json`` and a config's
+    inline scene read it."""
+    try:
         sites = np.asarray(payload["sites"], float)
         radius = float(payload["bounding_radius"])
         tie = float(payload.get("tie_tolerance", 1e-9))
@@ -400,13 +410,16 @@ def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
     the bounding radius.
 
     Draws are rejected until all pairwise separations exceed
-    ``min_separation`` (default: 2% of the bounding radius), and none is
-    accepted unless the bounding radius exceeds it too.  Only the pairs a
+    ``min_separation`` (default: 2% of the bounding radius; one given must
+    be finite and nonnegative), and none is accepted unless the bounding
+    radius exceeds it too.  Only the pairs a
     KD-tree finds within ``min_separation * (1 + 1e-6)`` are measured.
     """
     _check_count("n_sites", n_sites)
     if min_separation is None:
         min_separation = 0.02 * bounding_radius
+    else:
+        _check_real("min_separation", min_separation, positive=False)
     rng = np.random.default_rng(seed)
     for _ in range(500):
         sites = _in_ball(rng, n_sites, dim, 0.85 * bounding_radius)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .axis import FilteredAxis, VoronoiSkeleton
+from .axis import FilteredAxis, VoronoiSkeleton, _RowText
 from .field import CriticalProfile
 from .scene import SiteScene
 
@@ -51,11 +51,25 @@ def _skeleton_lines(scale: float, skeleton: VoronoiSkeleton) -> str:
     return _lines(scale, ends[:, 0], ends[:, 1], "#bbbbbb", "1")
 
 
+# An axis line, as the text of its first end and the text of its second
+_AXIS_ENDS = ('<line x1="%.3f" y1="%.3f" ',
+              'x2="%.3f" y2="%.3f" stroke="#2266cc" stroke-width="2.5"/>')
+
+
+def _end_format(scale: float, end: str):
+    """The ``_RowText`` format of points as one of ``_AXIS_ENDS``."""
+    return lambda P: ((end + "\n") * len(P) % tuple(_canvas(scale, P).ravel().tolist())
+                      ).split("\n")[:-1]
+
+
 def _scene_picture(scene: SiteScene, skeleton: VoronoiSkeleton | None):
     """``scene_svg`` of this scene and skeleton as a function of the axis and
     the trajectories.  The layers that depend on the scene and the skeleton
     alone (the header, the wall circle, the skeleton and the sites) are
-    formatted here, once for every picture drawn from the function."""
+    formatted here, once for every picture drawn from the function.  A
+    vertex of the skeleton is formatted as a first or a second line end
+    once, when a line of an axis filtered from this skeleton first ends
+    there; every other line end is formatted per axis."""
     scale = (_SIZE / 2 - _MARGIN) / scene.bounding_radius
     head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
             'viewBox="0 0 %d %d">\n<rect width="%d" height="%d" fill="white"/>\n'
@@ -63,12 +77,20 @@ def _scene_picture(scene: SiteScene, skeleton: VoronoiSkeleton | None):
             + _circles(scale, np.zeros((1, 2)), scale * scene.bounding_radius, "#888888"))
     skeleton_lines = "" if skeleton is None else _skeleton_lines(scale, skeleton)
     tail = _circles(scale, scene.sites, 3.0, "#cc2222", fill="#cc2222") + "\n</svg>\n"
+    forms = [_end_format(scale, end) for end in _AXIS_ENDS]
+    shared = None if skeleton is None else [_RowText(skeleton.vertices, fmt) for fmt in forms]
+
+    def line_ends(axis: FilteredAxis, k: int) -> np.ndarray:
+        """The text of the k-th ends of the axis's segments."""
+        at = axis.segments[:, k]
+        if shared is not None and axis.skeleton is skeleton:
+            return shared[k].gather(axis.vertices[at], axis.skeleton_ids[at])
+        return np.array(forms[k](axis.vertices[at]), object)
 
     def draw(axis: FilteredAxis | None, trajectories=None) -> str:
         parts = [head, skeleton_lines]
         if axis is not None:
-            V, seg = axis.vertices, axis.segments
-            parts.append(_lines(scale, V[seg[:, 0]], V[seg[:, 1]], "#2266cc", "2.5"))
+            parts.append("\n".join((line_ends(axis, 0) + line_ends(axis, 1)).tolist()))
             # a cross per isolated point: its horizontal arm, then its vertical one
             P = axis.isolated_points[:, None]
             arms = (4.0 / scale) * np.eye(2)

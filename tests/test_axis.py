@@ -18,6 +18,7 @@ import medaxis.axis as axis_mod
 import medaxis.field as field_mod
 import medaxis.flow as flow_mod
 import medaxis.scene as scene_mod
+import medaxis.svgout as svgout
 from medaxis.field import _grad_norm
 from medaxis.scene import _nearest, _row_norms, _seb_stack
 
@@ -837,6 +838,172 @@ class TestOutputPins:
         svg = mx.scene_svg(scene, trajectories=trajs)
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "e49d0ea2432dcd2f5b91b70d8bd403f6d4af3340d4a7823140ee2079fab5d41c")
+
+
+def old_axis_json(axis):
+    """``axis_to_json`` as it was written before a skeleton's vertex text was
+    shared: ``json.dumps`` of the payload."""
+    return json.dumps({
+        "lambda": axis.lam, "alpha": axis.alpha, "vertices": axis.vertices.tolist(),
+        "segments": axis.segments.tolist(), "isolated": axis.isolated_points.tolist(),
+        "components": axis.component_ids.tolist(), "flags": list(axis.flags)})
+
+
+def old_scene_svg(scene, axis, skeleton=None):
+    """``scene_svg`` of a scene, an axis and a skeleton as it was drawn before
+    a skeleton's line ends were shared: each line's four canvas coordinates
+    formatted in place."""
+    scale = (svgout._SIZE / 2 - svgout._MARGIN) / scene.bounding_radius
+
+    def lines(A, B):
+        C = np.column_stack([svgout._canvas(scale, A), svgout._canvas(scale, B)])
+        return "\n".join('<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#2266cc" '
+                         'stroke-width="2.5"/>' % tuple(row) for row in C.tolist())
+
+    V, seg = axis.vertices, axis.segments
+    P = axis.isolated_points[:, None]
+    arms = (4.0 / scale) * np.eye(2)
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+             'viewBox="0 0 640 640">\n<rect width="640" height="640" fill="white"/>\n'
+             + svgout._circles(scale, np.zeros((1, 2)), scale * scene.bounding_radius, "#888888"),
+             "" if skeleton is None else svgout._skeleton_lines(scale, skeleton),
+             lines(V[seg[:, 0]], V[seg[:, 1]]), lines(P - arms, P + arms),
+             svgout._circles(scale, scene.sites, 3.0, "#cc2222", fill="#cc2222") + "\n</svg>\n"]
+    return "\n".join(part for part in parts if part)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e16,
+                   -1e22, 0.1 + 0.2, 1 / 3, 1.7976931348623157e308, 123456789.0]
+
+
+def hand_built_axes():
+    """Axes built by hand (no skeleton): special floats, a vertex on no
+    segment that is not isolated, an empty and an isolated-only axis."""
+    V = np.array(_SPECIAL_FLOATS, float).reshape(-1, 2) % 9.0 - 4.5
+    V[0] = [-0.0, 5e-324]
+    return [
+        mx.FilteredAxis(0.5, 0.25, V, np.array([[0, 1], [1, 2], [4, 3]]), np.array([5]),
+                        np.array([0, 0, 0, 1, 1, 2]), ("wall-limited",)),
+        mx.FilteredAxis(1.0, 0.0, np.empty((0, 2)), np.empty((0, 2), int),
+                        np.empty(0, int), np.empty(0, int), ("empty-axis",)),
+        mx.FilteredAxis(1.0, 0.0, V[:2], np.empty((0, 2), int), np.array([0, 1]),
+                        np.array([0, 1])),
+    ]
+
+
+class TestSharedVertexText:
+    """The writers take a skeleton vertex's text from its skeleton, made
+    once per skeleton (JSON) or per picture (SVG), and write the bytes of the
+    old per-axis formats."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(**{key: _AXIS_DRAWS[key] for key in ("kind", "size", "seed")},
+           grid=st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=6))
+    def test_writers_equal_the_old_formats(self, kind, size, seed, grid):
+        scene = adversarial_scene(kind, size, seed)
+        sk = mx.build_skeleton(scene)
+        draw = svgout._scene_picture(scene, sk)
+        for lam, alpha in grid + [(6.0, 0.5)]:
+            ax = mx.filter_axis(sk, lam, alpha)
+            assert mx.axis_to_json(ax) == old_axis_json(ax)
+            assert draw(ax) == old_scene_svg(scene, ax, sk)
+
+    def test_pin_grids_cover_cut_isolated_and_empty_axes(self):
+        """On the pinned scenes, repeated and reordered grid points of one
+        picture: axes with most vertices cut points, isolated points only,
+        and none."""
+        seen = set()
+        for name in sorted(PIN_SCENES):
+            scene = PIN_SCENES[name]()
+            sk = mx.build_skeleton(scene)
+            draw = svgout._scene_picture(scene, sk)
+            grid = [(lam, alpha) for lam in (0.05, 0.3, 0.5, 0.75, 0.9, 1.5, 6.0)
+                    for alpha in (0.0, 0.5)]
+            for lam, alpha in grid + grid[::-1]:
+                ax = mx.filter_axis(sk, lam, alpha)
+                assert mx.axis_to_json(ax) == old_axis_json(ax)
+                assert draw(ax) == old_scene_svg(scene, ax, sk)
+                cut = int((ax.skeleton_ids < 0).sum())
+                seen.add("empty" if ax.is_empty else "isolated-only" if not len(ax.segments)
+                         else "mostly-cut" if 2 * cut > len(ax.vertices) else "other")
+        assert seen == {"empty", "isolated-only", "mostly-cut", "other"}
+
+    def test_skeleton_ids_name_the_skeleton_vertices(self):
+        sk = mx.build_skeleton(PIN_SCENES["random-60"]())
+        ax = mx.filter_axis(sk, 0.3, 0.5)
+        on = ax.skeleton_ids >= 0
+        assert ax.skeleton is sk and 0 < on.sum() < len(on)
+        assert ax.vertices[on].tobytes() == sk.vertices[ax.skeleton_ids[on]].tobytes()
+        assert np.all(ax.skeleton_ids[ax.isolated] >= 0)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_hand_built_axes(self, index):
+        axis = hand_built_axes()[index]
+        scene = PIN_SCENES["random-60"]()
+        sk = mx.build_skeleton(scene)
+        assert mx.axis_to_json(axis) == old_axis_json(axis)
+        assert mx.scene_svg(scene, axis, sk) == old_scene_svg(scene, axis, sk)
+        assert mx.scene_svg(scene, axis) == old_scene_svg(scene, axis)
+
+    def test_non_finite_vertices_as_json_writes_them(self):
+        axis = mx.FilteredAxis(1.0, 0.0, np.array([[np.nan, 1.0], [-np.inf, np.inf]]),
+                               np.array([[0, 1]]), np.empty(0, int), np.array([0, 0]))
+        assert mx.axis_to_json(axis) == old_axis_json(axis)
+        assert "[[NaN, 1.0], [-Infinity, Infinity]]" in mx.axis_to_json(axis)
+
+    def test_svg_with_another_skeleton_draws_the_axis_coordinates(self):
+        """A picture of one skeleton, its vertex text made, draws an axis cut
+        from another skeleton by the axis's own vertices."""
+        scene = PIN_SCENES["random-60"]()
+        sk = mx.build_skeleton(scene)
+        other = mx.build_skeleton(mx.SiteScene(scene.sites[::-1] * 0.9, 10.0))
+        draw = svgout._scene_picture(scene, sk)
+        draw(mx.filter_axis(sk, 0.05, 0.0))
+        for lam, alpha in _PIN_GRID:
+            ax = mx.filter_axis(other, lam, alpha)
+            assert ax.skeleton is other
+            assert draw(ax) == old_scene_svg(scene, ax, sk)
+            assert mx.scene_svg(scene, ax, sk) == old_scene_svg(scene, ax, sk)
+
+    def test_each_skeleton_vertex_is_formatted_once(self, monkeypatch):
+        """Over a grid drawn twice, each skeleton vertex is formatted at most
+        once as JSON and once as each form of line end; a one-shot picture
+        formats only the vertices its lines end at."""
+        formatted = {}
+        make = axis_mod._RowText.__init__
+
+        def counting(self, points, fmt):
+            rows = formatted.setdefault(id(self), [])
+            make(self, points, lambda P: (rows.extend(row.tobytes() for row in P), fmt(P))[1])
+
+        monkeypatch.setattr(axis_mod._RowText, "__init__", counting)
+        scene = PIN_SCENES["random-60"]()
+        sk = mx.build_skeleton(scene)
+        vertex = {row.tobytes() for row in sk.vertices}
+        axes = [mx.filter_axis(sk, lam, alpha) for lam, alpha in _PIN_GRID]
+        one = axes[2]
+        mx.scene_svg(scene, one, sk)
+        drawn = {row.tobytes() for row in one.vertices[one.segments.ravel()]}
+        assert len(formatted) == 2
+        for rows in formatted.values():
+            assert set(rows) <= drawn and 0 < len(set(rows) & vertex) < len(vertex)
+        formatted.clear()
+        draw = svgout._scene_picture(scene, sk)
+        for ax in axes + axes:
+            draw(ax)
+            mx.axis_to_json(ax)
+        assert len(formatted) == 3
+        for rows in formatted.values():
+            hits = [row for row in rows if row in vertex]
+            assert len(hits) == len(set(hits))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from(_SPECIAL_FLOATS + [-x for x in _SPECIAL_FLOATS]))
+    def test_repr_is_json_for_finite_floats(self, x):
+        assert "%r" % x == json.dumps(x)
+        assert "[%r, %r]" % (x, -x) == json.dumps([x, -x])
 
 
 def level_points(scene, skeleton, t):

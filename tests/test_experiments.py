@@ -94,6 +94,31 @@ class TestConfig:
         cfg = ExperimentConfig(scene=two_site_scene())
         assert cfg.resolution == pytest.approx(10.0 / 1000.0)
 
+    @pytest.mark.parametrize("spec", [
+        {"sites": [[0.0, 1.0]], "bounding_radius": None},
+        {"sites": [[0.0, 1.0]], "bounding_radius": "x"},
+        {"sites": [[0.0, 1.0]], "bounding_radius": 5.0, "tie_tolerance": "x"},
+        {"sites": [[0.0, 1.0], [2.0]], "bounding_radius": 5.0},
+        {"sites": [[0.0, 1.0]]}, {"bounding_radius": 5.0}, {"sites": "x", "bounding_radius": 5.0},
+        {"sites": [], "bounding_radius": 5.0}, {"sites": [[0.0, 9.0]], "bounding_radius": 5.0},
+        {"sites": [[0.0, math.nan]], "bounding_radius": 5.0},
+        {"sites": [[0.0, 1.0]], "bounding_radius": -1.0}, [], 5, None],
+        ids=lambda spec: json.dumps(spec))
+    def test_inline_scene_errors_are_scene_json_errors(self, spec):
+        """A config's inline scene is read as the scene JSON of its text is:
+        the same error, with the same message."""
+        with pytest.raises(mx.InvalidSceneError) as inline:
+            config_from_dict({"scene": spec})
+        with pytest.raises(mx.InvalidSceneError) as text:
+            mx.scene_from_json(json.dumps(spec))
+        assert str(inline.value) == str(text.value)
+
+    def test_inline_scene_equals_its_scene_json(self):
+        scene = mx.SiteScene([[-0.0, 5e-324], [1 / 3, 0.1 + 0.2]], 2.0, tie_tolerance=0)
+        spec = json.loads(mx.scene_to_json(scene))
+        inline = config_from_dict({"scene": spec}).scene
+        assert mx.scene_to_json(inline) == mx.scene_to_json(scene)
+
 
 class TestRunAxis:
     def test_writes_axis_files(self, tmp_path):
@@ -136,6 +161,21 @@ class TestRunAxis:
                 assert data == mx.scene_svg(scene, axis=ax, skeleton=sk).encode()
                 assert b"\n\n" not in data
         assert 0 < empty < len(lams) * len(alphas) or name == "single-site"
+
+    def test_files_of_a_2000_site_scene_pinned(self, tmp_path):
+        """SHA-256 over the names and bytes of every file ``run_axis`` writes
+        for a 2,000-site scene, recorded before the skeleton's vertex text
+        was shared across the grid."""
+        scene = mx.random_scene(2000, 10.0, seed=3, min_separation=0.005)
+        run_axis(ExperimentConfig(scene=scene, lambda_grid=(0.05, 0.1, 0.15),
+                                  alpha_grid=(0.1, 0.3), out_dir=str(tmp_path)))
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(tmp_path)):
+            digest.update(name.encode())
+            digest.update((tmp_path / name).read_bytes())
+        assert len(os.listdir(tmp_path)) == 13
+        assert digest.hexdigest() == (
+            "9425be91467b052fb61b3855f67131e9f46d9eba217cedd0982fa0bfc25f692e")
 
     @pytest.mark.parametrize("lams, alphas", [((0.75,), (0.5,)),
                                               ((0.5, 0.75, 1.5), (0.0, 0.5))])
@@ -455,6 +495,22 @@ class TestRunSweep:
         assert (tmp_path / "sweep_lambda_report.json").exists()
         row = report.rows[0]
         assert row["directed_back"] == 0.0
+
+    @pytest.mark.parametrize("sites", [[[-1.0, 0.0], [1.0, 0.0]],
+                                       [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.5]]])
+    def test_builds_each_axis_graph_once(self, tmp_path, monkeypatch, sites):
+        """Step i's upper axis is step i + 1's lower one: three axes, both
+        steps measured, three graphs."""
+        built = []
+        build = experiments.build_geodesic_graph
+        monkeypatch.setattr(experiments, "build_geodesic_graph",
+                            lambda ax: (built.append(ax), build(ax))[1])
+        report = run_sweep_lambda(ExperimentConfig(
+            scene=mx.SiteScene(sites, 10.0), lambda_grid=(0.5, 0.55, 0.6),
+            alpha_grid=(0.25,), t_count=30, samples_per_level=400, seed=3,
+            sample_pairs=100, out_dir=str(tmp_path)))
+        assert all("gh_distortion" in row for row in report.rows) and len(report.rows) == 2
+        assert len(built) == 3 and len({id(ax) for ax in built}) == 3
 
 
 def run_cli(tmp_path, command, body):

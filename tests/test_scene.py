@@ -515,6 +515,17 @@ class TestRandomScene:
         with pytest.raises(mx.InvalidSceneError, match="n_sites"):
             mx.random_scene(n_sites)
 
+    @pytest.mark.parametrize("min_separation", [math.nan, math.inf, -math.inf, -1.0, True, "0.5"])
+    def test_rejects_bad_min_separation_before_drawing(self, monkeypatch, min_separation):
+        """A separation that no draw can meet, or none that a check reads, is
+        bad input, not the generator's placement limit."""
+        monkeypatch.setattr(scene_mod, "_in_ball", None)
+        with pytest.raises(mx.InvalidSceneError, match="min_separation must be finite"):
+            mx.random_scene(5, 10.0, seed=1, min_separation=min_separation)
+
+    def test_zero_min_separation_is_valid(self):
+        assert len(mx.random_scene(5, 10.0, seed=1, min_separation=0.0).sites) == 5
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_the_dense_separation_check(self, dim):
         """The same scene, or the same failure, as the check over all
