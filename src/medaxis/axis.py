@@ -579,8 +579,9 @@ class FilteredAxis:
     (vertex ids), and the component of each vertex.  ``filter_axis`` sets
     ``skeleton``, the skeleton it cut the axis from, and ``skeleton_ids``
     (V,), which vertex of it each vertex is (-1 for a cut point); the
-    writers take those vertices' text from the skeleton.  An axis built by
-    hand leaves both None."""
+    writers take those vertices' text from the skeleton.  Both are set
+    after construction, so they stay None on an axis built by hand or by
+    ``dataclasses.replace``, whose vertices may be others."""
 
     lam: float
     alpha: float
@@ -589,8 +590,10 @@ class FilteredAxis:
     isolated: np.ndarray
     component_ids: np.ndarray
     flags: tuple = ()
-    skeleton: VoronoiSkeleton | None = field(default=None, repr=False, compare=False)
-    skeleton_ids: np.ndarray | None = field(default=None, repr=False, compare=False)
+    skeleton: VoronoiSkeleton | None = field(default=None, init=False, repr=False,
+                                             compare=False)
+    skeleton_ids: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def isolated_points(self) -> np.ndarray:
@@ -671,10 +674,12 @@ def filter_axis(skeleton: VoronoiSkeleton, lam: float, alpha: float) -> Filtered
         flags.append("wall-limited")
     if len(vertices) == 0:
         flags.append("empty-axis")
-    return FilteredAxis(lam=float(lam), alpha=float(alpha), vertices=vertices,
+    axis = FilteredAxis(lam=float(lam), alpha=float(alpha), vertices=vertices,
                         segments=segments, isolated=isolated,
-                        component_ids=comp, flags=tuple(flags),
-                        skeleton=skeleton, skeleton_ids=skeleton_ids)
+                        component_ids=comp, flags=tuple(flags))
+    object.__setattr__(axis, "skeleton", skeleton)
+    object.__setattr__(axis, "skeleton_ids", skeleton_ids)
+    return axis
 
 
 def axis_membership(scene: SiteScene, x, lam: float, alpha: float) -> bool:

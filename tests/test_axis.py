@@ -1,5 +1,6 @@
 """Voronoi skeleton construction and the (lambda, alpha) filtration."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -936,6 +937,18 @@ class TestSharedVertexText:
         assert ax.skeleton is sk and 0 < on.sum() < len(on)
         assert ax.vertices[on].tobytes() == sk.vertices[ax.skeleton_ids[on]].tobytes()
         assert np.all(ax.skeleton_ids[ax.isolated] >= 0)
+
+    def test_replaced_vertices_are_written_as_they_are(self):
+        """An axis whose vertices ``dataclasses.replace`` changed names no
+        skeleton, so no vertex takes a skeleton vertex's text."""
+        scene = PIN_SCENES["random-60"]()
+        sk = mx.build_skeleton(scene)
+        ax = mx.filter_axis(sk, 0.3, 0.5)
+        mx.axis_to_json(ax)
+        moved = dataclasses.replace(ax, vertices=ax.vertices + 0.5)
+        assert moved.skeleton is None and moved.skeleton_ids is None
+        assert mx.axis_to_json(moved) == old_axis_json(moved)
+        assert mx.scene_svg(scene, moved, sk) == old_scene_svg(scene, moved, sk)
 
     @pytest.mark.parametrize("index", range(3))
     def test_hand_built_axes(self, index):
