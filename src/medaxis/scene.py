@@ -412,8 +412,8 @@ def random_scene(n_sites: int, bounding_radius: float = 10.0, seed: int = 0,
     Draws are rejected until all pairwise separations exceed
     ``min_separation`` (default: 2% of the bounding radius; one given must
     be finite and nonnegative), and none is accepted unless the bounding
-    radius exceeds it too.  Only the pairs a
-    KD-tree finds within ``min_separation * (1 + 1e-6)`` are measured.
+    radius exceeds it too.  Only the pairs a KD-tree finds within
+    ``min_separation * (1 + 1e-6)`` are measured.
     """
     _check_count("n_sites", n_sites)
     if min_separation is None:
